@@ -1,6 +1,7 @@
-//! Observability overhead benchmark: the same `/threshold` workload as
-//! `serve_bench`, served twice — once with the observability layer
-//! armed (the default) and once disarmed (`obs_enabled: false`) — to
+//! Observability overhead benchmark: a cascade-resolved `/threshold`
+//! workload over a 12-cell snapshot, served twice — once with the
+//! observability layer armed (the default) and once disarmed
+//! (`obs_enabled: false`) — to
 //! measure what the metrics registry, request timers, and span
 //! plumbing cost on the hottest serving path (the measurement behind
 //! `BENCH_obs.json`; the acceptance gate is <5% armed-vs-unarmed).

@@ -7,7 +7,7 @@ use moments_sketch::{CascadeConfig, MomentsSketch};
 use msketch_bench::{fmt_duration, print_table_header, print_table_row, time_it, HarnessArgs};
 use msketch_datasets::{fixed_cells, Dataset};
 use msketch_macrobase::{MacroBaseConfig, MacroBaseEngine};
-use msketch_sketches::{Merge12, QuantileSummary, Sketch};
+use msketch_sketches::{MSketchSummary, Merge12, QuantileSummary, Sketch};
 
 fn cascade_variants() -> Vec<(&'static str, CascadeConfig)> {
     let base = CascadeConfig::baseline();
@@ -62,7 +62,9 @@ fn main() {
         all.merge(c);
     }
     let engine = MacroBaseEngine::new(MacroBaseConfig::default());
-    let t99 = engine.global_threshold(&all).unwrap();
+    // The search API takes any backend; raw sketches go in wrapped.
+    let wrap = |sketch| MSketchSummary::from_sketch(sketch, Default::default());
+    let t99 = engine.global_threshold(&wrap(all)).unwrap();
     let widths = [10, 12, 12, 12, 8];
     print_table_header(
         &format!(
@@ -86,13 +88,16 @@ fn main() {
                     for c in &chunk[1..] {
                         g.merge(c);
                     }
-                    g
+                    wrap(g)
                 })
                 .collect::<Vec<_>>()
         });
         let labels: Vec<String> = (0..groups.len()).map(|i| format!("g{i}")).collect();
-        let (hits, t_est) =
-            time_it(|| engine.search(labels.iter().map(String::as_str).zip(groups.iter()), t99));
+        let labelled = labels
+            .iter()
+            .zip(&groups)
+            .map(|(l, g)| (l.as_str(), g as &dyn Sketch));
+        let (hits, t_est) = time_it(|| engine.search(labelled, t99));
         print_table_row(
             &[
                 label.into(),

@@ -455,9 +455,8 @@ impl<F: SummaryFactory> DataCube<F> {
     /// (and test suite) rests on. The sort compares short string tuples;
     /// its cost is negligible next to the summary merges it orders.
     ///
-    /// Public so callers that need *both* the fold and its inputs (the
-    /// serving layer's deadline-budgeted quantile path folds cell by
-    /// cell) can reuse the exact merge order of [`Self::rollup`].
+    /// Public so callers that walk cells themselves (the cascade
+    /// benchmarks) see the exact merge order of [`Self::rollup`].
     pub fn matching_sorted(&self, filter: &[Option<u32>]) -> Vec<CellRef<'_, F::Summary>> {
         let mut matching: Vec<(Vec<&str>, CellRef<'_, F::Summary>)> = self
             .cells
@@ -484,62 +483,14 @@ impl<F: SummaryFactory> DataCube<F> {
         self.matching_sorted(&self.no_filter())
     }
 
-    /// Merge every cell matching `filter` into one summary.
-    ///
-    /// This is the hot loop of every aggregation query: its cost is
-    /// `n_merge · t_merge`. Cells merge in deterministic decoded-tuple
-    /// order (see [`Self::cells_sorted`]), so equal cell sets always
-    /// produce bit-identical results.
+    /// Merge every cell matching `filter` into one summary — the fold
+    /// of [`crate::query::fold_cells`], with an empty selection as
+    /// [`Error::EmptyResult`].
     pub fn rollup(&self, filter: &[Option<u32>]) -> Result<F::Summary> {
         debug_assert_eq!(filter.len(), self.dims.len());
-        let mut acc: Option<F::Summary> = None;
-        for (_, summary) in self.matching_sorted(filter) {
-            match &mut acc {
-                None => acc = Some(summary.clone()),
-                Some(a) => a.merge_from(summary),
-            }
-        }
-        acc.ok_or(Error::EmptyResult)
-    }
-
-    /// Parallel roll-up: shard the matching cells over `threads` workers
-    /// (crossbeam scoped threads), then merge the partial summaries — the
-    /// strong-scaling experiment of Appendix F.
-    pub fn rollup_parallel(&self, filter: &[Option<u32>], threads: usize) -> Result<F::Summary>
-    where
-        F::Summary: Send + Sync,
-    {
-        let matching: Vec<&F::Summary> = self
-            .matching_sorted(filter)
-            .into_iter()
-            .map(|(_, s)| s)
-            .collect();
-        if matching.is_empty() {
-            return Err(Error::EmptyResult);
-        }
-        let threads = threads.max(1).min(matching.len());
-        let chunk = matching.len().div_ceil(threads);
-        let partials: Vec<F::Summary> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = matching
-                .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move |_| {
-                        let mut acc = shard[0].clone();
-                        for s in &shard[1..] {
-                            acc.merge_from(s);
-                        }
-                        acc
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("merge worker panicked");
-        let mut acc = partials[0].clone();
-        for p in &partials[1..] {
-            acc.merge_from(p);
-        }
-        Ok(acc)
+        crate::query::fold_cells(self, filter)
+            .map(|(merged, _)| merged)
+            .ok_or(Error::EmptyResult)
     }
 
     /// Group matching cells by the given dimensions, merging within each
@@ -766,16 +717,6 @@ mod tests {
         assert_eq!(s.count(), 4000 / 3_u64);
         // v3 metrics are shifted by +500.
         assert!(s.quantile(0.5) > 400.0);
-    }
-
-    #[test]
-    fn parallel_rollup_matches_sequential() {
-        let cube = small_cube();
-        let seq = cube.rollup(&cube.no_filter()).unwrap();
-        let par = cube.rollup_parallel(&cube.no_filter(), 4).unwrap();
-        assert_eq!(seq.count(), par.count());
-        let (a, b) = (seq.quantile(0.9), par.quantile(0.9));
-        assert!((a - b).abs() < 1e-9 * a.abs().max(1.0), "{a} vs {b}");
     }
 
     #[test]

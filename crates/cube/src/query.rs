@@ -3,13 +3,9 @@
 
 use crate::cube::DataCube;
 use crate::Result;
-use moments_sketch::{
-    CascadeConfig, CascadeStats, MomentsSketch, SolverConfig, ThresholdEvaluator,
-};
+use moments_sketch::{CascadeConfig, CascadeStats, ThresholdEvaluator};
 use msketch_sketches::traits::{QuantileSummary, Sketch, SummaryFactory};
-use msketch_sketches::{MSketchSummary, SketchSpec};
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// A multi-quantile roll-up answer in wire-friendly form: plain decoded
 /// fields, no summary handles — what the HTTP serving layer renders to
@@ -51,69 +47,104 @@ pub struct ThresholdReport {
     pub stats: CascadeStats,
 }
 
+/// Merge every cell matching `filter` into one summary, returning it
+/// with the number of cells merged (`n_merge` of the paper's cost
+/// model), or `None` when nothing matched.
+///
+/// This is the one cell-fold loop of the workspace — the hot loop of
+/// every aggregation query, costing `n_merge · t_merge`.
+/// [`DataCube::rollup`], [`QueryEngine::quantiles`] and the HTTP
+/// `/quantile` route all answer through it. Cells merge in
+/// deterministic decoded-tuple order (see
+/// [`DataCube::matching_sorted`]), so equal cell sets always produce
+/// bit-identical results.
+pub fn fold_cells<F: SummaryFactory>(
+    cube: &DataCube<F>,
+    filter: &[Option<u32>],
+) -> Option<(F::Summary, usize)> {
+    let matching = cube.matching_sorted(filter);
+    let cells_merged = matching.len();
+    let mut cells = matching.into_iter().map(|(_, summary)| summary);
+    let mut merged = cells.next()?.clone();
+    for summary in cells {
+        merged.merge_from(summary);
+    }
+    Some((merged, cells_merged))
+}
+
+/// Matching cells grouped by `group_dims`, in sorted-key order — the
+/// one group scan of the workspace, and the deterministic evaluation
+/// order of every group query ([`QueryEngine::group_quantiles_decoded`],
+/// [`GroupThresholdQuery::run_cube_decoded`], MacroBase's
+/// `search_cube`). No matching cell is no group, not an error.
+pub fn sorted_groups<F: SummaryFactory>(
+    cube: &DataCube<F>,
+    group_dims: &[usize],
+    filter: &[Option<u32>],
+) -> Result<Vec<(Vec<u32>, F::Summary)>> {
+    let mut groups: Vec<_> = cube.group_by(group_dims, filter)?.into_iter().collect();
+    groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    Ok(groups)
+}
+
+/// Decode a group key's ids into their dimension values; ids unknown to
+/// a dictionary (impossible for keys drawn from the cube's own cells)
+/// decode as `"?"`.
+pub fn decode_group_key<F: SummaryFactory>(
+    cube: &DataCube<F>,
+    group_dims: &[usize],
+    key: &[u32],
+) -> Vec<String> {
+    key.iter()
+        .zip(group_dims)
+        .map(|(&id, &d)| {
+            cube.dictionary(d)
+                .ok()
+                .and_then(|dict| dict.decode(id))
+                .unwrap_or("?")
+                .to_string()
+        })
+        .collect()
+}
+
 /// Convenience wrapper answering the paper's two query classes against a
-/// cube of arbitrary summaries.
+/// cube of arbitrary summaries. Estimation goes through
+/// [`Sketch::quantiles`] only: one solve per merged summary however
+/// many fractions are read out.
 pub struct QueryEngine;
 
 impl QueryEngine {
-    /// `SELECT percentile(metric, φ) WHERE <filter>` — merge matching
-    /// cells, then estimate (Equation 2's cost model).
-    pub fn quantile<F: SummaryFactory>(
-        cube: &DataCube<F>,
-        filter: &[Option<u32>],
-        phi: f64,
-    ) -> Result<f64> {
-        Ok(cube.rollup(filter)?.quantile(phi))
-    }
-
-    /// Multi-quantile roll-up in decoded, wire-friendly form.
-    ///
-    /// Merges exactly as [`DataCube::rollup`] does (deterministic
-    /// decoded-tuple order), so the values are bit-identical to separate
-    /// [`QueryEngine::quantile`] calls on the same cube.
+    /// `SELECT percentile(metric, φ…) WHERE <filter>` — merge matching
+    /// cells, then estimate once (Equation 2's cost model), in decoded,
+    /// wire-friendly form.
     pub fn quantiles<F: SummaryFactory>(
         cube: &DataCube<F>,
         filter: &[Option<u32>],
         phis: &[f64],
     ) -> Result<QuantileReport> {
-        // One pass over the cells: fold the same deterministic order
-        // rollup() uses, taking n_merge from the list we already have.
-        let matching = cube.matching_sorted(filter);
-        let cells_merged = matching.len();
-        let mut acc: Option<F::Summary> = None;
-        for (_, summary) in matching {
-            match &mut acc {
-                None => acc = Some(summary.clone()),
-                Some(a) => a.merge_from(summary),
-            }
-        }
-        let merged = acc.ok_or(crate::Error::EmptyResult)?;
+        let (merged, cells_merged) = fold_cells(cube, filter).ok_or(crate::Error::EmptyResult)?;
         Ok(QuantileReport {
             phis: phis.to_vec(),
-            values: phis.iter().map(|&phi| merged.quantile(phi)).collect(),
+            values: merged.quantiles(phis),
             count: merged.count() as f64,
             cells_merged,
         })
     }
 
-    /// Group-by quantiles with decoded keys, sorted by key — the
-    /// deterministic, wire-friendly form of [`Self::group_quantiles`].
+    /// Group-by quantiles with decoded keys, sorted by key: one estimate
+    /// per group (Equation 3's cost model with `t_est · n_groups`).
     pub fn group_quantiles_decoded<F: SummaryFactory>(
         cube: &DataCube<F>,
         group_dims: &[usize],
         filter: &[Option<u32>],
         phis: &[f64],
     ) -> Result<Vec<GroupReport>> {
-        let groups = cube.group_by(group_dims, filter)?;
-        let mut out: Vec<GroupReport> = groups
+        let mut out: Vec<GroupReport> = sorted_groups(cube, group_dims, filter)?
             .into_iter()
-            .map(|(key, summary)| {
-                let key = decode_group_key(cube, group_dims, &key);
-                GroupReport {
-                    key,
-                    count: summary.count() as f64,
-                    values: phis.iter().map(|&phi| summary.quantile(phi)).collect(),
-                }
+            .map(|(key, summary)| GroupReport {
+                key: decode_group_key(cube, group_dims, &key),
+                count: summary.count() as f64,
+                values: summary.quantiles(phis),
             })
             .collect();
         // Decoded keys depend only on the data, never on dictionary id
@@ -121,28 +152,10 @@ impl QueryEngine {
         out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         Ok(out)
     }
-
-    /// Group-by quantiles: one estimate per group (Equation 3's cost
-    /// model with `t_est · n_groups`).
-    pub fn group_quantiles<F: SummaryFactory>(
-        cube: &DataCube<F>,
-        group_dims: &[usize],
-        filter: &[Option<u32>],
-        phi: f64,
-    ) -> Result<Vec<(Vec<u32>, f64)>> {
-        let groups = cube.group_by(group_dims, filter)?;
-        Ok(groups
-            .into_iter()
-            .map(|(k, s)| {
-                let q = s.quantile(phi);
-                (k, q)
-            })
-            .collect())
-    }
 }
 
-/// `GROUP BY ... HAVING percentile(metric, φ) > t` over moments-sketch
-/// cells, resolved with the threshold cascade (Algorithm 2).
+/// `GROUP BY ... HAVING percentile(metric, φ) > t`, resolved with the
+/// threshold cascade (Algorithm 2).
 pub struct GroupThresholdQuery {
     /// Quantile fraction of the HAVING predicate.
     pub phi: f64,
@@ -162,85 +175,16 @@ impl GroupThresholdQuery {
         }
     }
 
-    /// Run against pre-merged groups, returning the keys whose estimated
-    /// `φ`-quantile exceeds `t` plus the cascade statistics.
-    pub fn run(&self, groups: &HashMap<Vec<u32>, MSketchSummary>) -> (Vec<Vec<u32>>, CascadeStats) {
-        let mut evaluator = ThresholdEvaluator::new(self.cascade);
-        let mut hits = Vec::new();
-        for (key, summary) in groups {
-            if evaluator.threshold(&summary.sketch, self.t, self.phi) {
-                hits.push(key.clone());
-            }
-        }
-        (hits, evaluator.stats())
-    }
-
-    /// Run against groups of runtime-chosen backends (the cells of a
-    /// [`crate::DynCube`]). Moments-sketch groups go through the full
-    /// cascade (Algorithm 2); every other backend falls back to comparing
-    /// its direct quantile estimate — the baseline path the paper
-    /// compares the cascade against.
-    pub fn run_dyn(
-        &self,
-        groups: &HashMap<Vec<u32>, Box<dyn Sketch>>,
-    ) -> (Vec<Vec<u32>>, CascadeStats) {
-        let mut evaluator = ThresholdEvaluator::new(self.cascade);
-        let mut hits = Vec::new();
-        for (key, summary) in groups {
-            if msketch_sketches::threshold_dyn(&mut evaluator, &**summary, self.t, self.phi) {
-                hits.push(key.clone());
-            }
-        }
-        (hits, evaluator.stats())
-    }
-
     /// Run against a cube (or an engine snapshot, which derefs to one):
-    /// group matching cells by `group_dims`, then threshold each group.
+    /// group matching cells by `group_dims`, threshold each group, and
+    /// report the hits decoded to dimension values and sorted — the
+    /// deterministic, wire-friendly form served over HTTP.
     ///
     /// Works for any backend — moments-sketch groups (typed or boxed)
     /// route through the cascade, other backends compare their direct
-    /// quantile estimate. Groups are evaluated in sorted-key order, so
-    /// results and cascade statistics are deterministic.
-    pub fn run_cube<F: SummaryFactory>(
-        &self,
-        cube: &DataCube<F>,
-        group_dims: &[usize],
-        filter: &[Option<u32>],
-    ) -> Result<(Vec<Vec<u32>>, CascadeStats)> {
-        let entries = Self::sorted_groups(cube, group_dims, filter)?;
-        Ok(self.run_entries(&entries))
-    }
-
-    /// Matching groups in sorted-key order — the deterministic
-    /// evaluation order shared by [`Self::run_cube`] and
-    /// [`Self::run_cube_decoded`].
-    fn sorted_groups<F: SummaryFactory>(
-        cube: &DataCube<F>,
-        group_dims: &[usize],
-        filter: &[Option<u32>],
-    ) -> Result<Vec<(Vec<u32>, F::Summary)>> {
-        let groups = cube.group_by(group_dims, filter)?;
-        let mut entries: Vec<(Vec<u32>, F::Summary)> = groups.into_iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Ok(entries)
-    }
-
-    /// Threshold pre-grouped entries (moments cells via the cascade,
-    /// other backends by direct estimate).
-    fn run_entries<S: Sketch>(&self, entries: &[(Vec<u32>, S)]) -> (Vec<Vec<u32>>, CascadeStats) {
-        let mut evaluator = ThresholdEvaluator::new(self.cascade);
-        let mut hits = Vec::new();
-        for (key, summary) in entries {
-            if msketch_sketches::threshold_dyn(&mut evaluator, summary, self.t, self.phi) {
-                hits.push(key.clone());
-            }
-        }
-        (hits, evaluator.stats())
-    }
-
-    /// Like [`Self::run_cube`], but with hits decoded to dimension
-    /// values and sorted — the deterministic, wire-friendly form served
-    /// over HTTP.
+    /// quantile estimate ([`msketch_sketches::threshold_dyn`]). Groups
+    /// are evaluated in sorted-key order, so results and cascade
+    /// statistics are deterministic.
     pub fn run_cube_decoded<F: SummaryFactory>(
         &self,
         cube: &DataCube<F>,
@@ -248,79 +192,32 @@ impl GroupThresholdQuery {
         filter: &[Option<u32>],
     ) -> Result<ThresholdReport> {
         let mut span = msketch_obs::span("cascade::evaluate");
-        let entries = Self::sorted_groups(cube, group_dims, filter)?;
-        let groups = entries.len();
-        let (hits, stats) = self.run_entries(&entries);
-        span.field("groups", groups);
+        let entries = sorted_groups(cube, group_dims, filter)?;
+        let mut evaluator = ThresholdEvaluator::new(self.cascade);
+        let mut hits: Vec<Vec<String>> = Vec::new();
+        for (key, summary) in &entries {
+            if msketch_sketches::threshold_dyn(&mut evaluator, summary, self.t, self.phi) {
+                hits.push(decode_group_key(cube, group_dims, key));
+            }
+        }
+        let stats = evaluator.stats();
+        span.field("groups", entries.len());
         span.field("maxent_evals", stats.maxent_evals);
         drop(span);
-        let mut hits: Vec<Vec<String>> = hits
-            .iter()
-            .map(|key| decode_group_key(cube, group_dims, key))
-            .collect();
         hits.sort_unstable();
         Ok(ThresholdReport {
             hits,
-            groups,
+            groups: entries.len(),
             stats,
         })
     }
-
-    /// Run directly against raw sketches.
-    pub fn run_sketches<'a, I>(&self, groups: I) -> (Vec<usize>, CascadeStats)
-    where
-        I: IntoIterator<Item = &'a MomentsSketch>,
-    {
-        let mut evaluator = ThresholdEvaluator::new(self.cascade);
-        let mut hits = Vec::new();
-        for (i, sketch) in groups.into_iter().enumerate() {
-            if evaluator.threshold(sketch, self.t, self.phi) {
-                hits.push(i);
-            }
-        }
-        (hits, evaluator.stats())
-    }
-}
-
-/// Decode a group key's ids into their dimension values; ids unknown to
-/// a dictionary (impossible for keys drawn from the cube's own cells)
-/// decode as `"?"`.
-fn decode_group_key<F: SummaryFactory>(
-    cube: &DataCube<F>,
-    group_dims: &[usize],
-    key: &[u32],
-) -> Vec<String> {
-    key.iter()
-        .zip(group_dims)
-        .map(|(&id, &d)| {
-            cube.dictionary(d)
-                .ok()
-                .and_then(|dict| dict.decode(id))
-                .unwrap_or("?")
-                .to_string()
-        })
-        .collect()
-}
-
-/// Build a moments-sketch cube factory with order `k` and a solver
-/// configuration (helper for harnesses and examples).
-pub fn msketch_factory(
-    k: usize,
-    config: SolverConfig,
-) -> impl SummaryFactory<Summary = MSketchSummary> {
-    msketch_sketches::traits::FnFactory(move || MSketchSummary::with_config(k, config))
-}
-
-/// A moments-sketch [`SketchSpec`] of order `k` — the runtime-selectable
-/// counterpart of [`msketch_factory`].
-pub fn msketch_spec(k: usize) -> SketchSpec {
-    SketchSpec::moments(k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use msketch_sketches::traits::FnFactory;
+    use msketch_sketches::{MSketchSummary, SketchSpec};
 
     fn cube_with_hot_group() -> DataCube<FnFactory<MSketchSummary, fn() -> MSketchSummary>> {
         let factory: FnFactory<MSketchSummary, fn() -> MSketchSummary> =
@@ -343,93 +240,49 @@ mod tests {
     #[test]
     fn single_quantile_query() {
         let cube = cube_with_hot_group();
-        let q = QueryEngine::quantile(&cube, &cube.no_filter(), 0.5).unwrap();
-        assert!(q > 0.0);
+        let report = QueryEngine::quantiles(&cube, &cube.no_filter(), &[0.5]).unwrap();
+        assert!(report.values[0] > 0.0);
+        // A filter that matches nothing is an error here, not a panic.
+        assert_eq!(
+            QueryEngine::quantiles(&cube, &[Some(u32::MAX), None], &[0.5]),
+            Err(crate::Error::EmptyResult)
+        );
     }
 
     #[test]
     fn group_quantiles_separate_populations() {
         let cube = cube_with_hot_group();
-        let rows = QueryEngine::group_quantiles(&cube, &[0], &cube.no_filter(), 0.9).unwrap();
+        let rows =
+            QueryEngine::group_quantiles_decoded(&cube, &[0], &cube.no_filter(), &[0.9]).unwrap();
         assert_eq!(rows.len(), 3);
+        assert!(rows[2].values[0] > rows[0].values[0] + 250.0, "{rows:?}");
     }
 
     #[test]
     fn having_threshold_finds_hot_group() {
         let cube = cube_with_hot_group();
-        let groups = cube.group_by(&[0], &cube.no_filter()).unwrap();
-        let a3 = cube.dictionary(0).unwrap().lookup("a3").unwrap();
-        let query = GroupThresholdQuery::new(0.9, 250.0);
-        let (hits, stats) = query.run(&groups);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0], vec![a3]);
-        assert_eq!(stats.total, 3);
+        let report = GroupThresholdQuery::new(0.9, 250.0)
+            .run_cube_decoded(&cube, &[0], &cube.no_filter())
+            .unwrap();
+        assert_eq!(report.hits, [["a3"]]);
+        assert_eq!(report.stats.total, 3);
     }
 
     #[test]
-    fn run_dyn_matches_typed_run_on_moments_cells() {
-        // Same data, one cube typed, one runtime-selected: the HAVING
-        // answer must agree, and the dyn path must use the cascade.
-        let typed = cube_with_hot_group();
-        let mut dynamic = crate::DynCube::from_spec(msketch_spec(10), &["app", "hw"]);
-        for i in 0..9000u64 {
-            let app = match i % 3 {
-                0 => "a1",
-                1 => "a2",
-                _ => "a3",
-            };
-            let hw = if i % 2 == 0 { "h1" } else { "h2" };
-            let metric = (i % 97) as f64 + if app == "a3" { 300.0 } else { 0.0 };
-            dynamic.insert(&[app, hw], metric).unwrap();
-        }
-        let query = GroupThresholdQuery::new(0.9, 250.0);
-        let (mut typed_hits, _) = query.run(&typed.group_by(&[0], &typed.no_filter()).unwrap());
-        let dyn_groups = dynamic.group_by(&[0], &dynamic.no_filter()).unwrap();
-        let (mut dyn_hits, stats) = query.run_dyn(&dyn_groups);
-        typed_hits.sort();
-        dyn_hits.sort();
-        assert_eq!(typed_hits, dyn_hits);
-        assert_eq!(stats.total, 3, "moments cells must route into the cascade");
-    }
-
-    #[test]
-    fn run_dyn_thresholds_non_moments_backends() {
+    fn non_moments_backends_bypass_the_cascade() {
         let mut cube = crate::DynCube::from_spec(SketchSpec::tdigest(5.0), &["app"]);
         for i in 0..6000u64 {
             let app = if i % 3 == 2 { "slow" } else { "fast" };
             let metric = (i % 97) as f64 + if app == "slow" { 300.0 } else { 0.0 };
             cube.insert(&[app], metric).unwrap();
         }
-        let groups = cube.group_by(&[0], &cube.no_filter()).unwrap();
-        let (hits, stats) = GroupThresholdQuery::new(0.9, 250.0).run_dyn(&groups);
-        let slow = cube.dictionary(0).unwrap().lookup("slow").unwrap();
-        assert_eq!(hits, vec![vec![slow]]);
-        // Non-moments backends bypass the cascade entirely.
-        assert_eq!(stats.total, 0);
-    }
-
-    #[test]
-    fn run_cube_agrees_with_pre_grouped_run() {
-        let cube = cube_with_hot_group();
-        let query = GroupThresholdQuery::new(0.9, 250.0);
-        let groups = cube.group_by(&[0], &cube.no_filter()).unwrap();
-        let (mut expected, _) = query.run(&groups);
-        let (mut got, stats) = query.run_cube(&cube, &[0], &cube.no_filter()).unwrap();
-        expected.sort();
-        got.sort();
-        assert_eq!(got, expected);
-        assert_eq!(stats.total, 3, "typed moments cells route into the cascade");
-        // The dyn cube path goes through the same entry point.
-        let mut dynamic = crate::DynCube::from_spec(msketch_spec(10), &["app"]);
-        for i in 0..600u64 {
-            dynamic
-                .insert(&[["a", "b"][(i % 2) as usize]], i as f64)
-                .unwrap();
-        }
-        let (hits, _) = query
-            .run_cube(&dynamic, &[0], &dynamic.no_filter())
+        let report = GroupThresholdQuery::new(0.9, 250.0)
+            .run_cube_decoded(&cube, &[0], &cube.no_filter())
             .unwrap();
-        assert!(hits.len() <= 2);
+        assert_eq!(report.hits, [["slow"]]);
+        assert_eq!(report.groups, 2);
+        // Non-moments backends bypass the cascade entirely.
+        assert_eq!(report.stats.total, 0);
     }
 
     #[test]
@@ -440,9 +293,13 @@ mod tests {
         assert_eq!(report.phis, phis);
         assert_eq!(report.count, 9000.0);
         assert_eq!(report.cells_merged, 6);
+        let merged = cube.rollup(&cube.no_filter()).unwrap();
         for (phi, value) in phis.iter().zip(&report.values) {
-            let scalar = QueryEngine::quantile(&cube, &cube.no_filter(), *phi).unwrap();
-            assert_eq!(value.to_bits(), scalar.to_bits(), "phi {phi}");
+            assert_eq!(
+                value.to_bits(),
+                merged.quantile(*phi).to_bits(),
+                "phi {phi}"
+            );
         }
     }
 
@@ -486,14 +343,15 @@ mod tests {
     #[test]
     fn cascade_agrees_with_baseline_on_groups() {
         let cube = cube_with_hot_group();
-        let groups = cube.group_by(&[0, 1], &cube.no_filter()).unwrap();
-        let mut full = GroupThresholdQuery::new(0.7, 90.0);
-        let (mut hits_full, _) = full.run(&groups);
-        full.cascade = CascadeConfig::baseline();
-        let (mut hits_base, stats) = full.run(&groups);
-        hits_full.sort();
-        hits_base.sort();
-        assert_eq!(hits_full, hits_base);
-        assert_eq!(stats.maxent_evals, stats.total);
+        let mut query = GroupThresholdQuery::new(0.7, 90.0);
+        let full = query
+            .run_cube_decoded(&cube, &[0, 1], &cube.no_filter())
+            .unwrap();
+        query.cascade = CascadeConfig::baseline();
+        let base = query
+            .run_cube_decoded(&cube, &[0, 1], &cube.no_filter())
+            .unwrap();
+        assert_eq!(full.hits, base.hits);
+        assert_eq!(base.stats.maxent_evals, base.stats.total);
     }
 }

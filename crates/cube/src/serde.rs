@@ -156,7 +156,6 @@ impl DynCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QueryEngine;
     use msketch_sketches::SketchKind;
 
     fn runtime_cube(spec: SketchSpec) -> DynCube {
@@ -198,7 +197,7 @@ mod tests {
             // HashMap merge order is not preserved across cubes.)
             let all = restored.rollup(&restored.no_filter()).unwrap();
             assert_eq!(all.count(), 6000, "{kind}");
-            let q = QueryEngine::quantile(&restored, &restored.no_filter(), 0.5).unwrap();
+            let q = all.quantile(0.5);
             assert!(q.is_finite(), "{kind}: {q}");
         }
     }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// epoch at which it was taken.
 ///
 /// Snapshots deref to [`DataCube`], so every read-side API — roll-ups,
-/// group-bys, [`GroupThresholdQuery::run_cube`], MacroBase's
+/// group-bys, [`GroupThresholdQuery::run_cube_decoded`], MacroBase's
 /// `search_cube` — works on a snapshot unchanged. No mutating cube
 /// method is reachable (they all need `&mut`), so a snapshot handed to
 /// readers is frozen: writers keep ingesting into the live shards
@@ -21,8 +21,8 @@ use std::sync::Arc;
 /// merged state republishes the same allocation across delta refreshes
 /// instead of cloning the full cell map.
 ///
-/// [`GroupThresholdQuery::run_cube`]:
-///     msketch_cube::GroupThresholdQuery::run_cube
+/// [`GroupThresholdQuery::run_cube_decoded`]:
+///     msketch_cube::GroupThresholdQuery::run_cube_decoded
 #[derive(Clone)]
 pub struct EngineSnapshot<F: SummaryFactory> {
     epoch: u64,

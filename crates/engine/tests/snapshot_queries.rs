@@ -1,5 +1,5 @@
 //! The query cascade runs unchanged over concurrently built cubes: both
-//! `GroupThresholdQuery::run_cube` and MacroBase's `search_cube` accept
+//! `GroupThresholdQuery::run_cube_decoded` and MacroBase's `search_cube` accept
 //! engine snapshots (which deref to `DataCube`) and answer exactly as
 //! they would over a sequentially built cube.
 
@@ -42,31 +42,18 @@ fn snapshot_answers_match_sequential_cube() {
     ingest(&mut |dims, metric| sequential.insert(dims, metric).unwrap());
 
     // Threshold cascade over the snapshot vs the sequential cube: same
-    // hits (compared by *name*; ids may differ between dictionaries)
-    // and the cascade actually engages on both.
+    // hits (decoded to names; ids may differ between dictionaries) and
+    // the cascade actually engages on both.
     let query = GroupThresholdQuery::new(0.7, 800.0);
-    let (snap_hits, snap_stats) = query.run_cube(&snap, &[0], &snap.no_filter()).unwrap();
-    let (seq_hits, seq_stats) = query
-        .run_cube(&sequential, &[0], &sequential.no_filter())
+    let snap_report = query
+        .run_cube_decoded(&snap, &[0], &snap.no_filter())
         .unwrap();
-    let names = |cube: &DynCube, hits: &[Vec<u32>]| -> Vec<String> {
-        let mut out: Vec<String> = hits
-            .iter()
-            .map(|k| {
-                cube.dictionary(0)
-                    .unwrap()
-                    .decode(k[0])
-                    .unwrap()
-                    .to_string()
-            })
-            .collect();
-        out.sort();
-        out
-    };
-    assert_eq!(names(&snap, &snap_hits), vec!["svc-07".to_string()]);
-    assert_eq!(names(&snap, &snap_hits), names(&sequential, &seq_hits));
-    assert_eq!(snap_stats.total, 50);
-    assert_eq!(seq_stats.total, 50);
+    let seq_report = query
+        .run_cube_decoded(&sequential, &[0], &sequential.no_filter())
+        .unwrap();
+    assert_eq!(snap_report.hits, [["svc-07"]]);
+    assert_eq!(snap_report, seq_report);
+    assert_eq!(snap_report.stats.total, 50);
 
     // MacroBase outlier-rate search directly over the snapshot.
     let mut mb = MacroBaseEngine::new(MacroBaseConfig::default());

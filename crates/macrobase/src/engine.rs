@@ -1,8 +1,7 @@
 //! Outlier-rate subpopulation search (Section 7.2.1 of the paper).
 
-use moments_sketch::{
-    CascadeConfig, CascadeStats, MomentsSketch, SolverConfig, ThresholdEvaluator,
-};
+use moments_sketch::{CascadeConfig, CascadeStats, SolverConfig, ThresholdEvaluator};
+use msketch_cube::query::{decode_group_key, sorted_groups};
 use msketch_cube::DataCube;
 use msketch_sketches::traits::SummaryFactory;
 use msketch_sketches::{MSketchSummary, Sketch};
@@ -96,46 +95,24 @@ impl MacroBaseEngine {
     }
 
     /// Compute the global outlier threshold (`t99`) from the merged
-    /// all-data sketch.
-    pub fn global_threshold(&self, all: &MomentsSketch) -> moments_sketch::Result<f64> {
-        all.solve(&self.config.solver)?
-            .quantile(self.config.global_phi)
-    }
-
-    /// Scan labeled subpopulations, returning those whose
-    /// `subpopulation_phi()`-quantile exceeds `threshold`.
-    pub fn search<'a, I>(&mut self, groups: I, threshold: f64) -> Vec<SubpopulationReport>
-    where
-        I: IntoIterator<Item = (&'a str, &'a MomentsSketch)>,
-    {
-        let phi = self.config.subpopulation_phi();
-        let mut out = Vec::new();
-        for (label, sketch) in groups {
-            if self.evaluator.threshold(sketch, threshold, phi) {
-                out.push(SubpopulationReport {
-                    label: label.to_string(),
-                    count: sketch.count(),
-                });
-            }
-        }
-        out
-    }
-
-    /// Compute the global outlier threshold from a merged all-data
-    /// summary of any backend — the runtime-selected counterpart of
-    /// [`Self::global_threshold`]. Moments sketches go through the
-    /// max-entropy solver; other backends answer directly.
-    pub fn global_threshold_dyn(&self, all: &dyn Sketch) -> moments_sketch::Result<f64> {
+    /// all-data summary of any backend. Moments sketches go through the
+    /// max-entropy solver with this engine's [`MacroBaseConfig::solver`];
+    /// other backends answer directly.
+    pub fn global_threshold(&self, all: &dyn Sketch) -> moments_sketch::Result<f64> {
         match all.as_any().downcast_ref::<MSketchSummary>() {
-            Some(ms) => self.global_threshold(&ms.sketch),
+            Some(ms) => ms
+                .sketch
+                .solve(&self.config.solver)?
+                .quantile(self.config.global_phi),
             None => Ok(all.quantile(self.config.global_phi)),
         }
     }
 
-    /// Scan labeled subpopulations of any backend. Moments-sketch groups
-    /// run the threshold cascade; every other backend compares its direct
-    /// quantile estimate against `threshold`.
-    pub fn search_dyn<'a, I>(&mut self, groups: I, threshold: f64) -> Vec<SubpopulationReport>
+    /// Scan labeled subpopulations of any backend, returning those whose
+    /// `subpopulation_phi()`-quantile exceeds `threshold`. Moments-sketch
+    /// groups run the threshold cascade; every other backend compares its
+    /// direct quantile estimate ([`msketch_sketches::threshold_dyn`]).
+    pub fn search<'a, I>(&mut self, groups: I, threshold: f64) -> Vec<SubpopulationReport>
     where
         I: IntoIterator<Item = (&'a str, &'a dyn Sketch)>,
     {
@@ -157,12 +134,10 @@ impl MacroBaseEngine {
     /// over concurrently built cubes.
     ///
     /// Computes the global threshold from the all-data roll-up, groups
-    /// cells by `group_dims`, and scans the groups with
-    /// [`Self::search_dyn`]'s dispatch (cascade for moments cells,
-    /// direct estimates otherwise). Labels are built from the cube's own
-    /// dictionaries as `name=value,name=value`. Groups are scanned in
-    /// sorted-key order, so reports and cascade statistics are
-    /// deterministic.
+    /// cells by `group_dims`, and hands the groups to [`Self::search`]
+    /// labelled from the cube's own dictionaries as
+    /// `name=value,name=value`. Groups are scanned in sorted-key order,
+    /// so reports and cascade statistics are deterministic.
     pub fn search_cube<F: SummaryFactory>(
         &mut self,
         cube: &DataCube<F>,
@@ -171,36 +146,28 @@ impl MacroBaseEngine {
         let mut span = msketch_obs::span("macrobase::search");
         let all = cube.rollup(&cube.no_filter())?;
         let threshold = self
-            .global_threshold_dyn(&all)
+            .global_threshold(&all)
             .map_err(SearchError::Threshold)?;
-        let groups = cube.group_by(group_dims, &cube.no_filter())?;
-        let mut entries: Vec<(Vec<u32>, F::Summary)> = groups.into_iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let phi = self.config.subpopulation_phi();
-        let mut out = Vec::new();
-        for (key, summary) in &entries {
-            if msketch_sketches::threshold_dyn(&mut self.evaluator, summary, threshold, phi) {
-                let label = key
+        let groups = sorted_groups(cube, group_dims, &cube.no_filter())?;
+        let labels: Vec<String> = groups
+            .iter()
+            .map(|(key, _)| {
+                let named: Vec<String> = group_dims
                     .iter()
-                    .zip(group_dims)
-                    .map(|(&id, &d)| {
-                        let name = &cube.dim_names()[d];
-                        let value = cube
-                            .dictionary(d)
-                            .ok()
-                            .and_then(|dict| dict.decode(id))
-                            .unwrap_or("?");
-                        format!("{name}={value}")
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                out.push(SubpopulationReport {
-                    label,
-                    count: summary.count() as f64,
-                });
-            }
-        }
-        span.field("groups", entries.len());
+                    .zip(decode_group_key(cube, group_dims, key))
+                    .map(|(&d, value)| format!("{}={value}", cube.dim_names()[d]))
+                    .collect();
+                named.join(",")
+            })
+            .collect();
+        let out = self.search(
+            labels
+                .iter()
+                .zip(&groups)
+                .map(|(label, (_, summary))| (label.as_str(), summary as &dyn Sketch)),
+            threshold,
+        );
+        span.field("groups", groups.len());
         span.field("subpopulations", out.len());
         Ok(out)
     }
@@ -219,6 +186,7 @@ impl MacroBaseEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moments_sketch::MomentsSketch;
 
     /// Build subpopulations where one group has a heavy upper tail.
     ///
@@ -226,7 +194,8 @@ mod tests {
     /// anomalous group to hold ≥ 30% of its own mass above the global
     /// 99th percentile while being a small share of the total, so the
     /// spike (40% of group 7) must stay under 1% of all 100k points.
-    fn groups() -> (Vec<(String, MomentsSketch)>, MomentsSketch) {
+    fn groups() -> (Vec<(String, MSketchSummary)>, MSketchSummary) {
+        let wrap = |s| MSketchSummary::from_sketch(s, SolverConfig::default());
         let mut all = MomentsSketch::new(10);
         let mut out = Vec::new();
         for g in 0..50 {
@@ -243,9 +212,13 @@ mod tests {
                 .collect();
             let s = MomentsSketch::from_data(10, &data);
             all.merge(&s);
-            out.push((format!("group-{g}"), s));
+            out.push((format!("group-{g}"), wrap(s)));
         }
-        (out, all)
+        (out, wrap(all))
+    }
+
+    fn labelled(groups: &[(String, MSketchSummary)]) -> impl Iterator<Item = (&str, &dyn Sketch)> {
+        groups.iter().map(|(l, s)| (l.as_str(), s as &dyn Sketch))
     }
 
     #[test]
@@ -259,7 +232,7 @@ mod tests {
         let (groups, all) = groups();
         let mut engine = MacroBaseEngine::new(MacroBaseConfig::default());
         let t = engine.global_threshold(&all).unwrap();
-        let hits = engine.search(groups.iter().map(|(l, s)| (l.as_str(), s)), t);
+        let hits = engine.search(labelled(&groups), t);
         assert_eq!(hits.len(), 1, "hits: {:?}", hits);
         assert_eq!(hits[0].label, "group-7");
     }
@@ -269,48 +242,12 @@ mod tests {
         let (groups, all) = groups();
         let mut engine = MacroBaseEngine::new(MacroBaseConfig::default());
         let t = engine.global_threshold(&all).unwrap();
-        let _ = engine.search(groups.iter().map(|(l, s)| (l.as_str(), s)), t);
+        let _ = engine.search(labelled(&groups), t);
         let stats = engine.stats();
         assert_eq!(stats.total, 50);
         assert!(
             stats.maxent_evals <= stats.total / 2,
             "cascade should prune most groups: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn dyn_search_agrees_with_typed_on_moments_groups() {
-        use msketch_sketches::api::SketchSpec;
-        use msketch_sketches::QuantileSummary;
-
-        let (groups, all) = groups();
-        let mut typed = MacroBaseEngine::new(MacroBaseConfig::default());
-        let t = typed.global_threshold(&all).unwrap();
-        let expected = typed.search(groups.iter().map(|(l, s)| (l.as_str(), s)), t);
-
-        // The same populations behind runtime-selected boxed sketches.
-        let spec = SketchSpec::moments(10);
-        let mut all_dyn = spec.build();
-        let dyn_groups: Vec<(String, Box<dyn Sketch>)> = groups
-            .iter()
-            .map(|(l, s)| {
-                let boxed: Box<dyn Sketch> = Box::new(MSketchSummary {
-                    sketch: s.clone(),
-                    config: Default::default(),
-                });
-                all_dyn.merge_from(&boxed);
-                (l.clone(), boxed)
-            })
-            .collect();
-        let mut engine = MacroBaseEngine::new(MacroBaseConfig::default());
-        let t_dyn = engine.global_threshold_dyn(&*all_dyn).unwrap();
-        assert!((t_dyn - t).abs() < 1e-9 * t.abs().max(1.0));
-        let hits = engine.search_dyn(dyn_groups.iter().map(|(l, s)| (l.as_str(), &**s)), t_dyn);
-        assert_eq!(hits, expected);
-        assert_eq!(
-            engine.stats().total,
-            50,
-            "dyn moments groups use the cascade"
         );
     }
 
@@ -335,10 +272,10 @@ mod tests {
         let mut all = normal.clone();
         all.merge_dyn(&*anomalous).unwrap();
         let mut engine = MacroBaseEngine::new(MacroBaseConfig::default());
-        let t = engine.global_threshold_dyn(&*all).unwrap();
+        let t = engine.global_threshold(&*all).unwrap();
         let groups: Vec<(&str, &dyn Sketch)> =
             vec![("normal", &*normal), ("anomalous", &*anomalous)];
-        let hits = engine.search_dyn(groups, t);
+        let hits = engine.search(groups, t);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].label, "anomalous");
         assert_eq!(engine.stats().total, 0, "no cascade for non-moments cells");
@@ -387,8 +324,8 @@ mod tests {
             ..Default::default()
         });
         let t = fast.global_threshold(&all).unwrap();
-        let a = fast.search(groups.iter().map(|(l, s)| (l.as_str(), s)), t);
-        let b = slow.search(groups.iter().map(|(l, s)| (l.as_str(), s)), t);
+        let a = fast.search(labelled(&groups), t);
+        let b = slow.search(labelled(&groups), t);
         assert_eq!(a, b);
         assert_eq!(slow.stats().maxent_evals, 50);
     }

@@ -49,10 +49,11 @@
 //!   ([`ServerConfig::defer_initial_snapshot`]), read endpoints answer
 //!   `503` + `Retry-After` rather than fabricating an empty answer;
 //! * `/quantile` honors a per-request **deadline**
-//!   ([`ServerConfig::quantile_deadline`]): once the budget is spent it
-//!   switches from max-entropy estimates to the paper's closed-form
-//!   moment *bounds* (midpoint of the Markov/RTT interval) and marks
-//!   the response `"degraded": true`;
+//!   ([`ServerConfig::quantile_deadline`]): a request that has spent
+//!   its budget by the time its cells are merged answers from the
+//!   paper's closed-form moment *bounds* (midpoint of the Markov/RTT
+//!   interval) instead of a max-entropy solve and marks the response
+//!   `"degraded": true`;
 //! * with [`ServerConfig::wal_dir`] set, refreshes run through the
 //!   engine's durable pane WAL ([`msketch_engine::Wal`]) and a restart
 //!   replays every checkpointed row bit-exactly.
@@ -66,11 +67,14 @@
 //! | `GET /quantile`   | `?q=0.5,0.99&dim=value…` roll-up quantiles       |
 //! | `GET /groupby`    | `?by=dim,dim&q=…` per-group quantiles            |
 //! | `GET /threshold`  | `?by=dim&q=0.9&t=500` HAVING via the cascade     |
-//! | `GET /search`     | `?by=dim` MacroBase outlier-rate search          |
+//! | `GET /search`     | `?by=dim` MacroBase search, whole snapshot only  |
 //! | `GET /stats`      | epochs, lag, rows, cells, shard/thread info      |
 //! | `GET /health`     | liveness + readiness (200 ready / 503 not yet)   |
 //! | `GET /metrics`    | Prometheus text exposition (see below)           |
 //! | `GET /trace`      | `?last=N` recent request traces + warn events    |
+//!
+//! This file holds state, start-up, the route table, ingest and
+//! exposition; the four query routes share one read path in `read.rs`.
 //!
 //! The server **observes itself with the paper's own sketch**
 //! (README, "Observability"): per-route latency recorders are striped
@@ -85,18 +89,15 @@
 #![warn(missing_docs)]
 
 use arc_swap::ArcSwap;
-use moments_sketch::bounds::quantile_interval;
 use moments_sketch::CascadeStats;
-use msketch_cube::{DynCube, GroupThresholdQuery, QueryEngine};
 use msketch_engine::{
     DynShardedCube, EngineConfig, EngineError, EngineSnapshot, FsyncPolicy, RecoveryReport,
     ShardWriter, WalConfig,
 };
-use msketch_macrobase::{MacroBaseConfig, MacroBaseEngine};
 use msketch_obs::trace::DEFAULT_TRACE_CAP;
 use msketch_obs::{Counter, EventRecord, Gauge, Level, Obs, Recorder, Registry, TraceRecord};
-use msketch_sketches::{MomentsBacked, QuantileSummary, Sketch, SketchSpec};
-use msketch_timeline::{RangeAnswer, StoreRecovery, Timeline, TimelineConfig, TimelineError};
+use msketch_sketches::SketchSpec;
+use msketch_timeline::{StoreRecovery, Timeline, TimelineConfig, TimelineError};
 use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -105,6 +106,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tiny_http::{Request, Response};
 
+mod read;
+
 // Re-exported so examples, tests, and load generators can speak to the
 // server without naming the compat crates directly.
 pub use serde_json as json;
@@ -112,11 +115,6 @@ pub use tiny_http::client;
 
 /// A served snapshot: the engine's merged-cube snapshot type.
 pub type ServedSnapshot = EngineSnapshot<SketchSpec>;
-
-/// Bisection steps when resolving a quantile from the moment *bounds*
-/// on the degraded path (same depth the estimator's own interval
-/// reporting uses).
-const BOUND_ITERS: usize = 60;
 
 /// Tuning knobs for [`MsketchServer`].
 #[derive(Debug, Clone)]
@@ -139,10 +137,11 @@ pub struct ServerConfig {
     /// The `Retry-After` advice (seconds) attached to `429` and `503`
     /// responses.
     pub retry_after_secs: u64,
-    /// Per-request time budget for `/quantile` estimation. Once spent,
-    /// remaining quantiles fall back from max-entropy solves to the
-    /// closed-form moment-bound midpoint and the response is marked
-    /// `"degraded": true`. `Duration::ZERO` disables the deadline.
+    /// Per-request time budget for `/quantile`. A request that has
+    /// spent it by the time its cells are merged falls back from the
+    /// max-entropy solve to the closed-form moment-bound midpoint and
+    /// the response is marked `"degraded": true`. `Duration::ZERO`
+    /// disables the deadline.
     pub quantile_deadline: Duration,
     /// Skip the initial empty snapshot: read endpoints answer `503` +
     /// `Retry-After` until the first refresh lands. This is how a
@@ -260,68 +259,47 @@ fn now_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// One instrumented route: an exact `(method, path)` pair that does
-/// real work and therefore gets a latency recorder
-/// (`msketch_request_seconds{route=…}`), per-status-class counters, and
-/// a per-request root span. `/metrics` and `/trace` are deliberately
-/// absent: the exposition endpoints observe, they are not observed, so
-/// a scrape never moves the series it is reporting.
-struct RouteSpec {
-    method: &'static str,
-    path: &'static str,
-    /// Root-span name for requests on this route.
-    span: &'static str,
-}
+/// A route's handler.
+type Handler = fn(&ServerState, &Request) -> Response;
 
-/// Every route the latency recorders cover, in the order the
-/// [`Metrics::routes`] handles are registered.
-const ROUTES: &[RouteSpec] = &[
-    RouteSpec {
-        method: "POST",
-        path: "/ingest",
-        span: "http::ingest",
-    },
-    RouteSpec {
-        method: "POST",
-        path: "/refresh",
-        span: "http::refresh",
-    },
-    RouteSpec {
-        method: "GET",
-        path: "/quantile",
-        span: "http::quantile",
-    },
-    RouteSpec {
-        method: "GET",
-        path: "/groupby",
-        span: "http::groupby",
-    },
-    RouteSpec {
-        method: "GET",
-        path: "/threshold",
-        span: "http::threshold",
-    },
-    RouteSpec {
-        method: "GET",
-        path: "/search",
-        span: "http::search",
-    },
-    RouteSpec {
-        method: "GET",
-        path: "/stats",
-        span: "http::stats",
-    },
-    RouteSpec {
-        method: "GET",
-        path: "/health",
-        span: "http::health",
-    },
+/// One served route: `(method, path, root span, handler)`.
+///
+/// `Some(span)` marks an *instrumented* route — one that does real work
+/// and therefore gets a latency recorder
+/// (`msketch_request_seconds{route=…}`), per-status-class counters, and
+/// a per-request root span of that name. `/metrics` and `/trace` carry
+/// `None`: the exposition endpoints observe, they are not observed, so
+/// a scrape never moves the series it is reporting.
+type Route = (&'static str, &'static str, Option<&'static str>, Handler);
+
+/// Every route served — the one list routing, `405` detection (path
+/// present under another method) and [`Metrics::routes`] registration
+/// all read.
+const ROUTES: &[Route] = &[
+    ("POST", "/ingest", Some("http::ingest"), handle_ingest),
+    ("POST", "/refresh", Some("http::refresh"), handle_refresh),
+    ("GET", "/quantile", Some("http::quantile"), |s, r| {
+        settle(read::quantile(s, r))
+    }),
+    ("GET", "/groupby", Some("http::groupby"), |s, r| {
+        settle(read::groupby(s, r))
+    }),
+    ("GET", "/threshold", Some("http::threshold"), |s, r| {
+        settle(read::threshold(s, r))
+    }),
+    ("GET", "/search", Some("http::search"), |s, r| {
+        settle(read::search(s, r))
+    }),
+    ("GET", "/stats", Some("http::stats"), handle_stats),
+    ("GET", "/health", Some("http::health"), handle_health),
+    ("GET", "/metrics", None, handle_metrics),
+    ("GET", "/trace", None, handle_trace),
 ];
 
-fn route_index(method: &str, path: &str) -> Option<usize> {
-    ROUTES
-        .iter()
-        .position(|r| r.method == method && r.path == path)
+/// A read handler bails out with its error response as `Err`; either
+/// way there is a response to send.
+fn settle(outcome: read::Outcome<Response>) -> Response {
+    outcome.unwrap_or_else(|resp| resp)
 }
 
 /// Status-class label values for `msketch_http_requests_total`. Classes
@@ -397,8 +375,8 @@ impl CascadeCounters {
 /// so request handlers only ever touch relaxed atomics and their
 /// route's striped recorder — never the registry's name-map lock.
 struct Metrics {
-    /// Aligned with [`ROUTES`].
-    routes: Vec<RouteMetrics>,
+    /// Aligned with [`ROUTES`]; `None` for the uninstrumented entries.
+    routes: Vec<Option<RouteMetrics>>,
     rows_ingested: Counter,
     degraded_served: Counter,
     refresh_errors: Counter,
@@ -425,14 +403,16 @@ impl Metrics {
     fn register(registry: &Registry, backend: &str) -> Metrics {
         let routes = ROUTES
             .iter()
-            .map(|r| RouteMetrics {
-                seconds: registry.recorder("msketch_request_seconds", &[("route", r.path)]),
-                by_class: STATUS_CLASSES.map(|class| {
-                    registry.counter(
-                        "msketch_http_requests_total",
-                        &[("route", r.path), ("status", class)],
-                    )
-                }),
+            .map(|&(_, path, span, _)| {
+                span.map(|_| RouteMetrics {
+                    seconds: registry.recorder("msketch_request_seconds", &[("route", path)]),
+                    by_class: STATUS_CLASSES.map(|class| {
+                        registry.counter(
+                            "msketch_http_requests_total",
+                            &[("route", path), ("status", class)],
+                        )
+                    }),
+                })
             })
             .collect();
         Metrics {
@@ -872,35 +852,34 @@ impl Drop for MsketchServer {
     }
 }
 
-/// Query parameter names that are operators, not dimension filters.
-const RESERVED_PARAMS: &[&str] = &["q", "by", "t", "global_phi", "ratio", "t0", "t1"];
-
-/// Instrument, then dispatch: every exact `(method, path)` match in
-/// [`ROUTES`] runs under a latency timer, a status-class counter, and
-/// (when armed) a root span the handler's child spans attach to.
-/// Method-mismatch `405`s and unknown-path `404`s skip instrumentation
-/// — the recorders measure real work, not typos — and so do the
-/// exposition endpoints themselves.
+/// Look the request up in [`ROUTES`], instrument, and run its handler:
+/// an instrumented route runs under a latency timer, a status-class
+/// counter, and (when armed) a root span the handler's child spans
+/// attach to. Method-mismatch `405`s and unknown-path `404`s skip
+/// instrumentation — the recorders measure real work, not typos — and
+/// so do the exposition endpoints themselves.
 fn route(state: &ServerState, req: &Request) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/metrics") => return handle_metrics(state),
-        ("GET", "/trace") => return handle_trace(state, req),
-        _ => {}
-    }
-    let Some(idx) = route_index(req.method.as_str(), req.path.as_str()) else {
-        return dispatch(state, req);
+    let served = |&(method, path, _, _): &Route| method == req.method && path == req.path;
+    let Some(idx) = ROUTES.iter().position(served) else {
+        return if ROUTES.iter().any(|&(_, path, _, _)| path == req.path) {
+            error(405, "method not allowed for this route")
+        } else {
+            error(404, "no such route")
+        };
     };
-    let spec = &ROUTES[idx];
-    let handles = &state.metrics.routes[idx];
+    let (_, _, span, handler) = ROUTES[idx];
+    let (Some(span), Some(handles)) = (span, &state.metrics.routes[idx]) else {
+        return handler(state, req);
+    };
     // The timer spans root-span assembly too, so the recorder sees the
     // full server-side cost of the request.
     let timer = handles.seconds.start();
     let mut root = if state.trace_requests {
-        Some(state.obs.trace.root_span(spec.span))
+        Some(state.obs.trace.root_span(span))
     } else {
         None
     };
-    let resp = dispatch(state, req);
+    let resp = handler(state, req);
     if let Some(root) = root.as_mut() {
         // The root span name already carries the route; only the
         // status is worth an allocation on this path.
@@ -910,25 +889,6 @@ fn route(state: &ServerState, req: &Request) -> Response {
     timer.stop();
     handles.by_class[status_class(resp.status)].inc();
     resp
-}
-
-fn dispatch(state: &ServerState, req: &Request) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/ingest") => handle_ingest(state, req),
-        ("POST", "/refresh") => handle_refresh(state),
-        ("GET", "/quantile") => handle_quantile(state, req),
-        ("GET", "/groupby") => handle_groupby(state, req),
-        ("GET", "/threshold") => handle_threshold(state, req),
-        ("GET", "/search") => handle_search(state, req),
-        ("GET", "/stats") => handle_stats(state),
-        ("GET", "/health") => handle_health(state),
-        (
-            _,
-            "/ingest" | "/refresh" | "/quantile" | "/groupby" | "/threshold" | "/search" | "/stats"
-            | "/health" | "/metrics" | "/trace",
-        ) => error(405, "method not allowed for this route"),
-        _ => error(404, "no such route"),
-    }
 }
 
 fn error(status: u16, message: &str) -> Response {
@@ -1110,303 +1070,10 @@ fn engine_error(e: &EngineError) -> Response {
 }
 
 /// `POST /refresh` — rotate a fresh snapshot now.
-fn handle_refresh(state: &ServerState) -> Response {
+fn handle_refresh(state: &ServerState, _: &Request) -> Response {
     match state.refresh() {
         Ok(epoch) => ok(Value::object(vec![("epoch", Value::from(epoch))])),
         Err(e) => engine_error(&e),
-    }
-}
-
-/// Parse `?q=0.5,0.99` (default `0.5`).
-fn parse_phis(req: &Request) -> Result<Vec<f64>, Response> {
-    let raw = req.query_param("q").unwrap_or("0.5");
-    let mut phis = Vec::new();
-    for part in raw.split(',').filter(|p| !p.is_empty()) {
-        match part.parse::<f64>() {
-            Ok(phi) if (0.0..=1.0).contains(&phi) => phis.push(phi),
-            _ => return Err(error(400, "q must be a comma list of fractions in [0, 1]")),
-        }
-    }
-    if phis.is_empty() {
-        return Err(error(400, "q lists no quantile fractions"));
-    }
-    Ok(phis)
-}
-
-/// Build a cell filter from `?dim=value` parameters against any cube —
-/// the snapshot's merged cube or a timeline range cube. A value the
-/// dictionary has never seen filters to the empty selection (sentinel id
-/// that matches no cell) rather than erroring: "no rows" is an answer.
-fn parse_filter(
-    state: &ServerState,
-    cube: &DynCube,
-    req: &Request,
-) -> Result<Vec<Option<u32>>, Response> {
-    let mut filter = cube.no_filter();
-    for (name, value) in &req.query {
-        if RESERVED_PARAMS.contains(&name.as_str()) {
-            continue;
-        }
-        let Some(d) = state.dims.iter().position(|dim| dim == name) else {
-            return Err(error(
-                400,
-                &format!(
-                    "unknown parameter {name:?} (dimensions: {})",
-                    state.dims.join(", ")
-                ),
-            ));
-        };
-        let id = cube
-            .dictionary(d)
-            .ok()
-            .and_then(|dict| dict.lookup(value))
-            .unwrap_or(u32::MAX);
-        filter[d] = Some(id);
-    }
-    Ok(filter)
-}
-
-/// Parse `?t0=&t1=` and, when present, answer the range from the
-/// timeline's segment cover. `Ok(None)` means no range was requested
-/// (serve from the snapshot); an in-range query with no persisted data
-/// comes back as an *empty* answer (zero-row cube, `segments_read: 0`),
-/// not an error.
-fn parse_range(state: &ServerState, req: &Request) -> Result<Option<RangeAnswer>, Response> {
-    let (raw_t0, raw_t1) = match (req.query_param("t0"), req.query_param("t1")) {
-        (None, None) => return Ok(None),
-        (Some(a), Some(b)) => (a, b),
-        _ => return Err(error(400, "t0 and t1 must be given together")),
-    };
-    let (Ok(t0), Ok(t1)) = (raw_t0.parse::<u64>(), raw_t1.parse::<u64>()) else {
-        return Err(error(400, "t0 and t1 must be millisecond timestamps"));
-    };
-    let Some(timeline) = state.lock_timeline() else {
-        return Err(error(
-            400,
-            "range queries need a timeline (start with --timeline-dir)",
-        ));
-    };
-    match timeline.range_cube(t0, t1) {
-        Ok(Some(answer)) => Ok(Some(answer)),
-        Ok(None) => {
-            let dims: Vec<&str> = state.dims.iter().map(String::as_str).collect();
-            Ok(Some(RangeAnswer {
-                cube: DynCube::from_spec(timeline.spec().clone(), &dims),
-                segments_read: 0,
-                t0,
-                t1,
-            }))
-        }
-        Err(TimelineError::BadRange { .. }) => {
-            Err(error(400, "empty or inverted time range: t1 must be > t0"))
-        }
-        Err(e) => Err(error(500, &format!("range query failed: {e}"))),
-    }
-}
-
-/// Response fields naming the range a query answered from: snapped
-/// bounds plus the segment-cover size (the snapshot path carries
-/// `epoch` instead).
-fn range_fields(answer: &RangeAnswer) -> Vec<(&'static str, Value)> {
-    vec![
-        ("t0", Value::from(answer.t0)),
-        ("t1", Value::from(answer.t1)),
-        ("segments", Value::from(answer.segments_read)),
-    ]
-}
-
-/// Parse `?by=dim,dim` into dimension indices.
-fn parse_group_dims(state: &ServerState, req: &Request) -> Result<Vec<usize>, Response> {
-    let Some(raw) = req.query_param("by") else {
-        return Err(error(400, "missing \"by\": comma list of dimension names"));
-    };
-    let mut dims = Vec::new();
-    for name in raw.split(',').filter(|p| !p.is_empty()) {
-        let Some(d) = state.dims.iter().position(|dim| dim == name) else {
-            return Err(error(
-                400,
-                &format!(
-                    "unknown dimension {name:?} (dimensions: {})",
-                    state.dims.join(", ")
-                ),
-            ));
-        };
-        dims.push(d);
-    }
-    if dims.is_empty() {
-        return Err(error(400, "\"by\" lists no dimensions"));
-    }
-    Ok(dims)
-}
-
-fn cube_error(e: &msketch_cube::Error) -> Response {
-    match e {
-        msketch_cube::Error::EmptyResult => error(404, "query matched no cells"),
-        other => error(400, &format!("{other}")),
-    }
-}
-
-/// `GET /quantile?q=0.5,0.99&dim=value…`
-///
-/// Folds the matching cells exactly as [`QueryEngine::quantiles`] does
-/// (same deterministic order, so the fast path stays bit-exact with the
-/// in-process answer), but meters the estimation loop against the
-/// server's per-request deadline: once the budget is spent, remaining
-/// quantiles come from the closed-form moment-bound interval midpoint
-/// instead of a max-entropy solve, and the response carries
-/// `"degraded": true`. Merging is never skipped — only estimation is
-/// downgraded, so `count`/`cells_merged` stay exact.
-fn handle_quantile(state: &ServerState, req: &Request) -> Response {
-    let started = Instant::now();
-    // Deterministic slow-request injection point for the fault suite.
-    failpoint::sleep_if("server::quantile_slow");
-    let phis = match parse_phis(req) {
-        Ok(phis) => phis,
-        Err(resp) => return resp,
-    };
-    let range = match parse_range(state, req) {
-        Ok(range) => range,
-        Err(resp) => return resp,
-    };
-    let snap;
-    let (cube, mut fields): (&DynCube, Vec<(&'static str, Value)>) = match &range {
-        Some(answer) => (&answer.cube, range_fields(answer)),
-        None => {
-            let Some(s) = state.load_snapshot() else {
-                return unavailable(state, "no snapshot yet: refresh has not run");
-            };
-            snap = s;
-            (snap.cube(), vec![("epoch", Value::from(snap.epoch()))])
-        }
-    };
-    let filter = match parse_filter(state, cube, req) {
-        Ok(filter) => filter,
-        Err(resp) => return resp,
-    };
-    let mut merge_span = msketch_obs::span("server::merge_cells");
-    let matching = cube.matching_sorted(&filter);
-    let cells_merged = matching.len();
-    let mut acc: Option<Box<dyn Sketch>> = None;
-    for (_, summary) in matching {
-        match &mut acc {
-            None => acc = Some(summary.clone()),
-            Some(a) => a.merge_from(summary),
-        }
-    }
-    merge_span.field("cells", cells_merged);
-    drop(merge_span);
-    let Some(merged) = acc else {
-        // "No rows" is an answer, not an error: quiet windows and
-        // never-seen filter values report zero rows.
-        fields.extend([
-            ("rows", Value::from(0u64)),
-            ("count", Value::from(0.0)),
-            ("cells_merged", Value::from(0usize)),
-            ("phis", Value::array(phis)),
-            ("values", Value::array(Vec::<f64>::new())),
-            ("degraded", Value::from(false)),
-        ]);
-        return ok(Value::object(fields));
-    };
-    let deadline = state.quantile_deadline;
-    let mut estimate_span = msketch_obs::span("server::estimate");
-    let mut values = Vec::with_capacity(phis.len());
-    let mut degraded = false;
-    for &phi in &phis {
-        degraded = degraded || (deadline > Duration::ZERO && started.elapsed() >= deadline);
-        if degraded {
-            if let Some(moments) = merged.as_moments() {
-                let interval = quantile_interval(moments, phi, BOUND_ITERS);
-                values.push(0.5 * (interval.lo + interval.hi));
-                continue;
-            }
-            // Non-moments backends have no cheaper fallback tier; their
-            // direct estimate is already the cheap path.
-        }
-        values.push(merged.quantile(phi));
-    }
-    estimate_span.field("phis", phis.len());
-    estimate_span.field("degraded", degraded);
-    drop(estimate_span);
-    if degraded {
-        state.metrics.degraded_served.inc();
-    }
-    fields.extend([
-        ("rows", Value::from(merged.count())),
-        ("count", Value::from(merged.count() as f64)),
-        ("cells_merged", Value::from(cells_merged)),
-        ("phis", Value::array(phis)),
-        ("values", Value::array(values)),
-        ("degraded", Value::from(degraded)),
-    ]);
-    ok(Value::object(fields))
-}
-
-/// `GET /groupby?by=dim,dim&q=0.5,0.99&dim=value…`
-fn handle_groupby(state: &ServerState, req: &Request) -> Response {
-    let phis = match parse_phis(req) {
-        Ok(phis) => phis,
-        Err(resp) => return resp,
-    };
-    let range = match parse_range(state, req) {
-        Ok(range) => range,
-        Err(resp) => return resp,
-    };
-    let snap;
-    let (cube, mut fields): (&DynCube, Vec<(&'static str, Value)>) = match &range {
-        Some(answer) => (&answer.cube, range_fields(answer)),
-        None => {
-            let Some(s) = state.load_snapshot() else {
-                return unavailable(state, "no snapshot yet: refresh has not run");
-            };
-            snap = s;
-            (snap.cube(), vec![("epoch", Value::from(snap.epoch()))])
-        }
-    };
-    let group_dims = match parse_group_dims(state, req) {
-        Ok(dims) => dims,
-        Err(resp) => return resp,
-    };
-    let filter = match parse_filter(state, cube, req) {
-        Ok(filter) => filter,
-        Err(resp) => return resp,
-    };
-    fields.extend([
-        (
-            "by",
-            Value::array(group_dims.iter().map(|&d| state.dims[d].as_str())),
-        ),
-        ("phis", Value::array(phis.clone())),
-    ]);
-    match QueryEngine::group_quantiles_decoded(cube, &group_dims, &filter, &phis) {
-        Ok(groups) => {
-            fields.push((
-                "groups",
-                Value::Array(
-                    groups
-                        .into_iter()
-                        .map(|g| {
-                            Value::object(vec![
-                                ("key", Value::array(g.key)),
-                                ("count", Value::from(g.count)),
-                                ("values", Value::array(g.values)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-            ok(Value::object(fields))
-        }
-        // An empty window or never-seen filter value groups nothing:
-        // report zero rows rather than erroring.
-        Err(msketch_cube::Error::EmptyResult) => {
-            fields.extend([
-                ("rows", Value::from(0u64)),
-                ("groups", Value::Array(Vec::new())),
-            ]);
-            ok(Value::object(fields))
-        }
-        Err(e) => cube_error(&e),
     }
 }
 
@@ -1419,128 +1086,6 @@ fn stats_value(stats: &CascadeStats) -> Value {
         ("maxent_evals", Value::from(stats.maxent_evals)),
         ("maxent_failures", Value::from(stats.maxent_failures)),
     ])
-}
-
-/// `GET /threshold?by=dim&q=0.9&t=500&dim=value…` — the paper's HAVING
-/// query, resolved with the threshold cascade.
-fn handle_threshold(state: &ServerState, req: &Request) -> Response {
-    let range = match parse_range(state, req) {
-        Ok(range) => range,
-        Err(resp) => return resp,
-    };
-    let snap;
-    let (cube, mut fields): (&DynCube, Vec<(&'static str, Value)>) = match &range {
-        Some(answer) => (&answer.cube, range_fields(answer)),
-        None => {
-            let Some(s) = state.load_snapshot() else {
-                return unavailable(state, "no snapshot yet: refresh has not run");
-            };
-            snap = s;
-            (snap.cube(), vec![("epoch", Value::from(snap.epoch()))])
-        }
-    };
-    let group_dims = match parse_group_dims(state, req) {
-        Ok(dims) => dims,
-        Err(resp) => return resp,
-    };
-    let phi = match req.query_param("q").unwrap_or("0.9").parse::<f64>() {
-        Ok(phi) if (0.0..=1.0).contains(&phi) => phi,
-        _ => return error(400, "q must be one fraction in [0, 1]"),
-    };
-    let Some(t) = req.query_param("t").and_then(|t| t.parse::<f64>().ok()) else {
-        return error(400, "missing or non-numeric threshold \"t\"");
-    };
-    let filter = match parse_filter(state, cube, req) {
-        Ok(filter) => filter,
-        Err(resp) => return resp,
-    };
-    fields.extend([("phi", Value::from(phi)), ("t", Value::from(t))]);
-    let query = GroupThresholdQuery::new(phi, t);
-    match query.run_cube_decoded(cube, &group_dims, &filter) {
-        Ok(report) => {
-            // Per-query stats used to be serialized into this one
-            // response and dropped; fold them into the cumulative
-            // stage counters so `/metrics` and `/stats` keep
-            // process-lifetime cascade hit rates.
-            state.metrics.cascade.accumulate(&report.stats);
-            fields.extend([
-                ("groups", Value::from(report.groups)),
-                (
-                    "hits",
-                    Value::Array(report.hits.into_iter().map(Value::array).collect()),
-                ),
-                ("stats", stats_value(&report.stats)),
-            ]);
-            ok(Value::object(fields))
-        }
-        // An empty window or never-seen filter value thresholds
-        // nothing: report zero rows rather than erroring.
-        Err(msketch_cube::Error::EmptyResult) => {
-            fields.extend([
-                ("rows", Value::from(0u64)),
-                ("groups", Value::from(0u64)),
-                ("hits", Value::Array(Vec::new())),
-            ]);
-            ok(Value::object(fields))
-        }
-        Err(e) => cube_error(&e),
-    }
-}
-
-/// `GET /search?by=dim&global_phi=0.99&ratio=30` — MacroBase-style
-/// outlier-rate subpopulation search over the snapshot.
-fn handle_search(state: &ServerState, req: &Request) -> Response {
-    let Some(snap) = state.load_snapshot() else {
-        return unavailable(state, "no snapshot yet: refresh has not run");
-    };
-    let group_dims = match parse_group_dims(state, req) {
-        Ok(dims) => dims,
-        Err(resp) => return resp,
-    };
-    let global_phi = match req
-        .query_param("global_phi")
-        .unwrap_or("0.99")
-        .parse::<f64>()
-    {
-        Ok(phi) if (0.0..1.0).contains(&phi) => phi,
-        _ => return error(400, "global_phi must be a fraction in [0, 1)"),
-    };
-    let ratio = match req.query_param("ratio").unwrap_or("30").parse::<f64>() {
-        Ok(r) if r >= 1.0 => r,
-        _ => return error(400, "ratio must be a number >= 1"),
-    };
-    let mut macrobase = MacroBaseEngine::new(MacroBaseConfig {
-        global_phi,
-        rate_ratio: ratio,
-        ..MacroBaseConfig::default()
-    });
-    match macrobase.search_cube(snap.cube(), &group_dims) {
-        Ok(reports) => {
-            state.metrics.cascade.accumulate(&macrobase.stats());
-            ok(Value::object(vec![
-                ("epoch", Value::from(snap.epoch())),
-                ("global_phi", Value::from(global_phi)),
-                ("ratio", Value::from(ratio)),
-                (
-                    "subpopulations",
-                    Value::Array(
-                        reports
-                            .into_iter()
-                            .map(|r| {
-                                Value::object(vec![
-                                    ("label", Value::from(r.label)),
-                                    ("count", Value::from(r.count)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("stats", stats_value(&macrobase.stats())),
-            ]))
-        }
-        Err(msketch_macrobase::SearchError::Cube(e)) => cube_error(&e),
-        Err(e) => error(400, &format!("{e}")),
-    }
 }
 
 /// The `/stats` `"timeline"` section: segment inventory and ingest
@@ -1575,7 +1120,7 @@ fn timeline_stats_value(state: &ServerState) -> Value {
 }
 
 /// `GET /stats` — serving, staleness, and fault counters.
-fn handle_stats(state: &ServerState) -> Response {
+fn handle_stats(state: &ServerState, _: &Request) -> Response {
     let snap = state.load_snapshot();
     let engine = state.lock_engine();
     let engine_epoch = engine.current_epoch();
@@ -1661,7 +1206,7 @@ fn handle_stats(state: &ServerState) -> Response {
 /// reporting on itself with the paper's own estimator. Engine-, WAL-,
 /// snapshot-, and timeline-owned totals are mirrored into the registry
 /// at scrape time so one scrape is one coherent view.
-fn handle_metrics(state: &ServerState) -> Response {
+fn handle_metrics(state: &ServerState, _: &Request) -> Response {
     let engine = state.lock_engine();
     let engine_epoch = engine.current_epoch();
     let engine_stats = engine.stats();
@@ -1732,7 +1277,7 @@ fn handle_trace(state: &ServerState, req: &Request) -> Response {
 /// `Retry-After` when not — the shape load balancers and the CI smoke
 /// test poll. The body always carries the fault counters a supervisor
 /// would alert on.
-fn handle_health(state: &ServerState) -> Response {
+fn handle_health(state: &ServerState, _: &Request) -> Response {
     let snap = state.load_snapshot();
     let engine = state.lock_engine();
     let engine_epoch = engine.current_epoch();

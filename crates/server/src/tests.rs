@@ -3,10 +3,18 @@
 //! against the in-process snapshot.
 
 use super::*;
+use moments_sketch::bounds::quantile_interval;
+use msketch_cube::QueryEngine;
+use msketch_macrobase::{MacroBaseConfig, MacroBaseEngine};
+use msketch_sketches::MomentsBacked;
 
 fn test_server() -> MsketchServer {
+    test_server_with(SketchSpec::moments(8))
+}
+
+fn test_server_with(spec: SketchSpec) -> MsketchServer {
     MsketchServer::start(
-        SketchSpec::moments(8),
+        spec,
         &["app", "region"],
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -76,30 +84,32 @@ fn ingest_demo_rows(server: &MsketchServer, rows: usize) {
 
 #[test]
 fn ingest_refresh_quantile_round_trip_is_bit_exact() {
-    let server = test_server();
-    ingest_demo_rows(&server, 4000);
-    let (status, doc) = call(&server, &request("POST", "/refresh", &[], ""));
-    assert_eq!(status, 200);
-    assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(2));
+    // Off the moments path too: t-digest cells estimate through the
+    // same one `Sketch::quantiles` call.
+    for spec in [SketchSpec::moments(8), SketchSpec::tdigest(5.0)] {
+        let server = test_server_with(spec);
+        ingest_demo_rows(&server, 4000);
+        let (status, doc) = call(&server, &request("POST", "/refresh", &[], ""));
+        assert_eq!(status, 200);
+        assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(2));
 
-    let (status, doc) = call(
-        &server,
-        &request("GET", "/quantile", &[("q", "0.1,0.5,0.99")], ""),
-    );
-    assert_eq!(status, 200, "{doc}");
-    assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(2));
-    assert_eq!(doc.get("count").unwrap().as_f64(), Some(4000.0));
-    assert_eq!(doc.get("cells_merged").unwrap().as_i64(), Some(4));
+        for (q, phis) in [("0.5", vec![0.5]), ("0.1,0.5,0.99", vec![0.1, 0.5, 0.99])] {
+            let (status, doc) = call(&server, &request("GET", "/quantile", &[("q", q)], ""));
+            assert_eq!(status, 200, "{doc}");
+            assert_eq!(doc.get("epoch").unwrap().as_u64(), Some(2));
+            assert_eq!(doc.get("count").unwrap().as_f64(), Some(4000.0));
+            assert_eq!(doc.get("cells_merged").unwrap().as_i64(), Some(4));
 
-    // The served values equal the in-process answer on the same
-    // snapshot, bit for bit — floats survive the JSON hop.
-    let snap = server.current_snapshot().expect("snapshot");
-    let expected =
-        QueryEngine::quantiles(snap.cube(), &snap.no_filter(), &[0.1, 0.5, 0.99]).unwrap();
-    let served = doc.get("values").unwrap().as_array().unwrap();
-    assert_eq!(served.len(), 3);
-    for (value, expect) in served.iter().zip(&expected.values) {
-        assert_eq!(value.as_f64().unwrap().to_bits(), expect.to_bits());
+            // The served values equal the in-process answer on the same
+            // snapshot, bit for bit — floats survive the JSON hop.
+            let snap = server.current_snapshot().expect("snapshot");
+            let expected = QueryEngine::quantiles(snap.cube(), &snap.no_filter(), &phis).unwrap();
+            let served = doc.get("values").unwrap().as_array().unwrap();
+            assert_eq!(served.len(), phis.len());
+            for (value, expect) in served.iter().zip(&expected.values) {
+                assert_eq!(value.as_f64().unwrap().to_bits(), expect.to_bits());
+            }
+        }
     }
 }
 
@@ -262,18 +272,126 @@ fn stats_report_epochs_and_lag() {
     assert_eq!(doc.get("snapshot_rows").unwrap().as_u64(), Some(100));
 }
 
+/// The four read routes, each with the least query it answers `200` to.
+const READ_ROUTES: [(&str, &[(&str, &str)]); 4] = [
+    ("/quantile", &[]),
+    ("/groupby", &[("by", "app")]),
+    ("/threshold", &[("by", "app"), ("t", "1")]),
+    ("/search", &[("by", "app")]),
+];
+
+/// What one read route answers under one condition.
+#[derive(Clone, Copy)]
+enum Expect {
+    /// This status; `4xx` carry a JSON `error`, `503` a `Retry-After`.
+    Status(u16),
+    /// `200` with `"rows": 0`: no rows is an answer, not an error.
+    NoRows,
+    /// The route does not read the parameter; nothing is pinned.
+    NotTaken,
+}
+use Expect::{NoRows, NotTaken, Status};
+
+/// One row of the read-route contract: a condition, the parameters
+/// that create it (overriding the route's base query), and what each
+/// of [`READ_ROUTES`] answers.
+type Condition = (
+    &'static str,
+    &'static [(&'static str, &'static str)],
+    [Expect; 4],
+);
+
+fn check_read_routes(server: &MsketchServer, conditions: &[Condition]) {
+    for (what, extra, expected) in conditions {
+        for ((path, base), expect) in READ_ROUTES.iter().zip(expected) {
+            let status = match expect {
+                Status(status) => *status,
+                NoRows => 200,
+                NotTaken => continue,
+            };
+            let mut query: Vec<(&str, &str)> = base
+                .iter()
+                .filter(|(name, _)| extra.iter().all(|(over, _)| over != name))
+                .copied()
+                .collect();
+            query.extend(extra.iter().copied());
+            let response = route(&server.state, &request("GET", path, &query, ""));
+            let body = std::str::from_utf8(&response.body).unwrap();
+            let doc = serde_json::from_str(body).unwrap();
+            assert_eq!(response.status, status, "{path}, {what}: {body}");
+            match expect {
+                NoRows => assert_eq!(doc.get("rows").unwrap().as_u64(), Some(0), "{body}"),
+                Status(503) => assert!(
+                    response
+                        .headers
+                        .iter()
+                        .any(|(name, _)| *name == "Retry-After"),
+                    "{path}, {what}: {:?}",
+                    response.headers
+                ),
+                _ => assert!(doc.get("error").is_some(), "{path}, {what}: {body}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn malformed_requests_get_specific_4xx() {
     let server = test_server();
+    ingest_demo_rows(&server, 400);
+    server.refresh().unwrap();
+    check_read_routes(
+        &server,
+        &[
+            (
+                "bad q",
+                &[("q", "1.5")],
+                [Status(400), Status(400), Status(400), NotTaken],
+            ),
+            (
+                "non-numeric q",
+                &[("q", "abc")],
+                [Status(400), Status(400), Status(400), NotTaken],
+            ),
+            (
+                "bad by",
+                &[("by", "host")],
+                [NotTaken, Status(400), Status(400), Status(400)],
+            ),
+            (
+                "missing by",
+                &[("by", "")],
+                [NotTaken, Status(400), Status(400), Status(400)],
+            ),
+            ("unknown parameter", &[("bogus", "1")], [Status(400); 4]),
+            ("half a range", &[("t0", "60000")], [Status(400); 4]),
+            // `/search` answers for the whole snapshot: a filter is
+            // rejected, not silently ignored.
+            (
+                "never-seen filter value",
+                &[("app", "nonexistent")],
+                [NoRows, NoRows, NoRows, Status(400)],
+            ),
+        ],
+    );
+    let (status, doc) = call(&server, &request("GET", "/threshold", &[("by", "app")], ""));
+    assert_eq!(status, 400, "missing t: {doc}");
+
+    // An empty cube is the empty selection on every route.
+    let empty = test_server();
+    check_read_routes(&empty, &[("empty cube", &[], [NoRows; 4])]);
+    let (_, doc) = call(&empty, &request("GET", "/search", &[("by", "app")], ""));
+    assert!(doc
+        .get("subpopulations")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .is_empty());
+
     let cases: Vec<(Request, u16)> = vec![
         (request("GET", "/nope", &[], ""), 404),
         (request("DELETE", "/quantile", &[], ""), 405),
-        (request("GET", "/quantile", &[("q", "1.5")], ""), 400),
-        (request("GET", "/quantile", &[("q", "abc")], ""), 400),
-        (request("GET", "/quantile", &[("host", "x")], ""), 400),
-        (request("GET", "/groupby", &[], ""), 400),
-        (request("GET", "/groupby", &[("by", "host")], ""), 400),
-        (request("GET", "/threshold", &[("by", "app")], ""), 400),
+        (request("POST", "/metrics", &[], ""), 405),
         (request("POST", "/ingest", &[], "not json"), 400),
         (request("POST", "/ingest", &[], "{\"metrics\": [1]}"), 400),
         (
@@ -351,20 +469,38 @@ fn deferred_snapshot_reads_are_503_with_retry_after_until_refresh() {
     assert!(server.current_snapshot().is_none());
 
     // Every read endpoint refuses to invent an answer and advises when
-    // to come back; /stats and /health stay answerable (that's the
-    // point of a health probe).
-    for path in ["/quantile", "/groupby", "/threshold", "/search"] {
-        let response = route(&server.state, &request("GET", path, &[], ""));
-        assert_eq!(response.status, 503, "{path}");
-        assert!(
-            response
-                .headers
-                .iter()
-                .any(|(name, value)| *name == "Retry-After" && value == "7"),
-            "{path} missing Retry-After: {:?}",
-            response.headers
-        );
-    }
+    // to come back — before it judges any parameter (503 before 400).
+    // Only a malformed range is a 400 already: range requests answer
+    // from the timeline and need no snapshot. /stats and /health stay
+    // answerable (that's the point of a health probe).
+    check_read_routes(
+        &server,
+        &[
+            ("no snapshot", &[], [Status(503); 4]),
+            ("no snapshot, bad q", &[("q", "1.5")], [Status(503); 4]),
+            ("no snapshot, bad by", &[("by", "host")], [Status(503); 4]),
+            (
+                "no snapshot, unknown parameter",
+                &[("bogus", "1")],
+                [Status(503); 4],
+            ),
+            (
+                "no snapshot, never-seen filter value",
+                &[("app", "nonexistent")],
+                [Status(503); 4],
+            ),
+            (
+                "no snapshot, half a range",
+                &[("t0", "60000")],
+                [Status(400), Status(400), Status(400), Status(503)],
+            ),
+        ],
+    );
+    let response = route(&server.state, &request("GET", "/search", &[], ""));
+    assert!(response
+        .headers
+        .iter()
+        .any(|(name, value)| *name == "Retry-After" && value == "7"));
     let (status, doc) = call(&server, &request("GET", "/stats", &[], ""));
     assert_eq!(status, 200);
     assert!(matches!(doc.get("snapshot_epoch"), Some(Value::Null)));
@@ -461,8 +597,12 @@ fn fresh_dir(name: &str) -> std::path::PathBuf {
 }
 
 fn timeline_server(dir: &std::path::Path) -> MsketchServer {
+    timeline_server_with(SketchSpec::moments(8), dir)
+}
+
+fn timeline_server_with(spec: SketchSpec, dir: &std::path::Path) -> MsketchServer {
     MsketchServer::start(
-        SketchSpec::moments(8),
+        spec,
         &["app", "region"],
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -511,16 +651,37 @@ fn stamped_demo_rows() -> Vec<StampedRow> {
 
 #[test]
 fn timeline_range_queries_answer_from_segments() {
+    // A second backend rides the same range plumbing: HTTP equals the
+    // in-process estimate over the same range cube, bit for bit.
+    let dir = fresh_dir("range-tdigest");
+    let server = timeline_server_with(SketchSpec::tdigest(5.0), &dir);
+    let body = stamped_body(&stamped_demo_rows());
+    let (status, doc) = call(&server, &request("POST", "/ingest", &[], &body));
+    assert_eq!(status, 200, "{doc}");
+    server.refresh().unwrap();
+    let range = [("q", "0.1,0.5,0.9"), ("t0", "60000"), ("t1", "300000")];
+    let (status, ranged) = call(&server, &request("GET", "/quantile", &range, ""));
+    assert_eq!(status, 200, "{ranged}");
+    let timeline = server.state.lock_timeline().unwrap();
+    let cover = timeline.range_cube(60_000, 300_000).unwrap().unwrap();
+    drop(timeline);
+    let expected =
+        QueryEngine::quantiles(&cover.cube, &cover.cube.no_filter(), &[0.1, 0.5, 0.9]).unwrap();
+    let served = ranged.get("values").unwrap().as_array().unwrap();
+    assert_eq!(served.len(), 3);
+    for (value, expect) in served.iter().zip(&expected.values) {
+        assert_eq!(value.as_f64().unwrap().to_bits(), expect.to_bits());
+    }
+    drop(server);
+
     let dir = fresh_dir("range");
     let server = timeline_server(&dir);
-    let body = stamped_body(&stamped_demo_rows());
     let (status, doc) = call(&server, &request("POST", "/ingest", &[], &body));
     assert_eq!(status, 200, "{doc}");
     server.refresh().unwrap();
 
     // The full range answers from persisted segments and agrees bit
     // for bit with the snapshot over the same rows.
-    let range = [("q", "0.1,0.5,0.9"), ("t0", "60000"), ("t1", "300000")];
     let (status, ranged) = call(&server, &request("GET", "/quantile", &range, ""));
     assert_eq!(status, 200, "{ranged}");
     assert_eq!(ranged.get("rows").unwrap().as_u64(), Some(24));

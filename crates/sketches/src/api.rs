@@ -719,6 +719,39 @@ mod tests {
         }
     }
 
+    /// The invariant that lets every read path estimate through one
+    /// [`Sketch::quantiles`] call: for every backend, on any data —
+    /// including degenerate sketches that answer `NaN` — the batch
+    /// read-out is bit-identical to per-φ [`Sketch::quantile`] calls.
+    #[test]
+    fn quantiles_is_bit_identical_to_per_phi_quantile_for_every_kind() {
+        let mut rng = crate::rng::Rng::new(0xB17_1DE7);
+        for kind in SketchKind::ALL {
+            for case in 0..24u64 {
+                let mut s = SketchSpec::default_for(kind).build_seeded(case + 1);
+                // Sizes 0, 1, 2 are the degenerate sketches; constant
+                // runs (scale 0) are the point-mass ones.
+                let n = [0, 1, 2, 7, 60, 900][(case % 6) as usize];
+                let scale = [0.0, 1e-3, 1.0, 1e6][(case / 6 % 4) as usize];
+                let offset = (rng.next_f64() - 0.5) * 100.0;
+                for _ in 0..n {
+                    s.accumulate(offset + scale * rng.next_f64().powi(3));
+                }
+                let mut phis: Vec<f64> = (0..1 + rng.below(6)).map(|_| rng.next_f64()).collect();
+                phis.extend([0.0, 1.0]);
+                let batch = s.quantiles(&phis);
+                assert_eq!(batch.len(), phis.len(), "{kind} case {case}");
+                for (&phi, got) in phis.iter().zip(&batch) {
+                    assert_eq!(
+                        got.to_bits(),
+                        s.quantile(phi).to_bits(),
+                        "{kind} case {case}: n={n} scale={scale} phi={phi}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn spec_parse_accepts_kind_and_param() {
         let spec = SketchSpec::parse("moments:12").unwrap();

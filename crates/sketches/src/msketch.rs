@@ -148,7 +148,8 @@ impl MomentsBacked for Box<dyn Sketch> {
 /// through the cascade `evaluator` (Algorithm 2); every other backend
 /// compares its direct quantile estimate — the baseline path the paper
 /// compares the cascade against. The single policy point for every
-/// `*_dyn` threshold query in the workspace.
+/// threshold query in the workspace (`GroupThresholdQuery`, MacroBase
+/// search, the HTTP routes over both).
 pub fn threshold_dyn(
     evaluator: &mut moments_sketch::ThresholdEvaluator,
     sketch: &dyn Sketch,

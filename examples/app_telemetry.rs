@@ -5,7 +5,7 @@
 //! Run: `cargo run --release --example app_telemetry`
 
 use msketch::datasets::dist;
-use msketch::prelude::{DynCube, GroupThresholdQuery, QueryEngine, Sketch, SketchSpec};
+use msketch::prelude::{DynCube, GroupThresholdQuery, QueryEngine, SketchSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,31 +37,32 @@ fn main() {
     );
 
     // Roll-up: global p99 (merges every cell).
-    let p99 = QueryEngine::quantile(&cube, &cube.no_filter(), 0.99).unwrap();
-    println!("global p99 latency = {p99:.1} ms");
+    let all = QueryEngine::quantiles(&cube, &cube.no_filter(), &[0.99]).unwrap();
+    println!("global p99 latency = {:.1} ms", all.values[0]);
 
     // Filtered roll-up: p99 for USA on v8.2 (the paper's example query).
     let mut filter = cube.no_filter();
     filter[0] = cube.dictionary(0).unwrap().lookup("USA");
     filter[1] = cube.dictionary(1).unwrap().lookup("v8.2");
-    let usa_v82 = QueryEngine::quantile(&cube, &filter, 0.99).unwrap();
-    println!("USA / v8.2 p99 latency = {usa_v82:.1} ms");
+    let usa_v82 = QueryEngine::quantiles(&cube, &filter, &[0.99]).unwrap();
+    println!("USA / v8.2 p99 latency = {:.1} ms", usa_v82.values[0]);
 
     // Threshold query: GROUP BY (version, os) HAVING p99 > 100ms.
-    let groups = cube.group_by(&[1, 2], &cube.no_filter()).unwrap();
-    let query = GroupThresholdQuery::new(0.99, 150.0);
-    let (hits, stats) = query.run_dyn(&groups);
+    let report = GroupThresholdQuery::new(0.99, 150.0)
+        .run_cube_decoded(&cube, &[1, 2], &cube.no_filter())
+        .unwrap();
     println!(
         "\nGROUP BY (version, os) HAVING p99 > 150ms — {} of {} groups:",
-        hits.len(),
-        groups.len()
+        report.hits.len(),
+        report.groups
     );
-    for key in &hits {
-        let version = cube.dictionary(1).unwrap().decode(key[0]).unwrap();
-        let os = cube.dictionary(2).unwrap().decode(key[1]).unwrap();
-        let q = groups[key].quantile(0.99);
+    let rows =
+        QueryEngine::group_quantiles_decoded(&cube, &[1, 2], &cube.no_filter(), &[0.99]).unwrap();
+    for row in rows.iter().filter(|row| report.hits.contains(&row.key)) {
+        let (version, os, q) = (&row.key[0], &row.key[1], row.values[0]);
         println!("  {version:>6} on {os:<12} p99 = {q:.0} ms");
     }
+    let stats = report.stats;
     println!(
         "cascade resolved {}/{} groups without a max-entropy solve",
         stats.simple_hits + stats.markov_hits + stats.rtt_hits,

@@ -153,7 +153,7 @@ fn main() {
         groups.len()
     );
 
-    // ── /threshold: the HAVING cascade, identical hits to run_cube on
+    // ── /threshold: the HAVING cascade, identical hits to run_cube_decoded on
     // the same snapshot.
     let (status, reply) = conn
         .get("/threshold?by=app,region&q=0.9&t=500")

@@ -8,7 +8,7 @@
 //! `MSKETCH_BACKEND` environment variable works too.
 
 use msketch::datasets::dist;
-use msketch::prelude::{DynCube, GroupThresholdQuery, QueryEngine, Sketch, SketchSpec};
+use msketch::prelude::{DynCube, GroupThresholdQuery, QueryEngine, SketchSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,22 +59,25 @@ fn main() {
 
     // The restored cube answers the same queries.
     for (label, cube) in [("live", &cube), ("restored", &restored)] {
-        let p99 = QueryEngine::quantile(cube, &cube.no_filter(), 0.99).unwrap();
-        println!("{label:>9}: global p99 = {p99:.1} ms");
+        let all = QueryEngine::quantiles(cube, &cube.no_filter(), &[0.99]).unwrap();
+        println!("{label:>9}: global p99 = {:.1} ms", all.values[0]);
     }
 
     // GROUP BY (region, workload) HAVING p90 > 60ms, on the restored
     // copy. Moments-sketch cells route through the threshold cascade;
     // other backends answer directly.
-    let groups = restored.group_by(&[0, 1], &restored.no_filter()).unwrap();
-    let (hits, stats) = GroupThresholdQuery::new(0.9, 60.0).run_dyn(&groups);
+    let everything = restored.no_filter();
+    let report = GroupThresholdQuery::new(0.9, 60.0)
+        .run_cube_decoded(&restored, &[0, 1], &everything)
+        .unwrap();
+    let rows =
+        QueryEngine::group_quantiles_decoded(&restored, &[0, 1], &everything, &[0.9]).unwrap();
     println!("\nGROUP BY (region, workload) HAVING p90 > 60ms:");
-    for key in &hits {
-        let region = restored.dictionary(0).unwrap().decode(key[0]).unwrap();
-        let workload = restored.dictionary(1).unwrap().decode(key[1]).unwrap();
-        let q = groups[key].quantile(0.9);
+    for row in rows.iter().filter(|row| report.hits.contains(&row.key)) {
+        let (region, workload, q) = (&row.key[0], &row.key[1], row.values[0]);
         println!("  {region:>3} / {workload:<11} p90 = {q:.0} ms");
     }
+    let stats = report.stats;
     if stats.total > 0 {
         println!(
             "cascade resolved {}/{} groups without a max-entropy solve",

@@ -71,20 +71,19 @@ fn main() {
     // The same cascade threshold query the paper runs on static cubes
     // works on a concurrent snapshot unchanged.
     let query = GroupThresholdQuery::new(0.9, 500.0);
-    let (hits, stats) = query.run_cube(&snap, &[0, 1], &snap.no_filter()).unwrap();
+    let report = query
+        .run_cube_decoded(&snap, &[0, 1], &snap.no_filter())
+        .unwrap();
     println!(
         "HAVING p90 > 500 flagged {} of {} groups (maxent solves: {})",
-        hits.len(),
-        stats.total,
-        stats.maxent_evals
+        report.hits.len(),
+        report.groups,
+        report.stats.maxent_evals
     );
-    for key in &hits {
-        let app = snap.dictionary(0).unwrap().decode(key[0]).unwrap();
-        let region = snap.dictionary(1).unwrap().decode(key[1]).unwrap();
-        println!("  -> {app} @ {region}");
-        assert_eq!((app, region), ("checkout", "ap-south"));
+    for hit in &report.hits {
+        println!("  -> {} @ {}", hit[0], hit[1]);
     }
-    assert_eq!(hits.len(), 1);
+    assert_eq!(report.hits, [["checkout", "ap-south"]]);
 
     // Bit-exactness: a sequentially built cube answers identically.
     let mut sequential = DynCube::from_spec(spec, &["app", "region"]);

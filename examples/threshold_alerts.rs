@@ -5,7 +5,8 @@
 //! Run: `cargo run --release --example threshold_alerts`
 
 use msketch::datasets::dist;
-use msketch::prelude::{MacroBaseConfig, MacroBaseEngine, MomentsSketch};
+use msketch::prelude::{MacroBaseConfig, MacroBaseEngine, MomentsSketch, Sketch, SolverConfig};
+use msketch::sketches::MSketchSummary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -13,7 +14,8 @@ fn main() {
     // 200 device models; two of them have a memory-usage anomaly.
     let mut rng = StdRng::seed_from_u64(7);
     let anomalous = [41usize, 137];
-    let mut groups: Vec<(String, MomentsSketch)> = Vec::new();
+    let wrap = |sketch| MSketchSummary::from_sketch(sketch, SolverConfig::default());
+    let mut groups: Vec<(String, MSketchSummary)> = Vec::new();
     let mut all = MomentsSketch::new(10);
     for model in 0..200 {
         let mut sketch = MomentsSketch::new(10);
@@ -25,17 +27,22 @@ fn main() {
             sketch.accumulate(mb);
         }
         all.merge(&sketch);
-        groups.push((format!("model-{model:03}"), sketch));
+        groups.push((format!("model-{model:03}"), wrap(sketch)));
     }
 
     let mut engine = MacroBaseEngine::new(MacroBaseConfig::default());
-    let t99 = engine.global_threshold(&all).expect("global threshold");
+    let t99 = engine
+        .global_threshold(&wrap(all))
+        .expect("global threshold");
     println!(
         "global p99 memory = {t99:.0} MB; searching for models with outlier rate >= {}x overall",
         engine.config().rate_ratio
     );
 
-    let reports = engine.search(groups.iter().map(|(l, s)| (l.as_str(), s)), t99);
+    let reports = engine.search(
+        groups.iter().map(|(l, s)| (l.as_str(), s as &dyn Sketch)),
+        t99,
+    );
     println!("\nflagged subpopulations:");
     for r in &reports {
         println!("  {} ({} sessions)", r.label, r.count);

@@ -36,8 +36,8 @@
 //!     cube.insert(&[["a", "b"][i % 2]], (i % 97) as f64).unwrap();
 //! }
 //! let restored = DynCube::from_bytes(&cube.to_bytes()).unwrap();
-//! let p50 = QueryEngine::quantile(&restored, &restored.no_filter(), 0.5).unwrap();
-//! assert!(p50 > 0.0);
+//! let report = QueryEngine::quantiles(&restored, &restored.no_filter(), &[0.5, 0.99]).unwrap();
+//! assert!(report.values[0] > 0.0);
 //! ```
 
 pub use moments_sketch as core;

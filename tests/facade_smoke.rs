@@ -138,8 +138,11 @@ fn facade_module_aliases_reachable() {
     let restored = DynCube::from_bytes(&cube.to_bytes()).expect("cube roundtrip");
     let total = restored.rollup(&[None]).expect("rollup");
     assert_eq!(total.count(), 2_000);
-    let q = QueryEngine::quantile(&restored, &restored.no_filter(), 0.5).expect("quantile");
-    assert!(q.is_finite());
+    // The reduced query surface: one roll-up entry point, multi-φ.
+    let report =
+        QueryEngine::quantiles(&restored, &restored.no_filter(), &[0.5, 0.99]).expect("quantiles");
+    assert_eq!(report.cells_merged, 4);
+    assert!(report.values.iter().all(|q| q.is_finite()));
 
     // macrobase
     let config = msketch::macrobase::MacroBaseConfig::default();
