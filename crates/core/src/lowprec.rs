@@ -58,27 +58,34 @@ impl LowPrecisionCodec {
         f64::from_bits(sign | rounded)
     }
 
-    /// Encode a sketch into a packed little-endian bitstream.
+    /// Encode a sketch into a packed MSB-first bitstream.
     ///
     /// `seed` drives the randomized rounding (vary it per sketch so
     /// rounding errors stay independent across merges).
     pub fn encode(&self, sketch: &MomentsSketch, seed: u64) -> Vec<u8> {
         let k = sketch.k();
-        let mut writer = BitWriter::new();
-        writer.bytes.push(self.bits as u8);
-        writer.bytes.extend_from_slice(&(k as u16).to_le_bytes());
-        let mut rng = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut put = |w: &mut BitWriter, v: f64| {
-            let q = self.quantize(v, &mut rng);
-            w.write_value(q, self.mantissa_bits());
-        };
-        put(&mut writer, sketch.min());
-        put(&mut writer, sketch.max());
-        for &v in sketch.power_sums() {
-            put(&mut writer, v);
+        let mut out = Vec::with_capacity(self.encoded_size(k));
+        out.push(self.bits as u8);
+        out.extend_from_slice(&(k as u16).to_le_bytes());
+        let values = [sketch.min(), sketch.max()]
+            .into_iter()
+            .chain(sketch.power_sums().iter().copied())
+            .chain(sketch.log_sums().iter().copied());
+        if self.bits == 64 {
+            // Sign (1) + exponent (11) + mantissa (52), MSB first, *is*
+            // the value's big-endian bit pattern, and full width rounds
+            // nothing: the lossless wire codec under every cube cell
+            // skips the bit packer.
+            for v in values {
+                out.extend_from_slice(&v.to_bits().to_be_bytes());
+            }
+            return out;
         }
-        for &v in sketch.log_sums() {
-            put(&mut writer, v);
+        let mut writer = BitWriter::new(out);
+        let mut rng = seed ^ 0x9E37_79B9_7F4A_7C15;
+        for v in values {
+            let q = self.quantize(v, &mut rng);
+            writer.write_value(q, self.mantissa_bits());
         }
         writer.finish()
     }
@@ -96,22 +103,36 @@ impl LowPrecisionCodec {
         if k == 0 {
             return Err(Error::Corrupt("order must be at least 1"));
         }
-        let mantissa = (bits - 12).min(52);
-        let mut reader = BitReader::new(&buf[3..]);
+        let body = &buf[3..];
         let n_values = 2 + 2 * (k + 1);
-        let mut values = Vec::with_capacity(n_values);
-        for _ in 0..n_values {
-            values.push(
-                reader
-                    .read_value(mantissa)
-                    .ok_or(Error::Corrupt("truncated low-precision body"))?,
-            );
+        // Checked before anything is allocated for `k`, which comes
+        // from the input.
+        if body.len() < (n_values * bits as usize).div_ceil(8) {
+            return Err(Error::Corrupt("truncated low-precision body"));
         }
-        let min = values[0];
-        let max = values[1];
-        let power_sums = values[2..2 + (k + 1)].to_vec();
-        let log_sums = values[2 + (k + 1)..].to_vec();
-        MomentsSketch::from_parts(min, max, power_sums, log_sums)
+        let mut values: Vec<f64> = Vec::with_capacity(n_values);
+        if bits == 64 {
+            // The byte-aligned inverse of `encode`'s full-width path.
+            values.extend(
+                body.chunks_exact(8)
+                    .take(n_values)
+                    .map(|c| u64::from_be_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+                    .map(f64::from_bits),
+            );
+        } else {
+            let mantissa = bits - 12;
+            let mut reader = BitReader::new(body);
+            for _ in 0..n_values {
+                values.push(
+                    reader
+                        .read_value(mantissa)
+                        .ok_or(Error::Corrupt("truncated low-precision body"))?,
+                );
+            }
+        }
+        let log_sums = values.split_off(2 + (k + 1));
+        let power_sums = values.split_off(2);
+        MomentsSketch::from_parts(values[0], values[1], power_sums, log_sums)
     }
 
     /// Encoded size in bytes for a sketch of order `k`.
@@ -138,9 +159,10 @@ struct BitWriter {
 }
 
 impl BitWriter {
-    fn new() -> Self {
+    /// Append to `bytes` (the already-written, byte-aligned header).
+    fn new(bytes: Vec<u8>) -> Self {
         BitWriter {
-            bytes: Vec::new(),
+            bytes,
             acc: 0,
             nbits: 0,
         }
@@ -237,6 +259,88 @@ mod tests {
         let codec = LowPrecisionCodec::new(64);
         let back = LowPrecisionCodec::decode(&codec.encode(&s, 7)).unwrap();
         assert_eq!(s, back);
+    }
+
+    fn value_bits(s: &MomentsSketch) -> Vec<u64> {
+        [s.min(), s.max()]
+            .iter()
+            .chain(s.power_sums())
+            .chain(s.log_sums())
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Full-width encode through the bit packer — the path the
+    /// byte-aligned one replaced, kept as the reference it must match.
+    fn packed_encode_64(s: &MomentsSketch) -> Vec<u8> {
+        let mut header = vec![64u8];
+        header.extend_from_slice(&(s.k() as u16).to_le_bytes());
+        let mut writer = BitWriter::new(header);
+        for bits in value_bits(s) {
+            writer.write_value(f64::from_bits(bits), 52);
+        }
+        writer.finish()
+    }
+
+    /// Full-width decode through the bit reader, value bits only.
+    fn packed_decode_64(buf: &[u8]) -> Result<Vec<u64>> {
+        if buf.len() < 3 {
+            return Err(Error::Corrupt("truncated low-precision header"));
+        }
+        let k = u16::from_le_bytes([buf[1], buf[2]]) as usize;
+        let mut reader = BitReader::new(&buf[3..]);
+        (0..2 + 2 * (k + 1))
+            .map(|_| {
+                reader
+                    .read_value(52)
+                    .map(f64::to_bits)
+                    .ok_or(Error::Corrupt("truncated low-precision body"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn full_width_byte_path_is_identical_to_the_bit_packer() {
+        let specials = [
+            0.0,
+            -0.0,
+            5e-324,
+            -2.2e-310,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7FF0_0000_DEAD_BEEF),
+            f64::from_bits(0xFFF8_0000_0000_0001),
+            -3.7,
+        ];
+        let mut rng = 0xB17u64;
+        for (case, k) in [1usize, 2, 7, 10, 15].into_iter().enumerate() {
+            // Specials interleaved with raw random bit patterns.
+            let v: Vec<f64> = (0..2 + 2 * (k + 1))
+                .map(|i| match (case + i) % 3 {
+                    0 => f64::from_bits(splitmix64(&mut rng)),
+                    _ => specials[(5 * case + i) % specials.len()],
+                })
+                .collect();
+            let (power, log) = v[2..].split_at(k + 1);
+            let s = MomentsSketch::from_parts(v[0], v[1], power.to_vec(), log.to_vec()).unwrap();
+
+            let bytes = LowPrecisionCodec::new(64).encode(&s, case as u64);
+            assert_eq!(bytes, packed_encode_64(&s), "k={k}");
+            assert_eq!(bytes.len(), LowPrecisionCodec::new(64).encoded_size(k));
+            // Truncated anywhere (and intact, and over-long): the same
+            // values or the same typed error as the bit reader.
+            let mut long = bytes.clone();
+            long.extend_from_slice(&[0xAB; 5]);
+            for cut in 0..=long.len() {
+                let got = LowPrecisionCodec::decode(&long[..cut]).map(|s| value_bits(&s));
+                assert_eq!(got, packed_decode_64(&long[..cut]), "k={k} cut={cut}");
+            }
+            let back = LowPrecisionCodec::decode(&bytes).unwrap();
+            assert_eq!(value_bits(&back), value_bits(&s), "k={k}");
+        }
     }
 
     #[test]

@@ -347,14 +347,12 @@ impl<F: SummaryFactory> DataCube<F> {
         // Typed cubes can't disagree on backend (one concrete summary
         // type), but boxed cells (`DynCube`) can: merging, say, t-digest
         // cells into a moments cube would panic in `merge_from` or leave
-        // cells that contradict the cube's own spec. Probe one summary
-        // from each factory and reject cross-kind unions up front.
-        let mine = self.factory.build();
-        let theirs = other.factory.build();
-        if mine.kind() != theirs.kind() {
+        // cells that contradict the cube's own spec. Reject cross-kind
+        // unions up front.
+        if self.factory.kind() != other.factory.kind() {
             return Err(Error::BackendMismatch {
-                expected: mine.name(),
-                got: theirs.name(),
+                expected: self.factory.build().name(),
+                got: other.factory.build().name(),
             });
         }
         let remaps: Vec<Vec<u32>> = self
@@ -367,18 +365,20 @@ impl<F: SummaryFactory> DataCube<F> {
         // remapped key targets a distinct destination cell — each cell
         // receives at most one `merge_from` per call, making visit order
         // irrelevant to the result (read paths re-sort for determinism).
+        // One key buffer serves every lookup; only a cell new to this
+        // cube allocates its key.
+        let mut new_key: Vec<u32> = Vec::with_capacity(remaps.len());
         for (key, summary) in other.cells.iter() {
-            let new_key: Vec<u32> = key
-                .iter()
-                .zip(&remaps)
-                .map(|(&id, remap)| remap[id as usize])
-                .collect();
-            match self.cells.entry(new_key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    Arc::make_mut(e.get_mut()).merge_from(summary)
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(Arc::clone(summary));
+            new_key.clear();
+            new_key.extend(
+                key.iter()
+                    .zip(&remaps)
+                    .map(|(&id, remap)| remap[id as usize]),
+            );
+            match self.cells.get_mut(new_key.as_slice()) {
+                Some(cell) => Arc::make_mut(cell).merge_from(summary),
+                None => {
+                    self.cells.insert(new_key.clone(), Arc::clone(summary));
                 }
             }
         }

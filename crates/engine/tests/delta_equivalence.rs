@@ -11,8 +11,8 @@
 //! match to the last bit — dictionaries are allowed to assign ids in
 //! different orders.
 //!
-//! Failpoints are process-global, so the tests that arm one hold
-//! [`FAILPOINT_LOCK`] for their whole body.
+//! Failpoints are process-global, so every test here — each builds an
+//! engine, armed or not — holds [`FAILPOINT_LOCK`] for its whole body.
 
 use msketch_cube::DynCube;
 use msketch_engine::{DynShardedCube, EngineConfig, WalConfig};
@@ -101,6 +101,9 @@ proptest! {
         shards in 1usize..4,
         batch_pick in 0usize..3,
     ) {
+        let _guard = FAILPOINT_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let batch_rows = [1, 7, 64][batch_pick];
         let mut engine = engine(shards, batch_rows);
         // Two extra ingest handles alongside the engine's embedded
@@ -151,6 +154,9 @@ proptest! {
         segments in prop::collection::vec(1usize..80, 1..6),
         stream_seed in any::<u64>(),
     ) {
+        let _guard = FAILPOINT_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut engine = engine(2, 5);
         let mut reference = DynCube::from_spec(SketchSpec::moments(8), &["region", "app"]);
         let mut next = stream_seed;
@@ -236,6 +242,9 @@ fn delta_snapshots_stay_exact_across_worker_restarts() {
 /// snapshot bit for bit.
 #[test]
 fn delta_snapshots_stay_exact_across_wal_crash_recovery() {
+    let _guard = FAILPOINT_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let dir = std::env::temp_dir().join("msketch-delta-equiv-walcrash");
     let _ = std::fs::remove_dir_all(&dir);
     let spec = SketchSpec::moments(8);

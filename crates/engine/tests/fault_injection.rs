@@ -3,9 +3,10 @@
 //! through the `failpoint` registry so every failure fires at an exact,
 //! repeatable point.
 //!
-//! Failpoints are process-global, so every test that arms one holds
-//! [`FAILPOINT_LOCK`] for its whole body — otherwise a `1*panic` armed
-//! here could fire inside a neighboring test's worker.
+//! Failpoints are process-global, so every test that builds an engine
+//! holds [`FAILPOINT_LOCK`] for its whole body, armed or not —
+//! otherwise a `1*panic` armed here could fire inside a neighboring
+//! test's worker, or a neighbor's checkpoint eat a torn append.
 
 use msketch_engine::{DynShardedCube, EngineConfig, EngineError, WalConfig, WalError};
 use msketch_sketches::{Sketch, SketchSpec};
@@ -141,6 +142,9 @@ fn worker_exit_surfaces_disconnected_and_shutdown_still_joins() {
 
 #[test]
 fn crash_recovery_replays_checkpoints_bit_exactly() {
+    let _guard = FAILPOINT_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let dir = temp_dir("recover-bitexact");
     let config = || EngineConfig::with_shards(2).batch_rows(256);
     let spec = SketchSpec::moments(8);

@@ -397,6 +397,9 @@ struct Metrics {
     wal_bytes: Gauge,
     timeline_segments: Gauge,
     timeline_segment_bytes: Gauge,
+    segment_cache_hits: Counter,
+    segment_cache_misses: Counter,
+    segment_cache_cells: Gauge,
 }
 
 impl Metrics {
@@ -433,6 +436,10 @@ impl Metrics {
             wal_bytes: registry.gauge("msketch_wal_bytes", &[]),
             timeline_segments: registry.gauge("msketch_timeline_segments", &[]),
             timeline_segment_bytes: registry.gauge("msketch_timeline_segment_bytes", &[]),
+            segment_cache_hits: registry.counter("msketch_timeline_segment_cache_hits_total", &[]),
+            segment_cache_misses: registry
+                .counter("msketch_timeline_segment_cache_misses_total", &[]),
+            segment_cache_cells: registry.gauge("msketch_timeline_segment_cache_cells", &[]),
         }
     }
 }
@@ -464,8 +471,10 @@ struct ServerState {
     /// refresher can skip epochs in which nothing arrived.
     rows_at_refresh: AtomicU64,
     /// The time-bucketed rollup timeline, when configured. Writers
-    /// (ingest) and maintenance (refresher) lock it briefly; range
-    /// queries hold the lock while merging their segment cover.
+    /// (ingest) and maintenance (refresher) lock it for their inserts
+    /// and segment writes; a range query locks it only to plan its
+    /// cover (`Timeline::range_read`) and loads and merges the segments
+    /// after releasing it.
     timeline: Option<Mutex<Timeline>>,
     /// Per-request `/quantile` time budget (`ZERO` = disabled).
     quantile_deadline: Duration,
@@ -1088,14 +1097,16 @@ fn stats_value(stats: &CascadeStats) -> Value {
     ])
 }
 
-/// The `/stats` `"timeline"` section: segment inventory and ingest
-/// counters, or `{"enabled": false}` without a timeline.
+/// The `/stats` `"timeline"` section: segment inventory, ingest
+/// counters and the decoded-segment cache, or `{"enabled": false}`
+/// without a timeline.
 fn timeline_stats_value(state: &ServerState) -> Value {
     let Some(timeline) = state.lock_timeline() else {
         return Value::object(vec![("enabled", Value::from(false))]);
     };
     let stats = timeline.stats().clone();
     let level_counts = timeline.store().level_counts(timeline.config().max_level());
+    let cache = timeline.store().cache_stats();
     Value::object(vec![
         ("enabled", Value::from(true)),
         ("bucket_ms", Value::from(timeline.config().bucket_ms)),
@@ -1116,10 +1127,22 @@ fn timeline_stats_value(state: &ServerState) -> Value {
             "maintenance_errors",
             Value::from(state.metrics.timeline_errors.get()),
         ),
+        (
+            "segment_cache",
+            Value::object(vec![
+                ("cells", Value::from(cache.cells)),
+                ("capacity_cells", Value::from(cache.capacity_cells)),
+                ("hits", Value::from(cache.hits)),
+                ("misses", Value::from(cache.misses)),
+            ]),
+        ),
     ])
 }
 
-/// `GET /stats` — serving, staleness, and fault counters.
+/// `GET /stats` — serving, staleness, and fault counters. The engine
+/// and timeline locks are each held for a copy-out only; neither is
+/// held by a range read while it loads and merges, so `/stats` does
+/// not wait behind one.
 fn handle_stats(state: &ServerState, _: &Request) -> Response {
     let snap = state.load_snapshot();
     let engine = state.lock_engine();
@@ -1205,7 +1228,9 @@ fn handle_stats(state: &ServerState, _: &Request) -> Response {
 /// solves over the recorder's merged moments sketch — the system
 /// reporting on itself with the paper's own estimator. Engine-, WAL-,
 /// snapshot-, and timeline-owned totals are mirrored into the registry
-/// at scrape time so one scrape is one coherent view.
+/// at scrape time so one scrape is one coherent view. The timeline lock
+/// is taken for that copy only, and range reads no longer merge under
+/// it, so a scrape does not wait behind one.
 fn handle_metrics(state: &ServerState, _: &Request) -> Response {
     let engine = state.lock_engine();
     let engine_epoch = engine.current_epoch();
@@ -1227,6 +1252,10 @@ fn handle_metrics(state: &ServerState, _: &Request) -> Response {
         m.timeline_segments
             .set(timeline.store().index().len() as u64);
         m.timeline_segment_bytes.set(timeline.store().total_bytes());
+        let cache = timeline.store().cache_stats();
+        m.segment_cache_hits.set(cache.hits);
+        m.segment_cache_misses.set(cache.misses);
+        m.segment_cache_cells.set(cache.cells as u64);
     }
     let mut resp = Response::text(200, &state.obs.registry.render());
     resp.content_type = "text/plain; version=0.0.4";

@@ -18,7 +18,7 @@ use msketch_cube::query::fold_cells;
 use msketch_cube::{DynCube, GroupThresholdQuery, QueryEngine};
 use msketch_macrobase::{MacroBaseConfig, MacroBaseEngine};
 use msketch_sketches::{MomentsBacked, Sketch};
-use msketch_timeline::{RangeAnswer, TimelineError};
+use msketch_timeline::{RangeAnswer, RangeRead, TimelineError};
 use serde_json::Value;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -136,8 +136,13 @@ impl Selection {
 /// Parse `?t0=&t1=` and, when present, answer the range from the
 /// timeline's segment cover. `Ok(None)` means no range was requested
 /// (serve from the snapshot); an in-range query with no persisted data
-/// comes back as an *empty* answer (zero-row cube, `segments_read: 0`),
-/// not an error.
+/// comes back as an *empty* answer (zero-row cube, `segments_read: 0`,
+/// the same snapped bounds a busy window reports), not an error.
+///
+/// The timeline lock is held only to plan the cover; the segment loads
+/// and the merge — the whole cost of a range read — run after it is
+/// released, so stamped `/ingest`, maintenance, `/stats` and `/metrics`
+/// never wait behind one.
 fn parse_range(state: &ServerState, req: &Request) -> Outcome<Option<RangeAnswer>> {
     let (raw_t0, raw_t1) = match (req.query_param("t0"), req.query_param("t1")) {
         (None, None) => return Ok(None),
@@ -147,23 +152,28 @@ fn parse_range(state: &ServerState, req: &Request) -> Outcome<Option<RangeAnswer
     let (Ok(t0), Ok(t1)) = (raw_t0.parse::<u64>(), raw_t1.parse::<u64>()) else {
         return Err(error(400, "t0 and t1 must be millisecond timestamps"));
     };
-    let Some(timeline) = state.lock_timeline() else {
+    // The guard lives inside the closure: dropped before any merge.
+    let plan = || {
+        state
+            .lock_timeline()
+            .map(|timeline| timeline.range_read(t0, t1))
+    };
+    let Some(read) = plan() else {
         return Err(error(
             400,
             "range queries need a timeline (start with --timeline-dir)",
         ));
     };
-    match timeline.range_cube(t0, t1) {
-        Ok(Some(answer)) => Ok(Some(answer)),
-        Ok(None) => {
-            let dims: Vec<&str> = state.dims.iter().map(String::as_str).collect();
-            Ok(Some(RangeAnswer {
-                cube: DynCube::from_spec(timeline.spec().clone(), &dims),
-                segments_read: 0,
-                t0,
-                t1,
-            }))
+    let mut answer = read.and_then(RangeRead::merge);
+    if matches!(answer, Err(TimelineError::SegmentGone { .. })) {
+        // Retention deleted a cover segment between the plan and its
+        // load; the index no longer lists it, so a second plan answers.
+        if let Some(read) = plan() {
+            answer = read.and_then(RangeRead::merge);
         }
+    }
+    match answer {
+        Ok(answer) => Ok(Some(answer)),
         Err(TimelineError::BadRange { .. }) => {
             Err(error(400, "empty or inverted time range: t1 must be > t0"))
         }

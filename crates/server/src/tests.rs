@@ -754,6 +754,22 @@ fn timeline_range_queries_answer_from_segments() {
     assert_eq!(empty.get("rows").unwrap().as_u64(), Some(0));
     assert_eq!(empty.get("segments").unwrap().as_u64(), Some(0));
     assert!(empty.get("values").unwrap().as_array().unwrap().is_empty());
+
+    // Unaligned, it reports the bounds snapped outward to bucket edges
+    // — the pair a busy window would report for the same request.
+    let (status, quiet) = call(
+        &server,
+        &request(
+            "GET",
+            "/quantile",
+            &[("t0", "9000000000001"), ("t1", "9000000059999")],
+            "",
+        ),
+    );
+    assert_eq!(status, 200, "{quiet}");
+    assert_eq!(quiet.get("rows").unwrap().as_u64(), Some(0));
+    assert_eq!(quiet.get("t0").unwrap().as_u64(), Some(9_000_000_000_000));
+    assert_eq!(quiet.get("t1").unwrap().as_u64(), Some(9_000_000_060_000));
 }
 
 #[test]
@@ -840,8 +856,24 @@ fn late_rows_drop_after_rollup_and_stats_report_the_timeline() {
     assert_eq!(doc.get("accepted").unwrap().as_u64(), Some(1));
     assert_eq!(doc.get("late_dropped").unwrap().as_u64(), Some(1));
 
+    // One two-bucket range read cold, then the same one warm.
+    let range = [("t0", "60000"), ("t1", "180000")];
+    let (_, cold) = call(&server, &request("GET", "/quantile", &range, ""));
+    let (_, warm) = call(&server, &request("GET", "/quantile", &range, ""));
+    assert_eq!(cold.get("segments").unwrap().as_u64(), Some(2));
+    assert_eq!(cold.to_string(), warm.to_string());
+
     let (_, stats) = call(&server, &request("GET", "/stats", &[], ""));
     let timeline = stats.get("timeline").unwrap();
+    let cache = timeline.get("segment_cache").unwrap();
+    assert_eq!(cache.get("misses").unwrap().as_u64(), Some(2));
+    assert_eq!(cache.get("hits").unwrap().as_u64(), Some(2));
+    let resident = cache.get("cells").unwrap().as_u64().unwrap();
+    assert!(
+        (2..=8).contains(&resident),
+        "two buckets of 1-4 cells: {cache}"
+    );
+    assert!(cache.get("capacity_cells").unwrap().as_u64().unwrap() >= resident);
     assert_eq!(timeline.get("enabled").unwrap().as_bool(), Some(true));
     assert_eq!(timeline.get("bucket_ms").unwrap().as_u64(), Some(MIN_MS));
     assert_eq!(timeline.get("rows_ingested").unwrap().as_u64(), Some(24));

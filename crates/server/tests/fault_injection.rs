@@ -1,6 +1,7 @@
 //! Fault-injection over real sockets: admission-queue shedding,
 //! not-ready 503s, deadline-degraded quantiles, WAL crash recovery
-//! through a server restart, and refresher/shutdown races — the
+//! through a server restart, a stalled fsync and a stalled range read
+//! that must not stall ingest, and refresher/shutdown races — the
 //! server-level half of the deterministic fault harness.
 //!
 //! Failpoints are process-global, so every test that arms one holds
@@ -268,6 +269,86 @@ fn ingest_proceeds_while_a_checkpoint_fsync_stalls() {
     assert_eq!(status, 200, "{body}");
     let doc = serde_json::from_str(&body).unwrap();
     assert_eq!(doc.get("count").and_then(|v| v.as_f64()), Some(400.0));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ingest_proceeds_while_a_range_read_stalls() {
+    let _guard = FAILPOINT_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let dir = std::env::temp_dir().join("msketch-server-fault-range-stall");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut server = start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 3,
+        refresh_interval: Duration::from_secs(3600),
+        timeline_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr();
+    // Four one-minute buckets, then (hours later) the bucket the
+    // concurrent ingest lands in — open, not under any rollup.
+    let stamped = |rows: std::ops::Range<u64>, base: u64| {
+        let body = ingest_body(rows.clone());
+        let ts: Vec<String> = rows.map(|i| (base + i * 1_000).to_string()).collect();
+        format!(
+            "{}, \"ts\": [{}]}}",
+            body.trim_end_matches('}'),
+            ts.join(",")
+        )
+    };
+    let (status, body) = client::post(addr, "/ingest", &stamped(0..240, 60_000)).unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.refresh().unwrap();
+
+    // Pin the range read's first segment load: it runs after the
+    // timeline lock is released, so a stamped ingest (which takes that
+    // lock) and /stats (which takes it too) go straight through.
+    failpoint::cfg("timeline::segment_load", "1*sleep(800)").unwrap();
+    let read_started = std::time::Instant::now();
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| client::get(addr, "/quantile?q=0.5&t0=60000&t1=300000"));
+        // Give the read time to plan, drop the lock, and park.
+        std::thread::sleep(Duration::from_millis(200));
+        let others_started = std::time::Instant::now();
+        let (status, body) = client::post(addr, "/ingest", &stamped(0..50, 86_400_000)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let doc = serde_json::from_str(&body).unwrap();
+        assert_eq!(doc.get("late_dropped").and_then(|v| v.as_u64()), Some(0));
+        let (status, body) = client::get(addr, "/stats").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let others_elapsed = others_started.elapsed();
+        assert!(
+            others_elapsed < Duration::from_millis(400),
+            "ingest + stats stalled {others_elapsed:?} behind the range read"
+        );
+        let (status, body) = reader.join().unwrap().unwrap();
+        assert_eq!(status, 200, "{body}");
+        let doc = serde_json::from_str(&body).unwrap();
+        assert_eq!(doc.get("rows").and_then(|v| v.as_u64()), Some(240));
+    });
+    // The read really did sit in the armed load — the requests above
+    // overlapped it rather than racing past an already-finished one.
+    assert!(
+        read_started.elapsed() >= Duration::from_millis(700),
+        "range read finished too fast for the failpoint to have fired"
+    );
+    failpoint::remove("timeline::segment_load");
+
+    // The same read again is all cache hits, and the exposition says so.
+    let (status, body) = client::get(addr, "/quantile?q=0.5&t0=60000&t1=300000").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (_, metrics) = client::get(addr, "/metrics").unwrap();
+    let series = |name: &str| -> f64 {
+        let line = metrics.lines().find(|l| l.starts_with(&format!("{name} ")));
+        let line = line.unwrap_or_else(|| panic!("{name} missing from /metrics"));
+        line[name.len() + 1..].parse().unwrap()
+    };
+    assert_eq!(series("msketch_timeline_segment_cache_misses_total"), 4.0);
+    assert_eq!(series("msketch_timeline_segment_cache_hits_total"), 4.0);
+    assert_eq!(series("msketch_timeline_segment_cache_cells"), 8.0);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

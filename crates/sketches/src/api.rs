@@ -685,6 +685,9 @@ impl crate::traits::SummaryFactory for SketchSpec {
     fn build(&self) -> Box<dyn Sketch> {
         SketchSpec::build(self)
     }
+    fn kind(&self) -> SketchKind {
+        self.kind
+    }
 }
 
 #[cfg(test)]

@@ -150,6 +150,13 @@ pub trait SummaryFactory {
     /// A fresh, empty summary.
     fn build(&self) -> Self::Summary;
 
+    /// The backend of the summaries built. The default asks a fresh
+    /// summary; a factory that knows its kind without building one
+    /// overrides it (`DataCube::merge_cube` checks this on every call).
+    fn kind(&self) -> SketchKind {
+        self.build().kind()
+    }
+
     /// Build one summary per cell of `cell_size` consecutive elements.
     fn build_cells(&self, data: &[f64], cell_size: usize) -> Vec<Self::Summary> {
         data.chunks(cell_size)

@@ -23,6 +23,13 @@
 //!    — coarse in the middle, fine at the edges — so a week-long query
 //!    over minute buckets reads O(fanout · levels) segments instead of
 //!    re-folding ten thousand panes.
+//! 5. **Range execution** ([`Timeline::range_read`], then
+//!    [`RangeRead::merge`]): planning borrows the timeline for
+//!    microseconds; loading and merging the cover — nearly all of a
+//!    range query — borrows nothing from it, so a server plans under its
+//!    timeline lock and merges outside it. Closed segments are
+//!    immutable, so the store keeps a bounded cache of the cubes it has
+//!    decoded and overlapping covers share them.
 //!
 //! All merge paths follow the workspace determinism convention (cells
 //! merge in decoded-value order, covers merge in time order), so two
@@ -36,8 +43,8 @@ mod timeline;
 
 pub use planner::{plan_cover, RangePlanner};
 pub use segment::{decode_segment, encode_segment, SegmentHeader, TimelineWire};
-pub use store::{SegmentMeta, SegmentStore, StoreRecovery};
-pub use timeline::{MaintenanceReport, RangeAnswer, Timeline, TimelineStats};
+pub use store::{SegmentCacheStats, SegmentMeta, SegmentStore, StoreRecovery};
+pub use timeline::{MaintenanceReport, RangeAnswer, RangeRead, Timeline, TimelineStats};
 
 pub use msketch_engine::FsyncPolicy;
 
@@ -56,6 +63,13 @@ pub enum TimelineError {
         /// What failed to parse or validate.
         detail: String,
     },
+    /// A segment the index named is no longer on disk: retention
+    /// deleted it after a range read planned its cover and before the
+    /// read loaded it. Planning again sees the index without it.
+    SegmentGone {
+        /// The missing file (relative to the timeline directory).
+        path: String,
+    },
     /// A cube-level operation (merge, rollup, insert) failed.
     Cube(msketch_cube::Error),
     /// The query range is empty or inverted (`t1 <= t0`).
@@ -73,6 +87,9 @@ impl std::fmt::Display for TimelineError {
             TimelineError::Io(detail) => write!(f, "timeline I/O failed: {detail}"),
             TimelineError::Corrupt { path, detail } => {
                 write!(f, "segment {path} is corrupt: {detail}")
+            }
+            TimelineError::SegmentGone { path } => {
+                write!(f, "segment {path} was deleted while a read was in flight")
             }
             TimelineError::Cube(e) => write!(f, "cube operation failed: {e}"),
             TimelineError::BadRange { t0, t1 } => {

@@ -126,6 +126,7 @@ mod tests {
                         cells: 1,
                         bytes: 1,
                         file: format!("seg-L{level}-{start_ms}-{end_ms}.seg"),
+                        generation: 0,
                     },
                 )
             })

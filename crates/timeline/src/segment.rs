@@ -201,6 +201,42 @@ mod tests {
         assert!(err.to_string().contains("inverted"), "{err}");
     }
 
+    /// A one-cell segment (nothing for hash-map order to permute) as
+    /// the commit before the slicing-by-8 CRC and the byte-aligned
+    /// 64-bit codec wrote it.
+    const PARENT_SEGMENT_HEX: &str = "\
+        4d53473180ee360000000000e20000000e30dba00a0180ee36000000000000dd6d\
+        0000000000cc00000051430100010000000000000840ed5e000000000000040000\
+        000000000001000000030000006170700100000008000000636865636b6f757401\
+        0000000000000088000000510101008000000025000000ffffffffffffffff0000\
+        00000088c34095d626e80b2e113e7800000000000000ffffffff01530000004003\
+        00c002000000000000401c00000000000040100000000000004019000000000000\
+        404c2800000000004074efc0000000004008000000000000c0863b999b78e3e841\
+        1f19317002aeefc1b5ad7a9c391de9";
+
+    #[test]
+    fn bytes_on_disk_are_unchanged_from_the_parent_commit() {
+        let golden: Vec<u8> = (0..PARENT_SEGMENT_HEX.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PARENT_SEGMENT_HEX[i..i + 2], 16).unwrap())
+            .collect();
+        let mut cube = DynCube::from_spec(SketchSpec::moments(3), &["app"]);
+        for x in [1.5, -2.25, 1e-310, 7.0] {
+            cube.insert(&["checkout"], x).unwrap();
+        }
+        let header = SegmentHeader {
+            level: 1,
+            start_ms: 3_600_000,
+            end_ms: 7_200_000,
+        };
+        // Written here, read there...
+        assert_eq!(encode_segment(header, &cube), golden);
+        // ...and written there, read here.
+        let (decoded_header, decoded) = decode_segment("parent.seg", &golden).unwrap();
+        assert_eq!(decoded_header, header);
+        assert_eq!(encode_segment(decoded_header, &decoded), golden);
+    }
+
     #[test]
     fn wire_tag_is_pinned() {
         // The registry in lint/wire_tags.golden pins this code; the

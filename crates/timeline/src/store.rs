@@ -13,9 +13,16 @@ use crate::{Result, TimelineError};
 use msketch_cube::DynCube;
 use msketch_engine::FsyncPolicy;
 use msketch_sketches::SketchSpec;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Budget of the decoded-segment cache, in cube cells: what a range
+/// read trades resident memory for. A decoded `moments:10` cell
+/// measures ~512 B resident (sketch, key, map slot and their
+/// allocations), so a full cache is about 32 MB.
+const SEGMENT_CACHE_CELLS: usize = 64 * 1024;
 
 /// Index entry for one persisted segment.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,6 +41,160 @@ pub struct SegmentMeta {
     pub bytes: u64,
     /// File name inside the store directory.
     pub file: String,
+    /// Which write of this `(level, start_ms)` the entry describes,
+    /// counted per open store. A rewrite (late data) gets a new one, so
+    /// a cube decoded from the replaced file is never looked up again.
+    pub generation: u64,
+}
+
+/// Occupancy and traffic of the decoded-segment cache.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SegmentCacheStats {
+    /// Cells of the cubes resident now.
+    pub cells: usize,
+    /// The budget, in cells.
+    pub capacity_cells: usize,
+    /// Range-read loads answered from the cache.
+    pub hits: u64,
+    /// Range-read loads that read and decoded the file.
+    pub misses: u64,
+}
+
+/// `(level, start_ms, generation)`: one written image of one segment.
+type CacheKey = (u8, u64, u64);
+
+impl SegmentMeta {
+    fn cache_key(&self) -> CacheKey {
+        (self.level, self.start_ms, self.generation)
+    }
+}
+
+struct CacheEntry {
+    cube: Arc<DynCube>,
+    /// Budget charged: the cube's cells, at least one.
+    cost: usize,
+    /// Position in `SegmentCache::order`.
+    used: u64,
+}
+
+/// Decoded closed segments, least recently used out first, bounded by
+/// the cells they hold.
+struct SegmentCache {
+    entries: HashMap<CacheKey, CacheEntry>,
+    /// Recency order: use tick → key, oldest first.
+    order: BTreeMap<u64, CacheKey>,
+    tick: u64,
+    stats: SegmentCacheStats,
+}
+
+impl SegmentCache {
+    fn new(capacity_cells: usize) -> SegmentCache {
+        SegmentCache {
+            entries: HashMap::new(),
+            order: BTreeMap::new(),
+            tick: 0,
+            stats: SegmentCacheStats {
+                capacity_cells,
+                ..SegmentCacheStats::default()
+            },
+        }
+    }
+
+    fn get(&mut self, key: CacheKey) -> Option<Arc<DynCube>> {
+        let Some(entry) = self.entries.get_mut(&key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        self.tick += 1;
+        self.order.remove(&entry.used);
+        entry.used = self.tick;
+        self.order.insert(entry.used, key);
+        Some(Arc::clone(&entry.cube))
+    }
+
+    /// Admit `cube`, evicting from the cold end to stay in budget. A
+    /// cube larger than the whole budget is not admitted.
+    fn insert(&mut self, key: CacheKey, cube: Arc<DynCube>) {
+        let cost = cube.cell_count().max(1);
+        if cost > self.stats.capacity_cells {
+            return;
+        }
+        self.remove(key);
+        while self.stats.cells + cost > self.stats.capacity_cells {
+            let Some((_, coldest)) = self.order.pop_first() else {
+                break;
+            };
+            if let Some(evicted) = self.entries.remove(&coldest) {
+                self.stats.cells -= evicted.cost;
+            }
+        }
+        self.tick += 1;
+        let used = self.tick;
+        self.order.insert(used, key);
+        self.stats.cells += cost;
+        self.entries.insert(key, CacheEntry { cube, cost, used });
+    }
+
+    fn remove(&mut self, key: CacheKey) {
+        if let Some(entry) = self.entries.remove(&key) {
+            self.order.remove(&entry.used);
+            self.stats.cells -= entry.cost;
+        }
+    }
+}
+
+/// The store's read half — the directory and the decoded-segment cache
+/// — behind an `Arc`, so a planned range read keeps loading its cover
+/// after it has let go of the store (and of the lock around it).
+pub(crate) struct SegmentReader {
+    dir: PathBuf,
+    cache: Mutex<SegmentCache>,
+}
+
+impl SegmentReader {
+    fn cache(&self) -> MutexGuard<'_, SegmentCache> {
+        // Every cache update leaves it consistent, so a poisoned lock
+        // (a panic elsewhere on the holder's thread) is still usable.
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The cold load: read the file, check the frame CRC, decode and
+    /// validate the cube, and check the header against the index entry.
+    fn load(&self, meta: &SegmentMeta) -> Result<DynCube> {
+        let path = self.dir.join(&meta.file);
+        let bytes = std::fs::read(&path).map_err(|e| match e.kind() {
+            std::io::ErrorKind::NotFound => TimelineError::SegmentGone {
+                path: meta.file.clone(),
+            },
+            _ => io_err("read segment", &path, &e),
+        })?;
+        let (header, cube) = decode_segment(&meta.file, &bytes)?;
+        if header.level != meta.level || header.start_ms != meta.start_ms {
+            return Err(TimelineError::Corrupt {
+                path: meta.file.clone(),
+                detail: format!(
+                    "header (L{} @{}) disagrees with index (L{} @{})",
+                    header.level, header.start_ms, meta.level, meta.start_ms
+                ),
+            });
+        }
+        Ok(cube)
+    }
+
+    /// The range path's load: the decoded cube from the cache, or a
+    /// cold [`Self::load`] that then fills it. Returns whether it hit.
+    /// The cache lock is never held across the file read and decode.
+    pub(crate) fn load_shared(&self, meta: &SegmentMeta) -> Result<(Arc<DynCube>, bool)> {
+        let key = meta.cache_key();
+        if let Some(cube) = self.cache().get(key) {
+            return Ok((cube, true));
+        }
+        failpoint::sleep_if("timeline::segment_load");
+        let cube = Arc::new(self.load(meta)?);
+        self.cache().insert(key, Arc::clone(&cube));
+        Ok((cube, false))
+    }
 }
 
 /// What [`SegmentStore::open`] found (and cleaned up) on disk.
@@ -50,10 +211,12 @@ pub struct StoreRecovery {
 
 /// A directory of immutable segment files plus an in-memory index.
 pub struct SegmentStore {
-    dir: PathBuf,
+    reader: Arc<SegmentReader>,
     fsync: FsyncPolicy,
     /// Keyed by `(level, start_ms)`; at most one segment per key.
     index: BTreeMap<(u8, u64), SegmentMeta>,
+    /// Writes so far: the next [`SegmentMeta::generation`].
+    writes: u64,
 }
 
 impl SegmentStore {
@@ -72,9 +235,13 @@ impl SegmentStore {
     ) -> Result<(SegmentStore, StoreRecovery)> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create timeline dir", dir, &e))?;
         let mut store = SegmentStore {
-            dir: dir.to_path_buf(),
+            reader: Arc::new(SegmentReader {
+                dir: dir.to_path_buf(),
+                cache: Mutex::new(SegmentCache::new(SEGMENT_CACHE_CELLS)),
+            }),
             fsync,
             index: BTreeMap::new(),
+            writes: 0,
         };
         let mut report = StoreRecovery::default();
         let entries = std::fs::read_dir(dir).map_err(|e| io_err("read timeline dir", dir, &e))?;
@@ -118,6 +285,7 @@ impl SegmentStore {
                 cells: cube.cell_count(),
                 bytes: bytes.len() as u64,
                 file: name,
+                generation: 0,
             };
             // Duplicate (level, start): keep the first indexed, skip
             // the rest (cannot happen through this store's writer, but
@@ -134,7 +302,24 @@ impl SegmentStore {
 
     /// The store's directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.reader.dir
+    }
+
+    /// The read half, for a range read to keep after planning.
+    pub(crate) fn reader(&self) -> Arc<SegmentReader> {
+        Arc::clone(&self.reader)
+    }
+
+    /// Occupancy and hit/miss counts of the decoded-segment cache.
+    pub fn cache_stats(&self) -> SegmentCacheStats {
+        self.reader.cache().stats
+    }
+
+    /// Start over with an empty cache of another budget. Tests only
+    /// (a budget smaller than one cover); the product runs the constant.
+    #[cfg(test)]
+    pub(crate) fn reset_cache(&self, capacity_cells: usize) {
+        *self.reader.cache() = SegmentCache::new(capacity_cells);
     }
 
     /// The index, keyed by `(level, start_ms)`.
@@ -198,8 +383,9 @@ impl SegmentStore {
             "seg-L{}-{}-{}.seg",
             header.level, header.start_ms, header.end_ms
         );
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        let path = self.dir.join(&name);
+        let dir = &self.reader.dir;
+        let tmp = dir.join(format!("{name}.tmp"));
+        let path = dir.join(&name);
         write_file(&tmp, &bytes, self.fsync)?;
         if failpoint::fail_if("timeline::segment_write") {
             return Err(TimelineError::Io(format!(
@@ -208,11 +394,12 @@ impl SegmentStore {
         }
         std::fs::rename(&tmp, &path).map_err(|e| io_err("publish segment", &path, &e))?;
         if !matches!(self.fsync, FsyncPolicy::Never) {
-            sync_dir(&self.dir);
+            sync_dir(dir);
         }
         // Replacing a bucket at a different end (cannot happen: the
         // name encodes the range) is impossible, but replacing the
         // same range rewrites the same file name in place.
+        self.writes += 1;
         let meta = SegmentMeta {
             level: header.level,
             start_ms: header.start_ms,
@@ -221,9 +408,12 @@ impl SegmentStore {
             cells: cube.cell_count(),
             bytes: bytes.len() as u64,
             file: name,
+            generation: self.writes,
         };
         let key = (meta.level, meta.start_ms);
-        self.index.insert(key, meta);
+        if let Some(replaced) = self.index.insert(key, meta) {
+            self.reader.cache().remove(replaced.cache_key());
+        }
         // The entry was just inserted under `key`; spelled as a checked
         // lookup to keep the store panic-free.
         self.index
@@ -231,21 +421,12 @@ impl SegmentStore {
             .ok_or_else(|| TimelineError::Io("segment index lost a fresh entry".to_string()))
     }
 
-    /// Load the cube stored for `meta`, revalidating the frame.
+    /// Load the cube stored for `meta`, revalidating the frame. Always
+    /// the cold, fully validating load — late-data reopen and rollups
+    /// want an owned cube once per bucket; only range reads go through
+    /// the decoded-segment cache.
     pub fn load(&self, meta: &SegmentMeta) -> Result<DynCube> {
-        let path = self.dir.join(&meta.file);
-        let bytes = std::fs::read(&path).map_err(|e| io_err("read segment", &path, &e))?;
-        let (header, cube) = decode_segment(&meta.file, &bytes)?;
-        if header.level != meta.level || header.start_ms != meta.start_ms {
-            return Err(TimelineError::Corrupt {
-                path: meta.file.clone(),
-                detail: format!(
-                    "header (L{} @{}) disagrees with index (L{} @{})",
-                    header.level, header.start_ms, meta.level, meta.start_ms
-                ),
-            });
-        }
-        Ok(cube)
+        self.reader.load(meta)
     }
 
     /// Delete the segment at `(level, start_ms)`, if present. Returns
@@ -253,7 +434,8 @@ impl SegmentStore {
     pub fn remove(&mut self, level: u8, start_ms: u64) -> Result<bool> {
         match self.index.remove(&(level, start_ms)) {
             Some(meta) => {
-                let path = self.dir.join(&meta.file);
+                self.reader.cache().remove(meta.cache_key());
+                let path = self.reader.dir.join(&meta.file);
                 std::fs::remove_file(&path).map_err(|e| io_err("delete segment", &path, &e))?;
                 Ok(true)
             }
@@ -414,6 +596,78 @@ mod tests {
             SegmentStore::open(&dir, &spec(), &other_dims, FsyncPolicy::Never).unwrap();
         assert_eq!(report.corrupt_skipped, 1);
         assert_eq!(reopened.index().len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cube of `cells` one-row cells.
+    fn wide(cells: usize) -> Arc<DynCube> {
+        let mut cube = DynCube::from_spec(spec(), &["app"]);
+        for i in 0..cells {
+            cube.insert(&[format!("app-{i}").as_str()], 1.0).unwrap();
+        }
+        Arc::new(cube)
+    }
+
+    #[test]
+    fn cache_holds_its_cell_budget_and_evicts_the_coldest() {
+        let mut cache = SegmentCache::new(10);
+        cache.insert((0, 1, 0), wide(4));
+        cache.insert((0, 2, 0), wide(4));
+        assert!(cache.get((0, 1, 0)).is_some(), "touch 1: now 2 is coldest");
+        cache.insert((0, 3, 0), wide(4));
+        assert!(cache.get((0, 2, 0)).is_none(), "coldest evicted");
+        assert!(cache.get((0, 1, 0)).is_some());
+        assert!(cache.get((0, 3, 0)).is_some());
+        assert_eq!(cache.stats.cells, 8);
+        // Larger than the whole budget: not admitted, nothing evicted.
+        cache.insert((1, 0, 0), wide(11));
+        assert!(cache.get((1, 0, 0)).is_none());
+        assert_eq!(cache.stats.cells, 8);
+        // Re-inserting a key replaces it instead of charging twice.
+        cache.insert((0, 3, 0), wide(2));
+        assert_eq!(cache.stats.cells, 6);
+        cache.remove((0, 1, 0));
+        cache.remove((0, 3, 0));
+        assert_eq!(cache.stats.cells, 0);
+        assert!(cache.order.is_empty() && cache.entries.is_empty());
+        assert_eq!((cache.stats.hits, cache.stats.misses), (3, 2));
+    }
+
+    #[test]
+    fn a_rewrite_is_never_answered_from_the_replaced_image() {
+        let dir = scratch("rewrite");
+        let (mut store, _) =
+            SegmentStore::open(&dir, &spec(), &dims(), FsyncPolicy::Never).unwrap();
+        let header = SegmentHeader {
+            level: 0,
+            start_ms: 0,
+            end_ms: 60_000,
+        };
+        let old = store.write(header, &bucket(5, 0)).unwrap().clone();
+        let reader = store.reader();
+        assert!(!reader.load_shared(&old).unwrap().1, "cold");
+        assert!(reader.load_shared(&old).unwrap().1, "warm");
+
+        // The rewrite drops the cached image...
+        let new = store.write(header, &bucket(9, 0)).unwrap().clone();
+        assert_eq!(store.cache_stats().cells, 0);
+        // ...and a reader that planned before it, decoded the old file
+        // and fills the cache only now does so under the old generation,
+        // which no plan made from the new index asks for.
+        reader
+            .cache()
+            .insert((0, 0, old.generation), Arc::new(bucket(5, 0)));
+        let (cube, hit) = reader.load_shared(&new).unwrap();
+        assert!(!hit);
+        assert_eq!(cube.row_count(), 9);
+
+        // Retention drops the cached cube with the file; a read that
+        // planned before it gets the typed error a re-plan recovers from.
+        assert!(store.remove(0, 0).unwrap());
+        assert!(matches!(
+            reader.load_shared(&new),
+            Err(TimelineError::SegmentGone { .. })
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

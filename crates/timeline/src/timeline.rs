@@ -3,12 +3,13 @@
 
 use crate::planner::RangePlanner;
 use crate::segment::SegmentHeader;
-use crate::store::{SegmentMeta, SegmentStore, StoreRecovery};
+use crate::store::{SegmentMeta, SegmentReader, SegmentStore, StoreRecovery};
 use crate::{Result, TimelineConfig, TimelineError, OTHER_LABEL};
 use msketch_cube::DynCube;
 use msketch_sketches::SketchSpec;
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Ingest/maintenance counters (monotonic since open).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -50,6 +51,52 @@ pub struct RangeAnswer {
     pub t0: u64,
     /// Snapped exclusive range end (ms).
     pub t1: u64,
+}
+
+/// A planned range read: the segment cover and the snapped bounds,
+/// taken from the timeline in one short borrow, plus a handle on the
+/// store's read half. [`RangeRead::merge`] — the segment loads and
+/// merges that are all but microseconds of a range query — borrows
+/// nothing from the [`Timeline`], so whoever guards the timeline with a
+/// lock plans under it and merges after releasing it.
+///
+/// Closed segments are immutable files, so the detached read is still
+/// coherent: each cover segment is loaded as one atomically written
+/// image. A segment that retention deleted in between fails the merge
+/// with [`TimelineError::SegmentGone`]; planning again answers.
+pub struct RangeRead {
+    cover: Vec<SegmentMeta>,
+    reader: Arc<SegmentReader>,
+    /// The empty cube (the timeline's spec and dimensions) to merge into.
+    merged: DynCube,
+    t0: u64,
+    t1: u64,
+}
+
+impl RangeRead {
+    /// Load the cover — decoded-segment cache first, file on a miss —
+    /// and merge it in time order. An empty cover is an empty cube with
+    /// `segments_read == 0`; the bounds are the snapped ones either way.
+    pub fn merge(self) -> Result<RangeAnswer> {
+        let mut span = msketch_obs::span("timeline::merge_cover");
+        let mut merged = self.merged;
+        let mut cache_hits = 0usize;
+        for meta in &self.cover {
+            let (cube, hit) = self.reader.load_shared(meta)?;
+            cache_hits += usize::from(hit);
+            // Cells are shared with the cached cube, never written
+            // through: `merge_cube` copies a cell before merging into it.
+            merged.merge_cube(&cube)?;
+        }
+        span.field("segments", self.cover.len());
+        span.field("cache_hits", cache_hits);
+        Ok(RangeAnswer {
+            cube: merged,
+            segments_read: self.cover.len(),
+            t0: self.t0,
+            t1: self.t1,
+        })
+    }
 }
 
 /// A time-bucketed store of pre-aggregated cubes with hierarchical
@@ -361,31 +408,33 @@ impl Timeline {
         Ok(cover)
     }
 
-    /// Answer an arbitrary `[t0, t1)` range by merging the minimal
-    /// segment cover in time order. Returns `None` when no persisted
-    /// segment overlaps the range (an empty range answer, not an
-    /// error). Only checkpointed data is visible — the same snapshot
-    /// semantics as the engine's serving path.
-    pub fn range_cube(&self, t0: u64, t1: u64) -> Result<Option<RangeAnswer>> {
+    /// Plan a `[t0, t1)` read: the cover, the snapped bounds and a
+    /// handle on the segment files — everything [`RangeRead::merge`]
+    /// needs, so the merge runs without the timeline. Costs what
+    /// [`Self::plan`] costs.
+    pub fn range_read(&self, t0: u64, t1: u64) -> Result<RangeRead> {
         let cover = self.plan(t0, t1)?;
         let Some((lo, hi)) = self.planner.snap(t0, t1) else {
             return Err(TimelineError::BadRange { t0, t1 });
         };
-        if cover.is_empty() {
-            return Ok(None);
-        }
-        let _span = msketch_obs::span("timeline::merge_cover");
-        let mut merged = DynCube::from_spec(self.spec.clone(), &self.dim_name_refs());
-        for meta in &cover {
-            let cube = self.store.load(meta)?;
-            merged.merge_cube(&cube)?;
-        }
-        Ok(Some(RangeAnswer {
-            cube: merged,
-            segments_read: cover.len(),
+        Ok(RangeRead {
+            cover,
+            reader: self.store.reader(),
+            merged: DynCube::from_spec(self.spec.clone(), &self.dim_name_refs()),
             t0: lo,
             t1: hi,
-        }))
+        })
+    }
+
+    /// Answer an arbitrary `[t0, t1)` range by merging the minimal
+    /// segment cover in time order: [`Self::range_read`] then
+    /// [`RangeRead::merge`]. Returns `None` when no persisted segment
+    /// overlaps the range (an empty range answer, not an error). Only
+    /// checkpointed data is visible — the same snapshot semantics as
+    /// the engine's serving path.
+    pub fn range_cube(&self, t0: u64, t1: u64) -> Result<Option<RangeAnswer>> {
+        let answer = self.range_read(t0, t1)?.merge()?;
+        Ok((answer.segments_read > 0).then_some(answer))
     }
 
     fn dim_name_refs(&self) -> Vec<&str> {
@@ -457,8 +506,13 @@ mod tests {
         assert_eq!(answer.t1, 4 * MIN);
         assert_eq!(answer.cube.row_count(), 150);
 
-        // A range with no data is an empty answer, not an error.
+        // A range with no data is an empty answer, not an error — with
+        // the same snapped bounds a busy window reports.
         assert!(tl.range_cube(100 * MIN, 200 * MIN).unwrap().is_none());
+        let quiet = tl.range_read(100 * MIN + 1, 200 * MIN - 1).unwrap();
+        let quiet = quiet.merge().unwrap();
+        assert_eq!((quiet.t0, quiet.t1), (100 * MIN, 200 * MIN));
+        assert_eq!((quiet.segments_read, quiet.cube.row_count()), (0, 0));
         // An inverted range is an error.
         assert!(matches!(
             tl.range_cube(10, 10),
@@ -589,6 +643,31 @@ mod tests {
             .unwrap()
             .quantile(0.9);
         assert_eq!(q_before.to_bits(), q_after.to_bits());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cache_smaller_than_one_cover_still_answers_exactly() {
+        let dir = scratch("small-cache");
+        let mut tl = open(&dir, config());
+        fill(&mut tl, 9, 30);
+        // Checkpoint only: the cover of [0, 9m) is nine two-cell buckets.
+        tl.checkpoint(9 * MIN).unwrap();
+        let global = |tl: &Timeline| {
+            let answer = tl.range_cube(0, 9 * MIN).unwrap().unwrap();
+            assert_eq!(answer.segments_read, 9);
+            answer.cube.rollup(&answer.cube.no_filter()).unwrap()
+        };
+        let reference = global(&tl).to_bytes();
+        // Budgets: one segment at a time, then none at all.
+        for (budget, resident) in [(3, 2), (1, 0)] {
+            tl.store.reset_cache(budget);
+            for _ in 0..2 {
+                assert_eq!(global(&tl).to_bytes(), reference, "budget {budget}");
+                assert_eq!(tl.store().cache_stats().cells, resident, "budget {budget}");
+            }
+            assert_eq!(tl.store().cache_stats().hits, 0, "budget {budget}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

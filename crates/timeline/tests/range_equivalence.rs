@@ -2,7 +2,9 @@
 //! minimal segment cover must be *bit-exact* versus re-folding the raw
 //! per-bucket cubes — for any row stream, any `[t0, t1)`, ranges that
 //! straddle compacted rollup levels, and rollups whose rare cells were
-//! folded into `<other>` by the cell budget.
+//! folded into `<other>` by the cell budget — and the same bits again
+//! from the decoded-segment cache, after every event that must
+//! invalidate it (late-data rewrite, compaction, retention, reopen).
 //!
 //! Exactness is decidable here because the generated metrics are
 //! non-positive integers: every power sum is an exactly-representable
@@ -12,8 +14,8 @@
 
 use msketch_cube::{DynCube, QueryEngine};
 use msketch_engine::FsyncPolicy;
-use msketch_sketches::SketchSpec;
-use msketch_timeline::{Timeline, TimelineConfig};
+use msketch_sketches::{Sketch, SketchSpec};
+use msketch_timeline::{RangeAnswer, Timeline, TimelineConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,11 +37,19 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Far past every bucket end: checkpoints close and compaction rolls
+/// everything.
+const LATER: u64 = SPAN_MS * 1_000;
+/// With [`config`]'s horizon, `enforce_retention(RETAIN_FROM + LATER)`
+/// expires exactly the first level-2 window and everything under it.
+const RETAIN_FROM: u64 = SPAN_MS / 2;
+
 fn config(cell_budget: usize) -> TimelineConfig {
     TimelineConfig::default()
         .bucket_ms(BUCKET_MS)
         .fanouts(&[4, 3])
         .cell_budget(cell_budget)
+        .retention_ms(LATER)
         .fsync(FsyncPolicy::Never)
 }
 
@@ -55,15 +65,107 @@ fn global_quantiles(cube: &DynCube) -> Option<Vec<f64>> {
     )
 }
 
+/// Insert one generated row, mirrored into a raw per-bucket cube map —
+/// the ground truth the planner must reproduce.
+fn insert_mirrored(
+    timeline: &mut Timeline,
+    raw: &mut BTreeMap<u64, DynCube>,
+    &(app, region, k, ts): &(u8, u8, u8, u64),
+) {
+    let metric = -f64::from(k);
+    let (a, r) = (format!("app-{app}"), format!("r-{region}"));
+    assert!(timeline.insert(ts, &[&a, &r], metric).expect("insert"));
+    raw.entry(ts - ts % BUCKET_MS)
+        .or_insert_with(|| DynCube::from_spec(SketchSpec::moments(8), &DIMS))
+        .insert(&[&a, &r], metric)
+        .expect("raw insert");
+}
+
+/// Every range answered twice — cold (or however the previous stage
+/// left the cache) and then warm — each time bit-identical to
+/// re-folding the raw buckets, with the second answer's whole cover
+/// served by the decoded-segment cache. `solve` also compares the
+/// estimated quantiles (the solver is most of this suite's run time).
+fn check_ranges(
+    timeline: &Timeline,
+    raw: &BTreeMap<u64, DynCube>,
+    ranges: &[(u64, u64)],
+    stage: &str,
+    solve: bool,
+) {
+    for &(t0, len) in ranges {
+        let t1 = t0 + len;
+        // Snap outward exactly like the planner: the answer covers
+        // every bucket the raw range touches.
+        let lo = t0 - t0 % BUCKET_MS;
+        let hi = t1 + (BUCKET_MS - t1 % BUCKET_MS) % BUCKET_MS;
+        let mut expected = DynCube::from_spec(SketchSpec::moments(8), &DIMS);
+        let mut buckets_with_rows = 0usize;
+        for (_, cube) in raw.range(lo..hi) {
+            expected.merge_cube(cube).expect("refold merge");
+            buckets_with_rows += 1;
+        }
+
+        // Checks one answer; returns its cover size.
+        let check = |answer: Option<RangeAnswer>, solve: bool| -> usize {
+            let Some(a) = answer else {
+                assert_eq!(expected.row_count(), 0, "{stage}: rows went missing");
+                return 0;
+            };
+            assert_eq!((a.t0, a.t1), (lo, hi), "{stage}");
+            assert_eq!(a.cube.row_count(), expected.row_count(), "{stage}");
+            // Every cover segment holds at least one non-empty
+            // bucket, so the cover is never larger than the raw
+            // bucket list it replaces.
+            assert!(
+                a.segments_read <= buckets_with_rows,
+                "{stage}: cover {} > {buckets_with_rows} raw buckets",
+                a.segments_read
+            );
+            // The merged global sketch, byte for byte: the same moments
+            // in, so the same estimates out.
+            let global =
+                |cube: &DynCube| cube.rollup(&cube.no_filter()).expect("rollup").to_bytes();
+            assert_eq!(global(&a.cube), global(&expected), "{stage}");
+            if solve {
+                let got = global_quantiles(&a.cube).expect("answer quantiles");
+                let want = global_quantiles(&expected).expect("refold quantiles");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{stage}: {g} != {w}");
+                }
+            }
+            a.segments_read
+        };
+        check(timeline.range_cube(t0, t1).expect("range_cube"), solve);
+        let hits_before = timeline.store().cache_stats().hits;
+        let cover = check(timeline.range_cube(t0, t1).expect("warm range_cube"), false);
+        let hits = timeline.store().cache_stats().hits - hits_before;
+        assert_eq!(hits, cover as u64, "{stage}: warm read missed the cache");
+
+        // The plan itself tiles the snapped range: time-ordered,
+        // non-overlapping, inside [lo, hi).
+        let plan = timeline.plan(t0, t1).expect("plan");
+        let mut cursor = lo;
+        for meta in &plan {
+            assert!(meta.start_ms >= cursor, "overlap at {}", meta.start_ms);
+            assert!(meta.end_ms <= hi, "segment leaks past the range");
+            cursor = meta.end_ms;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The tentpole equivalence: cover answers == raw re-fold, bit for
-    /// bit, across random streams, random ranges, and random budgets.
+    /// bit, across random streams, random ranges, and random budgets —
+    /// cold and warm, and again after each event that changes what the
+    /// segment files hold.
     #[test]
     fn cover_answers_match_raw_refold(
         rows in prop::collection::vec(
             (0u8..4, 0u8..3, 0u8..17, 0u64..SPAN_MS), 20..150),
+        late in 1usize..20,
         ranges in prop::collection::vec(
             (0u64..SPAN_MS + 2 * BUCKET_MS, 1u64..SPAN_MS), 8..=8),
         budget in 0usize..5,
@@ -73,67 +175,38 @@ proptest! {
         let (mut timeline, _) =
             Timeline::open(&dir, spec.clone(), &DIMS, config(budget)).expect("open");
 
-        // Mirror every insert into a raw per-bucket cube map — the
-        // ground truth the planner must reproduce.
         let mut raw: BTreeMap<u64, DynCube> = BTreeMap::new();
-        for &(app, region, k, ts) in &rows {
-            let metric = -f64::from(k);
-            let (a, r) = (format!("app-{app}"), format!("r-{region}"));
-            timeline.insert(ts, &[&a, &r], metric).expect("insert");
-            raw.entry(ts - ts % BUCKET_MS)
-                .or_insert_with(|| DynCube::from_spec(spec.clone(), &DIMS))
-                .insert(&[&a, &r], metric)
-                .expect("raw insert");
+        for row in &rows {
+            insert_mirrored(&mut timeline, &mut raw, row);
         }
-        // Close every bucket and roll the hierarchy all the way up, so
-        // covers mix base segments with level-1/level-2 rollups.
-        timeline.maintain(SPAN_MS * 1_000).expect("maintain");
+        // Close every bucket: covers are base segments only.
+        timeline.checkpoint(LATER).expect("checkpoint");
+        check_ranges(&timeline, &raw, &ranges, "checkpointed", false);
 
-        for &(t0, len) in &ranges {
-            let t1 = t0 + len;
-            // Snap outward exactly like the planner: the answer covers
-            // every bucket the raw range touches.
-            let lo = t0 - t0 % BUCKET_MS;
-            let hi = t1 + (BUCKET_MS - t1 % BUCKET_MS) % BUCKET_MS;
-            let mut expected = DynCube::from_spec(spec.clone(), &DIMS);
-            let mut buckets_with_rows = 0usize;
-            for (_, cube) in raw.range(lo..hi) {
-                expected.merge_cube(cube).expect("refold merge");
-                buckets_with_rows += 1;
-            }
-
-            let answer = timeline.range_cube(t0, t1).expect("range_cube");
-            if expected.row_count() == 0 {
-                if let Some(a) = answer {
-                    prop_assert_eq!(a.cube.row_count(), 0, "rows out of thin air");
-                }
-            } else {
-                let a = answer.expect("non-empty range must answer");
-                prop_assert_eq!(a.cube.row_count(), expected.row_count());
-                // Every cover segment holds at least one non-empty
-                // bucket, so the cover is never larger than the raw
-                // bucket list it replaces.
-                prop_assert!(
-                    a.segments_read <= buckets_with_rows,
-                    "cover {} > {} raw buckets", a.segments_read, buckets_with_rows
-                );
-                let got = global_quantiles(&a.cube).expect("answer quantiles");
-                let want = global_quantiles(&expected).expect("refold quantiles");
-                for (g, w) in got.iter().zip(&want) {
-                    prop_assert_eq!(g.to_bits(), w.to_bits(), "{g} != {w}");
-                }
-            }
-
-            // The plan itself tiles the snapped range: time-ordered,
-            // non-overlapping, inside [lo, hi).
-            let plan = timeline.plan(t0, t1).expect("plan");
-            let mut cursor = lo;
-            for meta in &plan {
-                prop_assert!(meta.start_ms >= cursor, "overlap at {}", meta.start_ms);
-                prop_assert!(meta.end_ms <= hi, "segment leaks past the range");
-                cursor = meta.end_ms;
-            }
+        // Late data: rows for buckets already on disk (and, after the
+        // pass above, decoded in the cache). The rewrite must not be
+        // shadowed by the cube decoded from the replaced file.
+        for row in rows.iter().take(late) {
+            insert_mirrored(&mut timeline, &mut raw, row);
         }
+        timeline.checkpoint(LATER).expect("late checkpoint");
+        check_ranges(&timeline, &raw, &ranges, "late rewrite", false);
+
+        // Roll the hierarchy all the way up, so covers mix base
+        // segments with (budget-folded) level-1/level-2 rollups.
+        timeline.compact(LATER).expect("compact");
+        check_ranges(&timeline, &raw, &ranges, "compacted", true);
+
+        // Retention deletes the first half at every level, cached or
+        // not; the model forgets the same buckets.
+        timeline.enforce_retention(RETAIN_FROM + LATER).expect("retention");
+        raw.retain(|&start, _| start >= RETAIN_FROM);
+        check_ranges(&timeline, &raw, &ranges, "retention", false);
+
+        // A reopened store starts cold and answers the same.
+        drop(timeline);
+        let (timeline, _) = Timeline::open(&dir, spec, &DIMS, config(budget)).expect("reopen");
+        check_ranges(&timeline, &raw, &ranges, "reopened", false);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
