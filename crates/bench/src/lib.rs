@@ -1,6 +1,5 @@
 //! Shared harness utilities for the per-figure benchmark binaries
-//! (`src/bin/table01.rs` … `src/bin/fig25.rs`) and the Criterion
-//! micro-benchmarks (`benches/`).
+//! (`src/bin/table01.rs` … `src/bin/fig25.rs`).
 //!
 //! Each binary regenerates one table or figure of the paper: it builds the
 //! workload, drives the summaries through the paper's protocol, and prints
@@ -11,7 +10,6 @@
 //! scaled down to finish interactively while preserving every qualitative
 //! comparison.
 
-use moments_sketch::SolverConfig;
 use msketch_sketches::{QuantileSummary, Sketch, SketchSpec};
 use std::time::{Duration, Instant};
 
@@ -281,11 +279,6 @@ pub fn print_table_row(cells: &[String], widths: &[usize]) {
         line.push_str(&format!("{c:>w$} ", w = w));
     }
     println!("{line}");
-}
-
-/// The default moments-sketch solver configuration used by harnesses.
-pub fn default_solver() -> SolverConfig {
-    SolverConfig::default()
 }
 
 #[cfg(test)]

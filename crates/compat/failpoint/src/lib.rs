@@ -16,7 +16,7 @@
 //! | `panic`       | `panic!` (what supervision tests inject)           |
 //! | `return`      | report [`Action::Return`]: caller bails out early  |
 //! | `sleep(250)`  | block the calling thread for 250 ms                |
-//! | `off`         | disarm (same as [`remove`])                        |
+//! | `off`         | disarm the site                                    |
 //! | `2*panic`     | fire twice, then disarm (any task takes a count)   |
 //!
 //! The environment form `FAILPOINTS=name=spec;name=spec` is read once
@@ -24,14 +24,17 @@
 //! startup), which is what lets the CI crash-recovery smoke kill a
 //! *live* process at a deterministic point.
 //!
-//! Everything is `std`-only and process-global; [`teardown`] clears the
-//! registry between test scenarios.
+//! Everything is `std`-only and process-global, so a test that arms a
+//! site — or that runs code an armed site could reach — first takes
+//! [`scope`]: the guard serialises such tests across the process and
+//! disarms every site when it drops, also when the test panics, so an
+//! armed fault never outlives the test that armed it.
 
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// What an armed failpoint injects at its site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,18 +128,35 @@ pub fn cfg(name: &str, spec: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Disarm the named failpoint (no-op if it was not armed).
-pub fn remove(name: &str) {
-    let mut map = lock();
-    map.remove(name);
-    ARMED.store(!map.is_empty(), Ordering::SeqCst);
+/// Exclusive use of the failpoint registry, from [`scope`] until drop.
+#[must_use = "the scope ends, and every site disarms, when the guard drops"]
+pub struct Scope {
+    _exclusive: MutexGuard<'static, ()>,
 }
 
-/// Disarm every failpoint. Call between test scenarios.
-pub fn teardown() {
-    let mut map = lock();
-    map.clear();
-    ARMED.store(false, Ordering::SeqCst);
+/// Enter a failpoint scope: wait for any other scope in the process to
+/// end, then hold the registry until the returned guard drops. Dropping
+/// it — normally or while unwinding from a failed assertion — disarms
+/// every site, so the next scope always starts from an empty registry.
+///
+/// Take it as the first line of every test that arms a site with
+/// [`cfg`], and of every test in the same binary whose code could reach
+/// a site a neighbour arms (anything that builds an engine, a WAL or a
+/// timeline).
+pub fn scope() -> Scope {
+    static EXCLUSIVE: Mutex<()> = Mutex::new(());
+    // A poisoned lock only says an earlier scope's test failed; its
+    // guard still disarmed everything on the way out.
+    Scope {
+        _exclusive: EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner),
+    }
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        lock().clear();
+        ARMED.store(false, Ordering::SeqCst);
+    }
 }
 
 /// Names currently armed, sorted (diagnostics and test assertions).
@@ -221,8 +241,8 @@ mod tests {
     use super::*;
 
     // The registry is process-global and `cargo test` shares one
-    // process across unit tests, so every test here uses names under a
-    // `self_test::` prefix no production site uses, and cleans up.
+    // process across unit tests, so every test here that arms a site
+    // runs inside a scope.
 
     #[test]
     fn unarmed_sites_cost_nothing_and_return_none() {
@@ -232,15 +252,33 @@ mod tests {
 
     #[test]
     fn arm_fire_disarm_cycle() {
+        let _scope = scope();
         cfg("self_test::cycle", "return").unwrap();
         assert!(fail_if("self_test::cycle"));
         assert!(list().contains(&"self_test::cycle".to_string()));
-        remove("self_test::cycle");
+        cfg("self_test::cycle", "off").unwrap();
         assert!(!fail_if("self_test::cycle"));
     }
 
     #[test]
+    fn a_scope_disarms_on_drop_even_when_its_test_panics() {
+        let failed = std::thread::spawn(|| {
+            let _scope = scope();
+            cfg("self_test::leaky", "return").unwrap();
+            panic!("a red test, mid-scope");
+        })
+        .join();
+        assert!(failed.is_err());
+        // The next scope waits for the unwinding one and finds nothing
+        // armed.
+        let _scope = scope();
+        assert!(list().is_empty(), "{:?}", list());
+        assert!(!fail_if("self_test::leaky"));
+    }
+
+    #[test]
     fn count_limited_entries_exhaust() {
+        let _scope = scope();
         cfg("self_test::twice", "2*return").unwrap();
         assert!(fail_if("self_test::twice"));
         assert!(fail_if("self_test::twice"));
@@ -249,15 +287,16 @@ mod tests {
 
     #[test]
     fn sleep_blocks_the_caller() {
+        let _scope = scope();
         cfg("self_test::nap", "sleep(30)").unwrap();
         let start = std::time::Instant::now();
         assert_eq!(eval("self_test::nap"), Some(Action::Sleep(30)));
         assert!(start.elapsed() >= std::time::Duration::from_millis(25));
-        remove("self_test::nap");
     }
 
     #[test]
     fn specs_parse_and_reject() {
+        let _scope = scope();
         cfg("self_test::p", "panic").unwrap();
         assert_eq!(eval("self_test::p"), Some(Action::Panic));
         cfg("self_test::p", "off").unwrap();

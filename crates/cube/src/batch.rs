@@ -103,23 +103,6 @@ impl ColumnarBatch {
         self.metrics.push(metric);
     }
 
-    /// Append one row known to repeat the previous row's dimension tuple
-    /// (the caller compared them). Returns `false` without appending when
-    /// there is no previous row to repeat — e.g. right after the batch
-    /// was shipped — in which case the caller must use
-    /// [`Self::push_row`].
-    pub fn push_repeat(&mut self, metric: f64) -> bool {
-        if self.metrics.is_empty() {
-            return false;
-        }
-        for col in &mut self.columns {
-            let last = *col.ids.last().expect("non-empty batch has ids");
-            col.ids.push(last);
-        }
-        self.metrics.push(metric);
-        true
-    }
-
     /// Build a batch from parallel column slices (`columns[d][row]`) and
     /// metrics. Returns `None` when the column lengths disagree with the
     /// metric count.

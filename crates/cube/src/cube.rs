@@ -99,41 +99,6 @@ impl<F: SummaryFactory> DataCube<F> {
         Ok(())
     }
 
-    /// Ingest a row with pre-encoded dimension ids (fast path for
-    /// synthetic workload generation). Ids must have been produced by
-    /// [`Self::encode_dims`].
-    pub fn insert_encoded(&mut self, key: &[u32], metric: f64) -> Result<()> {
-        if key.len() != self.dims.len() {
-            return Err(Error::DimensionMismatch {
-                expected: self.dims.len(),
-                got: key.len(),
-            });
-        }
-        Arc::make_mut(
-            self.cells
-                .entry(key.to_vec())
-                .or_insert_with(|| Arc::new(self.factory.build())),
-        )
-        .accumulate(metric);
-        self.rows += 1;
-        Ok(())
-    }
-
-    /// Encode (and intern) dimension values without inserting a row.
-    pub fn encode_dims(&mut self, dim_values: &[&str]) -> Result<Vec<u32>> {
-        if dim_values.len() != self.dims.len() {
-            return Err(Error::DimensionMismatch {
-                expected: self.dims.len(),
-                got: dim_values.len(),
-            });
-        }
-        Ok(dim_values
-            .iter()
-            .zip(self.dims.iter_mut())
-            .map(|(v, dict)| dict.encode(v))
-            .collect())
-    }
-
     /// Ingest a columnar batch of rows — the batched counterpart of
     /// [`Self::insert`].
     ///
@@ -305,22 +270,6 @@ impl<F: SummaryFactory> DataCube<F> {
             )
             .accumulate_all(&metrics);
         }
-    }
-
-    /// Ingest rows given as parallel column slices (`columns[d][row]`)
-    /// plus metrics — convenience over [`Self::insert_batch`].
-    pub fn insert_columns(&mut self, columns: &[&[&str]], metrics: &[f64]) -> Result<()> {
-        if columns.len() != self.dims.len() {
-            return Err(Error::DimensionMismatch {
-                expected: self.dims.len(),
-                got: columns.len(),
-            });
-        }
-        let batch = ColumnarBatch::from_columns(columns, metrics).ok_or(Error::RaggedColumns {
-            metrics: metrics.len(),
-            shortest: columns.iter().map(|c| c.len()).min().unwrap_or(0),
-        })?;
-        self.insert_batch(&batch)
     }
 
     /// Union another cube into this one — the shard-fold of the
@@ -788,21 +737,17 @@ mod tests {
         let factory: FnFactory<MSketchSummary, fn() -> MSketchSummary> =
             FnFactory(|| MSketchSummary::new(8));
         let mut cube = DataCube::new(factory, &["host"]);
-        cube.insert_columns(&[&["a", "b", "a"]], &[1.0, 2.0, 3.0])
-            .unwrap();
+        let columns =
+            |columns: &[&[&str]], metrics: &[f64]| ColumnarBatch::from_columns(columns, metrics);
+        let batch = columns(&[&["a", "b", "a"]], &[1.0, 2.0, 3.0]).unwrap();
+        cube.insert_batch(&batch).unwrap();
         assert_eq!(cube.row_count(), 3);
         assert_eq!(cube.cell_count(), 2);
-        // Ragged input is rejected with the column length, not arity.
-        assert!(matches!(
-            cube.insert_columns(&[&["a"]], &[1.0, 2.0]),
-            Err(Error::RaggedColumns {
-                metrics: 2,
-                shortest: 1
-            })
-        ));
+        // Ragged input never becomes a batch.
+        assert!(columns(&[&["a"]], &[1.0, 2.0]).is_none());
         // Wrong arity is rejected.
         assert!(matches!(
-            cube.insert_columns(&[&["a"], &["b"]], &[1.0]),
+            cube.insert_batch(&columns(&[&["a"], &["b"]], &[1.0]).unwrap()),
             Err(Error::DimensionMismatch { .. })
         ));
     }
@@ -949,10 +894,12 @@ mod tests {
             .map(|(a, h, _)| (a.clone(), h.clone()))
             .collect();
         for (a, h) in &values {
-            fwd.encode_dims(&[a, h]).unwrap();
+            fwd.dims[0].encode(a);
+            fwd.dims[1].encode(h);
         }
         for (a, h) in values.iter().rev() {
-            rev.encode_dims(&[a, h]).unwrap();
+            rev.dims[0].encode(a);
+            rev.dims[1].encode(h);
         }
         for (a, h, m) in &rows {
             fwd.insert(&[a, h], *m).unwrap();

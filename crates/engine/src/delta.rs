@@ -138,20 +138,6 @@ where
         Ok(self.published(epoch))
     }
 
-    /// Drop the live shards' contributions without folding them into
-    /// the base (the plain `rotate_pane` path — the caller keeps the
-    /// pane). Both buffers are rebuilt base-only; dictionaries are kept
-    /// so `base_cells` keys stay valid.
-    pub(crate) fn rotate_discard(&mut self) {
-        let cube = self.base_only_cube();
-        self.buffers = [Arc::new(cube.clone()), Arc::new(cube)];
-        self.publish = 0;
-        self.lag = None;
-        for rows in &mut self.pane_rows {
-            *rows = 0;
-        }
-    }
-
     /// A fresh cube holding only the base layer, sharing the published
     /// buffer's dictionaries (and therefore its id space).
     pub(crate) fn base_only_cube(&self) -> DataCube<F> {

@@ -19,21 +19,27 @@
 //! ```text
 //!              route_hash(dims) % N
 //! writer ──┬─▶ channel 0 ─▶ worker 0: DataCube (shard-local dicts)
-//!  (rows   ├─▶ channel 1 ─▶ worker 1: DataCube        │ snapshot /
-//!  batched │        …                …                │ rotate
-//!  per     └─▶ channel N-1 ─▶ worker N-1: DataCube    ▼
-//!  shard)                          merge_cube ─▶ EngineSnapshot (epoch e)
-//!                                                  │ rotate_pane
-//!                                                  ▼
-//!                                       TurnstileWindow (sliding serving)
+//!  (rows   ├─▶ channel 1 ─▶ worker 1: DataCube        │ delta (cells
+//!  batched │        …                …                │ touched) /
+//!  per     └─▶ channel N-1 ─▶ worker N-1: DataCube    ▼ checkpoint (pane)
+//!  shard)                       apply_delta ─▶ EngineSnapshot (epoch e)
+//!                                     │ checkpoint: pane ─▶ Wal (CRC frames)
 //! ```
 //!
-//! * [`ShardedCube`] — the engine: spawn workers, ingest, snapshot;
+//! * [`ShardedCube`] — the engine: spawn workers, ingest, snapshot,
+//!   checkpoint;
 //! * [`ShardWriter`] — additional ingest handles for concurrent writers;
 //! * [`EngineSnapshot`] — an epoch-stamped immutable merged cube;
 //!   readers query it (it derefs to `DataCube`) while writers continue;
-//! * [`SlidingEngine`] — pane rotation into
-//!   [`msketch_cube::TurnstileWindow`] for sliding-window serving.
+//! * [`Wal`] — the durable pane log a checkpoint appends to and
+//!   [`DynShardedCube::recover`] replays;
+//! * [`EngineStats`] — a read of the engine's health numbers, which
+//!   live in `msketch_obs` handles the engine owns (and `set_obs`
+//!   publishes), so reading them takes no lock.
+//!
+//! Windows over time are not this crate's job: the serving layer
+//! answers `t0`/`t1` ranges from `msketch_timeline`, and the paper's
+//! §7.2.2 turnstile lives in [`msketch_cube::window`].
 
 #![warn(missing_docs)]
 
@@ -42,13 +48,11 @@ mod sharded;
 mod snapshot;
 mod supervisor;
 mod wal;
-mod window;
 
 pub use sharded::{DynShardedCube, EngineConfig, ShardWriter, ShardedCube, StagedCheckpoint};
 pub use snapshot::EngineSnapshot;
 pub use supervisor::EngineStats;
-pub use wal::{FsyncPolicy, RecoveryReport, Wal, WalConfig, WalCounters, WalError};
-pub use window::SlidingEngine;
+pub use wal::{FsyncPolicy, RecoveryReport, Wal, WalConfig, WalError};
 
 /// Errors from the concurrent engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,16 +62,6 @@ pub enum EngineError {
     /// A shard worker terminated; the engine can no longer make
     /// progress.
     Disconnected,
-    /// Pane rotation found no rows to retire into the window.
-    ///
-    /// No longer produced by [`SlidingEngine::rotate`] — empty panes
-    /// now retire as zero-row sketches so quiet periods age data out
-    /// instead of failing the rotation. Kept for callers matching on
-    /// the variant.
-    EmptyPane,
-    /// Sliding-window serving requires moments-backed cells (turnstile
-    /// updates need raw power sums); the cube's backend is different.
-    NonMomentsBackend,
     /// The engine has been shut down: workers are joined and no further
     /// ingest, snapshot, or shutdown call can succeed.
     ShutDown,
@@ -80,10 +74,6 @@ impl std::fmt::Display for EngineError {
         match self {
             EngineError::Cube(e) => write!(f, "cube operation failed: {e}"),
             EngineError::Disconnected => f.write_str("a shard worker has terminated"),
-            EngineError::EmptyPane => f.write_str("pane holds no rows"),
-            EngineError::NonMomentsBackend => {
-                f.write_str("sliding-window serving requires moments-backed cells")
-            }
             EngineError::ShutDown => f.write_str("the engine has been shut down"),
             EngineError::Wal(e) => write!(f, "durable log failed: {e}"),
         }

@@ -3,7 +3,7 @@
 use crate::delta::MergedState;
 use crate::snapshot::EngineSnapshot;
 use crate::supervisor::{worker_loop, EngineStats, SharedStats};
-use crate::wal::{RecoveryReport, Wal, WalConfig, WalCounters};
+use crate::wal::{RecoveryReport, Wal, WalConfig};
 use crate::{EngineError, Result};
 use crossbeam::channel::{self, Receiver, Sender};
 use msketch_cube::hash::{route_hash, FxHashMap};
@@ -34,9 +34,9 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             shards: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            // Measured on the ingest bench: 16k-row batches amortize
-            // channel and pool-intern costs well past the crossover
-            // where sharded ingest beats row-at-a-time insertion.
+            // 16k-row batches amortize channel and pool-intern costs
+            // well past the crossover where sharded ingest beats
+            // row-at-a-time insertion.
             batch_rows: 16384,
             channel_batches: 8,
         }
@@ -118,7 +118,7 @@ pub struct ShardWriter<F: SummaryFactory> {
     pending: Vec<PendingBatch>,
     /// Per-shard, per-dimension value→pool-id memos. Never reset: pool
     /// id spaces only grow, so cached ids stay valid across flushes,
-    /// worker rollbacks, and pane rotations.
+    /// worker rollbacks, and checkpoints.
     memos: Vec<Vec<FxHashMap<String, u32>>>,
     /// Engine-assigned writer id; workers index their decode tables by
     /// it.
@@ -262,9 +262,7 @@ impl<F: SummaryFactory> Drop for ShardWriter<F> {
 /// persistently and refreshes *incrementally*: each [`Self::snapshot`]
 /// asks every shard only for the cells it touched since its last reply
 /// and applies those deltas to a double-buffered merged cube, so
-/// refresh cost tracks the change rate, not the cube size. The full
-/// refold is still available as [`Self::snapshot_refold`] (and is what
-/// recovery replays), and the two are bit-exact.
+/// refresh cost tracks the change rate, not the cube size.
 ///
 /// Worker threads exit when the engine and every extra writer have been
 /// dropped (the channels disconnect).
@@ -278,7 +276,6 @@ where
     config: EngineConfig,
     writer: ShardWriter<F>,
     workers: Vec<JoinHandle<()>>,
-    epoch: u64,
     /// The persistently maintained merged cube (double-buffered), plus
     /// the base layer of panes retired through [`Self::checkpoint`]
     /// (seeded from WAL replay after [`Self::recover`]).
@@ -287,20 +284,12 @@ where
     /// with [`StagedCheckpoint`]s so the fsync can run after the engine
     /// lock is released by the serving layer.
     wal: Option<Arc<Mutex<Wal>>>,
-    /// Lock-free view of the WAL's append counters, so [`Self::stats`]
-    /// never waits on an in-flight append.
-    wal_counters: Option<Arc<WalCounters>>,
     /// Dense writer-id allocator for [`Self::writer`] handles.
     writer_seq: Arc<AtomicU32>,
-    /// Supervision counters shared with the shard workers.
+    /// Every health number the engine has — epoch, supervision, WAL and
+    /// refresh counters — shared with the shard workers and the WAL,
+    /// which write their own.
     stats: Arc<SharedStats>,
-    /// Cells folded by full-refold refreshes (engine-thread work the
-    /// delta path avoids).
-    snapshot_cells_folded: u64,
-    /// Delta cells applied by incremental refreshes.
-    delta_cells_applied: u64,
-    /// Wall-clock micros of the most recent refresh.
-    last_refresh_micros: u64,
     /// Refresh-latency recorder, attached via [`Self::set_obs`]; every
     /// snapshot / refold / checkpoint observes its wall-clock cost.
     refresh_seconds: Option<msketch_obs::Recorder>,
@@ -348,29 +337,37 @@ where
             config,
             writer,
             workers,
-            epoch: 0,
             merged,
             wal: None,
-            wal_counters: None,
             writer_seq: Arc::new(AtomicU32::new(1)),
             stats,
-            snapshot_cells_folded: 0,
-            delta_cells_applied: 0,
-            last_refresh_micros: 0,
             refresh_seconds: None,
         }
     }
 
-    /// Attach observability: refresh latencies land in the
-    /// `msketch_engine_refresh_seconds` recorder, shard-worker
-    /// restarts / abandonments and WAL append failures emit warn
-    /// events the moment their counters increment, and WAL fsyncs
-    /// record into `msketch_wal_fsync_seconds`. Call after
+    /// Attach observability: the engine's own epoch, supervision and
+    /// WAL handles are published under their `/metrics` names (the
+    /// series *are* the engine's counters, not copies), refresh
+    /// latencies land in the `msketch_engine_refresh_seconds` recorder,
+    /// shard-worker restarts / abandonments and WAL append failures
+    /// emit warn events the moment their counters increment, and WAL
+    /// fsyncs record into `msketch_wal_fsync_seconds`. Call after
     /// construction (or after [`DynShardedCube::recover`], so the WAL
     /// handle picks up its hooks too); child spans need no attachment
     /// at all — they follow the calling thread's active trace.
     pub fn set_obs(&mut self, obs: &msketch_obs::Obs) {
-        self.refresh_seconds = Some(obs.registry.recorder("msketch_engine_refresh_seconds", &[]));
+        let (registry, stats) = (&obs.registry, &self.stats);
+        registry.register_counter("msketch_worker_restarts_total", &[], &stats.worker_restarts);
+        registry.register_counter("msketch_rows_lost_total", &[], &stats.rows_lost);
+        registry.register_counter(
+            "msketch_wal_append_errors_total",
+            &[],
+            &stats.wal_append_errors,
+        );
+        registry.register_gauge("msketch_engine_epoch", &[], &stats.epoch);
+        registry.register_gauge("msketch_wal_segments", &[], &stats.wal_segments);
+        registry.register_gauge("msketch_wal_bytes", &[], &stats.wal_bytes);
+        self.refresh_seconds = Some(registry.recorder("msketch_engine_refresh_seconds", &[]));
         *self
             .stats
             .events
@@ -384,15 +381,23 @@ where
         }
     }
 
-    /// Record one refresh's wall-clock cost (no-op before `set_obs`).
+    /// Record one refresh's wall-clock cost (the recorder is a no-op
+    /// before `set_obs`).
     fn observe_refresh(&self, started: Instant) {
+        let elapsed = started.elapsed();
+        self.stats
+            .last_refresh_micros
+            .set(elapsed.as_micros() as u64);
         if let Some(rec) = &self.refresh_seconds {
-            rec.observe(started.elapsed().as_secs_f64());
+            rec.observe(elapsed.as_secs_f64());
         }
     }
 
-    pub(crate) fn factory(&self) -> &F {
-        &self.factory
+    /// Advance to the next epoch and return it.
+    fn next_epoch(&self) -> u64 {
+        let epoch = self.stats.epoch.get() + 1;
+        self.stats.epoch.set(epoch);
+        epoch
     }
 
     /// Number of shard workers.
@@ -405,23 +410,10 @@ where
         &self.dim_names
     }
 
-    /// Epochs advanced so far (one per snapshot or pane rotation).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The engine's current epoch — the epoch the *next* snapshot will
-    /// carry, minus one. Comparing this against a served
-    /// [`EngineSnapshot::epoch`](crate::EngineSnapshot::epoch) yields the
-    /// snapshot's staleness in epochs (the serving layer's `epoch_lag`).
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Has [`Self::shutdown`] already run (or the engine been torn
     /// down)?
     pub fn is_shut_down(&self) -> bool {
-        self.workers.is_empty()
+        self.stats.shut_down.get() != 0
     }
 
     /// Typed guard: every mutating entry point refuses with
@@ -435,22 +427,21 @@ where
         Ok(())
     }
 
-    /// Supervision and durability counters: worker restarts, rows lost
-    /// to rollbacks, rows applied, WAL append totals, refresh costs.
+    /// The engine's health numbers right now: epoch, worker restarts,
+    /// rows lost to rollbacks, rows applied, WAL append totals, refresh
+    /// costs, shut-down flag.
     pub fn stats(&self) -> EngineStats {
-        let wal = self.wal_counters.as_deref();
-        EngineStats {
-            worker_restarts: self.stats.restarts(),
-            rows_lost: self.stats.rows_lost(),
-            rows_applied: self.stats.rows_applied(),
-            wal_segments: wal.map_or(0, WalCounters::segments_appended),
-            wal_bytes: wal.map_or(0, WalCounters::bytes_appended),
-            wal_append_errors: wal.map_or(0, WalCounters::append_errors),
-            snapshot_cells_folded: self.snapshot_cells_folded,
-            delta_cells_applied: self.delta_cells_applied,
-            last_refresh_micros: self.last_refresh_micros,
-            shut_down: self.is_shut_down(),
-        }
+        self.stats.read()
+    }
+
+    /// [`Self::stats`] for a caller that must not wait for the engine:
+    /// the returned closure reads the same handles without borrowing
+    /// (or locking) the engine, so a serving layer that keeps its
+    /// engine behind a mutex answers `/health`, `/stats` and `/metrics`
+    /// while a refresh holds that mutex.
+    pub fn stats_reader(&self) -> impl Fn() -> EngineStats + Send + Sync + 'static {
+        let stats = Arc::clone(&self.stats);
+        move || stats.read()
     }
 
     /// Is a durable pane log attached (engine built via
@@ -518,22 +509,22 @@ where
         for rx in replies {
             deltas.push(rx.recv().map_err(|_| EngineError::Disconnected)?);
         }
-        self.epoch += 1;
-        let (snap, cells_applied) = self.merged.refresh(&deltas, self.epoch)?;
-        self.delta_cells_applied += cells_applied;
-        self.last_refresh_micros = started.elapsed().as_micros() as u64;
+        let epoch = self.next_epoch();
+        let (snap, cells_applied) = self.merged.refresh(&deltas, epoch)?;
+        self.stats.delta_cells_applied.add(cells_applied);
         self.observe_refresh(started);
-        span.field("epoch", self.epoch);
+        span.field("epoch", epoch);
         span.field("delta_cells", cells_applied);
         Ok(snap)
     }
 
-    /// Take an epoch-stamped snapshot the pre-delta way: clone every
-    /// shard's full live cube and fold the clones over the base.
-    /// O(total cells) on the calling thread regardless of what changed;
-    /// kept as the reference implementation the delta path is verified
-    /// against (and for one-shot consumers that don't want to grow the
-    /// engine's persistent merged cube).
+    /// Not a product path: the reference the equivalence suites
+    /// (`delta_equivalence`, `shard_equivalence`) hold [`Self::snapshot`]
+    /// to, bit for bit. It takes an epoch-stamped snapshot the pre-delta
+    /// way — clone every shard's full live cube and fold the clones over
+    /// the base, O(total cells) on the calling thread regardless of what
+    /// changed — and nothing outside the tests calls it.
+    #[doc(hidden)]
     pub fn snapshot_refold(&mut self) -> Result<EngineSnapshot<F>> {
         self.ensure_running()?;
         let _span = msketch_obs::span("engine::snapshot_refold");
@@ -541,32 +532,16 @@ where
         self.writer.flush()?;
         let replies = self.request_cubes(false)?;
         let mut merged = self.merged.base_only_cube();
-        self.snapshot_cells_folded += merged.cell_count() as u64;
+        let folded = &self.stats.snapshot_cells_folded;
+        folded.add(merged.cell_count() as u64);
         for rx in replies {
             let shard_cube = rx.recv().map_err(|_| EngineError::Disconnected)?;
-            self.snapshot_cells_folded += shard_cube.cell_count() as u64;
+            folded.add(shard_cube.cell_count() as u64);
             merged.merge_cube(&shard_cube)?;
         }
-        self.epoch += 1;
-        self.last_refresh_micros = started.elapsed().as_micros() as u64;
+        let epoch = self.next_epoch();
         self.observe_refresh(started);
-        Ok(EngineSnapshot::new(self.epoch, merged))
-    }
-
-    /// Retire the current pane: every worker hands over its cube and
-    /// starts a fresh one, and the returned snapshot holds exactly the
-    /// rows since the previous rotation (or engine start) — the
-    /// checkpointed base is *not* included. Used for time-pane serving —
-    /// see [`crate::SlidingEngine`].
-    pub fn rotate_pane(&mut self) -> Result<EngineSnapshot<F>> {
-        self.ensure_running()?;
-        self.writer.flush()?;
-        let pane = self.collect_pane()?;
-        self.epoch += 1;
-        // The live shards are empty now; drop their contributions from
-        // the persistent merged cube.
-        self.merged.rotate_discard();
-        Ok(EngineSnapshot::new(self.epoch, pane))
+        Ok(EngineSnapshot::new(epoch, merged))
     }
 
     fn empty_cube(&self) -> DataCube<F> {
@@ -599,7 +574,9 @@ where
         let mut pane = self.empty_cube();
         for rx in replies {
             let shard_cube = rx.recv().map_err(|_| EngineError::Disconnected)?;
-            self.snapshot_cells_folded += shard_cube.cell_count() as u64;
+            self.stats
+                .snapshot_cells_folded
+                .add(shard_cube.cell_count() as u64);
             pane.merge_cube(&shard_cube)?;
         }
         Ok(pane)
@@ -618,7 +595,7 @@ where
     ///
     /// Calling again after a shutdown returns
     /// [`EngineError::ShutDown`] — as do `insert`, `flush`, `snapshot`
-    /// and `rotate_pane` — so a caller holding a stale handle sees a
+    /// and `checkpoint` — so a caller holding a stale handle sees a
     /// typed "engine is gone" instead of a misleading channel error.
     pub fn shutdown(&mut self) -> Result<()> {
         self.ensure_running()?;
@@ -632,6 +609,7 @@ where
         for worker in self.workers.drain(..) {
             panicked |= worker.join().is_err();
         }
+        self.stats.shut_down.set(1);
         if panicked {
             return Err(EngineError::Disconnected);
         }
@@ -674,17 +652,6 @@ pub struct StagedCheckpoint {
 }
 
 impl StagedCheckpoint {
-    /// The epoch this checkpoint advanced the engine to.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The full merged snapshot (base including this pane), already
-    /// valid to serve — durability of the pane is all that's pending.
-    pub fn snapshot(&self) -> &EngineSnapshot<SketchSpec> {
-        &self.snapshot
-    }
-
     /// Append the staged pane to the WAL (fsync per the WAL's policy)
     /// and return the snapshot. No-op without a WAL or for an empty
     /// pane. An append failure degrades durability for this pane only —
@@ -726,7 +693,8 @@ impl DynShardedCube {
         dir: impl AsRef<Path>,
         wal_config: WalConfig,
     ) -> Result<(Self, RecoveryReport)> {
-        let (wal, base, report) = Wal::open(dir.as_ref(), wal_config).map_err(EngineError::Wal)?;
+        let (mut wal, base, report) =
+            Wal::open(dir.as_ref(), wal_config).map_err(EngineError::Wal)?;
         if let Some(recovered) = &base {
             // Eager schema/backend checks: a WAL from a different
             // engine must fail loudly now, not at the first snapshot's
@@ -745,11 +713,16 @@ impl DynShardedCube {
             }
         }
         let mut engine = Self::new(spec, dim_names, config);
-        engine.epoch = report.last_epoch;
+        engine.stats.epoch.set(report.last_epoch);
         if let Some(recovered) = &base {
             engine.merged = MergedState::from_base(recovered, engine.shard_count());
         }
-        engine.wal_counters = Some(wal.counters());
+        let stats = &engine.stats;
+        wal.count_into(
+            &stats.wal_segments,
+            &stats.wal_bytes,
+            &stats.wal_append_errors,
+        );
         engine.wal = Some(Arc::new(Mutex::new(wal)));
         Ok((engine, report))
     }
@@ -766,16 +739,15 @@ impl DynShardedCube {
         let started = Instant::now();
         self.writer.flush()?;
         let pane = self.collect_pane()?;
-        self.epoch += 1;
+        let epoch = self.next_epoch();
         let bytes = (pane.row_count() > 0).then(|| pane.to_bytes());
-        self.delta_cells_applied += pane.cell_count() as u64;
-        let snapshot = self.merged.rotate_into_base(&pane, self.epoch)?;
-        self.last_refresh_micros = started.elapsed().as_micros() as u64;
+        self.stats.delta_cells_applied.add(pane.cell_count() as u64);
+        let snapshot = self.merged.rotate_into_base(&pane, epoch)?;
         self.observe_refresh(started);
-        span.field("epoch", self.epoch);
+        span.field("epoch", epoch);
         span.field("pane_rows", pane.row_count());
         Ok(StagedCheckpoint {
-            epoch: self.epoch,
+            epoch,
             snapshot,
             bytes,
             wal: self.wal.clone(),
@@ -935,6 +907,37 @@ mod tests {
     }
 
     #[test]
+    fn refresh_cost_follows_touched_cells() {
+        // The delta path's contract without a stopwatch: a refresh
+        // applies the cells touched since the last one, however many
+        // are resident, and folds no cube whole.
+        let mut engine = DynShardedCube::new(
+            SketchSpec::moments(4),
+            &["host"],
+            EngineConfig::with_shards(4).batch_rows(1024),
+        );
+        let hosts: Vec<String> = (0..20_000).map(|i| format!("host-{i}")).collect();
+        for (i, host) in hosts.iter().enumerate() {
+            engine.insert(&[host.as_str()], i as f64).unwrap();
+        }
+        assert_eq!(engine.snapshot().unwrap().cell_count(), 20_000);
+        let resident = engine.stats();
+        assert_eq!(resident.delta_cells_applied, 20_000);
+        for host in hosts.iter().step_by(300).take(64) {
+            engine.insert(&[host.as_str()], 1.0).unwrap();
+            engine.insert(&[host.as_str()], 2.0).unwrap();
+        }
+        let snap = engine.snapshot().unwrap();
+        assert_eq!((snap.cell_count(), snap.row_count()), (20_000, 20_128));
+        let touched = engine.stats();
+        assert_eq!(
+            touched.delta_cells_applied - resident.delta_cells_applied,
+            64
+        );
+        assert_eq!(touched.snapshot_cells_folded, 0);
+    }
+
+    #[test]
     fn snapshots_see_flushed_rows_and_writers_continue() {
         let mut engine = ShardedCube::new(
             moments_factory(),
@@ -985,37 +988,12 @@ mod tests {
     }
 
     #[test]
-    fn rotate_pane_splits_the_stream() {
-        let mut engine = ShardedCube::new(
-            moments_factory(),
-            &["country", "version"],
-            EngineConfig::with_shards(2).batch_rows(32),
-        );
-        for i in 0..600 {
-            let (dims, metric) = row(i);
-            engine.insert(&dims, metric).unwrap();
-        }
-        let pane1 = engine.rotate_pane().unwrap();
-        for i in 600..1000 {
-            let (dims, metric) = row(i);
-            engine.insert(&dims, metric).unwrap();
-        }
-        let pane2 = engine.rotate_pane().unwrap();
-        assert_eq!(pane1.row_count(), 600);
-        assert_eq!(pane2.row_count(), 400);
-        assert_eq!(pane2.epoch(), 2);
-        // Panes recombine into the full population.
-        let mut whole = pane1.into_cube();
-        whole.merge_cube(&pane2).unwrap();
-        assert_eq!(whole.row_count(), 1000);
-    }
-
-    #[test]
     fn snapshots_stay_exact_across_rotations() {
-        // Rotation resets the shard cubes and the merged state's live
-        // layer; later delta refreshes must still be exact.
-        let mut engine = ShardedCube::new(
-            moments_factory(),
+        // A checkpoint rotates the shard cubes out and moves their
+        // cells from the merged state's live layer to its base; later
+        // delta refreshes must still be exact.
+        let mut engine = DynShardedCube::new(
+            SketchSpec::moments(8),
             &["country", "version"],
             EngineConfig::with_shards(3).batch_rows(64),
         );
@@ -1024,18 +1002,17 @@ mod tests {
             engine.insert(&dims, metric).unwrap();
         }
         engine.snapshot().unwrap();
-        let pane = engine.rotate_pane().unwrap();
-        assert_eq!(pane.row_count(), 1500);
-        // The merged cube dropped the rotated rows.
-        assert_eq!(engine.snapshot().unwrap().row_count(), 0);
+        assert_eq!(engine.checkpoint().unwrap().row_count(), 1500);
+        // The live shards are empty again; the base kept the rows.
+        assert_eq!(engine.snapshot().unwrap().row_count(), 1500);
         for i in 1500..2100 {
             let (dims, metric) = row(i);
             engine.insert(&dims, metric).unwrap();
         }
         let after = engine.snapshot().unwrap();
         let refold = engine.snapshot_refold().unwrap();
-        assert_eq!(after.row_count(), 600);
-        assert_eq!(refold.row_count(), 600);
+        assert_eq!(after.row_count(), 2100);
+        assert_eq!(refold.row_count(), 2100);
         assert_eq!(after.cell_count(), refold.cell_count());
     }
 
@@ -1111,7 +1088,6 @@ mod tests {
         // with a misleading Disconnected).
         assert!(matches!(engine.shutdown(), Err(EngineError::ShutDown)));
         assert!(matches!(engine.snapshot(), Err(EngineError::ShutDown)));
-        assert!(matches!(engine.rotate_pane(), Err(EngineError::ShutDown)));
         assert!(matches!(engine.flush(), Err(EngineError::ShutDown)));
         let (dims, metric) = row(0);
         assert!(matches!(
@@ -1155,6 +1131,10 @@ mod tests {
         // An empty checkpoint appends nothing and keeps the base.
         let third = engine.checkpoint().unwrap();
         assert_eq!(third.row_count(), 500);
+        // Like every other mutating call, it is typed once the engine
+        // is gone.
+        engine.shutdown().unwrap();
+        assert!(matches!(engine.checkpoint(), Err(EngineError::ShutDown)));
     }
 
     #[test]

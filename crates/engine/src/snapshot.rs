@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 /// An immutable merged cube produced by
 /// [`ShardedCube::snapshot`](crate::ShardedCube::snapshot) (or
-/// [`rotate_pane`](crate::ShardedCube::rotate_pane)), stamped with the
+/// [`checkpoint`](crate::ShardedCube::checkpoint)), stamped with the
 /// epoch at which it was taken.
 ///
 /// Snapshots deref to [`DataCube`], so every read-side API — roll-ups,
@@ -50,16 +50,6 @@ impl<F: SummaryFactory> EngineSnapshot<F> {
     /// The merged cube.
     pub fn cube(&self) -> &DataCube<F> {
         &self.cube
-    }
-
-    /// Unwrap into the merged cube (e.g. to keep ingesting into it
-    /// offline, or to persist a `DynCube` snapshot). Clones only when
-    /// the cube is still shared with the engine's publish buffer.
-    pub fn into_cube(self) -> DataCube<F>
-    where
-        F: Clone,
-    {
-        Arc::try_unwrap(self.cube).unwrap_or_else(|arc| (*arc).clone())
     }
 }
 

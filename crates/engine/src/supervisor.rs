@@ -30,19 +30,32 @@
 use crate::sharded::ShardMsg;
 use msketch_cube::hash::{FxHashMap, FxHashSet};
 use msketch_cube::{DataCube, WriterTable};
-use msketch_obs::{Level, TraceSink};
+use msketch_obs::{Counter, Gauge, Level, TraceSink};
 use msketch_sketches::traits::SummaryFactory;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Lock-free counters shared between shard workers and the engine
-/// handle; folded into [`EngineStats`] on demand.
-#[derive(Debug, Default)]
+/// The engine's health numbers, each an obs handle written where the
+/// value changes — by a shard worker, the WAL or the engine handle —
+/// and shared by all three behind one `Arc`. [`EngineStats`] is a read
+/// of these; [`ShardedCube::set_obs`](crate::ShardedCube::set_obs)
+/// publishes the ones `/metrics` names. Nothing else holds a copy.
+#[derive(Default)]
 pub(crate) struct SharedStats {
-    pub(crate) restarts: AtomicU64,
-    pub(crate) rows_lost: AtomicU64,
-    pub(crate) rows_applied: AtomicU64,
+    pub(crate) worker_restarts: Counter,
+    pub(crate) rows_lost: Counter,
+    pub(crate) rows_applied: Gauge,
+    pub(crate) wal_segments: Gauge,
+    pub(crate) wal_bytes: Gauge,
+    pub(crate) wal_append_errors: Counter,
+    pub(crate) snapshot_cells_folded: Counter,
+    pub(crate) delta_cells_applied: Counter,
+    pub(crate) last_refresh_micros: Gauge,
+    pub(crate) epoch: Gauge,
+    /// 0 while the workers run, 1 once
+    /// [`ShardedCube::shutdown`](crate::ShardedCube::shutdown) has
+    /// joined them.
+    pub(crate) shut_down: Gauge,
     /// Warn-event sink, attached after construction via
     /// [`ShardedCube::set_obs`](crate::ShardedCube::set_obs). Counters
     /// say how many rollbacks happened; events say *when* — each
@@ -51,11 +64,17 @@ pub(crate) struct SharedStats {
     pub(crate) events: Mutex<Option<TraceSink>>,
 }
 
-/// A point-in-time view of the engine's health counters
-/// ([`ShardedCube::stats`](crate::ShardedCube::stats)); the serving
-/// layer surfaces these through `/health` and `/stats`.
+/// A point-in-time read of the engine's health numbers
+/// ([`ShardedCube::stats`](crate::ShardedCube::stats), or — without
+/// holding the engine —
+/// [`ShardedCube::stats_reader`](crate::ShardedCube::stats_reader));
+/// the serving layer renders it as `/health` and `/stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
+    /// Epochs advanced so far (one per snapshot or checkpoint; resumes
+    /// from the last replayed segment after recovery). A served
+    /// snapshot's staleness is this minus its own epoch.
+    pub epoch: u64,
     /// Times a shard worker panicked mid-batch and was rolled back to
     /// its checkpoint. Zero in a healthy engine.
     pub worker_restarts: u64,
@@ -76,9 +95,9 @@ pub struct EngineStats {
     pub wal_bytes: u64,
     /// WAL appends that failed (durability degraded, memory intact).
     pub wal_append_errors: u64,
-    /// Cells folded by full-refold refreshes (`snapshot_refold`,
-    /// `rotate_pane`, recovery) this process lifetime — the cost the
-    /// delta path avoids.
+    /// Cells folded whole on the engine thread (`snapshot_refold`, and
+    /// the pane a `checkpoint` retires) this process lifetime — the
+    /// cost the delta path avoids.
     pub snapshot_cells_folded: u64,
     /// Delta cells applied by incremental refreshes (`snapshot`,
     /// `checkpoint`) this process lifetime; tracks cells *touched*
@@ -92,15 +111,24 @@ pub struct EngineStats {
 }
 
 impl SharedStats {
-    pub(crate) fn restarts(&self) -> u64 {
-        self.restarts.load(Ordering::Relaxed)
+    /// Read every handle once. Lock-free, so it never waits behind a
+    /// refresh, an append or a shard.
+    pub(crate) fn read(&self) -> EngineStats {
+        EngineStats {
+            epoch: self.epoch.get(),
+            worker_restarts: self.worker_restarts.get(),
+            rows_lost: self.rows_lost.get(),
+            rows_applied: self.rows_applied.get(),
+            wal_segments: self.wal_segments.get(),
+            wal_bytes: self.wal_bytes.get(),
+            wal_append_errors: self.wal_append_errors.get(),
+            snapshot_cells_folded: self.snapshot_cells_folded.get(),
+            delta_cells_applied: self.delta_cells_applied.get(),
+            last_refresh_micros: self.last_refresh_micros.get(),
+            shut_down: self.shut_down.get() != 0,
+        }
     }
-    pub(crate) fn rows_lost(&self) -> u64 {
-        self.rows_lost.load(Ordering::Relaxed)
-    }
-    pub(crate) fn rows_applied(&self) -> u64 {
-        self.rows_applied.load(Ordering::Relaxed)
-    }
+
     /// Emit a warn event if a sink is attached (no-op otherwise).
     pub(crate) fn warn(&self, name: &'static str, fields: &[(&'static str, String)]) {
         let guard = self.events.lock().unwrap_or_else(PoisonError::into_inner);
@@ -165,9 +193,7 @@ pub(crate) fn worker_loop<F>(
                     cube.insert_interned(&batch, writer_tables, &mut touched)
                 }));
                 match outcome {
-                    Ok(Ok(())) => {
-                        stats.rows_applied.fetch_add(rows, Ordering::Relaxed);
-                    }
+                    Ok(Ok(())) => stats.rows_applied.add(rows),
                     // Arity was checked at the writer, so a typed error
                     // here is a pipeline bug. Exit the loop instead of
                     // panicking: dropping the receiver surfaces as
@@ -196,15 +222,15 @@ pub(crate) fn worker_loop<F>(
                             cube.rebind_tables(writer_tables);
                         }
                         let lost = rolled_back.saturating_add(rows);
-                        stats.rows_lost.fetch_add(lost, Ordering::Relaxed);
-                        stats.rows_applied.fetch_sub(rolled_back, Ordering::Relaxed);
-                        stats.restarts.fetch_add(1, Ordering::Relaxed);
+                        stats.rows_lost.add(lost);
+                        stats.rows_applied.sub(rolled_back);
+                        stats.worker_restarts.inc();
                         stats.warn(
                             "engine::worker_restart",
                             &[
                                 ("shard", shard.to_string()),
                                 ("rows_lost", lost.to_string()),
-                                ("restarts_total", stats.restarts().to_string()),
+                                ("restarts_total", stats.worker_restarts.get().to_string()),
                             ],
                         );
                     }
@@ -272,7 +298,7 @@ fn abandon<F>(
         // Snapshot/Delta/Rotate replies drop here; their senders see
         // the disconnect, same as when the receiver itself drops.
     }
-    stats.rows_lost.fetch_add(lost, Ordering::Relaxed);
+    stats.rows_lost.add(lost);
     stats.warn(
         "engine::worker_abandoned",
         &[

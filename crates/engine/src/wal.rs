@@ -34,16 +34,16 @@
 //!   handle is *poisoned* and every later append returns
 //!   [`WalError::Poisoned`] instead of pretending to be durable.
 //!
-//! Fsync cadence is the throughput knob ([`FsyncPolicy`]); the
-//! `wal_bench` benchmark records the sweep in `BENCH_wal.json`.
+//! Fsync cadence is the throughput knob ([`FsyncPolicy`]); perfbench
+//! prices the `Always` end of it (`engine.wal_append_us`,
+//! `engine.checkpoint_ms`, and `ingest-durable` end to end).
 
 use msketch_cube::segment::{frame_segment, unframe_segment, SegmentError};
 use msketch_cube::DynCube;
+use msketch_obs::{Counter, Gauge};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// How often appends reach the disk platter, from safest to fastest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,31 +173,6 @@ pub struct RecoveryReport {
     pub tail: Option<WalError>,
 }
 
-/// Lock-free append counters, shared between the WAL handle and any
-/// observer (the engine's `stats()`), so reading them never waits on an
-/// in-flight append or fsync.
-#[derive(Debug, Default)]
-pub struct WalCounters {
-    segments_appended: AtomicU64,
-    bytes_appended: AtomicU64,
-    append_errors: AtomicU64,
-}
-
-impl WalCounters {
-    /// Segments appended through the owning handle.
-    pub fn segments_appended(&self) -> u64 {
-        self.segments_appended.load(Ordering::Relaxed)
-    }
-    /// Bytes appended through the owning handle.
-    pub fn bytes_appended(&self) -> u64 {
-        self.bytes_appended.load(Ordering::Relaxed)
-    }
-    /// Appends that failed through the owning handle.
-    pub fn append_errors(&self) -> u64 {
-        self.append_errors.load(Ordering::Relaxed)
-    }
-}
-
 /// An open, replayed segment log: the append handle the engine holds.
 ///
 /// One file, `segments.wal`, inside the directory handed to
@@ -209,7 +184,13 @@ pub struct Wal {
     file: File,
     fsync: FsyncPolicy,
     appends_since_sync: u64,
-    counters: Arc<WalCounters>,
+    /// Segments, bytes and failed appends through this handle (replayed
+    /// segments excluded). Obs handles, so an engine that attaches this
+    /// log counts into its own ([`Wal::count_into`]) and its stats are
+    /// read without waiting on an in-flight append or fsync.
+    segments_appended: Gauge,
+    bytes_appended: Gauge,
+    append_errors: Counter,
     /// File length as of the last fully-written frame: the rewind
     /// target after a failed append, and the boundary replay would
     /// stop at if we crashed right now.
@@ -223,8 +204,8 @@ pub struct Wal {
 }
 
 /// Fsync latency recorder plus warn-event sink for append failures:
-/// [`WalCounters`] say how many appends failed, events say when and
-/// why, and the recorder gives `/metrics` the fsync latency
+/// the `append_errors` counter says how many appends failed, events say
+/// when and why, and the recorder gives `/metrics` the fsync latency
 /// distribution (moment sketch, like every other recorder).
 struct WalObs {
     fsync_seconds: msketch_obs::Recorder,
@@ -293,7 +274,9 @@ impl Wal {
                 file,
                 fsync: config.fsync,
                 appends_since_sync: 0,
-                counters: Arc::new(WalCounters::default()),
+                segments_appended: Gauge::default(),
+                bytes_appended: Gauge::default(),
+                append_errors: Counter::default(),
                 committed_len: report.valid_bytes,
                 poisoned: None,
                 obs: None,
@@ -317,7 +300,7 @@ impl Wal {
         let mut span = msketch_obs::span("engine::wal_append");
         span.field("epoch", epoch);
         if let Some(detail) = &self.poisoned {
-            self.counters.append_errors.fetch_add(1, Ordering::Relaxed);
+            self.append_errors.inc();
             self.warn_append_error("append refused: log poisoned");
             return Err(WalError::Poisoned {
                 detail: detail.clone(),
@@ -337,7 +320,7 @@ impl Wal {
                 .write_all(half)
                 .and_then(|()| self.file.sync_data())
                 .map_err(|e| io_err("append wal (injected torn write)", e))?;
-            self.counters.append_errors.fetch_add(1, Ordering::Relaxed);
+            self.append_errors.inc();
             self.poisoned = Some("injected torn append".to_string());
             self.warn_append_error("injected torn append");
             return Err(WalError::Io("injected torn append".to_string()));
@@ -355,7 +338,7 @@ impl Wal {
             self.write_frame(&frame)
         };
         if let Err(e) = outcome {
-            self.counters.append_errors.fetch_add(1, Ordering::Relaxed);
+            self.append_errors.inc();
             // The frame may be partially on disk. Replay stops at the
             // first damaged frame, so anything appended after it would
             // be silently truncated by the next recovery. Rewind to
@@ -367,12 +350,8 @@ impl Wal {
             self.warn_append_error(&e.to_string());
             return Err(e);
         }
-        self.counters
-            .segments_appended
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .bytes_appended
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+        self.segments_appended.add(1);
+        self.bytes_appended.add(frame.len() as u64);
         self.committed_len += frame.len() as u64;
         Ok(frame.len() as u64)
     }
@@ -429,25 +408,17 @@ impl Wal {
         &self.path
     }
 
-    /// Segments appended through this handle (excludes replayed ones).
-    pub fn segments_appended(&self) -> u64 {
-        self.counters.segments_appended()
-    }
-
     /// Bytes appended through this handle (excludes replayed ones).
     pub fn bytes_appended(&self) -> u64 {
-        self.counters.bytes_appended()
+        self.bytes_appended.get()
     }
 
-    /// Appends that failed through this handle.
-    pub fn append_errors(&self) -> u64 {
-        self.counters.append_errors()
-    }
-
-    /// A shared handle to this log's append counters: observers read
-    /// them lock-free while appends (and their fsyncs) are in flight.
-    pub fn counters(&self) -> Arc<WalCounters> {
-        Arc::clone(&self.counters)
+    /// Count appends into the attaching engine's handles from here on.
+    /// Called before the first append, so nothing counted is dropped.
+    pub(crate) fn count_into(&mut self, segments: &Gauge, bytes: &Gauge, errors: &Counter) {
+        self.segments_appended = segments.clone();
+        self.bytes_appended = bytes.clone();
+        self.append_errors = errors.clone();
     }
 
     /// Whether an unrewindable append failure has poisoned the handle
@@ -478,10 +449,7 @@ impl Wal {
                 "engine::wal_append_error",
                 &[
                     ("detail", detail.to_string()),
-                    (
-                        "append_errors_total",
-                        self.counters.append_errors().to_string(),
-                    ),
+                    ("append_errors_total", self.append_errors.get().to_string()),
                 ],
             );
         }
@@ -565,10 +533,6 @@ mod tests {
     use super::*;
     use msketch_sketches::SketchSpec;
 
-    /// Failpoints are process-global; tests that arm one serialize so
-    /// a neighbor's `teardown()` can't disarm a site mid-test.
-    static FAILPOINT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn pane(rows: std::ops::Range<u64>) -> DynCube {
         let mut cube = DynCube::from_spec(SketchSpec::moments(8), &["region"]);
         for i in rows {
@@ -592,13 +556,14 @@ mod tests {
 
     #[test]
     fn append_reopen_replays_merged_panes() {
+        let _failpoints = failpoint::scope();
         let dir = std::env::temp_dir().join("msketch-wal-test-replay");
         let _ = std::fs::remove_dir_all(&dir);
         {
             let (mut wal, _, _) = Wal::open(&dir, WalConfig::default()).unwrap();
             wal.append(1, &pane(0..100).to_bytes()).unwrap();
             wal.append(2, &pane(100..250).to_bytes()).unwrap();
-            assert_eq!(wal.segments_appended(), 2);
+            assert_eq!(wal.segments_appended.get(), 2);
         }
         let (_, base, report) = Wal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(report.segments_replayed, 2);
@@ -619,9 +584,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_not_fatal() {
-        let _guard = FAILPOINT_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _failpoints = failpoint::scope();
         let dir = std::env::temp_dir().join("msketch-wal-test-torn");
         let _ = std::fs::remove_dir_all(&dir);
         let full_len;
@@ -633,7 +596,7 @@ mod tests {
             failpoint::cfg("engine::wal_torn_append", "1*return").unwrap();
             let err = wal.append(2, &pane(50..80).to_bytes()).unwrap_err();
             assert!(matches!(err, WalError::Io(_)));
-            assert_eq!(wal.append_errors(), 1);
+            assert_eq!(wal.append_errors.get(), 1);
             // The tear models a crash, so the handle is poisoned: an
             // append past the torn bytes would be silently dropped by
             // the next replay, and the handle refuses to let that
@@ -643,9 +606,8 @@ mod tests {
                 wal.append(3, &pane(80..90).to_bytes()),
                 Err(WalError::Poisoned { .. })
             ));
-            assert_eq!(wal.append_errors(), 2);
+            assert_eq!(wal.append_errors.get(), 2);
         }
-        failpoint::teardown();
         let (mut wal, base, report) = Wal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(report.segments_replayed, 1);
         assert_eq!(report.rows_recovered, 50);
@@ -668,9 +630,7 @@ mod tests {
 
     #[test]
     fn failed_append_rewinds_so_later_segments_survive_replay() {
-        let _guard = FAILPOINT_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _failpoints = failpoint::scope();
         let dir = std::env::temp_dir().join("msketch-wal-test-rewind");
         let _ = std::fs::remove_dir_all(&dir);
         {
@@ -681,15 +641,14 @@ mod tests {
             // the last good frame boundary...
             failpoint::cfg("engine::wal_partial_append", "1*return").unwrap();
             let err = wal.append(2, &pane(50..80).to_bytes()).unwrap_err();
-            failpoint::remove("engine::wal_partial_append");
             assert!(matches!(err, WalError::Io(_)));
-            assert_eq!(wal.append_errors(), 1);
+            assert_eq!(wal.append_errors.get(), 1);
             assert!(!wal.is_poisoned());
             // ...so the retry and every later append stay replayable
             // instead of being silently truncated behind the damage.
             wal.append(2, &pane(50..80).to_bytes()).unwrap();
             wal.append(3, &pane(80..100).to_bytes()).unwrap();
-            assert_eq!(wal.segments_appended(), 3);
+            assert_eq!(wal.segments_appended.get(), 3);
         }
         let (_, base, report) = Wal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(report.segments_replayed, 3);
@@ -701,6 +660,7 @@ mod tests {
 
     #[test]
     fn mid_log_corruption_ends_the_prefix_and_reports() {
+        let _failpoints = failpoint::scope();
         let dir = std::env::temp_dir().join("msketch-wal-test-corrupt");
         let _ = std::fs::remove_dir_all(&dir);
         let first_len;
@@ -730,6 +690,7 @@ mod tests {
 
     #[test]
     fn fsync_cadence_policies_all_land_appends() {
+        let _failpoints = failpoint::scope();
         for fsync in [
             FsyncPolicy::Always,
             FsyncPolicy::EveryN(4),

@@ -1,6 +1,6 @@
 //! Property suite for the incremental delta-snapshot path: for any
-//! random stream of multi-writer ingest, epoch refreshes, and pane
-//! rotations — including worker restarts and WAL crash recovery — the
+//! random stream of multi-writer ingest, epoch refreshes, and
+//! checkpoints — including worker restarts and WAL crash recovery — the
 //! delta-maintained double buffer must be *bit-identical* to a full
 //! refold of the same shard state, and (for order-preserving
 //! single-writer streams) to plain sequential ingest into one cube.
@@ -12,16 +12,13 @@
 //! different orders.
 //!
 //! Failpoints are process-global, so every test here — each builds an
-//! engine, armed or not — holds [`FAILPOINT_LOCK`] for its whole body.
+//! engine, armed or not — runs inside a [`failpoint::scope`].
 
 use msketch_cube::DynCube;
 use msketch_engine::{DynShardedCube, EngineConfig, WalConfig};
 use msketch_sketches::{Sketch, SketchSpec};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Mutex;
-
-static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
 
 const REGIONS: [&str; 5] = ["eu", "us", "ap", "sa", "af"];
 const APPS: [&str; 4] = ["web", "api", "batch", "cron"];
@@ -92,7 +89,7 @@ fn assert_delta_matches_refold(engine: &mut DynShardedCube, context: &str) -> u6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Random multi-writer streams with refreshes and rotations mixed
+    /// Random multi-writer streams with refreshes and checkpoints mixed
     /// in: after every refresh, the incrementally-maintained snapshot
     /// equals a full refold of the same shard state, bit for bit.
     #[test]
@@ -101,9 +98,7 @@ proptest! {
         shards in 1usize..4,
         batch_pick in 0usize..3,
     ) {
-        let _guard = FAILPOINT_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _failpoints = failpoint::scope();
         let batch_rows = [1, 7, 64][batch_pick];
         let mut engine = engine(shards, batch_rows);
         // Two extra ingest handles alongside the engine's embedded
@@ -135,7 +130,7 @@ proptest! {
                     for writer in writers.iter_mut() {
                         writer.flush().unwrap();
                     }
-                    engine.rotate_pane().unwrap();
+                    engine.checkpoint().unwrap();
                 }
             }
         }
@@ -154,9 +149,7 @@ proptest! {
         segments in prop::collection::vec(1usize..80, 1..6),
         stream_seed in any::<u64>(),
     ) {
-        let _guard = FAILPOINT_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _failpoints = failpoint::scope();
         let mut engine = engine(2, 5);
         let mut reference = DynCube::from_spec(SketchSpec::moments(8), &["region", "app"]);
         let mut next = stream_seed;
@@ -187,9 +180,7 @@ proptest! {
 /// surviving history.
 #[test]
 fn delta_snapshots_stay_exact_across_worker_restarts() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     let mut engine = engine(1, 1024);
     for seed in 0..200 {
         let (dims, metric) = row(seed);
@@ -206,7 +197,6 @@ fn delta_snapshots_stay_exact_across_worker_restarts() {
     }
     engine.flush().unwrap();
     let rows = assert_delta_matches_refold(&mut engine, "post-panic");
-    failpoint::remove("engine::worker_panic");
     assert_eq!(rows, 200, "poisoned batch must be discarded whole");
     assert_eq!(engine.stats().worker_restarts, 1);
 
@@ -242,9 +232,7 @@ fn delta_snapshots_stay_exact_across_worker_restarts() {
 /// snapshot bit for bit.
 #[test]
 fn delta_snapshots_stay_exact_across_wal_crash_recovery() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     let dir = std::env::temp_dir().join("msketch-delta-equiv-walcrash");
     let _ = std::fs::remove_dir_all(&dir);
     let spec = SketchSpec::moments(8);

@@ -4,15 +4,13 @@
 //! repeatable point.
 //!
 //! Failpoints are process-global, so every test that builds an engine
-//! holds [`FAILPOINT_LOCK`] for its whole body, armed or not —
-//! otherwise a `1*panic` armed here could fire inside a neighboring
-//! test's worker, or a neighbor's checkpoint eat a torn append.
+//! runs inside a [`failpoint::scope`], armed or not — otherwise a
+//! `1*panic` armed here could fire inside a neighboring test's worker,
+//! or a neighbor's checkpoint eat a torn append. The scope disarms
+//! whatever its test armed when it ends, pass or fail.
 
 use msketch_engine::{DynShardedCube, EngineConfig, EngineError, WalConfig, WalError};
 use msketch_sketches::{Sketch, SketchSpec};
-use std::sync::Mutex;
-
-static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
 
 fn engine_1shard() -> DynShardedCube {
     DynShardedCube::new(
@@ -38,9 +36,7 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn worker_panic_mid_batch_is_supervised_and_snapshots_stay_consistent() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     let mut engine = engine_1shard();
 
     // Establish a checkpointed state inside the worker: 100 rows.
@@ -55,7 +51,6 @@ fn worker_panic_mid_batch_is_supervised_and_snapshots_stay_consistent() {
     ingest(&mut engine, 100..150);
     engine.flush().unwrap();
     let snap = engine.snapshot().unwrap();
-    failpoint::remove("engine::worker_panic");
 
     // The poisoned batch is gone, everything checkpointed survives.
     assert_eq!(snap.row_count(), 100);
@@ -90,9 +85,7 @@ fn worker_panic_mid_batch_is_supervised_and_snapshots_stay_consistent() {
 
 #[test]
 fn worker_exit_surfaces_disconnected_and_shutdown_still_joins() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     let mut engine = engine_1shard();
     ingest(&mut engine, 0..10);
     engine.flush().unwrap();
@@ -142,9 +135,7 @@ fn worker_exit_surfaces_disconnected_and_shutdown_still_joins() {
 
 #[test]
 fn crash_recovery_replays_checkpoints_bit_exactly() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     let dir = temp_dir("recover-bitexact");
     let config = || EngineConfig::with_shards(2).batch_rows(256);
     let spec = SketchSpec::moments(8);
@@ -193,9 +184,7 @@ fn crash_recovery_replays_checkpoints_bit_exactly() {
 
 #[test]
 fn torn_append_degrades_durability_but_not_queries() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     let dir = temp_dir("torn-append");
     let spec = SketchSpec::moments(8);
     let config = || EngineConfig::with_shards(1).batch_rows(256);
@@ -212,7 +201,6 @@ fn torn_append_degrades_durability_but_not_queries() {
         failpoint::cfg("engine::wal_torn_append", "1*return").unwrap();
         ingest(&mut engine, 300..500);
         let result = engine.checkpoint();
-        failpoint::remove("engine::wal_torn_append");
         assert!(matches!(result, Err(EngineError::Wal(_))));
         let snap = engine.snapshot().unwrap();
         assert_eq!(snap.row_count(), 500, "pane must not vanish in memory");

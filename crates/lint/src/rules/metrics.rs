@@ -9,8 +9,10 @@
 //! goldens); against it, this rule fails on
 //!
 //! * **unregistered names** — a `.counter(…)` / `.gauge(…)` /
-//!   `.recorder(…)` registration in non-test, non-compat code whose
-//!   name the registry does not list;
+//!   `.recorder(…)` registration, or a `.register_counter(…)` /
+//!   `.register_gauge(…)` publication of a handle its owner already
+//!   holds, in non-test, non-compat code whose name the registry does
+//!   not list;
 //! * **orphaned entries** — a registered name nothing registers
 //!   anymore (its panels and alerts are already dark);
 //! * **dynamic names** — a registration whose name is not a string
@@ -32,7 +34,13 @@ pub struct Registration {
 }
 
 /// The registry entry points whose first argument is a metric name.
-const CALLS: [&str; 3] = [".counter(", ".gauge(", ".recorder("];
+const CALLS: [&str; 5] = [
+    ".counter(",
+    ".gauge(",
+    ".recorder(",
+    ".register_counter(",
+    ".register_gauge(",
+];
 
 /// Collect metric registrations from one scanned file into `regs`,
 /// reporting dynamic (non-literal) names directly into `findings`.
@@ -215,6 +223,16 @@ mod tests {
     fn registered_names_are_clean() {
         let src = "fn f(reg: &Registry) {\n    let r = reg.recorder(\"msketch_request_seconds\", &[(\"route\", \"/q\")]);\n    let c = reg.counter(\"msketch_rows_ingested_total\", &[]);\n}\n";
         assert!(run("crates/server/src/lib.rs", src, GOLDEN).is_empty());
+    }
+
+    #[test]
+    fn publishing_an_owned_handle_counts_as_a_registration() {
+        let src = "fn f(reg: &Registry, c: &Counter, g: &Gauge) {\n    reg.register_counter(\"msketch_rows_ingested_total\", &[], c);\n    reg.register_gauge(\n        \"msketch_request_seconds\",\n        &[],\n        g,\n    );\n}\n";
+        assert!(run("crates/engine/src/sharded.rs", src, GOLDEN).is_empty());
+        let unpinned = "fn f(reg: &Registry, g: &Gauge) {\n    reg.register_gauge(\"msketch_unpinned\", &[], g);\n}\n";
+        let findings = run("crates/engine/src/sharded.rs", unpinned, "# empty\n");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("is not registered"));
     }
 
     #[test]

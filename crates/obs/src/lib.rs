@@ -10,14 +10,18 @@
 //!
 //! - [`registry`]: counters, gauges, and moment-sketch latency
 //!   recorders behind cheap cloneable handles; Prometheus text
-//!   exposition via [`Registry::render`]. Relaxed-atomic fast paths,
-//!   one global arming gate (same discipline as `compat/failpoint`).
+//!   exposition via [`Registry::render`]. Relaxed-atomic fast paths.
+//!   A handle exists before it has a name: the engine and the timeline
+//!   own theirs from construction and publish them with
+//!   [`Registry::register_counter`] / [`Registry::register_gauge`], so
+//!   a number has one home and the exposition routes take no lock.
 //! - [`trace`]: structured spans rooted per request / per refresh,
 //!   propagated through lower layers by a thread local (no API
 //!   threading), drained by `GET /trace?last=N`; slow traces and
 //!   warn events are mirrored to stderr as JSON lines.
 //! - [`Obs`]: the bundle the server constructs and hands to the engine
-//!   (`ShardedCube::set_obs`).
+//!   (`ShardedCube::set_obs`) and the timeline
+//!   (`Timeline::register_metrics`).
 //!
 //! Metric names registered with literal strings are pinned append-only
 //! in `lint/metrics.golden` by the `metrics` lint rule, like wire tags
@@ -44,7 +48,7 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A fresh, armed bundle with default capacities.
+    /// A fresh bundle with default capacities.
     pub fn new() -> Obs {
         Obs::default()
     }
@@ -91,15 +95,21 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_timer_records_nothing() {
+    fn a_registered_handle_is_the_series() {
         let reg = Registry::new();
-        let rec = reg.recorder("lat_seconds", &[]);
-        reg.set_enabled(false);
-        rec.start().stop();
-        assert_eq!(rec.count(), 0);
-        reg.set_enabled(true);
-        rec.start().stop();
-        assert_eq!(rec.count(), 1);
+        let owned = Counter::default();
+        owned.add(2);
+        reg.register_counter("owned_total", &[], &owned);
+        owned.inc();
+        owned.inc_exclusive();
+        assert_eq!(reg.counter("owned_total", &[]).get(), 4);
+        let level = Gauge::default();
+        reg.register_gauge("owned_level", &[], &level);
+        level.add(5);
+        level.sub(2);
+        let text = reg.render();
+        assert!(text.contains("owned_total 4\n"), "{text}");
+        assert!(text.contains("owned_level 3\n"), "{text}");
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Metrics registry: counters, gauges, and moment-sketch latency
 //! recorders, rendered in Prometheus text exposition format.
 //!
-//! The registry follows the same discipline as
-//! `crates/compat/failpoint`: hot paths touch only relaxed atomics (or,
-//! for recorders, one striped mutex), and the global arming gate is a
-//! single relaxed load so unarmed instrumentation costs ~1 ns.
+//! Hot paths touch only relaxed atomics (or, for recorders, one striped
+//! mutex). A counter or gauge is a detached handle first and a
+//! registered series second: whoever owns a number creates the handle
+//! ([`Counter::default`]), writes it where the value changes, and may
+//! publish it under a name with [`Registry::register_counter`] /
+//! [`Registry::register_gauge`] — so the owner's field and the
+//! `/metrics` series are one atomic, never a copy of one another.
 //!
 //! Latency recorders are the self-hosting part: each (metric,
 //! label-set) owns a small pool of [`MomentsSketch`] stripes (one per
@@ -15,8 +18,8 @@
 //! the repo's own max-entropy solver.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use moments_sketch::{bounds, MomentsSketch, SolverConfig};
@@ -41,8 +44,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A monotonically increasing counter (relaxed atomics).
-#[derive(Clone)]
+/// A monotonically increasing counter (relaxed atomics). Clones share
+/// the value; [`Counter::default`] is a fresh, unregistered zero.
+#[derive(Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
@@ -61,22 +65,34 @@ impl Counter {
         self.0.load(Ordering::Relaxed)
     }
 
-    /// Overwrite the value. Only for mirroring a total accumulated
-    /// elsewhere (e.g. engine `SharedStats` scraped into the registry);
-    /// regular call sites should use [`Counter::inc`]/[`Counter::add`].
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
+    /// Increment by one with a plain load and store instead of an
+    /// atomic read-modify-write. Only for an owner that already
+    /// serialises its updates (it counts behind `&mut self`) and counts
+    /// per row: concurrent callers would lose increments.
+    pub fn inc_exclusive(&self) {
+        self.0.store(self.get() + 1, Ordering::Relaxed);
     }
 }
 
-/// A settable gauge (relaxed atomics, unsigned).
-#[derive(Clone)]
+/// A settable gauge (relaxed atomics, unsigned). Clones share the
+/// value; [`Gauge::default`] is a fresh, unregistered zero.
+#[derive(Clone, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     /// Set the value.
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Raise the value by `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Lower the value by `n`.
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -96,7 +112,6 @@ thread_local! {
 
 struct RecorderShared {
     stripes: [Mutex<MomentsSketch>; RECORDER_STRIPES],
-    enabled: Arc<AtomicBool>,
 }
 
 /// A latency recorder backed by striped [`MomentsSketch`]es.
@@ -111,11 +126,10 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    fn new(enabled: Arc<AtomicBool>) -> Recorder {
+    fn new() -> Recorder {
         Recorder {
             shared: Arc::new(RecorderShared {
                 stripes: std::array::from_fn(|_| Mutex::new(MomentsSketch::new(RECORDER_K))),
-                enabled,
             }),
         }
     }
@@ -133,19 +147,11 @@ impl Recorder {
     }
 
     /// Start a timer that records its elapsed time on [`Timer::stop`] or
-    /// drop. When the registry is disarmed this is a single relaxed
-    /// load and the timer is a no-op.
+    /// drop.
     pub fn start(&self) -> Timer {
-        if self.shared.enabled.load(Ordering::Relaxed) {
-            Timer {
-                recorder: Some(self.clone()),
-                started: Instant::now(),
-            }
-        } else {
-            Timer {
-                recorder: None,
-                started: Instant::now(),
-            }
+        Timer {
+            recorder: Some(self.clone()),
+            started: Instant::now(),
         }
     }
 
@@ -203,11 +209,6 @@ impl Timer {
     /// Stop now and record; consumes the timer.
     pub fn stop(self) {}
 
-    /// Elapsed seconds so far (whether or not the timer is armed).
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
     /// Discard without recording (e.g. on error paths that should not
     /// pollute the latency distribution).
     pub fn cancel(mut self) {
@@ -250,44 +251,15 @@ struct RegistryInner {
 /// startup and never touch the registry map again. Metric names used
 /// with literal names are pinned append-only in `lint/metrics.golden`
 /// (lint rule `metrics`), like wire tags and failpoints.
+#[derive(Default)]
 pub struct Registry {
-    enabled: Arc<AtomicBool>,
     inner: Mutex<RegistryInner>,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
-}
-
 impl Registry {
-    /// A fresh, armed registry.
+    /// A fresh, empty registry.
     pub fn new() -> Registry {
-        Registry {
-            enabled: Arc::new(AtomicBool::new(true)),
-            inner: Mutex::new(RegistryInner::default()),
-        }
-    }
-
-    /// The process-global registry, for binaries that do not thread an
-    /// explicit [`crate::Obs`] handle. The server builds its own
-    /// per-instance registry so tests stay isolated.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
-    }
-
-    /// Arm or disarm timers ([`Recorder::start`]). Counters and gauges
-    /// are so cheap they are unconditional; this gate exists for the
-    /// armed-vs-unarmed overhead bench and for `--no-obs` style opt-out.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether timers are armed.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        Registry::default()
     }
 
     /// Get or register the counter series `name{labels}`.
@@ -295,7 +267,7 @@ impl Registry {
         lock(&self.inner)
             .counters
             .entry((name.to_string(), label_set(labels)))
-            .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
+            .or_default()
             .clone()
     }
 
@@ -304,8 +276,26 @@ impl Registry {
         lock(&self.inner)
             .gauges
             .entry((name.to_string(), label_set(labels)))
-            .or_insert_with(|| Gauge(Arc::new(AtomicU64::new(0))))
+            .or_default()
             .clone()
+    }
+
+    /// Publish a counter its owner already holds as the series
+    /// `name{labels}` (replacing any handle registered there before):
+    /// the owner keeps writing its own field, and the exposition reads
+    /// that same atomic.
+    pub fn register_counter(&self, name: &str, labels: &[(&str, &str)], counter: &Counter) {
+        lock(&self.inner)
+            .counters
+            .insert((name.to_string(), label_set(labels)), counter.clone());
+    }
+
+    /// Publish a gauge its owner already holds as the series
+    /// `name{labels}`; see [`Registry::register_counter`].
+    pub fn register_gauge(&self, name: &str, labels: &[(&str, &str)], gauge: &Gauge) {
+        lock(&self.inner)
+            .gauges
+            .insert((name.to_string(), label_set(labels)), gauge.clone());
     }
 
     /// Get or register the latency-recorder (summary) series
@@ -314,7 +304,7 @@ impl Registry {
         lock(&self.inner)
             .recorders
             .entry((name.to_string(), label_set(labels)))
-            .or_insert_with(|| Recorder::new(Arc::clone(&self.enabled)))
+            .or_insert_with(Recorder::new)
             .clone()
     }
 
@@ -422,9 +412,7 @@ impl Registry {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("enabled", &self.enabled())
-            .finish_non_exhaustive()
+        f.debug_struct("Registry").finish_non_exhaustive()
     }
 }
 

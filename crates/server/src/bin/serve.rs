@@ -8,7 +8,6 @@
 //!               [--queue-cap N] [--deadline-ms MS]
 //!               [--timeline-dir DIR] [--bucket-ms MS] [--retention MS]
 //!               [--cell-budget N] [--slow-query-ms MS] [--trace-cap N]
-//!               [--no-obs]
 //! ```
 //!
 //! Prints one `listening on http://…` line once the socket is bound
@@ -36,12 +35,11 @@ fn usage() -> ! {
          \x20                    [--queue-cap N] [--deadline-ms MS]\n\
          \x20                    [--timeline-dir DIR] [--bucket-ms MS] [--retention MS]\n\
          \x20                    [--cell-budget N] [--slow-query-ms MS] [--trace-cap N]\n\
-         \x20                    [--no-obs]\n\
          defaults: --addr 127.0.0.1:8080 --spec moments:10 --dims app,region\n\
          \x20         --threads 4 --shards <cores> --refresh-ms 500\n\
          \x20         no WAL, --fsync always, unbounded queue, no deadline\n\
          \x20         no timeline, --bucket-ms 60000, unbounded retention/cells\n\
-         \x20         metrics+tracing on, no slow-query stderr log, --trace-cap 256"
+         \x20         no slow-query stderr log, --trace-cap 256"
     );
     std::process::exit(2);
 }
@@ -119,7 +117,6 @@ fn main() -> Result<(), ServeError> {
             "--trace-cap" => {
                 config.trace_cap = value("--trace-cap").parse().unwrap_or_else(|_| usage());
             }
-            "--no-obs" => config.obs_enabled = false,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other:?}");

@@ -30,7 +30,10 @@
 //! intern pools and buffers, flushes, and checks the handle back in.
 //! Concurrent ingest requests share nothing but the bounded shard
 //! channels; the engine mutex is taken only to mint a handle, to
-//! refresh/checkpoint, and to shut down.
+//! refresh/checkpoint, and to shut down — never to report:
+//! `/stats`, `/health` and `/metrics` read the obs handles the engine,
+//! the WAL and the timeline write their own numbers into, so they take
+//! no lock and cannot be stalled by a slow shard or a slow disk.
 //!
 //! Reads are **snapshot-isolated**: every query runs against the epoch
 //! snapshot current when it arrived, never against live shards, so a
@@ -91,13 +94,13 @@
 use arc_swap::ArcSwap;
 use moments_sketch::CascadeStats;
 use msketch_engine::{
-    DynShardedCube, EngineConfig, EngineError, EngineSnapshot, FsyncPolicy, RecoveryReport,
-    ShardWriter, WalConfig,
+    DynShardedCube, EngineConfig, EngineError, EngineSnapshot, EngineStats, FsyncPolicy,
+    RecoveryReport, ShardWriter, WalConfig,
 };
 use msketch_obs::trace::DEFAULT_TRACE_CAP;
 use msketch_obs::{Counter, EventRecord, Gauge, Level, Obs, Recorder, Registry, TraceRecord};
 use msketch_sketches::SketchSpec;
-use msketch_timeline::{StoreRecovery, Timeline, TimelineConfig, TimelineError};
+use msketch_timeline::{StoreRecovery, Timeline, TimelineConfig, TimelineError, TimelineStats};
 use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -177,11 +180,6 @@ pub struct ServerConfig {
     pub slow_query: Duration,
     /// Capacity of the in-memory trace ring served by `GET /trace`.
     pub trace_cap: usize,
-    /// Master switch for the observability layer: `false` disarms the
-    /// latency recorders and per-request root spans (counters still
-    /// count — they are too cheap to gate). This is the unarmed
-    /// baseline the `obs_bench` overhead gate compares against.
-    pub obs_enabled: bool,
 }
 
 impl Default for ServerConfig {
@@ -203,7 +201,6 @@ impl Default for ServerConfig {
             cell_budget: 0,
             slow_query: Duration::ZERO,
             trace_cap: DEFAULT_TRACE_CAP,
-            obs_enabled: true,
         }
     }
 }
@@ -382,24 +379,13 @@ struct Metrics {
     refresh_errors: Counter,
     timeline_errors: Counter,
     cascade: CascadeCounters,
-    // Scrape-time mirrors of engine/snapshot/timeline-owned totals:
-    // `/metrics` `set()`s them from the owning structs at exposition
-    // time, so the engine stays the source of truth and the registry
-    // stays one coherent view.
-    worker_restarts: Counter,
-    rows_lost: Counter,
-    wal_append_errors: Counter,
-    engine_epoch: Gauge,
+    // The served snapshot's vitals, set where the slot is stored. Every
+    // other series on `/metrics` — engine, WAL, timeline — is the
+    // owner's own handle, published by `ShardedCube::set_obs` and
+    // `Timeline::register_metrics`; nothing is copied at scrape time.
     snapshot_epoch: Gauge,
     snapshot_rows: Gauge,
     snapshot_cells: Gauge,
-    wal_segments: Gauge,
-    wal_bytes: Gauge,
-    timeline_segments: Gauge,
-    timeline_segment_bytes: Gauge,
-    segment_cache_hits: Counter,
-    segment_cache_misses: Counter,
-    segment_cache_cells: Gauge,
 }
 
 impl Metrics {
@@ -425,28 +411,28 @@ impl Metrics {
             refresh_errors: registry.counter("msketch_refresh_errors_total", &[]),
             timeline_errors: registry.counter("msketch_timeline_errors_total", &[]),
             cascade: CascadeCounters::register(registry, backend),
-            worker_restarts: registry.counter("msketch_worker_restarts_total", &[]),
-            rows_lost: registry.counter("msketch_rows_lost_total", &[]),
-            wal_append_errors: registry.counter("msketch_wal_append_errors_total", &[]),
-            engine_epoch: registry.gauge("msketch_engine_epoch", &[]),
             snapshot_epoch: registry.gauge("msketch_snapshot_epoch", &[]),
             snapshot_rows: registry.gauge("msketch_snapshot_rows", &[]),
             snapshot_cells: registry.gauge("msketch_snapshot_cells", &[]),
-            wal_segments: registry.gauge("msketch_wal_segments", &[]),
-            wal_bytes: registry.gauge("msketch_wal_bytes", &[]),
-            timeline_segments: registry.gauge("msketch_timeline_segments", &[]),
-            timeline_segment_bytes: registry.gauge("msketch_timeline_segment_bytes", &[]),
-            segment_cache_hits: registry.counter("msketch_timeline_segment_cache_hits_total", &[]),
-            segment_cache_misses: registry
-                .counter("msketch_timeline_segment_cache_misses_total", &[]),
-            segment_cache_cells: registry.gauge("msketch_timeline_segment_cache_cells", &[]),
         }
     }
 }
 
+/// A lock-free read of an owner's counters, taken from the owner once
+/// at start-up (`stats_reader`).
+type StatsReader<T> = Box<dyn Fn() -> T + Send + Sync>;
+
 /// Shared state behind every request handler.
 struct ServerState {
     engine: Mutex<DynShardedCube>,
+    /// The engine's health numbers, read from its own obs handles
+    /// without the mutex above — which a refresh holds while it waits
+    /// for every shard. `/stats`, `/health` and `/metrics` use this and
+    /// never `lock_engine`.
+    engine_stats: StatsReader<EngineStats>,
+    /// Engine facts fixed at start-up, copied out for the same reason.
+    shards: usize,
+    wal_attached: bool,
     /// Pooled ingest handles. Each `/ingest` request pops one (minting
     /// a fresh handle under a brief engine lock only when the pool is
     /// dry), streams its rows through the handle's own intern memos and
@@ -476,6 +462,10 @@ struct ServerState {
     /// cover (`Timeline::range_read`) and loads and merges the segments
     /// after releasing it.
     timeline: Option<Mutex<Timeline>>,
+    /// The timeline's bucket width and a read of its counters that does
+    /// not take the mutex above — which maintenance holds across its
+    /// segment writes. `None` without a timeline.
+    timeline_stats: Option<(u64, StatsReader<TimelineStats>)>,
     /// Per-request `/quantile` time budget (`ZERO` = disabled).
     quantile_deadline: Duration,
     /// Advice attached to `429`/`503` responses.
@@ -490,9 +480,6 @@ struct ServerState {
     /// `timeline_errors` — are now registry counters, so `/stats` and
     /// `/metrics` read the same cells.
     metrics: Metrics,
-    /// Open a root span per instrumented request? `false` is the
-    /// unarmed bench baseline ([`ServerConfig::obs_enabled`]).
-    trace_requests: bool,
     started: Instant,
 }
 
@@ -571,11 +558,7 @@ impl ServerState {
         // of the request's root span. The engine's own
         // snapshot/checkpoint/WAL spans attach underneath through the
         // thread local.
-        let _root = if self.trace_requests {
-            Some(self.obs.trace.root_span("server::refresh"))
-        } else {
-            None
-        };
+        let _root = self.obs.trace.root_span("server::refresh");
         let _ordered = self
             .wal_commit
             .lock()
@@ -593,6 +576,11 @@ impl ServerState {
         };
         let epoch = snapshot.epoch();
         self.rows_at_refresh.store(accepted, Ordering::SeqCst);
+        self.metrics.snapshot_epoch.set(epoch);
+        self.metrics.snapshot_rows.set(snapshot.row_count());
+        self.metrics
+            .snapshot_cells
+            .set(snapshot.cell_count() as u64);
         self.snapshot.store(Arc::new(Some(Arc::new(snapshot))));
         // Timeline maintenance rides the refresh cadence: checkpoint
         // open buckets, roll up closed windows, enforce retention. A
@@ -663,17 +651,15 @@ impl MsketchServer {
             cell_budget,
             slow_query,
             trace_cap,
-            obs_enabled,
         } = config;
         let backend = format!("{}:{}", spec.kind(), spec.param());
         let obs = Obs {
             registry: Arc::new(Registry::new()),
             trace: Arc::new(msketch_obs::TraceSink::new(trace_cap)),
         };
-        obs.registry.set_enabled(obs_enabled);
         obs.trace.set_slow_threshold(slow_query);
         let metrics = Metrics::register(&obs.registry, &backend);
-        let (timeline, timeline_recovery) = match &timeline_dir {
+        let (timeline, timeline_stats, timeline_recovery) = match &timeline_dir {
             Some(dir) => {
                 let timeline_config = TimelineConfig::default()
                     .bucket_ms(bucket_ms)
@@ -681,9 +667,22 @@ impl MsketchServer {
                     .cell_budget(cell_budget)
                     .fsync(fsync);
                 let (timeline, report) = Timeline::open(dir, spec.clone(), dims, timeline_config)?;
-                (Some(Mutex::new(timeline)), Some(report))
+                timeline.register_metrics(&obs.registry);
+                let stats: StatsReader<TimelineStats> = Box::new(timeline.stats_reader());
+                let stats = (timeline.config().bucket_ms, stats);
+                (Some(Mutex::new(timeline)), Some(stats), Some(report))
             }
-            None => (None, None),
+            None => {
+                // A scrape has the same series with or without a
+                // timeline; without one they stay at zero.
+                let registry = &obs.registry;
+                registry.gauge("msketch_timeline_segments", &[]);
+                registry.gauge("msketch_timeline_segment_bytes", &[]);
+                registry.counter("msketch_timeline_segment_cache_hits_total", &[]);
+                registry.counter("msketch_timeline_segment_cache_misses_total", &[]);
+                registry.gauge("msketch_timeline_segment_cache_cells", &[]);
+                (None, None, None)
+            }
         };
         let (mut engine, recovery) = match &wal_dir {
             Some(dir) => {
@@ -697,10 +696,14 @@ impl MsketchServer {
         // handle (re)opened by replay gets its fsync recorder too.
         engine.set_obs(&obs);
         let state = Arc::new(ServerState {
+            engine_stats: Box::new(engine.stats_reader()),
+            shards: engine.shard_count(),
+            wal_attached: engine.wal_attached(),
             engine: Mutex::new(engine),
             writers: Mutex::new(Vec::new()),
             wal_commit: Mutex::new(()),
             timeline,
+            timeline_stats,
             snapshot: ArcSwap::new(Arc::new(None)),
             dims: dims.iter().map(|s| s.to_string()).collect(),
             backend,
@@ -710,7 +713,6 @@ impl MsketchServer {
             retry_after_secs,
             obs,
             metrics,
-            trace_requests: obs_enabled,
             started: Instant::now(),
         });
         // An initial snapshot means the slot is never empty: every read
@@ -863,10 +865,10 @@ impl Drop for MsketchServer {
 
 /// Look the request up in [`ROUTES`], instrument, and run its handler:
 /// an instrumented route runs under a latency timer, a status-class
-/// counter, and (when armed) a root span the handler's child spans
-/// attach to. Method-mismatch `405`s and unknown-path `404`s skip
-/// instrumentation — the recorders measure real work, not typos — and
-/// so do the exposition endpoints themselves.
+/// counter, and a root span the handler's child spans attach to.
+/// Method-mismatch `405`s and unknown-path `404`s skip instrumentation
+/// — the recorders measure real work, not typos — and so do the
+/// exposition endpoints themselves.
 fn route(state: &ServerState, req: &Request) -> Response {
     let served = |&(method, path, _, _): &Route| method == req.method && path == req.path;
     let Some(idx) = ROUTES.iter().position(served) else {
@@ -883,17 +885,11 @@ fn route(state: &ServerState, req: &Request) -> Response {
     // The timer spans root-span assembly too, so the recorder sees the
     // full server-side cost of the request.
     let timer = handles.seconds.start();
-    let mut root = if state.trace_requests {
-        Some(state.obs.trace.root_span(span))
-    } else {
-        None
-    };
+    let mut root = state.obs.trace.root_span(span);
     let resp = handler(state, req);
-    if let Some(root) = root.as_mut() {
-        // The root span name already carries the route; only the
-        // status is worth an allocation on this path.
-        root.field("status", resp.status);
-    }
+    // The root span name already carries the route; only the status is
+    // worth an allocation on this path.
+    root.field("status", resp.status);
     drop(root);
     timer.stop();
     handles.by_class[status_class(resp.status)].inc();
@@ -1099,24 +1095,20 @@ fn stats_value(stats: &CascadeStats) -> Value {
 
 /// The `/stats` `"timeline"` section: segment inventory, ingest
 /// counters and the decoded-segment cache, or `{"enabled": false}`
-/// without a timeline.
+/// without a timeline. Reads the timeline's counters, not the timeline.
 fn timeline_stats_value(state: &ServerState) -> Value {
-    let Some(timeline) = state.lock_timeline() else {
+    let Some((bucket_ms, read_stats)) = &state.timeline_stats else {
         return Value::object(vec![("enabled", Value::from(false))]);
     };
-    let stats = timeline.stats().clone();
-    let level_counts = timeline.store().level_counts(timeline.config().max_level());
-    let cache = timeline.store().cache_stats();
+    let stats = read_stats();
+    let cache = stats.segment_cache;
     Value::object(vec![
         ("enabled", Value::from(true)),
-        ("bucket_ms", Value::from(timeline.config().bucket_ms)),
-        ("open_buckets", Value::from(timeline.open_buckets())),
-        ("segments", Value::from(timeline.store().index().len())),
-        (
-            "segment_levels",
-            Value::array(level_counts.into_iter().map(|c| c as u64)),
-        ),
-        ("segment_bytes", Value::from(timeline.store().total_bytes())),
+        ("bucket_ms", Value::from(*bucket_ms)),
+        ("open_buckets", Value::from(stats.open_buckets)),
+        ("segments", Value::from(stats.segments)),
+        ("segment_levels", Value::array(stats.segment_levels)),
+        ("segment_bytes", Value::from(stats.segment_bytes)),
         ("rows_ingested", Value::from(stats.rows_ingested)),
         ("late_dropped", Value::from(stats.late_dropped)),
         ("segments_written", Value::from(stats.segments_written)),
@@ -1139,67 +1131,57 @@ fn timeline_stats_value(state: &ServerState) -> Value {
     ])
 }
 
-/// `GET /stats` — serving, staleness, and fault counters. The engine
-/// and timeline locks are each held for a copy-out only; neither is
-/// held by a range read while it loads and merges, so `/stats` does
-/// not wait behind one.
+/// How many engine epochs the served snapshot is behind; with no
+/// snapshot yet, every engine epoch is unserved lag.
+fn epoch_lag(engine: &EngineStats, snap: Option<&ServedSnapshot>) -> u64 {
+    engine.epoch.saturating_sub(snap.map_or(0, |s| s.epoch()))
+}
+
+/// `GET /stats` — serving, staleness, and fault counters. Takes no
+/// lock: the engine's and the timeline's numbers are read from the obs
+/// handles their owners write, so the route answers while a refresh
+/// holds the engine or maintenance holds the timeline.
 fn handle_stats(state: &ServerState, _: &Request) -> Response {
     let snap = state.load_snapshot();
-    let engine = state.lock_engine();
-    let engine_epoch = engine.current_epoch();
-    let shards = engine.shard_count();
-    let engine_stats = engine.stats();
-    let wal_attached = engine.wal_attached();
-    drop(engine);
-    let (snapshot_epoch, snapshot_rows, snapshot_cells, epoch_lag) = match &snap {
-        Some(s) => (
-            Value::from(s.epoch()),
-            Value::from(s.row_count()),
-            Value::from(s.cell_count()),
-            Value::from(engine_epoch.saturating_sub(s.epoch())),
-        ),
-        // No snapshot yet: every engine epoch is unserved lag.
-        None => (
-            Value::Null,
-            Value::Null,
-            Value::Null,
-            Value::from(engine_epoch),
-        ),
+    let engine = (state.engine_stats)();
+    let of_snap = |read: fn(&ServedSnapshot) -> u64| match &snap {
+        Some(s) => Value::from(read(s)),
+        None => Value::Null,
     };
     ok(Value::object(vec![
         ("backend", Value::from(state.backend.as_str())),
         ("dims", Value::array(state.dims.iter().map(String::as_str))),
-        ("shards", Value::from(shards)),
+        ("shards", Value::from(state.shards)),
         ("http_threads", Value::from(state.threads)),
-        ("engine_epoch", Value::from(engine_epoch)),
-        ("snapshot_epoch", snapshot_epoch),
-        ("epoch_lag", epoch_lag),
-        ("snapshot_rows", snapshot_rows),
-        ("snapshot_cells", snapshot_cells),
+        ("engine_epoch", Value::from(engine.epoch)),
+        ("snapshot_epoch", of_snap(|s| s.epoch())),
+        (
+            "epoch_lag",
+            Value::from(epoch_lag(&engine, snap.as_deref())),
+        ),
+        ("snapshot_rows", of_snap(|s| s.row_count())),
+        ("snapshot_cells", of_snap(|s| s.cell_count() as u64)),
         (
             "rows_accepted",
             Value::from(state.metrics.rows_ingested.get()),
         ),
-        ("worker_restarts", Value::from(engine_stats.worker_restarts)),
-        ("rows_lost", Value::from(engine_stats.rows_lost)),
-        ("wal_attached", Value::from(wal_attached)),
-        ("wal_segments", Value::from(engine_stats.wal_segments)),
-        ("wal_bytes", Value::from(engine_stats.wal_bytes)),
-        (
-            "wal_append_errors",
-            Value::from(engine_stats.wal_append_errors),
-        ),
+        ("worker_restarts", Value::from(engine.worker_restarts)),
+        ("rows_lost", Value::from(engine.rows_lost)),
+        ("wal_attached", Value::from(state.wal_attached)),
+        ("wal_segments", Value::from(engine.wal_segments)),
+        ("wal_bytes", Value::from(engine.wal_bytes)),
+        ("wal_append_errors", Value::from(engine.wal_append_errors)),
         (
             "snapshot_cells_folded",
-            Value::from(engine_stats.snapshot_cells_folded),
+            Value::from(engine.snapshot_cells_folded),
         ),
         (
             "delta_cells_applied",
-            Value::from(engine_stats.delta_cells_applied),
+            Value::from(engine.delta_cells_applied),
         ),
         (
             "last_refresh_micros",
-            Value::from(engine_stats.last_refresh_micros),
+            Value::from(engine.last_refresh_micros),
         ),
         (
             "degraded_served",
@@ -1213,7 +1195,7 @@ fn handle_stats(state: &ServerState, _: &Request) -> Response {
         // served — read back out of the same counters /metrics exposes.
         ("cascade", stats_value(&state.metrics.cascade.totals())),
         ("timeline", timeline_stats_value(state)),
-        ("shut_down", Value::from(engine_stats.shut_down)),
+        ("shut_down", Value::from(engine.shut_down)),
         (
             "uptime_ms",
             Value::from(state.started.elapsed().as_millis() as u64),
@@ -1226,37 +1208,12 @@ fn handle_stats(state: &ServerState, _: &Request) -> Response {
 /// Counters and gauges render as you'd expect; latency recorders render
 /// as summaries whose `quantile="0.5|0.95|0.99"` series are max-entropy
 /// solves over the recorder's merged moments sketch — the system
-/// reporting on itself with the paper's own estimator. Engine-, WAL-,
-/// snapshot-, and timeline-owned totals are mirrored into the registry
-/// at scrape time so one scrape is one coherent view. The timeline lock
-/// is taken for that copy only, and range reads no longer merge under
-/// it, so a scrape does not wait behind one.
+/// reporting on itself with the paper's own estimator. Takes no lock
+/// and copies nothing: the engine, WAL and timeline series *are* their
+/// owners' counters (published at start-up), and the snapshot gauges
+/// are set when a snapshot is stored, so a scrape renders the registry
+/// as it stands.
 fn handle_metrics(state: &ServerState, _: &Request) -> Response {
-    let engine = state.lock_engine();
-    let engine_epoch = engine.current_epoch();
-    let engine_stats = engine.stats();
-    drop(engine);
-    let m = &state.metrics;
-    m.worker_restarts.set(engine_stats.worker_restarts);
-    m.rows_lost.set(engine_stats.rows_lost);
-    m.wal_append_errors.set(engine_stats.wal_append_errors);
-    m.engine_epoch.set(engine_epoch);
-    m.wal_segments.set(engine_stats.wal_segments);
-    m.wal_bytes.set(engine_stats.wal_bytes);
-    if let Some(snap) = state.load_snapshot() {
-        m.snapshot_epoch.set(snap.epoch());
-        m.snapshot_rows.set(snap.row_count());
-        m.snapshot_cells.set(snap.cell_count() as u64);
-    }
-    if let Some(timeline) = state.lock_timeline() {
-        m.timeline_segments
-            .set(timeline.store().index().len() as u64);
-        m.timeline_segment_bytes.set(timeline.store().total_bytes());
-        let cache = timeline.store().cache_stats();
-        m.segment_cache_hits.set(cache.hits);
-        m.segment_cache_misses.set(cache.misses);
-        m.segment_cache_cells.set(cache.cells as u64);
-    }
     let mut resp = Response::text(200, &state.obs.registry.render());
     resp.content_type = "text/plain; version=0.0.4";
     resp
@@ -1305,27 +1262,23 @@ fn handle_trace(state: &ServerState, req: &Request) -> Response {
 /// snapshot exists and the engine is up: `200` when ready, `503` +
 /// `Retry-After` when not — the shape load balancers and the CI smoke
 /// test poll. The body always carries the fault counters a supervisor
-/// would alert on.
+/// would alert on. Takes no lock (see [`handle_stats`]), so a probe is
+/// never queued behind a slow shard or a slow disk.
 fn handle_health(state: &ServerState, _: &Request) -> Response {
     let snap = state.load_snapshot();
-    let engine = state.lock_engine();
-    let engine_epoch = engine.current_epoch();
-    let engine_stats = engine.stats();
-    let wal_attached = engine.wal_attached();
-    drop(engine);
-    let ready = snap.is_some() && !engine_stats.shut_down;
-    let epoch_lag = match &snap {
-        Some(s) => engine_epoch.saturating_sub(s.epoch()),
-        None => engine_epoch,
-    };
+    let engine = (state.engine_stats)();
+    let ready = snap.is_some() && !engine.shut_down;
     let body = Value::object(vec![
         ("live", Value::from(true)),
         ("ready", Value::from(ready)),
-        ("epoch_lag", Value::from(epoch_lag)),
-        ("worker_restarts", Value::from(engine_stats.worker_restarts)),
-        ("rows_lost", Value::from(engine_stats.rows_lost)),
-        ("wal_attached", Value::from(wal_attached)),
-        ("shut_down", Value::from(engine_stats.shut_down)),
+        (
+            "epoch_lag",
+            Value::from(epoch_lag(&engine, snap.as_deref())),
+        ),
+        ("worker_restarts", Value::from(engine.worker_restarts)),
+        ("rows_lost", Value::from(engine.rows_lost)),
+        ("wal_attached", Value::from(state.wal_attached)),
+        ("shut_down", Value::from(engine.shut_down)),
     ]);
     if ready {
         ok(body)

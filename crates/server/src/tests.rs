@@ -540,6 +540,7 @@ fn health_reports_not_ready_after_shutdown() {
 
 #[test]
 fn expired_deadline_degrades_quantiles_to_bound_midpoints() {
+    let _failpoints = failpoint::scope();
     let server = MsketchServer::start(
         SketchSpec::moments(8),
         &["app", "region"],
@@ -566,7 +567,6 @@ fn expired_deadline_degrades_quantiles_to_bound_midpoints() {
     // moment-bound midpoint and says so.
     failpoint::cfg("server::quantile_slow", "sleep(25)").unwrap();
     let (status, doc) = call(&server, &request("GET", "/quantile", &[("q", "0.5")], ""));
-    failpoint::remove("server::quantile_slow");
     assert_eq!(status, 200, "{doc}");
     assert_eq!(doc.get("degraded").unwrap().as_bool(), Some(true));
     assert_eq!(doc.get("count").unwrap().as_f64(), Some(2000.0));

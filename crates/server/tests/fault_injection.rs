@@ -4,17 +4,15 @@
 //! that must not stall ingest, and refresher/shutdown races — the
 //! server-level half of the deterministic fault harness.
 //!
-//! Failpoints are process-global, so every test that arms one holds
-//! [`FAILPOINT_LOCK`] for its whole body.
+//! Failpoints are process-global, so every test here — armed or not,
+//! each starts a server a neighbour's fault could reach — runs inside
+//! a [`failpoint::scope`], which also disarms whatever the test armed.
 
 use msketch_engine::EngineConfig;
 use msketch_server::{MsketchServer, ServerConfig};
 use msketch_sketches::SketchSpec;
-use std::sync::Mutex;
 use std::time::Duration;
 use tiny_http::client;
-
-static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
 
 /// An ingest body over the single `app` dimension.
 fn ingest_body(rows: std::ops::Range<u64>) -> String {
@@ -44,9 +42,7 @@ fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
 
 #[test]
 fn full_admission_queue_sheds_quantile_requests_with_429() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     // One worker, one queue slot: pin the worker on a slow /quantile
     // (the failpoint stays armed — no count — so every evaluation
     // sleeps), park one connection in the queue, and the third must
@@ -75,7 +71,6 @@ fn full_admission_queue_sheds_quantile_requests_with_429() {
     let (status, headers, body) = client::get_full(addr, "/quantile?q=0.5").unwrap();
     assert_eq!(status, 429, "{body}");
     assert_eq!(header(&headers, "retry-after"), Some("5"), "{body}");
-    failpoint::remove("server::quantile_slow");
 
     // The pinned request was delayed, not dropped.
     let (status, body) = pinner.join().unwrap().unwrap();
@@ -85,6 +80,7 @@ fn full_admission_queue_sheds_quantile_requests_with_429() {
 
 #[test]
 fn reads_are_503_with_retry_after_until_the_first_snapshot() {
+    let _failpoints = failpoint::scope();
     let mut server = start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
@@ -128,9 +124,7 @@ fn reads_are_503_with_retry_after_until_the_first_snapshot() {
 
 #[test]
 fn expired_deadline_serves_degraded_quantiles_over_http() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     let mut server = start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
@@ -172,6 +166,7 @@ fn expired_deadline_serves_degraded_quantiles_over_http() {
 
 #[test]
 fn wal_recovery_restores_served_answers_bit_exactly() {
+    let _failpoints = failpoint::scope();
     let dir = std::env::temp_dir().join("msketch-server-fault-walrt");
     let _ = std::fs::remove_dir_all(&dir);
     let config = || ServerConfig {
@@ -220,9 +215,7 @@ fn wal_recovery_restores_served_answers_bit_exactly() {
 
 #[test]
 fn ingest_proceeds_while_a_checkpoint_fsync_stalls() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     let dir = std::env::temp_dir().join("msketch-server-fault-fsync-stall");
     let _ = std::fs::remove_dir_all(&dir);
     let mut server = start(ServerConfig {
@@ -261,7 +254,6 @@ fn ingest_proceeds_while_a_checkpoint_fsync_stalls() {
         refresh_started.elapsed() >= Duration::from_millis(700),
         "checkpoint finished too fast for the failpoint to have fired"
     );
-    failpoint::remove("engine::wal_fsync");
 
     // Both batches survive the stalled checkpoint and the next one.
     server.refresh().unwrap();
@@ -275,9 +267,7 @@ fn ingest_proceeds_while_a_checkpoint_fsync_stalls() {
 
 #[test]
 fn ingest_proceeds_while_a_range_read_stalls() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     let dir = std::env::temp_dir().join("msketch-server-fault-range-stall");
     let _ = std::fs::remove_dir_all(&dir);
     let mut server = start(ServerConfig {
@@ -305,7 +295,7 @@ fn ingest_proceeds_while_a_range_read_stalls() {
 
     // Pin the range read's first segment load: it runs after the
     // timeline lock is released, so a stamped ingest (which takes that
-    // lock) and /stats (which takes it too) go straight through.
+    // lock) goes straight through, and so does /stats (which takes none).
     failpoint::cfg("timeline::segment_load", "1*sleep(800)").unwrap();
     let read_started = std::time::Instant::now();
     std::thread::scope(|scope| {
@@ -335,7 +325,6 @@ fn ingest_proceeds_while_a_range_read_stalls() {
         read_started.elapsed() >= Duration::from_millis(700),
         "range read finished too fast for the failpoint to have fired"
     );
-    failpoint::remove("timeline::segment_load");
 
     // The same read again is all cache hits, and the exposition says so.
     let (status, body) = client::get(addr, "/quantile?q=0.5&t0=60000&t1=300000").unwrap();
@@ -354,7 +343,83 @@ fn ingest_proceeds_while_a_range_read_stalls() {
 }
 
 #[test]
+fn exposition_answers_while_refresh_and_maintenance_stall() {
+    let _failpoints = failpoint::scope();
+    let dir = std::env::temp_dir().join("msketch-server-fault-exposition-stall");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut server = start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        refresh_interval: Duration::from_secs(3600),
+        timeline_dir: Some(dir.clone()),
+        engine: EngineConfig::with_shards(1),
+        // /metrics renders each latency summary with a maxent solve,
+        // and a recorder holding two unlike observations is a hard one
+        // that alone outlasts the 100 ms this test allows a lock-free
+        // route. So every recorder holds at most one when /metrics is
+        // scraped: the stalled refresh is the first (no start-up
+        // snapshot), and each window below scrapes before it probes.
+        defer_initial_snapshot: true,
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr();
+
+    // One shard sits on the batch below for 400 ms, so the refresh
+    // waits that long for its delta *holding the engine mutex*; it then
+    // publishes the snapshot, and maintenance sleeps 400 ms in its one
+    // segment write *holding the timeline mutex*. A probe, a scrape and
+    // /stats must not queue behind either.
+    failpoint::cfg("engine::worker_panic", "1*sleep(400)").unwrap();
+    failpoint::cfg("timeline::segment_write", "1*sleep(400)").unwrap();
+    let (status, body) = client::post(addr, "/ingest", &ingest_body(0..100)).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let probe_all = |stalled: &str, health: u16| {
+        for (path, expected) in [("/metrics", 200), ("/health", health), ("/stats", 200)] {
+            let started = std::time::Instant::now();
+            let (status, body) = client::get(addr, path).unwrap();
+            let elapsed = started.elapsed();
+            assert_eq!(status, expected, "{path}: {body}");
+            assert!(
+                elapsed < Duration::from_millis(100),
+                "{path} took {elapsed:?} behind the {stalled} lock"
+            );
+        }
+    };
+    let refresh_started = std::time::Instant::now();
+    std::thread::scope(|scope| {
+        let refresher = scope.spawn(|| server.refresh());
+        std::thread::sleep(Duration::from_millis(100));
+        probe_all("engine", 503);
+        // Into the second stall: the segment write starts when the
+        // shard's sleep ends, 400 ms in, and lasts until 800 ms.
+        std::thread::sleep(Duration::from_millis(500).saturating_sub(refresh_started.elapsed()));
+        probe_all("timeline", 200);
+        assert!(
+            refresh_started.elapsed() < Duration::from_millis(800),
+            "probes ran past the stalls they were meant to overlap"
+        );
+        refresher.join().unwrap().unwrap();
+    });
+    // Both stalls really happened, back to back, under the probes.
+    assert!(
+        refresh_started.elapsed() >= Duration::from_millis(750),
+        "refresh finished too fast for both failpoints to have fired"
+    );
+    assert!(failpoint::list().is_empty(), "{:?}", failpoint::list());
+
+    // And what the lock-free routes report is what the owners counted.
+    let (_, body) = client::get(addr, "/stats").unwrap();
+    let doc = serde_json::from_str(&body).unwrap();
+    assert_eq!(doc.get("snapshot_rows").and_then(|v| v.as_u64()), Some(100));
+    let timeline = doc.get("timeline").unwrap();
+    assert_eq!(timeline.get("segments").and_then(|v| v.as_u64()), Some(1));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn shutdown_races_the_refresher_without_hanging() {
+    let _failpoints = failpoint::scope();
     // A refresher ticking every millisecond against a WAL-backed
     // engine maximizes the chance that shutdown lands mid-refresh;
     // the refresher must observe the engine going down and exit, not

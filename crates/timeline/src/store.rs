@@ -9,9 +9,10 @@
 //! header inside the file is authoritative and is revalidated on open.
 
 use crate::segment::{decode_segment, encode_segment, SegmentHeader};
-use crate::{Result, TimelineError};
+use crate::{Result, TimelineError, TimelineStats};
 use msketch_cube::DynCube;
 use msketch_engine::FsyncPolicy;
+use msketch_obs::{Counter, Gauge};
 use msketch_sketches::SketchSpec;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
@@ -47,7 +48,8 @@ pub struct SegmentMeta {
     pub generation: u64,
 }
 
-/// Occupancy and traffic of the decoded-segment cache.
+/// Occupancy and traffic of the decoded-segment cache: a read of the
+/// cache's own counters ([`SegmentStore::cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentCacheStats {
     /// Cells of the cubes resident now.
@@ -77,6 +79,72 @@ struct CacheEntry {
     used: u64,
 }
 
+/// Everything a timeline and its store count, each an obs handle
+/// written where the value changes — the store's index and cache here,
+/// ingest and maintenance in [`crate::Timeline`] — so that
+/// [`TimelineStats`], and through it `/stats` and `/metrics`, is read
+/// without borrowing (or locking) either. Clones share the handles.
+#[derive(Clone, Default)]
+pub(crate) struct Counters {
+    pub(crate) rows_ingested: Counter,
+    pub(crate) late_dropped: Counter,
+    pub(crate) segments_written: Counter,
+    pub(crate) rollups_written: Counter,
+    pub(crate) values_folded: Counter,
+    pub(crate) retention_removed: Counter,
+    pub(crate) open_buckets: Gauge,
+    pub(crate) segments: Gauge,
+    pub(crate) segment_bytes: Gauge,
+    /// Segment count per level, `levels[level]`, up to the `max_level`
+    /// the store was opened with.
+    pub(crate) levels: Vec<Gauge>,
+    pub(crate) cache_cells: Gauge,
+    pub(crate) cache_hits: Counter,
+    pub(crate) cache_misses: Counter,
+    pub(crate) cache_capacity_cells: usize,
+}
+
+impl Counters {
+    pub(crate) fn read(&self) -> TimelineStats {
+        TimelineStats {
+            rows_ingested: self.rows_ingested.get(),
+            late_dropped: self.late_dropped.get(),
+            segments_written: self.segments_written.get(),
+            rollups_written: self.rollups_written.get(),
+            values_folded: self.values_folded.get(),
+            retention_removed: self.retention_removed.get(),
+            open_buckets: self.open_buckets.get(),
+            segments: self.segments.get(),
+            segment_bytes: self.segment_bytes.get(),
+            segment_levels: self.levels.iter().map(Gauge::get).collect(),
+            segment_cache: SegmentCacheStats {
+                cells: self.cache_cells.get() as usize,
+                capacity_cells: self.cache_capacity_cells,
+                hits: self.cache_hits.get(),
+                misses: self.cache_misses.get(),
+            },
+        }
+    }
+
+    /// `meta` entered the index.
+    fn indexed(&self, meta: &SegmentMeta) {
+        self.segments.add(1);
+        self.segment_bytes.add(meta.bytes);
+        if let Some(level) = self.levels.get(meta.level as usize) {
+            level.add(1);
+        }
+    }
+
+    /// `meta` left the index (deleted, or replaced by a rewrite).
+    fn unindexed(&self, meta: &SegmentMeta) {
+        self.segments.sub(1);
+        self.segment_bytes.sub(meta.bytes);
+        if let Some(level) = self.levels.get(meta.level as usize) {
+            level.sub(1);
+        }
+    }
+}
+
 /// Decoded closed segments, least recently used out first, bounded by
 /// the cells they hold.
 struct SegmentCache {
@@ -84,28 +152,26 @@ struct SegmentCache {
     /// Recency order: use tick → key, oldest first.
     order: BTreeMap<u64, CacheKey>,
     tick: u64,
-    stats: SegmentCacheStats,
+    /// The budget, and where cells resident, hits and misses count.
+    counters: Counters,
 }
 
 impl SegmentCache {
-    fn new(capacity_cells: usize) -> SegmentCache {
+    fn new(counters: &Counters) -> SegmentCache {
         SegmentCache {
             entries: HashMap::new(),
             order: BTreeMap::new(),
             tick: 0,
-            stats: SegmentCacheStats {
-                capacity_cells,
-                ..SegmentCacheStats::default()
-            },
+            counters: counters.clone(),
         }
     }
 
     fn get(&mut self, key: CacheKey) -> Option<Arc<DynCube>> {
         let Some(entry) = self.entries.get_mut(&key) else {
-            self.stats.misses += 1;
+            self.counters.cache_misses.inc();
             return None;
         };
-        self.stats.hits += 1;
+        self.counters.cache_hits.inc();
         self.tick += 1;
         self.order.remove(&entry.used);
         entry.used = self.tick;
@@ -117,29 +183,31 @@ impl SegmentCache {
     /// cube larger than the whole budget is not admitted.
     fn insert(&mut self, key: CacheKey, cube: Arc<DynCube>) {
         let cost = cube.cell_count().max(1);
-        if cost > self.stats.capacity_cells {
+        let capacity = self.counters.cache_capacity_cells;
+        if cost > capacity {
             return;
         }
         self.remove(key);
-        while self.stats.cells + cost > self.stats.capacity_cells {
+        let cells = &self.counters.cache_cells;
+        while cells.get() as usize + cost > capacity {
             let Some((_, coldest)) = self.order.pop_first() else {
                 break;
             };
             if let Some(evicted) = self.entries.remove(&coldest) {
-                self.stats.cells -= evicted.cost;
+                cells.sub(evicted.cost as u64);
             }
         }
         self.tick += 1;
         let used = self.tick;
         self.order.insert(used, key);
-        self.stats.cells += cost;
+        cells.add(cost as u64);
         self.entries.insert(key, CacheEntry { cube, cost, used });
     }
 
     fn remove(&mut self, key: CacheKey) {
         if let Some(entry) = self.entries.remove(&key) {
             self.order.remove(&entry.used);
-            self.stats.cells -= entry.cost;
+            self.counters.cache_cells.sub(entry.cost as u64);
         }
     }
 }
@@ -217,6 +285,7 @@ pub struct SegmentStore {
     index: BTreeMap<(u8, u64), SegmentMeta>,
     /// Writes so far: the next [`SegmentMeta::generation`].
     writes: u64,
+    counters: Counters,
 }
 
 impl SegmentStore {
@@ -226,22 +295,30 @@ impl SegmentStore {
     /// parents and their children are *both* expected on disk — the
     /// planner prefers parents for covered middles and children for
     /// range edges — so coexistence is the normal state, not a crash
-    /// artifact.
+    /// artifact. `max_level` is the coarsest rollup level the owning
+    /// timeline writes: the store counts its segments per level up to it.
     pub fn open(
         dir: &Path,
         spec: &SketchSpec,
         dim_names: &[String],
+        max_level: u8,
         fsync: FsyncPolicy,
     ) -> Result<(SegmentStore, StoreRecovery)> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create timeline dir", dir, &e))?;
+        let counters = Counters {
+            levels: (0..=max_level).map(|_| Gauge::default()).collect(),
+            cache_capacity_cells: SEGMENT_CACHE_CELLS,
+            ..Counters::default()
+        };
         let mut store = SegmentStore {
             reader: Arc::new(SegmentReader {
                 dir: dir.to_path_buf(),
-                cache: Mutex::new(SegmentCache::new(SEGMENT_CACHE_CELLS)),
+                cache: Mutex::new(SegmentCache::new(&counters)),
             }),
             fsync,
             index: BTreeMap::new(),
             writes: 0,
+            counters,
         };
         let mut report = StoreRecovery::default();
         let entries = std::fs::read_dir(dir).map_err(|e| io_err("read timeline dir", dir, &e))?;
@@ -294,15 +371,11 @@ impl SegmentStore {
                 report.corrupt_skipped += 1;
                 continue;
             }
+            store.counters.indexed(&meta);
             store.index.insert((meta.level, meta.start_ms), meta);
         }
         report.segments_loaded = store.index.len();
         Ok((store, report))
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.reader.dir
     }
 
     /// The read half, for a range read to keep after planning.
@@ -310,16 +383,24 @@ impl SegmentStore {
         Arc::clone(&self.reader)
     }
 
-    /// Occupancy and hit/miss counts of the decoded-segment cache.
-    pub fn cache_stats(&self) -> SegmentCacheStats {
-        self.reader.cache().stats
+    /// The counters this store writes its share of, for the owning
+    /// [`crate::Timeline`] to share, read and register.
+    pub(crate) fn counters(&self) -> &Counters {
+        &self.counters
     }
 
-    /// Start over with an empty cache of another budget. Tests only
-    /// (a budget smaller than one cover); the product runs the constant.
+    /// Occupancy and hit/miss counts of the decoded-segment cache.
+    pub fn cache_stats(&self) -> SegmentCacheStats {
+        self.counters.read().segment_cache
+    }
+
+    /// Empty the cache and give it another budget. Tests only (a budget
+    /// smaller than one cover); the product runs the constant.
     #[cfg(test)]
-    pub(crate) fn reset_cache(&self, capacity_cells: usize) {
-        *self.reader.cache() = SegmentCache::new(capacity_cells);
+    pub(crate) fn reset_cache(&mut self, capacity_cells: usize) {
+        self.counters.cache_cells.set(0);
+        self.counters.cache_capacity_cells = capacity_cells;
+        *self.reader.cache() = SegmentCache::new(&self.counters);
     }
 
     /// The index, keyed by `(level, start_ms)`.
@@ -327,20 +408,13 @@ impl SegmentStore {
         &self.index
     }
 
-    /// Segment count per level, `counts[level]`.
+    /// Segment count per level, `counts[level]`, for levels up to
+    /// `max_level` (zero past the level the store was opened with).
     pub fn level_counts(&self, max_level: u8) -> Vec<usize> {
-        let mut counts = vec![0usize; max_level as usize + 1];
-        for meta in self.index.values() {
-            if let Some(slot) = counts.get_mut(meta.level as usize) {
-                *slot += 1;
-            }
-        }
-        counts
-    }
-
-    /// Total bytes across all indexed segment files.
-    pub fn total_bytes(&self) -> u64 {
-        self.index.values().map(|m| m.bytes).sum()
+        let levels = &self.counters.levels;
+        (0..=max_level as usize)
+            .map(|level| levels.get(level).map_or(0, |count| count.get() as usize))
+            .collect()
     }
 
     /// The segment at exactly `(level, start_ms)`, if any.
@@ -411,7 +485,9 @@ impl SegmentStore {
             generation: self.writes,
         };
         let key = (meta.level, meta.start_ms);
+        self.counters.indexed(&meta);
         if let Some(replaced) = self.index.insert(key, meta) {
+            self.counters.unindexed(&replaced);
             self.reader.cache().remove(replaced.cache_key());
         }
         // The entry was just inserted under `key`; spelled as a checked
@@ -434,6 +510,7 @@ impl SegmentStore {
     pub fn remove(&mut self, level: u8, start_ms: u64) -> Result<bool> {
         match self.index.remove(&(level, start_ms)) {
             Some(meta) => {
+                self.counters.unindexed(&meta);
                 self.reader.cache().remove(meta.cache_key());
                 let path = self.reader.dir.join(&meta.file);
                 std::fs::remove_file(&path).map_err(|e| io_err("delete segment", &path, &e))?;
@@ -502,7 +579,7 @@ mod tests {
     fn write_load_reopen_round_trip() {
         let dir = scratch("roundtrip");
         let (mut store, report) =
-            SegmentStore::open(&dir, &spec(), &dims(), FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
         assert_eq!(report, StoreRecovery::default());
         for b in 0..3u64 {
             let header = SegmentHeader {
@@ -520,7 +597,7 @@ mod tests {
 
         // Reopen re-indexes the same segments.
         let (reopened, report) =
-            SegmentStore::open(&dir, &spec(), &dims(), FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
         assert_eq!(report.segments_loaded, 3);
         assert_eq!(reopened.index().len(), 3);
         assert_eq!(reopened.level_counts(2), vec![3, 0, 0]);
@@ -531,7 +608,7 @@ mod tests {
     fn recovery_cleans_tmp_and_corrupt_but_keeps_all_levels() {
         let dir = scratch("recovery");
         let (mut store, _) =
-            SegmentStore::open(&dir, &spec(), &dims(), FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
         // Two children plus their rolled-up parent — the normal
         // post-compaction state — plus one uncompacted bucket.
         for b in 0..3u64 {
@@ -559,7 +636,7 @@ mod tests {
         std::fs::write(dir.join("seg-L0-999-1000.seg"), b"garbage").unwrap();
 
         let (reopened, report) =
-            SegmentStore::open(&dir, &spec(), &dims(), FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
         assert_eq!(report.tmp_removed, 1);
         assert_eq!(report.corrupt_skipped, 1);
         // Parent and children coexist: fine segments keep serving
@@ -578,7 +655,7 @@ mod tests {
     fn schema_mismatch_is_quarantined() {
         let dir = scratch("schema");
         let (mut store, _) =
-            SegmentStore::open(&dir, &spec(), &dims(), FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
         store
             .write(
                 SegmentHeader {
@@ -593,7 +670,7 @@ mod tests {
         // loaded into a store it cannot merge with.
         let other_dims = vec!["host".to_string()];
         let (reopened, report) =
-            SegmentStore::open(&dir, &spec(), &other_dims, FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &other_dims, 2, FsyncPolicy::Never).unwrap();
         assert_eq!(report.corrupt_skipped, 1);
         assert_eq!(reopened.index().len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -610,7 +687,10 @@ mod tests {
 
     #[test]
     fn cache_holds_its_cell_budget_and_evicts_the_coldest() {
-        let mut cache = SegmentCache::new(10);
+        let mut cache = SegmentCache::new(&Counters {
+            cache_capacity_cells: 10,
+            ..Counters::default()
+        });
         cache.insert((0, 1, 0), wide(4));
         cache.insert((0, 2, 0), wide(4));
         assert!(cache.get((0, 1, 0)).is_some(), "touch 1: now 2 is coldest");
@@ -618,26 +698,27 @@ mod tests {
         assert!(cache.get((0, 2, 0)).is_none(), "coldest evicted");
         assert!(cache.get((0, 1, 0)).is_some());
         assert!(cache.get((0, 3, 0)).is_some());
-        assert_eq!(cache.stats.cells, 8);
+        assert_eq!(cache.counters.cache_cells.get(), 8);
         // Larger than the whole budget: not admitted, nothing evicted.
         cache.insert((1, 0, 0), wide(11));
         assert!(cache.get((1, 0, 0)).is_none());
-        assert_eq!(cache.stats.cells, 8);
+        assert_eq!(cache.counters.cache_cells.get(), 8);
         // Re-inserting a key replaces it instead of charging twice.
         cache.insert((0, 3, 0), wide(2));
-        assert_eq!(cache.stats.cells, 6);
+        assert_eq!(cache.counters.cache_cells.get(), 6);
         cache.remove((0, 1, 0));
         cache.remove((0, 3, 0));
-        assert_eq!(cache.stats.cells, 0);
+        assert_eq!(cache.counters.cache_cells.get(), 0);
         assert!(cache.order.is_empty() && cache.entries.is_empty());
-        assert_eq!((cache.stats.hits, cache.stats.misses), (3, 2));
+        let traffic = cache.counters.read().segment_cache;
+        assert_eq!((traffic.hits, traffic.misses), (3, 2));
     }
 
     #[test]
     fn a_rewrite_is_never_answered_from_the_replaced_image() {
         let dir = scratch("rewrite");
         let (mut store, _) =
-            SegmentStore::open(&dir, &spec(), &dims(), FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
         let header = SegmentHeader {
             level: 0,
             start_ms: 0,
@@ -675,7 +756,7 @@ mod tests {
     fn remove_deletes_file_and_entry() {
         let dir = scratch("remove");
         let (mut store, _) =
-            SegmentStore::open(&dir, &spec(), &dims(), FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
         store
             .write(
                 SegmentHeader {

@@ -3,7 +3,9 @@
 
 use crate::planner::RangePlanner;
 use crate::segment::SegmentHeader;
-use crate::store::{SegmentMeta, SegmentReader, SegmentStore, StoreRecovery};
+use crate::store::{
+    Counters, SegmentCacheStats, SegmentMeta, SegmentReader, SegmentStore, StoreRecovery,
+};
 use crate::{Result, TimelineConfig, TimelineError, OTHER_LABEL};
 use msketch_cube::DynCube;
 use msketch_sketches::SketchSpec;
@@ -11,7 +13,10 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Ingest/maintenance counters (monotonic since open).
+/// A point-in-time read of everything the timeline counts: ingest and
+/// maintenance counters (monotonic since open), the segment inventory,
+/// and the decoded-segment cache ([`Timeline::stats`], or — without
+/// holding the timeline — [`Timeline::stats_reader`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimelineStats {
     /// Rows accepted into open buckets.
@@ -27,6 +32,17 @@ pub struct TimelineStats {
     pub values_folded: u64,
     /// Segments deleted by retention.
     pub retention_removed: u64,
+    /// Open (not yet checkpointed) buckets in memory.
+    pub open_buckets: u64,
+    /// Segments in the store's index, all levels.
+    pub segments: u64,
+    /// Bytes across all indexed segment files.
+    pub segment_bytes: u64,
+    /// Segment count per level, `segment_levels[level]`, up to the
+    /// configuration's coarsest level.
+    pub segment_levels: Vec<u64>,
+    /// Occupancy and traffic of the decoded-segment cache.
+    pub segment_cache: SegmentCacheStats,
 }
 
 /// What one [`Timeline::maintain`] cycle did.
@@ -113,7 +129,7 @@ pub struct Timeline {
     /// persisted bucket for late data loads the segment back first —
     /// so a checkpoint always rewrites the whole segment.
     open: BTreeMap<u64, DynCube>,
-    stats: TimelineStats,
+    counters: Counters,
 }
 
 impl Timeline {
@@ -133,8 +149,10 @@ impl Timeline {
         config: TimelineConfig,
     ) -> Result<(Timeline, StoreRecovery)> {
         let names: Vec<String> = dim_names.iter().map(|s| s.to_string()).collect();
-        let (store, recovery) = SegmentStore::open(dir, &spec, &names, config.fsync)?;
+        let (store, recovery) =
+            SegmentStore::open(dir, &spec, &names, config.max_level(), config.fsync)?;
         let planner = RangePlanner::new(config.bucket_ms, config.max_level());
+        let counters = store.counters().clone();
         Ok((
             Timeline {
                 config,
@@ -143,10 +161,30 @@ impl Timeline {
                 store,
                 planner,
                 open: BTreeMap::new(),
-                stats: TimelineStats::default(),
+                counters,
             },
             recovery,
         ))
+    }
+
+    /// Publish the series `/metrics` names for a timeline — segment
+    /// inventory and decoded-segment cache — as the timeline's own
+    /// handles: the exposition reads the atomics the store writes.
+    pub fn register_metrics(&self, registry: &msketch_obs::Registry) {
+        let c = &self.counters;
+        registry.register_gauge("msketch_timeline_segments", &[], &c.segments);
+        registry.register_gauge("msketch_timeline_segment_bytes", &[], &c.segment_bytes);
+        registry.register_counter(
+            "msketch_timeline_segment_cache_hits_total",
+            &[],
+            &c.cache_hits,
+        );
+        registry.register_counter(
+            "msketch_timeline_segment_cache_misses_total",
+            &[],
+            &c.cache_misses,
+        );
+        registry.register_gauge("msketch_timeline_segment_cache_cells", &[], &c.cache_cells);
     }
 
     /// The timeline's configuration.
@@ -164,19 +202,24 @@ impl Timeline {
         &self.dim_names
     }
 
-    /// Ingest/maintenance counters.
-    pub fn stats(&self) -> &TimelineStats {
-        &self.stats
+    /// Everything the timeline counts, right now.
+    pub fn stats(&self) -> TimelineStats {
+        self.counters.read()
+    }
+
+    /// [`Self::stats`] for a caller that must not wait for the
+    /// timeline: the returned closure reads the same handles without
+    /// borrowing (or locking) it, so a serving layer that keeps its
+    /// timeline behind a mutex answers `/stats` while maintenance holds
+    /// that mutex across segment writes.
+    pub fn stats_reader(&self) -> impl Fn() -> TimelineStats + Send + Sync + 'static {
+        let counters = self.counters.clone();
+        move || counters.read()
     }
 
     /// The segment store (read access for stats and tests).
     pub fn store(&self) -> &SegmentStore {
         &self.store
-    }
-
-    /// Open (not yet checkpointed) bucket count.
-    pub fn open_buckets(&self) -> usize {
-        self.open.len()
     }
 
     /// Ingest one timestamped row. Returns `true` if the row was
@@ -189,8 +232,10 @@ impl Timeline {
     /// checkpoint — the read path never sees a partial bucket.
     pub fn insert(&mut self, ts_ms: u64, dim_values: &[&str], metric: f64) -> Result<bool> {
         let bucket = self.config.bucket_start(ts_ms);
+        // Per-row counts use the plain-store increment: `&mut self` is
+        // the only writer, and this path runs once per ingested row.
         if self.store.covering(bucket, 1).is_some() {
-            self.stats.late_dropped += 1;
+            self.counters.late_dropped.inc_exclusive();
             return Ok(false);
         }
         if !self.open.contains_key(&bucket) {
@@ -199,6 +244,7 @@ impl Timeline {
                 None => DynCube::from_spec(self.spec.clone(), &self.dim_name_refs()),
             };
             self.open.insert(bucket, cube);
+            self.counters.open_buckets.set(self.open.len() as u64);
         }
         match self.open.get_mut(&bucket) {
             Some(cube) => cube.insert(dim_values, metric)?,
@@ -206,7 +252,7 @@ impl Timeline {
             // the ingest path panic-free.
             None => return Ok(false),
         }
-        self.stats.rows_ingested += 1;
+        self.counters.rows_ingested.inc_exclusive();
         Ok(true)
     }
 
@@ -230,7 +276,7 @@ impl Timeline {
                 // Never materialize empty segments; drop the bucket if
                 // it is already closed.
                 if end <= now_ms {
-                    self.open.remove(&start);
+                    self.drop_open(start);
                 }
                 continue;
             }
@@ -245,9 +291,9 @@ impl Timeline {
             };
             self.store.write(header, cube)?;
             written += 1;
-            self.stats.segments_written += 1;
+            self.counters.segments_written.inc();
             if end <= now_ms {
-                self.open.remove(&start);
+                self.drop_open(start);
             }
         }
         Ok(written)
@@ -326,7 +372,7 @@ impl Timeline {
         }
         if self.config.cell_budget > 0 {
             let folds = merged.enforce_cell_budget(self.config.cell_budget, OTHER_LABEL);
-            self.stats.values_folded += folds as u64;
+            self.counters.values_folded.add(folds as u64);
         }
         let header = SegmentHeader {
             level: child_level + 1,
@@ -334,7 +380,7 @@ impl Timeline {
             end_ms: end,
         };
         self.store.write(header, &merged)?;
-        self.stats.rollups_written += 1;
+        self.counters.rollups_written.inc();
         Ok(())
     }
 
@@ -358,7 +404,7 @@ impl Timeline {
         for (level, start) in expired {
             if self.store.remove(level, start)? {
                 removed += 1;
-                self.stats.retention_removed += 1;
+                self.counters.retention_removed.inc();
             }
         }
         let stale: Vec<u64> = self
@@ -368,7 +414,7 @@ impl Timeline {
             .filter(|&start| start.saturating_add(self.config.bucket_ms) <= cutoff)
             .collect();
         for start in stale {
-            self.open.remove(&start);
+            self.drop_open(start);
         }
         Ok(removed)
     }
@@ -440,6 +486,12 @@ impl Timeline {
     fn dim_name_refs(&self) -> Vec<&str> {
         self.dim_names.iter().map(|s| s.as_str()).collect()
     }
+
+    /// Forget the open bucket starting at `start`.
+    fn drop_open(&mut self, start: u64) {
+        self.open.remove(&start);
+        self.counters.open_buckets.set(self.open.len() as u64);
+    }
 }
 
 #[cfg(test)]
@@ -481,17 +533,34 @@ mod tests {
         }
     }
 
+    /// The published inventory is counted where the index changes; it
+    /// must equal a recount of the index.
+    fn assert_inventory_matches_index(tl: &Timeline) {
+        let stats = tl.stats();
+        let index = tl.store().index();
+        assert_eq!(stats.segments, index.len() as u64);
+        assert_eq!(
+            stats.segment_bytes,
+            index.values().map(|m| m.bytes).sum::<u64>()
+        );
+        for (level, &count) in stats.segment_levels.iter().enumerate() {
+            let recount = index.values().filter(|m| m.level as usize == level);
+            assert_eq!(count, recount.count() as u64, "level {level}");
+        }
+        assert_eq!(stats.open_buckets, tl.open.len() as u64);
+    }
+
     #[test]
     fn ingest_checkpoint_query_round_trip() {
         let dir = scratch("roundtrip");
         let mut tl = open(&dir, config());
         fill(&mut tl, 6, 50);
-        assert_eq!(tl.open_buckets(), 6);
+        assert_eq!(tl.stats().open_buckets, 6);
         // Checkpoint at the end of bucket 5: buckets 0..5 close,
         // bucket 5 stays open (now sits inside it).
         let now = 5 * MIN + 1;
         assert_eq!(tl.checkpoint(now).unwrap(), 6);
-        assert_eq!(tl.open_buckets(), 1);
+        assert_eq!(tl.stats().open_buckets, 1);
 
         // Range [1m, 4m): three buckets, 150 rows.
         let answer = tl.range_cube(MIN, 4 * MIN).unwrap().unwrap();
@@ -556,6 +625,8 @@ mod tests {
             .map(|m| m.rows)
             .sum();
         assert_eq!(raw, 8 * 40);
+        assert_inventory_matches_index(&tl);
+        assert_eq!(tl.stats().segment_levels, vec![13, 3, 1]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -568,7 +639,7 @@ mod tests {
         // Bucket 4 is checkpointed but its fanout window [4m,8m) is
         // still open → late row accepted via reopen.
         assert!(tl.insert(4 * MIN + 5, &["checkout"], -1.0).unwrap());
-        assert_eq!(tl.open_buckets(), 1);
+        assert_eq!(tl.stats().open_buckets, 1);
         tl.checkpoint(6 * MIN).unwrap();
         let answer = tl.range_cube(4 * MIN, 5 * MIN).unwrap().unwrap();
         assert_eq!(answer.cube.row_count(), 11, "late row merged in");
@@ -578,6 +649,8 @@ mod tests {
         assert_eq!(tl.stats().late_dropped, 1);
         let answer = tl.range_cube(0, MIN).unwrap().unwrap();
         assert_eq!(answer.cube.row_count(), 10, "rolled bucket unchanged");
+        // Bucket 4 was rewritten in place: counted once, at its new size.
+        assert_inventory_matches_index(&tl);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -615,6 +688,7 @@ mod tests {
         assert!(tl.range_cube(0, 8 * MIN).unwrap().is_none());
         assert!(tl.range_cube(8 * MIN, 10 * MIN).unwrap().is_some());
         assert_eq!(tl.stats().retention_removed as usize, removed);
+        assert_inventory_matches_index(&tl);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -634,6 +708,8 @@ mod tests {
 
         // Reopen (as after a crash: segments are the durable state).
         let tl = open(&dir, config());
+        assert_inventory_matches_index(&tl);
+        assert!(tl.stats().segments > 0);
         let after = tl.range_cube(MIN, 8 * MIN).unwrap().unwrap();
         assert_eq!(after.segments_read, before.segments_read);
         assert_eq!(after.cube.row_count(), before.cube.row_count());
@@ -677,7 +753,15 @@ mod tests {
         let mut tl = open(&dir, config());
         assert_eq!(tl.maintain(MIN).unwrap(), MaintenanceReport::default());
         assert!(tl.range_cube(0, MIN).unwrap().is_none());
-        assert_eq!(tl.stats(), &TimelineStats::default());
+        assert_eq!(
+            tl.stats(),
+            TimelineStats {
+                segment_levels: vec![0; 3],
+                segment_cache: tl.store().cache_stats(),
+                ..TimelineStats::default()
+            }
+        );
+        assert_eq!(tl.store().cache_stats().cells, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,16 +3,14 @@
 //! registry at the two sites pinned in `lint/failpoints.golden`
 //! (`timeline::segment_write`, `timeline::compact`).
 //!
-//! Failpoints are process-global, so every test that arms one holds
-//! [`FAILPOINT_LOCK`] for its whole body.
+//! Failpoints are process-global, so every test here runs inside a
+//! [`failpoint::scope`]; each fault is armed for one fire (`1*return`),
+//! so the retry that follows it runs clean.
 
 use msketch_cube::QueryEngine;
 use msketch_engine::FsyncPolicy;
 use msketch_sketches::SketchSpec;
 use msketch_timeline::{Timeline, TimelineConfig, TimelineError};
-use std::sync::Mutex;
-
-static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
 
 const BUCKET_MS: u64 = 1_000;
 const DIMS: [&str; 2] = ["app", "region"];
@@ -62,9 +60,7 @@ fn median_bits(timeline: &Timeline, t0: u64, t1: u64) -> u64 {
 
 #[test]
 fn torn_segment_write_fails_the_checkpoint_and_recovery_cleans_up() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     let dir = fresh_dir("torn-write");
     let (mut timeline, _) = open(&dir);
 
@@ -81,9 +77,8 @@ fn torn_segment_write_fails_the_checkpoint_and_recovery_cleans_up() {
             .insert(2 * BUCKET_MS + i, &["app-a", "eu"], -1.0)
             .expect("insert");
     }
-    failpoint::cfg("timeline::segment_write", "return").unwrap();
+    failpoint::cfg("timeline::segment_write", "1*return").unwrap();
     let torn = timeline.checkpoint(LATER);
-    failpoint::remove("timeline::segment_write");
     assert!(
         matches!(torn, Err(TimelineError::Io(_))),
         "torn write must fail the checkpoint"
@@ -108,9 +103,7 @@ fn torn_segment_write_fails_the_checkpoint_and_recovery_cleans_up() {
 
 #[test]
 fn failed_compaction_is_idempotently_retried_and_answers_never_change() {
-    let _guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _failpoints = failpoint::scope();
     let dir = fresh_dir("compact-retry");
     let (mut timeline, _) = open(&dir);
 
@@ -121,9 +114,8 @@ fn failed_compaction_is_idempotently_retried_and_answers_never_change() {
 
     // First compaction pass dies at the failpoint; answers must still
     // come from the intact base segments.
-    failpoint::cfg("timeline::compact", "return").unwrap();
+    failpoint::cfg("timeline::compact", "1*return").unwrap();
     let failed = timeline.compact(LATER);
-    failpoint::remove("timeline::compact");
     assert!(
         matches!(failed, Err(TimelineError::Io(_))),
         "armed compaction must fail"

@@ -1,9 +1,8 @@
 //! Sharded concurrent ingestion, end to end: several writer threads feed
 //! an 8-shard engine; readers query epoch snapshots while ingestion
-//! continues; panes rotate into a sliding window; and the final snapshot
-//! is checked bit-exact against single-threaded ingestion — the moments
-//! sketch's shard merges are exact power-sum additions, so concurrency
-//! costs no accuracy.
+//! continues; and the final snapshot is checked bit-exact against
+//! single-threaded ingestion — the moments sketch's shard merges are
+//! exact power-sum additions, so concurrency costs no accuracy.
 //!
 //! Run with: `cargo run --release --example sharded_ingest`
 
@@ -101,34 +100,5 @@ fn main() {
         );
     }
     println!("sharded snapshot == sequential ingest (bit-exact rollups)");
-
-    // Sliding-window serving: rotate panes into a turnstile window.
-    let mut sliding = SlidingEngine::new(
-        DynShardedCube::new(
-            SketchSpec::moments(10),
-            &["app", "region"],
-            EngineConfig::with_shards(4).batch_rows(1024),
-        ),
-        3,
-    )
-    .expect("moments-backed engine");
-    for pane in 0..5u64 {
-        for i in 0..20_000u64 {
-            let (dims, _) = row(i);
-            // Latency drifts upward pane over pane.
-            sliding
-                .insert(&dims, (i % 180) as f64 + (pane * 50) as f64)
-                .unwrap();
-        }
-        let (retired, agg) = sliding.rotate().unwrap();
-        println!(
-            "pane {pane}: retired {} rows, window p50 = {:.1} over {} points",
-            retired.row_count(),
-            agg.quantile(0.5).unwrap(),
-            agg.count()
-        );
-    }
-    let window = sliding.aggregate().unwrap();
-    assert_eq!(window.count(), 60_000.0, "window spans exactly 3 panes");
     println!("done");
 }

@@ -64,7 +64,7 @@ pub mod prelude {
         QueryEngine, ThresholdReport, TurnstileWindow,
     };
     pub use msketch_engine::{
-        DynShardedCube, EngineConfig, EngineSnapshot, ShardWriter, ShardedCube, SlidingEngine,
+        DynShardedCube, EngineConfig, EngineSnapshot, ShardWriter, ShardedCube,
     };
     pub use msketch_macrobase::{MacroBaseConfig, MacroBaseEngine};
     pub use msketch_obs::{Obs, Registry, TraceSink};
