@@ -141,8 +141,13 @@ fn main() -> Result<(), ServeError> {
     let mut server = MsketchServer::start(spec, &dims, config)?;
     if let Some(recovery) = server.timeline_recovery() {
         println!(
-            "msketch-serve timeline recovered {} segments ({} corrupt skipped, {} torn tmp files removed)",
-            recovery.segments_loaded, recovery.corrupt_skipped, recovery.tmp_removed
+            "msketch-serve timeline recovered {} segments ({} corrupt skipped, {} torn tmp files removed, \
+             {} off the rollup ladder skipped, {} unsealed intermediate rollups removed)",
+            recovery.segments_loaded,
+            recovery.corrupt_skipped,
+            recovery.tmp_removed,
+            recovery.off_ladder_skipped,
+            recovery.unsealed_removed
         );
     }
     if let Some(report) = server.recovery_report() {

@@ -160,9 +160,10 @@ pub struct ServerConfig {
     /// Directory for the time-bucketed rollup timeline
     /// ([`msketch_timeline::Timeline`]). `Some(dir)` stamps every
     /// ingested row into a time bucket, persists closed buckets as
-    /// immutable segments, rolls them up 1m → 1h → 1d in the
-    /// background, and answers `t0`/`t1` range queries on `/quantile`,
-    /// `/groupby`, and `/threshold` from the minimal segment cover.
+    /// immutable segments, rolls them up 1m → 1h → 1d (and the
+    /// intermediate 5m, 20m and 6h levels) in the background, and
+    /// answers `t0`/`t1` range queries on `/quantile`, `/groupby`, and
+    /// `/threshold` from the minimal segment cover.
     /// `None` rejects range queries with `400`.
     pub timeline_dir: Option<PathBuf>,
     /// Base bucket width for the timeline, in milliseconds (ignored

@@ -773,6 +773,51 @@ fn timeline_range_queries_answer_from_segments() {
 }
 
 #[test]
+fn range_reads_use_intermediate_rollups_and_trace_what_they_cost() {
+    let dir = fresh_dir("ladder");
+    let server = timeline_server(&dir);
+    // Two rows in each of the first ten minute buckets.
+    let rows: Vec<StampedRow> = (0..20u64)
+        .map(|i| ("fast", "eu", -((i % 5) as f64), i * MIN_MS / 2))
+        .collect();
+    let (status, doc) = call(
+        &server,
+        &request("POST", "/ingest", &[], &stamped_body(&rows)),
+    );
+    assert_eq!(status, 200, "{doc}");
+    server.refresh().unwrap();
+
+    // The server runs `TimelineConfig::default()`: hours and days seal,
+    // and 5-minute, 20-minute and 6-hour rollups are written with them.
+    let (_, stats) = call(&server, &request("GET", "/stats", &[], ""));
+    let levels = stats.get("timeline").unwrap().get("segment_levels");
+    assert_eq!(levels.unwrap().to_string(), "[10,2,1,1,1,1]");
+    // Ten minutes are two 5-minute segments, not ten buckets.
+    let range = [("t0", "0"), ("t1", "600000")];
+    let (status, ranged) = call(&server, &request("GET", "/quantile", &range, ""));
+    assert_eq!(status, 200, "{ranged}");
+    assert_eq!(ranged.get("rows").unwrap().as_u64(), Some(20));
+    assert_eq!(ranged.get("segments").unwrap().as_u64(), Some(2));
+
+    // The merge span says where its time went: segments and cells
+    // merged, and how much of it was loading what the cache missed.
+    let (_, trace) = call(&server, &request("GET", "/trace", &[("last", "4")], ""));
+    let traces = trace.get("traces").unwrap().as_array().unwrap();
+    let mut spans = traces
+        .iter()
+        .flat_map(|t| t.get("spans").unwrap().as_array().unwrap());
+    let merge = spans
+        .rfind(|s| s.get("name").unwrap().as_str() == Some("timeline::merge_cover"))
+        .unwrap_or_else(|| panic!("no timeline::merge_cover span in {trace}"));
+    let field = |name: &str| merge.get("fields").unwrap().get(name).unwrap().as_u64();
+    assert_eq!(field("segments"), Some(2));
+    assert_eq!(field("cache_hits"), Some(0));
+    assert_eq!(field("cells"), Some(2));
+    let dur = merge.get("dur_us").unwrap().as_u64().unwrap();
+    assert!(field("load_us").unwrap() <= dur, "{merge}");
+}
+
+#[test]
 fn timeline_range_parameter_validation() {
     let dir = fresh_dir("validation");
     let server = timeline_server(&dir);

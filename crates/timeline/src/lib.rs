@@ -13,16 +13,18 @@
 //!    is serialized with the cube wire codec, framed with the CRC
 //!    segment format shared with the durable WAL, and persisted as an
 //!    immutable file — crash recovery replays whatever frames survive.
-//! 3. **Rollup hierarchy** ([`Timeline::compact`]): a compactor merges
-//!    closed base segments up a resolution ladder (1m → 1h → 1d by
-//!    default) via `DataCube::merge_cube`, folding rare dimension
-//!    values into `<other>` to hold each rolled segment under a cell
-//!    budget.
+//! 3. **Rollup hierarchy** ([`Timeline::compact`]): when a window of
+//!    a *sealing* level closes (1m → 1h → 1d by default) a compactor
+//!    merges its segments into one via `DataCube::merge_cube`, folding
+//!    rare dimension values into `<other>` to hold each rolled segment
+//!    under a cell budget — and, in the same fold, writes the
+//!    *intermediate* levels of the [`Ladder`] between the two (1m → 5m
+//!    → 20m → 1h → 6h → 1d), each a few pieces of the one below.
 //! 4. **Range planning** ([`RangePlanner`]): an arbitrary `[t0, t1)`
 //!    query is answered from the minimal cover of pre-rolled segments
 //!    — coarse in the middle, fine at the edges — so a week-long query
-//!    over minute buckets reads O(fanout · levels) segments instead of
-//!    re-folding ten thousand panes.
+//!    over minute buckets reads O(step · levels) segments, a few dozen,
+//!    instead of re-folding ten thousand panes.
 //! 5. **Range execution** ([`Timeline::range_read`], then
 //!    [`RangeRead::merge`]): planning borrows the timeline for
 //!    microseconds; loading and merging the cover — nearly all of a
@@ -36,11 +38,13 @@
 //! stores holding the same segments answer queries bit-identically —
 //! including across a crash and restart.
 
+mod ladder;
 mod planner;
 mod segment;
 mod store;
 mod timeline;
 
+pub use ladder::Ladder;
 pub use planner::{plan_cover, RangePlanner};
 pub use segment::{decode_segment, encode_segment, SegmentHeader, TimelineWire};
 pub use store::{SegmentCacheStats, SegmentMeta, SegmentStore, StoreRecovery};
@@ -116,9 +120,16 @@ pub const OTHER_LABEL: &str = "<other>";
 pub struct TimelineConfig {
     /// Width of a base (level-0) bucket in milliseconds.
     pub bucket_ms: u64,
-    /// Rollup fanouts per level: `fanouts[i]` level-`i` segments merge
-    /// into one level-`i+1` segment. The default `[60, 24]` turns
-    /// 1-minute base buckets into 1-hour and 1-day rollups.
+    /// Fanouts of the *sealing* levels: a window of `fanouts[0]` base
+    /// buckets, then of `fanouts[1]` such windows, and so on. The
+    /// default `[60, 24]` turns 1-minute base buckets into 1-hour and
+    /// 1-day rollups. A sealing window rolls up once it is wholly in the
+    /// past; from then on its rows are immutable and a late row under it
+    /// is dropped, so the first fanout is the late-data horizon. The
+    /// levels on disk are these plus the intermediate ones
+    /// [`Self::ladder`] derives between them; those are written when
+    /// their window seals and change neither the horizon nor these
+    /// widths.
     pub fanouts: Vec<u32>,
     /// Maximum cells per *rolled-up* (level ≥ 1) segment; rare
     /// dimension values fold into [`OTHER_LABEL`] to stay under it.
@@ -178,9 +189,9 @@ impl TimelineConfig {
         self
     }
 
-    /// Width in milliseconds of one segment at `level` (level 0 is one
-    /// base bucket; each level multiplies by its fanout). Saturates at
-    /// `u64::MAX` rather than overflowing.
+    /// Width in milliseconds of one window at sealing level `level`
+    /// (level 0 is one base bucket; each level multiplies by its
+    /// fanout). Saturates at `u64::MAX` rather than overflowing.
     pub fn level_width_ms(&self, level: usize) -> u64 {
         let mut width = self.bucket_ms.max(1);
         for &fanout in self.fanouts.iter().take(level) {
@@ -189,9 +200,17 @@ impl TimelineConfig {
         width
     }
 
-    /// The coarsest level the hierarchy rolls up to.
+    /// The coarsest sealing level the hierarchy rolls up to.
     pub fn max_level(&self) -> u8 {
         self.fanouts.len().min(u8::MAX as usize) as u8
+    }
+
+    /// The physical levels segments are stored at: the sealing levels
+    /// with each fanout factored into short steps. Segment levels
+    /// everywhere else in this crate ([`SegmentMeta::level`],
+    /// [`TimelineStats::segment_levels`]) index this ladder.
+    pub fn ladder(&self) -> Ladder {
+        Ladder::new(self)
     }
 
     /// Floor `ts` to the start of its base bucket.

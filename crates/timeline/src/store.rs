@@ -6,10 +6,15 @@
 //! directory fsynced — so a crash leaves either the old file, the new
 //! file, or an ignorable `.tmp`, never a half-visible segment. File
 //! names (`seg-L<level>-<start>-<end>.seg`) are advisory; the framed
-//! header inside the file is authoritative and is revalidated on open.
+//! header inside the file is authoritative for the range it covers and
+//! is revalidated on open. A segment's *level* is what its width says
+//! on the store's [`Ladder`]: the level byte in the header is what the
+//! writer's ladder called that width, so a directory written under the
+//! sealing levels alone (`L1` an hour, `L2` a day) reopens under the
+//! ladder with intermediates with every segment at the right level.
 
 use crate::segment::{decode_segment, encode_segment, SegmentHeader};
-use crate::{Result, TimelineError, TimelineStats};
+use crate::{Ladder, Result, TimelineError, TimelineStats};
 use msketch_cube::DynCube;
 use msketch_engine::FsyncPolicy;
 use msketch_obs::{Counter, Gauge};
@@ -28,7 +33,7 @@ const SEGMENT_CACHE_CELLS: usize = 64 * 1024;
 /// Index entry for one persisted segment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentMeta {
-    /// Rollup level (0 = base bucket).
+    /// Physical level on the store's [`Ladder`] (0 = base bucket).
     pub level: u8,
     /// Inclusive start of the covered range (ms).
     pub start_ms: u64,
@@ -95,8 +100,7 @@ pub(crate) struct Counters {
     pub(crate) open_buckets: Gauge,
     pub(crate) segments: Gauge,
     pub(crate) segment_bytes: Gauge,
-    /// Segment count per level, `levels[level]`, up to the `max_level`
-    /// the store was opened with.
+    /// Segment count per physical level, `levels[level]`.
     pub(crate) levels: Vec<Gauge>,
     pub(crate) cache_cells: Gauge,
     pub(crate) cache_hits: Counter,
@@ -238,12 +242,13 @@ impl SegmentReader {
             _ => io_err("read segment", &path, &e),
         })?;
         let (header, cube) = decode_segment(&meta.file, &bytes)?;
-        if header.level != meta.level || header.start_ms != meta.start_ms {
+        // The range is what places a segment; its level byte is advisory.
+        if (header.start_ms, header.end_ms) != (meta.start_ms, meta.end_ms) {
             return Err(TimelineError::Corrupt {
                 path: meta.file.clone(),
                 detail: format!(
-                    "header (L{} @{}) disagrees with index (L{} @{})",
-                    header.level, header.start_ms, meta.level, meta.start_ms
+                    "header [{}, {}) disagrees with index [{}, {})",
+                    header.start_ms, header.end_ms, meta.start_ms, meta.end_ms
                 ),
             });
         }
@@ -275,12 +280,23 @@ pub struct StoreRecovery {
     pub corrupt_skipped: usize,
     /// Abandoned `.tmp` files removed (torn segment writes).
     pub tmp_removed: usize,
+    /// Valid segments whose range is no window of the store's ladder —
+    /// a width no level has, or a start off that level's grid; a
+    /// directory written under another bucket width or other fanouts —
+    /// skipped and left on disk. Not counted in `corrupt_skipped`.
+    pub off_ladder_skipped: usize,
+    /// Intermediate rollups under no sealed window, deleted: a
+    /// compaction died after publishing them and before their parent,
+    /// so late data may still change the buckets they summarise. The
+    /// retry writes them again.
+    pub unsealed_removed: usize,
 }
 
 /// A directory of immutable segment files plus an in-memory index.
 pub struct SegmentStore {
     reader: Arc<SegmentReader>,
     fsync: FsyncPolicy,
+    ladder: Ladder,
     /// Keyed by `(level, start_ms)`; at most one segment per key.
     index: BTreeMap<(u8, u64), SegmentMeta>,
     /// Writes so far: the next [`SegmentMeta::generation`].
@@ -295,18 +311,21 @@ impl SegmentStore {
     /// parents and their children are *both* expected on disk — the
     /// planner prefers parents for covered middles and children for
     /// range edges — so coexistence is the normal state, not a crash
-    /// artifact. `max_level` is the coarsest rollup level the owning
-    /// timeline writes: the store counts its segments per level up to it.
+    /// artifact. `ladder` is the owning timeline's: a segment is indexed
+    /// at the level its range has there, and one that has none is
+    /// skipped. The exception to coexistence is an intermediate rollup
+    /// with no sealed window above it, which is deleted (see
+    /// [`StoreRecovery::unsealed_removed`]).
     pub fn open(
         dir: &Path,
         spec: &SketchSpec,
         dim_names: &[String],
-        max_level: u8,
+        ladder: Ladder,
         fsync: FsyncPolicy,
     ) -> Result<(SegmentStore, StoreRecovery)> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create timeline dir", dir, &e))?;
         let counters = Counters {
-            levels: (0..=max_level).map(|_| Gauge::default()).collect(),
+            levels: (0..=ladder.max_level()).map(|_| Gauge::default()).collect(),
             cache_capacity_cells: SEGMENT_CACHE_CELLS,
             ..Counters::default()
         };
@@ -316,6 +335,7 @@ impl SegmentStore {
                 cache: Mutex::new(SegmentCache::new(&counters)),
             }),
             fsync,
+            ladder,
             index: BTreeMap::new(),
             writes: 0,
             counters,
@@ -354,8 +374,12 @@ impl SegmentStore {
                 report.corrupt_skipped += 1;
                 continue;
             }
+            let Some(level) = store.ladder.level_of(header.start_ms, header.end_ms) else {
+                report.off_ladder_skipped += 1;
+                continue;
+            };
             let meta = SegmentMeta {
-                level: header.level,
+                level,
                 start_ms: header.start_ms,
                 end_ms: header.end_ms,
                 rows: cube.row_count(),
@@ -374,8 +398,48 @@ impl SegmentStore {
             store.counters.indexed(&meta);
             store.index.insert((meta.level, meta.start_ms), meta);
         }
+        report.unsealed_removed = store.sweep_unsealed()?;
         report.segments_loaded = store.index.len();
         Ok((store, report))
+    }
+
+    /// The ladder this store's levels index.
+    pub fn ladder(&self) -> &Ladder {
+        &self.ladder
+    }
+
+    /// Whether a sealing-level segment above `level` covers `ts`. From
+    /// level 0 this is the late-data check: a row whose bucket lies
+    /// under a sealed window can no longer be accepted. Windows are
+    /// aligned, so it is one exact probe per sealing level — cheap
+    /// enough for the ingest path, however many intermediate levels lie
+    /// between.
+    pub(crate) fn sealed_above(&self, level: u8, ts: u64) -> bool {
+        let mut above = self.ladder.sealing_levels().filter(|&l| l > level);
+        above.any(|sealing| {
+            let start = ts - ts % self.ladder.width_ms(sealing);
+            self.index.contains_key(&(sealing, start))
+        })
+    }
+
+    /// Delete every intermediate rollup that no sealed window covers:
+    /// what a rollup that died before publishing its parent leaves
+    /// behind, and must not, because late data may still rewrite the
+    /// buckets such a segment summarises. Every one leaves the index;
+    /// the error, if any, is that of a file that would not unlink.
+    /// Returns how many there were.
+    pub(crate) fn sweep_unsealed(&mut self) -> Result<usize> {
+        let unsealed = self.index.keys().copied().filter(|&(level, start)| {
+            !self.ladder.is_sealing(level) && !self.sealed_above(level, start)
+        });
+        let unsealed: Vec<(u8, u64)> = unsealed.collect();
+        let mut swept = Ok(unsealed.len());
+        for (level, start) in unsealed {
+            if let Err(e) = self.remove(level, start) {
+                swept = Err(e);
+            }
+        }
+        swept
     }
 
     /// The read half, for a range read to keep after planning.
@@ -408,8 +472,8 @@ impl SegmentStore {
         &self.index
     }
 
-    /// Segment count per level, `counts[level]`, for levels up to
-    /// `max_level` (zero past the level the store was opened with).
+    /// Segment count per physical level, `counts[level]`, for levels up
+    /// to `max_level` (zero past the top of the store's ladder).
     pub fn level_counts(&self, max_level: u8) -> Vec<usize> {
         let levels = &self.counters.levels;
         (0..=max_level as usize)
@@ -420,28 +484,6 @@ impl SegmentStore {
     /// The segment at exactly `(level, start_ms)`, if any.
     pub fn get(&self, level: u8, start_ms: u64) -> Option<&SegmentMeta> {
         self.index.get(&(level, start_ms))
-    }
-
-    /// The segment at level ≥ `min_level` whose range contains `ts`,
-    /// preferring the highest level (the late-data check: a row whose
-    /// bucket a rollup already covers can no longer be accepted). One
-    /// B-tree probe per level, so it is cheap enough for the per-row
-    /// ingest path.
-    pub fn covering(&self, ts: u64, min_level: u8) -> Option<&SegmentMeta> {
-        let max_level = self.index.keys().next_back().map(|&(level, _)| level)?;
-        for level in (min_level..=max_level).rev() {
-            let candidate = self
-                .index
-                .range((level, 0)..=(level, ts))
-                .next_back()
-                .map(|(_, meta)| meta);
-            if let Some(meta) = candidate {
-                if meta.start_ms <= ts && ts < meta.end_ms {
-                    return Some(meta);
-                }
-            }
-        }
-        None
     }
 
     /// Atomically persist `cube` as the segment for `header`,
@@ -567,6 +609,12 @@ mod tests {
         vec!["app".to_string()]
     }
 
+    /// Minute buckets, two to a level-1 window, two of those to a
+    /// level-2 one.
+    fn ladder() -> Ladder {
+        crate::TimelineConfig::default().fanouts(&[2, 2]).ladder()
+    }
+
     fn bucket(rows: u64, base: u64) -> DynCube {
         let mut cube = DynCube::from_spec(spec(), &["app"]);
         for i in 0..rows {
@@ -579,7 +627,7 @@ mod tests {
     fn write_load_reopen_round_trip() {
         let dir = scratch("roundtrip");
         let (mut store, report) =
-            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), ladder(), FsyncPolicy::Never).unwrap();
         assert_eq!(report, StoreRecovery::default());
         for b in 0..3u64 {
             let header = SegmentHeader {
@@ -597,7 +645,7 @@ mod tests {
 
         // Reopen re-indexes the same segments.
         let (reopened, report) =
-            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), ladder(), FsyncPolicy::Never).unwrap();
         assert_eq!(report.segments_loaded, 3);
         assert_eq!(reopened.index().len(), 3);
         assert_eq!(reopened.level_counts(2), vec![3, 0, 0]);
@@ -608,7 +656,7 @@ mod tests {
     fn recovery_cleans_tmp_and_corrupt_but_keeps_all_levels() {
         let dir = scratch("recovery");
         let (mut store, _) =
-            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), ladder(), FsyncPolicy::Never).unwrap();
         // Two children plus their rolled-up parent — the normal
         // post-compaction state — plus one uncompacted bucket.
         for b in 0..3u64 {
@@ -636,7 +684,7 @@ mod tests {
         std::fs::write(dir.join("seg-L0-999-1000.seg"), b"garbage").unwrap();
 
         let (reopened, report) =
-            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), ladder(), FsyncPolicy::Never).unwrap();
         assert_eq!(report.tmp_removed, 1);
         assert_eq!(report.corrupt_skipped, 1);
         // Parent and children coexist: fine segments keep serving
@@ -644,10 +692,62 @@ mod tests {
         assert_eq!(report.segments_loaded, 4);
         assert_eq!(reopened.level_counts(1), vec![3, 1]);
         assert!(!dir.join("seg-L0-9-10.seg.tmp").exists());
-        // The covering probe prefers the rollup.
-        assert_eq!(reopened.covering(61_000, 0).unwrap().level, 1);
-        assert_eq!(reopened.covering(130_000, 0).unwrap().level, 0);
-        assert!(reopened.covering(130_000, 1).is_none());
+        // The rollup seals its two buckets; the third is still open
+        // to late data.
+        assert!(reopened.sealed_above(0, 61_000));
+        assert!(!reopened.sealed_above(0, 130_000));
+        assert!(!reopened.sealed_above(1, 61_000));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_level_is_what_the_width_says_and_no_width_is_guessed() {
+        let dir = scratch("widths");
+        let segment = |level: u8, start_ms: u64, end_ms: u64| {
+            let header = SegmentHeader {
+                level,
+                start_ms,
+                end_ms,
+            };
+            let name = format!("seg-L{level}-{start_ms}-{end_ms}.seg");
+            (name, encode_segment(header, &bucket(10, start_ms)))
+        };
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in [
+            // Written when eight minutes were level 1: level 2 here.
+            segment(1, 0, 480_000),
+            segment(0, 0, 60_000),
+            segment(1, 0, 240_000),
+            // Three minutes wide, and four minutes wide but starting on
+            // an odd minute: no window of this ladder.
+            segment(1, 480_000, 660_000),
+            segment(1, 540_000, 780_000),
+            // An intermediate whose eight minutes nothing seals.
+            segment(1, 480_000, 720_000),
+        ] {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        // Minute buckets, eight to a sealing window, in steps of 4 and 2.
+        let ladder = crate::TimelineConfig::default().fanouts(&[8]).ladder();
+        assert_eq!(ladder.steps(), &[4, 2]);
+        let (store, report) =
+            SegmentStore::open(&dir, &spec(), &dims(), ladder, FsyncPolicy::Never).unwrap();
+        assert_eq!(
+            report,
+            StoreRecovery {
+                segments_loaded: 3,
+                off_ladder_skipped: 2,
+                unsealed_removed: 1,
+                ..StoreRecovery::default()
+            }
+        );
+        assert_eq!(store.level_counts(2), vec![1, 1, 1]);
+        let sealed = store.get(2, 0).unwrap().clone();
+        assert_eq!(sealed.file, "seg-L1-0-480000.seg");
+        assert_eq!(store.load(&sealed).unwrap().row_count(), 10);
+        // Skipped files stay for inspection; the unsealed one is gone.
+        assert!(dir.join("seg-L1-480000-660000.seg").exists());
+        assert!(!dir.join("seg-L1-480000-720000.seg").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -655,7 +755,7 @@ mod tests {
     fn schema_mismatch_is_quarantined() {
         let dir = scratch("schema");
         let (mut store, _) =
-            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), ladder(), FsyncPolicy::Never).unwrap();
         store
             .write(
                 SegmentHeader {
@@ -670,7 +770,7 @@ mod tests {
         // loaded into a store it cannot merge with.
         let other_dims = vec!["host".to_string()];
         let (reopened, report) =
-            SegmentStore::open(&dir, &spec(), &other_dims, 2, FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &other_dims, ladder(), FsyncPolicy::Never).unwrap();
         assert_eq!(report.corrupt_skipped, 1);
         assert_eq!(reopened.index().len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -718,7 +818,7 @@ mod tests {
     fn a_rewrite_is_never_answered_from_the_replaced_image() {
         let dir = scratch("rewrite");
         let (mut store, _) =
-            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), ladder(), FsyncPolicy::Never).unwrap();
         let header = SegmentHeader {
             level: 0,
             start_ms: 0,
@@ -756,7 +856,7 @@ mod tests {
     fn remove_deletes_file_and_entry() {
         let dir = scratch("remove");
         let (mut store, _) =
-            SegmentStore::open(&dir, &spec(), &dims(), 2, FsyncPolicy::Never).unwrap();
+            SegmentStore::open(&dir, &spec(), &dims(), ladder(), FsyncPolicy::Never).unwrap();
         store
             .write(
                 SegmentHeader {

@@ -12,6 +12,20 @@ use msketch_sketches::SketchSpec;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Cubes one [`Timeline::maintain`] cycle has just written, keyed like
+/// the index: what a checkpoint closed and what compaction rolled up
+/// since. A rollup folds a child it finds here from memory instead of
+/// reading its file back.
+type Resident = BTreeMap<(u8, u64), DynCube>;
+
+/// One input of a rollup: the cube itself, or the segment to read it
+/// back from when its turn in the fold comes.
+enum Child {
+    Resident(DynCube),
+    Stored(SegmentMeta),
+}
 
 /// A point-in-time read of everything the timeline counts: ingest and
 /// maintenance counters (monotonic since open), the segment inventory,
@@ -26,7 +40,8 @@ pub struct TimelineStats {
     pub late_dropped: u64,
     /// Segments written by checkpoints (level 0).
     pub segments_written: u64,
-    /// Rollup segments produced by compaction (level ≥ 1).
+    /// Rollup segments produced by compaction (level ≥ 1), the
+    /// intermediate ones included.
     pub rollups_written: u64,
     /// Dimension values folded into `<other>` by cell budgets.
     pub values_folded: u64,
@@ -38,8 +53,9 @@ pub struct TimelineStats {
     pub segments: u64,
     /// Bytes across all indexed segment files.
     pub segment_bytes: u64,
-    /// Segment count per level, `segment_levels[level]`, up to the
-    /// configuration's coarsest level.
+    /// Segment count per physical level of the configuration's
+    /// [`Ladder`](crate::Ladder), `segment_levels[level]`: sealing and
+    /// intermediate levels alike.
     pub segment_levels: Vec<u64>,
     /// Occupancy and traffic of the decoded-segment cache.
     pub segment_cache: SegmentCacheStats,
@@ -50,7 +66,7 @@ pub struct TimelineStats {
 pub struct MaintenanceReport {
     /// Level-0 segments persisted from open buckets.
     pub checkpointed: usize,
-    /// Rollup segments written.
+    /// Rollup segments written, intermediate levels included.
     pub compacted: usize,
     /// Segments deleted by retention.
     pub expired: usize,
@@ -97,15 +113,27 @@ impl RangeRead {
         let mut span = msketch_obs::span("timeline::merge_cover");
         let mut merged = self.merged;
         let mut cache_hits = 0usize;
+        let mut cells = 0usize;
+        let mut load = Duration::ZERO;
         for meta in &self.cover {
+            let started = Instant::now();
             let (cube, hit) = self.reader.load_shared(meta)?;
-            cache_hits += usize::from(hit);
+            if hit {
+                cache_hits += 1;
+            } else {
+                load += started.elapsed();
+            }
+            cells += cube.cell_count();
             // Cells are shared with the cached cube, never written
             // through: `merge_cube` copies a cell before merging into it.
             merged.merge_cube(&cube)?;
         }
+        // The span's time splits into reading and decoding the misses
+        // (`load_us`) and merging `cells` cells.
         span.field("segments", self.cover.len());
         span.field("cache_hits", cache_hits);
+        span.field("cells", cells);
+        span.field("load_us", load.as_micros() as u64);
         Ok(RangeAnswer {
             cube: merged,
             segments_read: self.cover.len(),
@@ -149,9 +177,9 @@ impl Timeline {
         config: TimelineConfig,
     ) -> Result<(Timeline, StoreRecovery)> {
         let names: Vec<String> = dim_names.iter().map(|s| s.to_string()).collect();
-        let (store, recovery) =
-            SegmentStore::open(dir, &spec, &names, config.max_level(), config.fsync)?;
-        let planner = RangePlanner::new(config.bucket_ms, config.max_level());
+        let ladder = config.ladder();
+        let planner = RangePlanner::new(config.bucket_ms, ladder.max_level());
+        let (store, recovery) = SegmentStore::open(dir, &spec, &names, ladder, config.fsync)?;
         let counters = store.counters().clone();
         Ok((
             Timeline {
@@ -223,8 +251,9 @@ impl Timeline {
     }
 
     /// Ingest one timestamped row. Returns `true` if the row was
-    /// accepted, `false` if it was dropped as too late (its bucket is
-    /// already covered by an immutable rollup).
+    /// accepted, `false` if it was dropped as too late (its bucket lies
+    /// under a sealed window: an immutable rollup of a
+    /// [`TimelineConfig::fanouts`] level).
     ///
     /// Late rows for a bucket that is persisted but *not yet rolled
     /// up* are accepted: the segment is loaded back into memory,
@@ -232,16 +261,17 @@ impl Timeline {
     /// checkpoint — the read path never sees a partial bucket.
     pub fn insert(&mut self, ts_ms: u64, dim_values: &[&str], metric: f64) -> Result<bool> {
         let bucket = self.config.bucket_start(ts_ms);
-        // Per-row counts use the plain-store increment: `&mut self` is
-        // the only writer, and this path runs once per ingested row.
-        if self.store.covering(bucket, 1).is_some() {
-            self.counters.late_dropped.inc_exclusive();
-            return Ok(false);
-        }
+        // An open bucket is under no sealed window — compaction leaves
+        // a window with open buckets alone — so only the first row of a
+        // bucket pays for the late check.
         if !self.open.contains_key(&bucket) {
+            if self.store.sealed_above(0, bucket) {
+                self.counters.late_dropped.inc_exclusive();
+                return Ok(false);
+            }
             let cube = match self.store.get(0, bucket).cloned() {
                 Some(meta) => self.store.load(&meta)?,
-                None => DynCube::from_spec(self.spec.clone(), &self.dim_name_refs()),
+                None => self.empty_cube(),
             };
             self.open.insert(bucket, cube);
             self.counters.open_buckets.set(self.open.len() as u64);
@@ -252,6 +282,8 @@ impl Timeline {
             // the ingest path panic-free.
             None => return Ok(false),
         }
+        // Per-row counts use the plain-store increment: `&mut self` is
+        // the only writer, and this path runs once per ingested row.
         self.counters.rows_ingested.inc_exclusive();
         Ok(true)
     }
@@ -265,6 +297,12 @@ impl Timeline {
     /// image written atomically, so a crash mid-checkpoint leaves
     /// every bucket either at its previous image or its new one.
     pub fn checkpoint(&mut self, now_ms: u64) -> Result<usize> {
+        self.checkpoint_keeping(now_ms, &mut Resident::new())
+    }
+
+    /// [`Self::checkpoint`], handing the closed buckets it wrote to
+    /// `resident` instead of dropping them.
+    fn checkpoint_keeping(&mut self, now_ms: u64, resident: &mut Resident) -> Result<usize> {
         let starts: Vec<u64> = self.open.keys().copied().collect();
         let mut written = 0usize;
         for start in starts {
@@ -272,57 +310,61 @@ impl Timeline {
             let Some(cube) = self.open.get(&start) else {
                 continue;
             };
-            if cube.row_count() == 0 {
-                // Never materialize empty segments; drop the bucket if
-                // it is already closed.
-                if end <= now_ms {
-                    self.drop_open(start);
-                }
-                continue;
+            // Never materialize empty segments; a closed bucket is
+            // dropped either way.
+            if cube.row_count() > 0 {
+                let header = SegmentHeader {
+                    level: 0,
+                    start_ms: start,
+                    end_ms: end,
+                };
+                self.store.write(header, cube)?;
+                written += 1;
+                self.counters.segments_written.inc();
             }
-            let header = SegmentHeader {
-                level: 0,
-                start_ms: start,
-                end_ms: end,
-            };
-            let cube = match self.open.get(&start) {
-                Some(cube) => cube,
-                None => continue,
-            };
-            self.store.write(header, cube)?;
-            written += 1;
-            self.counters.segments_written.inc();
             if end <= now_ms {
-                self.drop_open(start);
+                if let Some(cube) = self.drop_open(start).filter(|c| c.row_count() > 0) {
+                    resident.insert((0, start), cube);
+                }
             }
         }
         Ok(written)
     }
 
-    /// Roll closed segment runs up the hierarchy: for each level `i`,
-    /// any aligned run of `fanouts[i]` widths that is fully in the
-    /// past (and not yet rolled up) merges into one level-`i+1`
-    /// segment, budget-folded per [`TimelineConfig::cell_budget`].
+    /// Roll closed windows up the hierarchy: for each sealing level
+    /// `i`, any aligned window of `fanouts[i]` widths that is fully in
+    /// the past (and not yet rolled up) merges into one segment of
+    /// sealing level `i+1`, budget-folded per
+    /// [`TimelineConfig::cell_budget`] — and with it the intermediate
+    /// levels the [`Ladder`](crate::Ladder) puts between the two.
     /// Children stay on disk to serve the fine edges of range queries.
-    /// Returns the number of rollups written.
+    /// Returns the number of rollups written, intermediates included.
     ///
     /// Processing levels bottom-up lets fresh hour rollups cascade
     /// into day rollups within one call. The `timeline::compact`
-    /// failpoint aborts a rollup after its children are chosen,
-    /// simulating a crash mid-compaction; because children are never
-    /// deleted and the parent write is atomic, recovery simply retries
-    /// the same rollup later.
+    /// failpoint aborts a rollup after its intermediates are published
+    /// and before the parent is, simulating a crash mid-compaction;
+    /// because children are never deleted, the parent write is atomic
+    /// and nothing keeps an intermediate that no parent seals, recovery
+    /// simply retries the same rollup later.
     pub fn compact(&mut self, now_ms: u64) -> Result<usize> {
+        self.compact_from(now_ms, &mut Resident::new())
+    }
+
+    /// [`Self::compact`], folding the children it finds in `resident`
+    /// from memory.
+    fn compact_from(&mut self, now_ms: u64, resident: &mut Resident) -> Result<usize> {
         let mut rollups = 0usize;
-        for level in 0..self.config.fanouts.len() {
-            let child_level = level as u8;
-            let parent_width = self.config.level_width_ms(level + 1);
+        let sealing: Vec<u8> = self.store.ladder().sealing_levels().collect();
+        for pair in sealing.windows(2) {
+            let (child_level, parent_level) = (pair[0], pair[1]);
+            let parent_width = self.store.ladder().width_ms(parent_level);
             // Candidate parent starts: every distinct aligned window
             // holding at least one child segment.
             let mut parents: Vec<u64> = self
                 .store
                 .index()
-                .range((child_level, 0)..(child_level, u64::MAX))
+                .range((child_level, 0)..=(child_level, u64::MAX))
                 .map(|(&(_, start), _)| start - start % parent_width)
                 .collect();
             parents.dedup();
@@ -331,57 +373,115 @@ impl Timeline {
                 if parent_end > now_ms {
                     continue; // window still filling
                 }
-                if self
-                    .store
-                    .get(child_level + 1, parent_start)
-                    .is_some_and(|meta| meta.end_ms == parent_end)
-                {
+                if self.store.get(parent_level, parent_start).is_some() {
                     continue; // already rolled up
                 }
                 if self.open.range(parent_start..parent_end).next().is_some() {
                     continue; // unwritten rows still in memory
                 }
-                self.rollup_window(child_level, parent_start, parent_end)?;
-                rollups += 1;
+                rollups += self.rollup_window(child_level, parent_level, parent_start, resident)?;
             }
         }
         Ok(rollups)
     }
 
-    /// Merge every level-`child_level` segment inside the window into
-    /// one parent segment, in time order, and persist it.
-    fn rollup_window(&mut self, child_level: u8, start: u64, end: u64) -> Result<()> {
-        let children: Vec<SegmentMeta> = self
+    /// Seal one window: fold its level-`child_level` segments, in time
+    /// order, up every physical level to `parent_level`, and persist
+    /// each level's segments — intermediates first, the parent last.
+    /// Returns the number of segments written.
+    ///
+    /// Each level is the time-ordered left fold of the one below, so
+    /// the result depends only on the child segments: children taken
+    /// from `resident` and children decoded from their files (a retry
+    /// after a crash, a window whose buckets were checkpointed in
+    /// earlier cycles) produce bit-identical segments. The parent stays
+    /// in `resident` for the window above.
+    ///
+    /// A failure part way unpublishes the intermediates already
+    /// written: while no parent seals the window, late data may still
+    /// rewrite a bucket under them.
+    fn rollup_window(
+        &mut self,
+        child_level: u8,
+        parent_level: u8,
+        start: u64,
+        resident: &mut Resident,
+    ) -> Result<usize> {
+        let end = start.saturating_add(self.store.ladder().width_ms(parent_level));
+        let mut pieces: Vec<(u64, Child)> = self
             .store
             .index()
             .range((child_level, start)..(child_level, end))
-            .map(|(_, meta)| meta.clone())
+            .map(|(&key, meta)| match resident.remove(&key) {
+                Some(cube) => (meta.start_ms, Child::Resident(cube)),
+                None => (meta.start_ms, Child::Stored(meta.clone())),
+            })
             .collect();
-        if failpoint::fail_if("timeline::compact") {
-            return Err(TimelineError::Io(format!(
-                "failpoint timeline::compact injected rolling up [{start}, {end})"
-            )));
+        let mut written = 0usize;
+        for level in child_level + 1..=parent_level {
+            let rolled = if level == parent_level && failpoint::fail_if("timeline::compact") {
+                Err(TimelineError::Io(format!(
+                    "failpoint timeline::compact injected rolling up [{start}, {end})"
+                )))
+            } else {
+                self.roll_level(level, pieces)
+            };
+            pieces = match rolled {
+                Ok(rolled) => rolled,
+                Err(e) => {
+                    // Out of the index whatever happens to the files:
+                    // one that will not unlink is swept on reopen.
+                    let _ = self.store.sweep_unsealed();
+                    return Err(e);
+                }
+            };
+            written += pieces.len();
         }
+        for (at, parent) in pieces {
+            if let Child::Resident(cube) = parent {
+                resident.insert((parent_level, at), cube);
+            }
+        }
+        Ok(written)
+    }
+
+    /// Fold `pieces` — the time-ordered segments of level `level − 1`
+    /// inside one sealing window — into that window's level-`level`
+    /// segments, budget-fold and persist each, and return them.
+    fn roll_level(&mut self, level: u8, pieces: Vec<(u64, Child)>) -> Result<Vec<(u64, Child)>> {
+        let width = self.store.ladder().width_ms(level);
         // Time-ordered left fold: deterministic for a given set of
         // child segments, so pre- and post-crash compactions of the
         // same children produce bit-identical parents.
-        let mut merged = DynCube::from_spec(self.spec.clone(), &self.dim_name_refs());
-        for meta in &children {
-            let cube = self.store.load(meta)?;
-            merged.merge_cube(&cube)?;
+        let mut rolled: Vec<(u64, DynCube)> = Vec::new();
+        for (at, piece) in pieces {
+            let cube = match piece {
+                Child::Resident(cube) => cube,
+                Child::Stored(meta) => self.store.load(&meta)?,
+            };
+            let window = at - at % width;
+            if rolled.last().map(|(w, _)| *w) != Some(window) {
+                rolled.push((window, self.empty_cube()));
+            }
+            if let Some((_, merged)) = rolled.last_mut() {
+                merged.merge_cube(&cube)?;
+            }
         }
-        if self.config.cell_budget > 0 {
-            let folds = merged.enforce_cell_budget(self.config.cell_budget, OTHER_LABEL);
-            self.counters.values_folded.add(folds as u64);
+        for (at, merged) in &mut rolled {
+            if self.config.cell_budget > 0 {
+                let folds = merged.enforce_cell_budget(self.config.cell_budget, OTHER_LABEL);
+                self.counters.values_folded.add(folds as u64);
+            }
+            let header = SegmentHeader {
+                level,
+                start_ms: *at,
+                end_ms: at.saturating_add(width),
+            };
+            self.store.write(header, merged)?;
+            self.counters.rollups_written.inc();
         }
-        let header = SegmentHeader {
-            level: child_level + 1,
-            start_ms: start,
-            end_ms: end,
-        };
-        self.store.write(header, &merged)?;
-        self.counters.rollups_written.inc();
-        Ok(())
+        let resident = |(at, cube)| (at, Child::Resident(cube));
+        Ok(rolled.into_iter().map(resident).collect())
     }
 
     /// Delete segments whose range ended before the retention horizon
@@ -424,8 +524,12 @@ impl Timeline {
     /// refresh cadence.
     pub fn maintain(&mut self, now_ms: u64) -> Result<MaintenanceReport> {
         let mut span = msketch_obs::span("timeline::maintain");
-        let checkpointed = self.checkpoint(now_ms)?;
-        let compacted = self.compact(now_ms)?;
+        // What the checkpoint closes is what compaction is most likely
+        // to roll up next, so it stays in memory until then.
+        let mut resident = Resident::new();
+        let checkpointed = self.checkpoint_keeping(now_ms, &mut resident)?;
+        let compacted = self.compact_from(now_ms, &mut resident)?;
+        drop(resident);
         let expired = self.enforce_retention(now_ms)?;
         span.field("checkpointed", checkpointed);
         span.field("compacted", compacted);
@@ -466,7 +570,7 @@ impl Timeline {
         Ok(RangeRead {
             cover,
             reader: self.store.reader(),
-            merged: DynCube::from_spec(self.spec.clone(), &self.dim_name_refs()),
+            merged: self.empty_cube(),
             t0: lo,
             t1: hi,
         })
@@ -483,14 +587,17 @@ impl Timeline {
         Ok((answer.segments_read > 0).then_some(answer))
     }
 
-    fn dim_name_refs(&self) -> Vec<&str> {
-        self.dim_names.iter().map(|s| s.as_str()).collect()
+    /// A cube of the timeline's spec and dimensions with no rows.
+    fn empty_cube(&self) -> DynCube {
+        let names: Vec<&str> = self.dim_names.iter().map(|s| s.as_str()).collect();
+        DynCube::from_spec(self.spec.clone(), &names)
     }
 
-    /// Forget the open bucket starting at `start`.
-    fn drop_open(&mut self, start: u64) {
-        self.open.remove(&start);
+    /// Forget the open bucket starting at `start`, handing it back.
+    fn drop_open(&mut self, start: u64) -> Option<DynCube> {
+        let cube = self.open.remove(&start);
         self.counters.open_buckets.set(self.open.len() as u64);
+        cube
     }
 }
 
@@ -651,6 +758,127 @@ mod tests {
         assert_eq!(answer.cube.row_count(), 10, "rolled bucket unchanged");
         // Bucket 4 was rewritten in place: counted once, at its new size.
         assert_inventory_matches_index(&tl);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The ladder the server runs: `[60, 24]`, stored as
+    /// `[5, 4, 3, 6, 4]`.
+    fn default_config() -> TimelineConfig {
+        TimelineConfig::default().fsync(crate::FsyncPolicy::Never)
+    }
+
+    #[test]
+    fn intermediates_do_not_move_the_late_data_horizon() {
+        let dir = scratch("late-default");
+        let mut tl = open(&dir, default_config());
+        // One full hour and five minutes of the next.
+        fill(&mut tl, 65, 10);
+        let report = tl.maintain(65 * MIN).unwrap();
+        // The hour [0, 60m) seals: twelve 5m and three 20m
+        // intermediates, then the hour itself.
+        assert_eq!((report.checkpointed, report.compacted), (65, 16));
+        assert_eq!(tl.stats().segment_levels, vec![65, 12, 3, 1, 0, 0]);
+        assert_eq!(tl.stats().rollups_written, 16);
+
+        // Minute 62 is checkpointed, and a whole 5m step of its hour is
+        // in the past, but the hour has not sealed: a late row is still
+        // accepted, rewritten at the next checkpoint and counted once.
+        assert!(tl.insert(62 * MIN + 5, &["checkout"], -1.0).unwrap());
+        assert_eq!(tl.stats().open_buckets, 1);
+        tl.maintain(66 * MIN).unwrap();
+        assert_eq!(tl.stats().segment_levels, vec![65, 12, 3, 1, 0, 0]);
+        let answer = tl.range_cube(60 * MIN, 65 * MIN).unwrap().unwrap();
+        assert_eq!(answer.cube.row_count(), 51, "late row merged in, once");
+        assert_eq!(answer.segments_read, 5, "nothing above the buckets");
+
+        // Minute 7 lies under the sealed hour: dropped, and counted.
+        assert!(!tl.insert(7 * MIN, &["checkout"], -1.0).unwrap());
+        assert_eq!(tl.stats().late_dropped, 1);
+        // [3m, 58m): 2 buckets, 3·5m, 20m, 3·5m, 3 buckets — not 55.
+        let answer = tl.range_cube(3 * MIN, 58 * MIN).unwrap().unwrap();
+        assert_eq!(answer.cube.row_count(), 550, "sealed buckets unchanged");
+        assert_eq!(answer.segments_read, 2 + 3 + 1 + 3 + 3);
+        assert_inventory_matches_index(&tl);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every cell of every rolled-up segment: its level and start, its
+    /// decoded key, its sketch bytes.
+    fn rolled_cells(tl: &Timeline) -> Vec<(u8, u64, Vec<String>, Vec<u8>)> {
+        let mut cells = Vec::new();
+        for meta in tl.store().index().values().filter(|m| m.level > 0) {
+            let cube = tl.store().load(meta).unwrap();
+            for (key, sketch) in cube.cells_sorted() {
+                let names = key.iter().enumerate().map(|(d, &id)| {
+                    let dictionary = cube.dictionary(d).unwrap();
+                    dictionary.decode(id).unwrap().to_string()
+                });
+                cells.push((
+                    meta.level,
+                    meta.start_ms,
+                    names.collect(),
+                    sketch.to_bytes(),
+                ));
+            }
+        }
+        cells
+    }
+
+    #[test]
+    fn a_parent_folded_from_memory_equals_one_rebuilt_from_the_files() {
+        // Non-integer metrics: a fold in any other order, or over any
+        // other grouping, would differ in the low bits.
+        let fill = |tl: &mut Timeline| {
+            for i in 0..125 * 7u64 {
+                let app = ["checkout", "search", "feed"][(i % 3) as usize];
+                let metric = 0.1 + (i as f64).sqrt();
+                assert!(tl.insert(i * MIN / 7, &[app], metric).unwrap());
+            }
+        };
+        // One maintenance cycle: compaction folds the cubes the
+        // checkpoint just wrote, and the hours it just rolled up.
+        let warm_dir = scratch("fold-memory");
+        let mut warm = open(&warm_dir, default_config().fanouts(&[60, 2]));
+        fill(&mut warm);
+        warm.maintain(125 * MIN).unwrap();
+        // Checkpoint, reopen, compact: every child is read back — the
+        // path a retry after a crash takes.
+        let cold_dir = scratch("fold-files");
+        let mut cold = open(&cold_dir, default_config().fanouts(&[60, 2]));
+        fill(&mut cold);
+        cold.checkpoint(125 * MIN).unwrap();
+        drop(cold);
+        let mut cold = open(&cold_dir, default_config().fanouts(&[60, 2]));
+        assert_eq!(cold.compact(125 * MIN).unwrap(), 2 * 16 + 1);
+
+        assert_eq!(warm.stats().segment_levels, vec![125, 24, 6, 2, 1]);
+        assert_eq!(warm.stats().segment_levels, cold.stats().segment_levels);
+        let (warm_cells, cold_cells) = (rolled_cells(&warm), rolled_cells(&cold));
+        assert_eq!(warm_cells.len(), (24 + 6 + 2 + 1) * 3);
+        assert_eq!(warm_cells, cold_cells);
+        let _ = std::fs::remove_dir_all(&warm_dir);
+        let _ = std::fs::remove_dir_all(&cold_dir);
+    }
+
+    #[test]
+    fn a_range_with_years_of_nothing_in_it_plans_at_once() {
+        let dir = scratch("sparse-plan");
+        let mut tl = open(&dir, default_config().bucket_ms(250));
+        // Six quarter-second buckets, fifty-odd years after the epoch.
+        let now = 1_790_000_000_000u64;
+        for b in 0..6u64 {
+            assert!(tl.insert(now + b * 250, &["checkout"], -1.0).unwrap());
+        }
+        tl.checkpoint(now + 10_000).unwrap();
+        // Best of three: the bound is on the work, not on the scheduler.
+        let fastest = (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                assert_eq!(tl.plan(0, now + 10_000).unwrap().len(), 6);
+                started.elapsed()
+            })
+            .min();
+        assert!(fastest < Some(Duration::from_millis(1)), "{fastest:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

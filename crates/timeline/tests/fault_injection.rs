@@ -144,3 +144,87 @@ fn failed_compaction_is_idempotently_retried_and_answers_never_change() {
     assert_eq!(timeline.compact(LATER).expect("idempotent pass"), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Median bits of a few ranges that start and end inside rollups of
+/// every width the default ladder has over 63 one-second buckets.
+fn probe(timeline: &Timeline) -> Vec<u64> {
+    [(0, 63), (3, 58), (7, 21), (19, 62), (40, 61), (59, 63)]
+        .iter()
+        .map(|&(b0, b1)| median_bits(timeline, b0 * BUCKET_MS + 1, b1 * BUCKET_MS - 1))
+        .collect()
+}
+
+#[test]
+fn compaction_dying_between_intermediates_and_parent_leaves_nothing_unsealed() {
+    let _failpoints = failpoint::scope();
+    let dir = fresh_dir("compact-intermediates");
+    // The ladder the server runs: [60, 24] stored as [5, 4, 3, 6, 4].
+    let default_ladder = || {
+        let config = TimelineConfig::default()
+            .bucket_ms(BUCKET_MS)
+            .fsync(FsyncPolicy::Never);
+        Timeline::open(&dir, SketchSpec::moments(8), &DIMS, config).expect("open timeline")
+    };
+    let levels = |timeline: &Timeline| timeline.store().level_counts(5);
+    let files = || std::fs::read_dir(&dir).expect("read dir").count();
+    let (mut timeline, _) = default_ladder();
+
+    // One full 60-bucket window and three buckets of the next.
+    fill(&mut timeline, 63, 6);
+    assert_eq!(timeline.checkpoint(LATER).expect("checkpoint"), 63);
+    let before = probe(&timeline);
+
+    // The fault fires once the first window's twelve 5× and three 20×
+    // intermediates are on disk and before its 60× parent is. Nothing
+    // seals them, so a late row could still rewrite a bucket under
+    // them: they are unpublished with the failure, files and all.
+    failpoint::cfg("timeline::compact", "1*return").unwrap();
+    let failed = timeline.compact(LATER);
+    assert!(matches!(failed, Err(TimelineError::Io(_))), "{failed:?}");
+    assert_eq!(levels(&timeline), vec![63, 0, 0, 0, 0, 0]);
+    assert_eq!(files(), 63);
+    assert_eq!(probe(&timeline), before);
+    let late = [7 * BUCKET_MS, 61 * BUCKET_MS];
+    for ts in late {
+        assert!(timeline.insert(ts, &["app-a", "eu"], -2.0).expect("late"));
+    }
+    assert_eq!(timeline.checkpoint(LATER).expect("late checkpoint"), 2);
+    let before = probe(&timeline);
+
+    // The retry seals both 60× windows and the 360× and 1 440× ones
+    // over them.
+    assert_eq!(timeline.compact(LATER).expect("retry"), 16 + 3 + 2);
+    assert_eq!(levels(&timeline), vec![63, 13, 4, 2, 1, 1]);
+    assert_eq!(probe(&timeline), before);
+    let covered = timeline.range_cube(0, 60 * BUCKET_MS).expect("range");
+    assert_eq!(covered.expect("non-empty").segments_read, 1);
+
+    // A process that dies at the same point leaves the intermediates
+    // behind: the directory as it is without the first window's parent
+    // (and without the 360× and 1 440× above, which came after it).
+    for (level, start) in [(3, 0), (4, 0), (5, 0)] {
+        let meta = timeline.store().get(level, start).expect("sealed");
+        std::fs::remove_file(dir.join(&meta.file)).expect("unlink parent");
+    }
+    drop(timeline);
+    let (mut recovered, recovery) = default_ladder();
+    // Swept: the 12 + 3 under the missing 60×. The second window's
+    // two are sealed by its own 60×.
+    assert_eq!(recovery.unsealed_removed, 15, "{recovery:?}");
+    assert_eq!(recovery.corrupt_skipped, 0, "{recovery:?}");
+    assert_eq!(levels(&recovered), vec![63, 1, 1, 1, 0, 0]);
+    assert_eq!(probe(&recovered), before);
+    for ts in late {
+        let accepted = recovered.insert(ts, &["app-a", "eu"], -2.0).expect("late");
+        assert_eq!(accepted, ts == late[0], "only the unsealed window reopens");
+    }
+    assert_eq!(recovered.checkpoint(LATER).expect("late checkpoint"), 1);
+    let before = probe(&recovered);
+
+    // Recovery's retry rebuilds exactly what is missing.
+    assert_eq!(recovered.compact(LATER).expect("retry"), 16 + 2);
+    assert_eq!(levels(&recovered), vec![63, 13, 4, 2, 1, 1]);
+    assert_eq!(probe(&recovered), before);
+    assert_eq!(recovered.compact(LATER).expect("idempotent pass"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
