@@ -1,17 +1,17 @@
-//! Shared harness utilities for the per-figure benchmark binaries
-//! (`src/bin/table01.rs` … `src/bin/fig25.rs`).
+//! The paper's evaluation as data: every figure and table is a function
+//! in the [`figures::FIGURES`] registry that returns its rows as
+//! [`Table`]s, next to the claim those rows support. The `msketch-repro`
+//! binary renders them (`--fig <id>`, `--all`); `tests/claims.rs` asserts
+//! the deterministic claims on the same rows.
 //!
-//! Each binary regenerates one table or figure of the paper: it builds the
-//! workload, drives the summaries through the paper's protocol, and prints
-//! the same rows/series the paper reports. `EXPERIMENTS.md` at the
-//! repository root records paper-vs-measured values.
-//!
-//! Binaries accept `--full` for paper-scale runs; the default sizes are
+//! `--full` switches to paper-scale workloads; the default sizes are
 //! scaled down to finish interactively while preserving every qualitative
 //! comparison.
 
 use msketch_sketches::{QuantileSummary, Sketch, SketchSpec};
 use std::time::{Duration, Instant};
+
+pub mod figures;
 
 /// A summary configuration: the parameterizations of Table 2 plus size
 /// sweeps, with uniform construction and labeling.
@@ -35,9 +35,7 @@ pub enum SummaryConfig {
     EwHist(usize),
 }
 
-/// Type-erased summary so heterogeneous sketches run through one harness
-/// — the object-safe core trait does the dispatch the old `AnySummary`
-/// enum hand-rolled.
+/// Type-erased summary so heterogeneous sketches run through one harness.
 pub type AnySummary = Box<dyn Sketch>;
 
 impl SummaryConfig {
@@ -69,10 +67,9 @@ impl SummaryConfig {
         }
     }
 
-    /// The equivalent runtime [`SketchSpec`] — the public-API boundary
-    /// the cube engines consume.
-    pub fn spec(&self) -> SketchSpec {
-        match *self {
+    /// Build an empty summary (seed varies randomized sketches per cell).
+    pub fn build(&self, seed: u64) -> AnySummary {
+        let spec = match *self {
             SummaryConfig::MSketch(k) => SketchSpec::moments(k),
             SummaryConfig::Merge12(k) => SketchSpec::merge12(k),
             SummaryConfig::RandomW(s) => SketchSpec::randomw(s),
@@ -81,12 +78,15 @@ impl SummaryConfig {
             SummaryConfig::Sampling(n) => SketchSpec::sampling(n),
             SummaryConfig::SHist(b) => SketchSpec::shist(b),
             SummaryConfig::EwHist(b) => SketchSpec::ewhist(b),
-        }
+        };
+        spec.build_seeded(seed)
     }
 
-    /// Build an empty summary (seed varies randomized sketches per cell).
-    pub fn build(&self, seed: u64) -> AnySummary {
-        self.spec().build_seeded(seed)
+    /// Build a summary and accumulate `data` into it.
+    pub fn filled(&self, seed: u64, data: &[f64]) -> AnySummary {
+        let mut s = self.build(seed);
+        s.accumulate_all(data);
+        s
     }
 
     /// The Table 2 parameterizations for ε_avg ≤ 0.01 on `milan`-like
@@ -121,61 +121,32 @@ impl SummaryConfig {
     /// A size sweep for this summary family (Figures 4, 5, 7).
     pub fn size_sweep(label: &str) -> Vec<SummaryConfig> {
         match label {
-            "M-Sketch" => vec![2usize, 4, 6, 8, 10, 12, 14]
-                .into_iter()
-                .map(SummaryConfig::MSketch)
-                .collect(),
-            "Merge12" => vec![8, 16, 32, 64, 128, 256]
-                .into_iter()
-                .map(SummaryConfig::Merge12)
-                .collect(),
-            "RandomW" => vec![10, 20, 40, 80, 160, 320]
-                .into_iter()
-                .map(SummaryConfig::RandomW)
-                .collect(),
-            "GK" => vec![10, 20, 40, 80, 160]
-                .into_iter()
-                .map(SummaryConfig::Gk)
-                .collect(),
-            "T-Digest" => vec![10, 20, 50, 100, 200]
-                .into_iter()
-                .map(SummaryConfig::TDigest)
-                .collect(),
-            "Sampling" => vec![16, 64, 256, 1024, 4096]
-                .into_iter()
-                .map(SummaryConfig::Sampling)
-                .collect(),
-            "S-Hist" => vec![10, 30, 100, 300, 1000]
-                .into_iter()
-                .map(SummaryConfig::SHist)
-                .collect(),
-            "EW-Hist" => vec![15, 30, 100, 300, 1000]
-                .into_iter()
-                .map(SummaryConfig::EwHist)
-                .collect(),
+            "M-Sketch" => [2, 4, 6, 8, 10, 12, 14].map(SummaryConfig::MSketch).to_vec(),
+            "Merge12" => [8, 16, 32, 64, 128, 256].map(SummaryConfig::Merge12).to_vec(),
+            "RandomW" => [10, 20, 40, 80, 160, 320].map(SummaryConfig::RandomW).to_vec(),
+            "GK" => [10, 20, 40, 80, 160].map(SummaryConfig::Gk).to_vec(),
+            "T-Digest" => [10, 20, 50, 100, 200].map(SummaryConfig::TDigest).to_vec(),
+            "Sampling" => [16, 64, 256, 1024, 4096].map(SummaryConfig::Sampling).to_vec(),
+            "S-Hist" => [10, 30, 100, 300, 1000].map(SummaryConfig::SHist).to_vec(),
+            "EW-Hist" => [15, 30, 100, 300, 1000].map(SummaryConfig::EwHist).to_vec(),
             _ => panic!("unknown summary label {label}"),
         }
     }
 
+    /// Every family's size sweep, in legend order.
+    pub fn sweep() -> impl Iterator<Item = SummaryConfig> {
+        Self::all_labels().into_iter().flat_map(Self::size_sweep)
+    }
+
     /// All eight families (paper legend order).
     pub fn all_labels() -> [&'static str; 8] {
-        [
-            "M-Sketch", "Merge12", "RandomW", "GK", "T-Digest", "Sampling", "S-Hist", "EW-Hist",
-        ]
+        ["M-Sketch", "Merge12", "RandomW", "GK", "T-Digest", "Sampling", "S-Hist", "EW-Hist"]
     }
 }
 
-/// Build one summary per cell.
-pub fn build_cells(cfg: &SummaryConfig, cells: &[&[f64]]) -> Vec<AnySummary> {
-    cells
-        .iter()
-        .enumerate()
-        .map(|(i, chunk)| {
-            let mut s = cfg.build(0x5EED ^ i as u64);
-            s.accumulate_all(chunk);
-            s
-        })
-        .collect()
+/// Build one summary per cell, cell `i` seeded `seed ^ i`.
+pub fn build_cells(cfg: &SummaryConfig, cells: &[impl AsRef<[f64]>], seed: u64) -> Vec<AnySummary> {
+    cells.iter().enumerate().map(|(i, chunk)| cfg.filled(seed ^ i as u64, chunk.as_ref())).collect()
 }
 
 /// Merge a slice of summaries into the first one (cloned).
@@ -192,10 +163,8 @@ pub fn merge_parallel(cells: &[AnySummary], threads: usize) -> AnySummary {
     let threads = threads.max(1).min(cells.len());
     let chunk = cells.len().div_ceil(threads);
     let partials: Vec<AnySummary> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = cells
-            .chunks(chunk)
-            .map(|shard| scope.spawn(move |_| merge_all(shard)))
-            .collect();
+        let handles: Vec<_> =
+            cells.chunks(chunk).map(|shard| scope.spawn(move |_| merge_all(shard))).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     })
     .expect("merge worker panicked");
@@ -237,20 +206,14 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Minimal CLI: `--full` switches to paper-scale workloads.
+/// The one knob every figure takes: `--full` switches to paper-scale
+/// workloads.
 pub struct HarnessArgs {
     /// Paper-scale run requested.
     pub full: bool,
 }
 
 impl HarnessArgs {
-    /// Parse from `std::env::args`.
-    pub fn parse() -> Self {
-        HarnessArgs {
-            full: std::env::args().any(|a| a == "--full"),
-        }
-    }
-
     /// Pick between the quick and full variants of a size.
     pub fn scale(&self, quick: usize, full: usize) -> usize {
         if self.full {
@@ -261,24 +224,55 @@ impl HarnessArgs {
     }
 }
 
-/// Print a header row followed by a separator (fixed-width columns).
-pub fn print_table_header(title: &str, cols: &[&str], widths: &[usize]) {
-    println!("\n=== {title} ===");
-    let mut line = String::new();
-    for (c, w) in cols.iter().zip(widths) {
-        line.push_str(&format!("{c:>w$} ", w = w));
-    }
-    println!("{line}");
-    println!("{}", "-".repeat(line.len()));
+/// One table of a figure, as data: what the renderer prints and what
+/// the claim tests read.
+#[derive(Debug, Clone)]
+pub struct Table {
+    /// Caption, printed between `===` rules.
+    pub title: String,
+    /// Column headers.
+    pub columns: Vec<String>,
+    /// Formatted cells, one per column.
+    pub rows: Vec<Vec<String>>,
 }
 
-/// Print one row of fixed-width cells.
-pub fn print_table_row(cells: &[String], widths: &[usize]) {
-    let mut line = String::new();
-    for (c, w) in cells.iter().zip(widths) {
-        line.push_str(&format!("{c:>w$} ", w = w));
+impl Table {
+    /// A table whose every row has one cell per column.
+    pub fn new(title: impl Into<String>, columns: &[&str], rows: Vec<Vec<String>>) -> Table {
+        assert!(
+            rows.iter().all(|r| r.len() == columns.len()),
+            "every row needs one cell per column"
+        );
+        Table {
+            title: title.into(),
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            rows,
+        }
     }
-    println!("{line}");
+
+    /// The table as text: title, header, a rule, then the rows, each
+    /// column right-aligned to its widest cell.
+    pub fn render(&self) -> String {
+        let widths: Vec<usize> = (0..self.columns.len())
+            .map(|i| {
+                let cells = self.rows.iter().map(|r| &r[i]).chain([&self.columns[i]]);
+                cells.map(|c| c.chars().count()).max().unwrap_or(0)
+            })
+            .collect();
+        let line = |cells: &[String]| {
+            let padded: Vec<String> =
+                cells.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}")).collect();
+            padded.join("  ")
+        };
+        let header = line(&self.columns);
+        let rule = "-".repeat(header.chars().count());
+        let mut out = format!("\n=== {} ===\n{header}\n{rule}\n", self.title);
+        for row in &self.rows {
+            out.push_str(&line(row));
+            out.push('\n');
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -290,8 +284,7 @@ mod tests {
         let data: Vec<f64> = (1..=5000).map(f64::from).collect();
         for label in SummaryConfig::all_labels() {
             let cfg = &SummaryConfig::size_sweep(label)[2];
-            let mut s = cfg.build(1);
-            s.accumulate_all(&data);
+            let s = cfg.filled(1, &data);
             assert_eq!(s.count(), 5000, "{label}");
             let q = s.quantile(0.5);
             assert!(
@@ -308,7 +301,7 @@ mod tests {
         let data: Vec<f64> = (0..20_000).map(|i| (i % 997) as f64).collect();
         let chunks: Vec<&[f64]> = data.chunks(100).collect();
         let cfg = SummaryConfig::MSketch(8);
-        let cells = build_cells(&cfg, &chunks);
+        let cells = build_cells(&cfg, &chunks, 0x5EED);
         let seq = merge_all(&cells);
         let par = merge_parallel(&cells, 4);
         assert_eq!(seq.count(), par.count());
@@ -341,10 +334,7 @@ mod tests {
     #[test]
     fn table2_configs_cover_all_families() {
         use std::collections::HashSet;
-        for configs in [
-            SummaryConfig::table2_milan(),
-            SummaryConfig::table2_hepmass(),
-        ] {
+        for configs in [SummaryConfig::table2_milan(), SummaryConfig::table2_hepmass()] {
             let labels: HashSet<&str> = configs.iter().map(|c| c.label()).collect();
             assert_eq!(labels.len(), 8);
             for l in SummaryConfig::all_labels() {
@@ -359,11 +349,7 @@ mod tests {
         for label in SummaryConfig::all_labels() {
             let sizes: Vec<usize> = SummaryConfig::size_sweep(label)
                 .iter()
-                .map(|cfg| {
-                    let mut s = cfg.build(3);
-                    s.accumulate_all(&data);
-                    s.size_bytes()
-                })
+                .map(|cfg| cfg.filled(3, &data).size_bytes())
                 .collect();
             for w in sizes.windows(2) {
                 assert!(w[1] >= w[0], "{label}: sweep not monotone: {sizes:?}");

@@ -3,7 +3,7 @@
 //! The wire format mirrors the in-memory layout: a 4-byte header
 //! (magic, version, order `k`) followed by `min`, `max`, the `k + 1`
 //! power sums, and the `k + 1` log power sums as little-endian `f64`s.
-//! A `k = 10` sketch serializes to 218 bytes.
+//! A `k = 10` sketch serializes to 196 bytes (4 + 16 + 16 · 11).
 //!
 //! [`MomentsSketch`] also derives nothing from `serde` directly; use
 //! [`to_bytes`] / [`from_bytes`] for storage, or the mirror struct

@@ -3,9 +3,10 @@
 //! The paper evaluates on six datasets (Table 1): Telecom Italia `milan`
 //! internet usage, UCI `hepmass` / `occupancy` / `retail` / `power`, and a
 //! synthetic `exponential`. The real datasets are not redistributable
-//! here, so [`gen`] provides seeded generators calibrated to the paper's
-//! reported support, mean, standard deviation, and skewness — the
-//! distributional properties the sketch's accuracy actually depends on.
+//! here, so [`gen`] provides seeded generators calibrated toward the
+//! paper's reported support, mean, standard deviation, and skewness — the
+//! distributional properties the sketch's accuracy actually depends on
+//! (`gen` lists the statistics that do not match).
 //! [`production`] synthesizes the Microsoft-style production workload of
 //! Appendix D.4 (integer values, heavily variable cell sizes), [`dist`]
 //! holds the underlying samplers (built on `rand`'s uniform source only),

@@ -21,7 +21,7 @@
 //! * [`numerics`] — the numerical substrate.
 //!
 //! See `examples/` for runnable end-to-end scenarios and
-//! `crates/bench/src/bin/` for the per-figure reproduction harnesses.
+//! `msketch-repro` (`crates/bench`) for the paper's figures and tables.
 //!
 //! Most applications only need the [`prelude`]:
 //!
