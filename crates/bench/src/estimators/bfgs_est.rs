@@ -9,13 +9,10 @@
 //! gap.
 
 use super::QuantileEstimator;
-use crate::estimators::naive_newton::forced_basis;
-use crate::solver::basis::PrimaryDomain;
-use crate::solver::maxent::MaxEntObjective;
-use crate::{Error, MomentsSketch, Result};
-use numerics::chebyshev;
-use numerics::lbfgs::{lbfgs_minimize, GradObjective, LbfgsOptions};
-use numerics::roots::{brent, BrentOptions};
+use crate::lbfgs::{lbfgs_minimize, GradObjective, LbfgsOptions};
+use moments_sketch::solver::basis::{cheb_moments, Basis};
+use moments_sketch::solver::maxent::MaxEntObjective;
+use moments_sketch::{Error, MaxEntSolution, MomentsSketch, Result};
 
 /// L-BFGS on the continuous max-ent objective.
 #[derive(Debug, Clone, Copy)]
@@ -57,18 +54,12 @@ impl QuantileEstimator for BfgsEstimator {
         if sketch.min() >= sketch.max() {
             return Ok(vec![sketch.min(); phis.len()]);
         }
-        let basis = forced_basis(sketch, self.k1, self.k2)?;
-        let n_nodes = if basis.k1 > 0 && basis.k2 > 0 {
-            128
-        } else {
-            64
-        };
-        let mut obj = FirstOrder {
-            inner: MaxEntObjective::new(&basis, n_nodes),
-        };
+        let basis = Basis::new(cheb_moments(sketch, self.k2 > 0)?, self.k1, self.k2);
+        let n_nodes = if basis.k1 > 0 && basis.k2 > 0 { 128 } else { 64 };
+        let mut obj = FirstOrder { inner: MaxEntObjective::new(&basis, n_nodes) };
         let mut theta0 = vec![0.0; basis.dim()];
         theta0[0] = (0.5f64).ln();
-        let res = lbfgs_minimize(
+        let theta = lbfgs_minimize(
             &mut obj,
             &theta0,
             LbfgsOptions {
@@ -80,40 +71,9 @@ impl QuantileEstimator for BfgsEstimator {
                 ..Default::default()
             },
         )
-        .map_err(|e| Error::SolverFailed {
-            reason: format!("bfgs: {e}"),
-        })?;
-        // CDF inversion exactly as in the optimized solver.
-        let node_f = obj.inner.density_at_nodes(&res.theta);
-        let pdf = chebyshev::interpolate_values(&node_f);
-        let cdf = crate::solver::monotone_cdf_samples(&pdf, 1024);
-        let norm = *cdf.last().unwrap();
-        if !(norm.is_finite() && norm > 0.0) {
-            return Err(Error::SolverFailed {
-                reason: "bfgs produced non-normalizable density".into(),
-            });
-        }
-        phis.iter()
-            .map(|&phi| {
-                if !(phi > 0.0 && phi < 1.0) {
-                    return Err(Error::InvalidQuantile(phi));
-                }
-                let u = brent(
-                    |u| crate::solver::sample_cdf(&cdf, u) - phi * norm,
-                    -1.0,
-                    1.0,
-                    BrentOptions::default(),
-                )
-                .map_err(|e| Error::SolverFailed {
-                    reason: format!("bfgs CDF inversion: {e}"),
-                })?;
-                let x = match basis.primary {
-                    PrimaryDomain::Standard => basis.std_dom.unscale(u),
-                    PrimaryDomain::Log => basis.log_dom.as_ref().unwrap().unscale(u).exp(),
-                };
-                Ok(x.clamp(sketch.min(), sketch.max()))
-            })
-            .collect()
+        .map_err(|e| Error::SolverFailed { reason: format!("bfgs: {e}") })?;
+        let node_f = obj.inner.density_at_nodes(&theta);
+        MaxEntSolution::from_node_density(sketch, basis, &node_f)?.quantiles(phis)
     }
 }
 
@@ -122,20 +82,16 @@ mod tests {
     use super::*;
     use crate::estimators::test_support::*;
     use crate::estimators::OptEstimator;
-    use crate::SolverConfig;
+    use moments_sketch::SolverConfig;
 
     #[test]
     fn agrees_with_newton_solution() {
         let data = normal_grid(20_000);
         let s = MomentsSketch::from_data(10, &data);
-        let ps = phis21();
+        let ps = eval_phis();
         let bfgs = BfgsEstimator { k1: 10, k2: 0 }.estimate(&s, &ps).unwrap();
         let opt = OptEstimator {
-            config: SolverConfig {
-                k1: Some(10),
-                k2: Some(0),
-                ..Default::default()
-            },
+            config: SolverConfig { k1: Some(10), k2: Some(0), ..Default::default() },
         }
         .estimate(&s, &ps)
         .unwrap();
@@ -148,9 +104,9 @@ mod tests {
     fn log_configuration_on_heavy_tail() {
         let data = lognormal_grid(20_000, 1.5);
         let s = MomentsSketch::from_data(10, &data);
-        let ps = phis21();
+        let ps = eval_phis();
         let qs = BfgsEstimator { k1: 0, k2: 10 }.estimate(&s, &ps).unwrap();
-        let err = avg_error(&data, &qs, &ps);
+        let err = avg_quantile_error(&data, &qs, &ps);
         assert!(err < 0.01, "err {err}");
     }
 

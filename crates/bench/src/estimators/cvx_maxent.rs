@@ -9,7 +9,8 @@
 //! generic solvers are slow" row pair of Figure 10.
 
 use super::{quantiles_from_masses, scaled_setup, uniform_grid, MomentSource, QuantileEstimator};
-use crate::{Error, MomentsSketch, Result};
+use moments_sketch::stats::cheb_moments_from_mono;
+use moments_sketch::{Error, MomentsSketch, Result};
 use numerics::chebyshev;
 use numerics::linalg::Matrix;
 use numerics::optimize::{newton_minimize, NewtonObjective, NewtonOptions};
@@ -25,10 +26,7 @@ pub struct CvxMaxEntEstimator {
 
 impl Default for CvxMaxEntEstimator {
     fn default() -> Self {
-        CvxMaxEntEstimator {
-            source: MomentSource::Standard,
-            grid: 1000,
-        }
+        CvxMaxEntEstimator { source: MomentSource::Standard, grid: 1000 }
     }
 }
 
@@ -89,25 +87,17 @@ impl QuantileEstimator for CvxMaxEntEstimator {
 
     fn estimate(&self, sketch: &MomentsSketch, phis: &[f64]) -> Result<Vec<f64>> {
         let (dom, mono, is_log) = scaled_setup(sketch, self.source)?;
-        let mu = crate::stats::cheb_moments_from_mono(&mono);
+        let mu = cheb_moments_from_mono(&mono);
         let n = self.grid.max(16);
         let grid = uniform_grid(n);
         let dim = mu.len();
-        let g: Vec<Vec<f64>> = (0..dim)
-            .map(|j| grid.iter().map(|&u| chebyshev::t_eval(j, u)).collect())
-            .collect();
-        let mut obj = GridDual {
-            g,
-            mu,
-            du: 2.0 / n as f64,
-        };
+        let g: Vec<Vec<f64>> =
+            (0..dim).map(|j| grid.iter().map(|&u| chebyshev::t_eval(j, u)).collect()).collect();
+        let mut obj = GridDual { g, mu, du: 2.0 / n as f64 };
         let mut theta0 = vec![0.0; dim];
         theta0[0] = (0.5f64).ln();
-        let res = newton_minimize(&mut obj, &theta0, NewtonOptions::default()).map_err(|e| {
-            Error::SolverFailed {
-                reason: format!("cvx-maxent: {e}"),
-            }
-        })?;
+        let res = newton_minimize(&mut obj, &theta0, NewtonOptions::default())
+            .map_err(|e| Error::SolverFailed { reason: format!("cvx-maxent: {e}") })?;
         // Recover the masses at the grid points.
         let masses: Vec<f64> = (0..n)
             .map(|i| {
@@ -132,11 +122,11 @@ mod tests {
     fn matches_optimized_solver_accuracy() {
         let data = normal_grid(30_000);
         let s = MomentsSketch::from_data(10, &data);
-        let ps = phis21();
+        let ps = eval_phis();
         let cvx = CvxMaxEntEstimator::default().estimate(&s, &ps).unwrap();
         let opt = OptEstimator::default().estimate(&s, &ps).unwrap();
-        let e_cvx = avg_error(&data, &cvx, &ps);
-        let e_opt = avg_error(&data, &opt, &ps);
+        let e_cvx = avg_quantile_error(&data, &cvx, &ps);
+        let e_opt = avg_quantile_error(&data, &opt, &ps);
         assert!(e_cvx < 0.01, "cvx error {e_cvx}");
         assert!((e_cvx - e_opt).abs() < 0.01, "{e_cvx} vs {e_opt}");
     }
@@ -145,14 +135,9 @@ mod tests {
     fn uniform_data_gives_uniform_density() {
         let data: Vec<f64> = (0..20_000).map(|i| i as f64 / 19_999.0).collect();
         let s = MomentsSketch::from_data(8, &data);
-        let ps = phis21();
-        let qs = CvxMaxEntEstimator {
-            grid: 400,
-            ..Default::default()
-        }
-        .estimate(&s, &ps)
-        .unwrap();
-        let err = avg_error(&data, &qs, &ps);
+        let ps = eval_phis();
+        let qs = CvxMaxEntEstimator { grid: 400, ..Default::default() }.estimate(&s, &ps).unwrap();
+        let err = avg_quantile_error(&data, &qs, &ps);
         assert!(err < 0.01, "err {err}");
     }
 
@@ -160,14 +145,10 @@ mod tests {
     fn log_source_on_heavy_tail() {
         let data = lognormal_grid(30_000, 1.8);
         let s = MomentsSketch::from_data(10, &data);
-        let ps = phis21();
-        let qs = CvxMaxEntEstimator {
-            source: MomentSource::Log,
-            grid: 500,
-        }
-        .estimate(&s, &ps)
-        .unwrap();
-        let err = avg_error(&data, &qs, &ps);
+        let ps = eval_phis();
+        let qs =
+            CvxMaxEntEstimator { source: MomentSource::Log, grid: 500 }.estimate(&s, &ps).unwrap();
+        let err = avg_quantile_error(&data, &qs, &ps);
         assert!(err < 0.01, "err {err}");
     }
 }

@@ -3,13 +3,13 @@
 //! the moment constraints.
 //!
 //! The reference implementation handed this to the ECOS cone solver; we
-//! use the dense two-phase simplex from the numerics crate. Moment
+//! use a dense two-phase simplex ([`crate::simplex`]). Moment
 //! equalities carry symmetric penalty slacks so that tiny discretization
 //! infeasibilities cannot make the program infeasible.
 
 use super::{quantiles_from_masses, scaled_setup, uniform_grid, MomentSource, QuantileEstimator};
-use crate::{Error, MomentsSketch, Result};
-use numerics::simplex::{solve as lp_solve, StandardLp};
+use crate::simplex::{solve as lp_solve, StandardLp};
+use moments_sketch::{Error, MomentsSketch, Result};
 
 /// Minimax-density LP estimator.
 #[derive(Debug, Clone, Copy)]
@@ -23,10 +23,7 @@ pub struct CvxMinEstimator {
 
 impl Default for CvxMinEstimator {
     fn default() -> Self {
-        CvxMinEstimator {
-            source: MomentSource::Standard,
-            grid: 128,
-        }
+        CvxMinEstimator { source: MomentSource::Standard, grid: 128 }
     }
 }
 
@@ -79,10 +76,9 @@ impl QuantileEstimator for CvxMinEstimator {
             c[sp0 + j] = penalty;
             c[sm0 + j] = penalty;
         }
-        let sol = lp_solve(&StandardLp { a, b, c }).map_err(|e| Error::SolverFailed {
-            reason: format!("cvx-min LP: {e}"),
-        })?;
-        quantiles_from_masses(&grid, &sol.x[..n], phis, &dom, is_log)
+        let x = lp_solve(&StandardLp { a, b, c })
+            .map_err(|e| Error::SolverFailed { reason: format!("cvx-min LP: {e:?}") })?;
+        quantiles_from_masses(&grid, &x[..n], phis, &dom, is_log)
     }
 }
 
@@ -96,9 +92,9 @@ mod tests {
         // For uniform data the minimax density IS the uniform density.
         let data: Vec<f64> = (0..20_000).map(|i| i as f64 / 19_999.0).collect();
         let s = MomentsSketch::from_data(8, &data);
-        let ps = phis21();
+        let ps = eval_phis();
         let qs = CvxMinEstimator::default().estimate(&s, &ps).unwrap();
-        let err = avg_error(&data, &qs, &ps);
+        let err = avg_quantile_error(&data, &qs, &ps);
         assert!(err < 0.02, "err {err}");
     }
 
@@ -116,14 +112,10 @@ mod tests {
     fn log_source_long_tail() {
         let data = lognormal_grid(20_000, 1.5);
         let s = MomentsSketch::from_data(8, &data);
-        let ps = phis21();
-        let qs = CvxMinEstimator {
-            source: MomentSource::Log,
-            grid: 128,
-        }
-        .estimate(&s, &ps)
-        .unwrap();
-        let err = avg_error(&data, &qs, &ps);
+        let ps = eval_phis();
+        let qs =
+            CvxMinEstimator { source: MomentSource::Log, grid: 128 }.estimate(&s, &ps).unwrap();
+        let err = avg_quantile_error(&data, &qs, &ps);
         assert!(err < 0.1, "err {err}");
     }
 }

@@ -7,7 +7,7 @@
 //! which is what the paper's milan configuration amounts to.
 
 use super::{MomentSource, QuantileEstimator};
-use crate::{Error, MomentsSketch, Result};
+use moments_sketch::{Error, MomentsSketch, Result};
 use numerics::special::inv_norm_cdf;
 
 /// Normal / log-normal moment fit.
@@ -19,9 +19,7 @@ pub struct GaussianEstimator {
 
 impl Default for GaussianEstimator {
     fn default() -> Self {
-        GaussianEstimator {
-            source: MomentSource::Standard,
-        }
+        GaussianEstimator { source: MomentSource::Standard }
     }
 }
 
@@ -73,43 +71,37 @@ mod tests {
         let data = normal_grid(50_000);
         let s = MomentsSketch::from_data(10, &data);
         let est = GaussianEstimator::default();
-        let ps = phis21();
+        let ps = eval_phis();
         let qs = est.estimate(&s, &ps).unwrap();
-        assert!(avg_error(&data, &qs, &ps) < 0.005);
+        assert!(avg_quantile_error(&data, &qs, &ps) < 0.005);
     }
 
     #[test]
     fn lognormal_fit_with_log_source() {
         let data = lognormal_grid(50_000, 1.5);
         let s = MomentsSketch::from_data(10, &data);
-        let est = GaussianEstimator {
-            source: MomentSource::Log,
-        };
-        let ps = phis21();
+        let est = GaussianEstimator { source: MomentSource::Log };
+        let ps = eval_phis();
         let qs = est.estimate(&s, &ps).unwrap();
-        assert!(avg_error(&data, &qs, &ps) < 0.01);
+        assert!(avg_quantile_error(&data, &qs, &ps) < 0.01);
     }
 
     #[test]
     fn biased_on_skewed_data_with_standard_source() {
         // Exponential data: a two-moment normal fit is visibly wrong.
-        let data: Vec<f64> = (1..50_000)
-            .map(|i| -(1.0 - i as f64 / 50_000.0f64).ln())
-            .collect();
+        let data: Vec<f64> = (1..50_000).map(|i| -(1.0 - i as f64 / 50_000.0f64).ln()).collect();
         let s = MomentsSketch::from_data(10, &data);
         let est = GaussianEstimator::default();
-        let ps = phis21();
+        let ps = eval_phis();
         let qs = est.estimate(&s, &ps).unwrap();
-        assert!(avg_error(&data, &qs, &ps) > 0.02);
+        assert!(avg_quantile_error(&data, &qs, &ps) > 0.02);
     }
 
     #[test]
     fn estimates_clamped_to_range() {
         let data = vec![1.0, 1.1, 0.9, 1.05, 0.95];
         let s = MomentsSketch::from_data(4, &data);
-        let qs = GaussianEstimator::default()
-            .estimate(&s, &[0.001, 0.999])
-            .unwrap();
+        let qs = GaussianEstimator::default().estimate(&s, &[0.001, 0.999]).unwrap();
         assert!(qs[0] >= s.min());
         assert!(qs[1] <= s.max());
     }

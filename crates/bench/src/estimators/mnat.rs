@@ -13,8 +13,8 @@
 //! the lesion study shows.
 
 use super::{quantiles_from_masses, scaled_setup, MomentSource, QuantileEstimator};
-use crate::stats::ScaledDomain;
-use crate::{MomentsSketch, Result};
+use moments_sketch::stats::{max_stable_k, shifted_moments, ScaledDomain};
+use moments_sketch::{MomentsSketch, Result};
 use numerics::special::binomial;
 
 /// Mnatsakanov moment-CDF reconstruction.
@@ -26,9 +26,7 @@ pub struct MnatEstimator {
 
 impl Default for MnatEstimator {
     fn default() -> Self {
-        MnatEstimator {
-            source: MomentSource::Standard,
-        }
+        MnatEstimator { source: MomentSource::Standard }
     }
 }
 
@@ -68,16 +66,13 @@ impl QuantileEstimator for MnatEstimator {
         let (dom, _mono, is_log) = scaled_setup(sketch, self.source)?;
         // Re-shift onto [0, 1]: y = (x - lo) / (hi - lo).
         let (lo, hi) = (dom.center - dom.radius, dom.center + dom.radius);
-        let dom01 = ScaledDomain {
-            center: lo,
-            radius: (hi - lo).max(f64::MIN_POSITIVE),
-        };
+        let dom01 = ScaledDomain { center: lo, radius: (hi - lo).max(f64::MIN_POSITIVE) };
         let raw = match self.source {
             MomentSource::Standard => sketch.moments(),
             MomentSource::Log => sketch.log_moments(),
         };
-        let cap = crate::stats::max_stable_k(0.5).min(raw.len() - 1);
-        let mu01 = crate::stats::shifted_moments(&raw[..=cap], &dom01);
+        let cap = max_stable_k(0.5).min(raw.len() - 1);
+        let mu01 = shifted_moments(&raw[..=cap], &dom01);
         let levels = mnat_cdf_levels(&mu01);
         let alpha = levels.len() - 1;
         // Convert the staircase into point masses at cell midpoints of the
@@ -104,11 +99,8 @@ mod tests {
     fn cdf_levels_monotone_and_normalized() {
         let data: Vec<f64> = (0..5000).map(|i| i as f64 / 4999.0).collect();
         let s = MomentsSketch::from_data(10, &data);
-        let dom01 = ScaledDomain {
-            center: 0.0,
-            radius: 1.0,
-        };
-        let mu01 = crate::stats::shifted_moments(&s.moments(), &dom01);
+        let dom01 = ScaledDomain { center: 0.0, radius: 1.0 };
+        let mu01 = shifted_moments(&s.moments(), &dom01);
         let levels = mnat_cdf_levels(&mu01);
         for w in levels.windows(2) {
             assert!(w[1] >= w[0]);
@@ -120,9 +112,9 @@ mod tests {
     fn coarse_but_sane_on_uniform() {
         let data: Vec<f64> = (0..20_000).map(|i| i as f64 / 19_999.0).collect();
         let s = MomentsSketch::from_data(10, &data);
-        let ps = phis21();
+        let ps = eval_phis();
         let qs = MnatEstimator::default().estimate(&s, &ps).unwrap();
-        let err = avg_error(&data, &qs, &ps);
+        let err = avg_quantile_error(&data, &qs, &ps);
         // Mnatsakanov at alpha=10 is coarse; expect moderate error.
         assert!(err < 0.12, "err {err}");
     }
@@ -131,19 +123,12 @@ mod tests {
     fn log_source_on_heavy_tail() {
         let data = lognormal_grid(20_000, 2.0);
         let s = MomentsSketch::from_data(10, &data);
-        let ps = phis21();
-        let qs = MnatEstimator {
-            source: MomentSource::Log,
-        }
-        .estimate(&s, &ps)
-        .unwrap();
-        let err_log = avg_error(&data, &qs, &ps);
+        let ps = eval_phis();
+        let qs = MnatEstimator { source: MomentSource::Log }.estimate(&s, &ps).unwrap();
+        let err_log = avg_quantile_error(&data, &qs, &ps);
         let qs_std = MnatEstimator::default().estimate(&s, &ps).unwrap();
-        let err_std = avg_error(&data, &qs_std, &ps);
-        assert!(
-            err_log < err_std,
-            "log source should help: {err_log} vs {err_std}"
-        );
+        let err_std = avg_quantile_error(&data, &qs_std, &ps);
+        assert!(err_log < err_std, "log source should help: {err_log} vs {err_std}");
     }
 
     #[test]
@@ -151,11 +136,9 @@ mod tests {
         // The core claim of the lesion study.
         let data = normal_grid(30_000);
         let s = MomentsSketch::from_data(10, &data);
-        let ps = phis21();
+        let ps = eval_phis();
         let mnat = MnatEstimator::default().estimate(&s, &ps).unwrap();
-        let opt = crate::estimators::OptEstimator::default()
-            .estimate(&s, &ps)
-            .unwrap();
-        assert!(avg_error(&data, &mnat, &ps) > avg_error(&data, &opt, &ps));
+        let opt = crate::estimators::OptEstimator::default().estimate(&s, &ps).unwrap();
+        assert!(avg_quantile_error(&data, &mnat, &ps) > avg_quantile_error(&data, &opt, &ps));
     }
 }

@@ -13,7 +13,7 @@
 //! | `cvx-maxent`| discretize, generic max-entropy dual Newton on the grid     |
 //! | `newton`    | the continuous max-ent objective, Romberg-integrated Hessian|
 //! | `bfgs`      | the continuous objective with first-order L-BFGS            |
-//! | `opt`       | the full optimized solver of [`crate::solver`]              |
+//! | `opt`       | the optimized solver, [`moments_sketch::solver`]            |
 //!
 //! Solvers that use the maximum entropy principle are substantially more
 //! accurate; the optimized solver is orders of magnitude faster than the
@@ -35,8 +35,8 @@ pub use mnat::MnatEstimator;
 pub use naive_newton::NaiveNewtonEstimator;
 pub use svd_est::SvdEstimator;
 
-use crate::stats::ScaledDomain;
-use crate::{Error, MomentsSketch, Result, SolverConfig};
+use moments_sketch::stats::{max_stable_k, shifted_moments, ScaledDomain};
+use moments_sketch::{Error, MomentsSketch, Result, SolverConfig};
 
 /// Which moment set an estimator consumes. The paper's lesion study uses
 /// only log moments on `milan` and only standard moments on `hepmass` so
@@ -71,7 +71,7 @@ impl QuantileEstimator for OptEstimator {
         "opt"
     }
     fn estimate(&self, sketch: &MomentsSketch, phis: &[f64]) -> Result<Vec<f64>> {
-        crate::solver::solve(sketch, &self.config)?.quantiles(phis)
+        moments_sketch::solver::solve(sketch, &self.config)?.quantiles(phis)
     }
 }
 
@@ -91,19 +91,17 @@ pub(crate) fn scaled_setup(
     match source {
         MomentSource::Standard => {
             let dom = ScaledDomain::from_range(sketch.min(), sketch.max());
-            let cap = crate::stats::max_stable_k(dom.offset()).min(sketch.k());
-            let mono = crate::stats::shifted_moments(&sketch.moments()[..=cap], &dom);
+            let cap = max_stable_k(dom.offset()).min(sketch.k());
+            let mono = shifted_moments(&sketch.moments()[..=cap], &dom);
             Ok((dom, mono, false))
         }
         MomentSource::Log => {
             if !sketch.log_usable() {
-                return Err(Error::InvalidArgument(
-                    "log moments unavailable (non-positive data)",
-                ));
+                return Err(Error::InvalidArgument("log moments unavailable (non-positive data)"));
             }
             let dom = ScaledDomain::from_range(sketch.min().ln(), sketch.max().ln());
-            let cap = crate::stats::max_stable_k(dom.offset()).min(sketch.k());
-            let mono = crate::stats::shifted_moments(&sketch.log_moments()[..=cap], &dom);
+            let cap = max_stable_k(dom.offset()).min(sketch.k());
+            let mono = shifted_moments(&sketch.log_moments()[..=cap], &dom);
             Ok((dom, mono, true))
         }
     }
@@ -171,31 +169,12 @@ pub(crate) fn quantiles_from_masses(
 
 /// A uniform cell-centered grid of `n` points on `[-1, 1]`.
 pub(crate) fn uniform_grid(n: usize) -> Vec<f64> {
-    (0..n)
-        .map(|i| -1.0 + 2.0 * (i as f64 + 0.5) / n as f64)
-        .collect()
+    (0..n).map(|i| -1.0 + 2.0 * (i as f64 + 0.5) / n as f64).collect()
 }
 
 #[cfg(test)]
 pub(crate) mod test_support {
-
-    /// Average quantile error of estimates vs the sorted dataset
-    /// (Equation 1 of the paper).
-    pub fn avg_error(data: &[f64], est: &[f64], phis: &[f64]) -> f64 {
-        let mut sorted = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let n = sorted.len() as f64;
-        let mut total = 0.0;
-        for (&q, &phi) in est.iter().zip(phis) {
-            let rank = sorted.partition_point(|&x| x < q) as f64;
-            total += (rank - phi * n).abs() / n;
-        }
-        total / phis.len() as f64
-    }
-
-    pub fn phis21() -> Vec<f64> {
-        (0..21).map(|i| 0.01 + 0.049 * i as f64).collect()
-    }
+    pub use msketch_sketches::{avg_quantile_error, exact::eval_phis};
 
     /// Deterministic heavy-tailed (log-normal-grid) dataset.
     pub fn lognormal_grid(n: usize, sigma: f64) -> Vec<f64> {
@@ -206,16 +185,12 @@ pub(crate) mod test_support {
 
     /// Deterministic standard-normal-grid dataset.
     pub fn normal_grid(n: usize) -> Vec<f64> {
-        (1..n)
-            .map(|i| numerics::special::inv_norm_cdf(i as f64 / n as f64))
-            .collect()
+        (1..n).map(|i| numerics::special::inv_norm_cdf(i as f64 / n as f64)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    #[allow(unused_imports)]
-    use super::test_support as _ts;
     use super::test_support::*;
     use super::*;
 
@@ -241,9 +216,9 @@ mod tests {
         let data = normal_grid(20_000);
         let s = MomentsSketch::from_data(10, &data);
         let est = OptEstimator::default();
-        let ps = phis21();
+        let ps = eval_phis();
         let qs = est.estimate(&s, &ps).unwrap();
-        assert!(avg_error(&data, &qs, &ps) < 0.01);
+        assert!(avg_quantile_error(&data, &qs, &ps) < 0.01);
         assert_eq!(est.name(), "opt");
     }
 

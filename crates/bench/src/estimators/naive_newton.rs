@@ -10,9 +10,9 @@
 //! of magnitude slower than `opt`.
 
 use super::{quantiles_from_masses, QuantileEstimator};
-use crate::solver::basis::{cheb_moments, Basis, PrimaryDomain};
-use crate::{Error, MomentsSketch, Result, SolverConfig};
-use numerics::integrate::romberg;
+use crate::integrate::romberg;
+use moments_sketch::solver::basis::{cheb_moments, Basis, PrimaryDomain};
+use moments_sketch::{Error, MomentsSketch, Result, SolverConfig};
 use numerics::linalg::Matrix;
 use numerics::optimize::{newton_minimize, NewtonObjective, NewtonOptions};
 
@@ -29,11 +29,7 @@ pub struct NaiveNewtonEstimator {
 
 impl Default for NaiveNewtonEstimator {
     fn default() -> Self {
-        NaiveNewtonEstimator {
-            k1: 10,
-            k2: 0,
-            tol: 1e-9,
-        }
+        NaiveNewtonEstimator { k1: 10, k2: 0, tol: 1e-9 }
     }
 }
 
@@ -91,33 +87,6 @@ impl NewtonObjective for RombergObjective<'_> {
     }
 }
 
-/// Build the same basis the optimized solver would use for forced
-/// `(k1, k2)` counts.
-pub(crate) fn forced_basis(sketch: &MomentsSketch, k1: usize, k2: usize) -> Result<Basis> {
-    let moments = cheb_moments(sketch, k2 > 0)?;
-    let avail_s = moments.std_cheb.len() - 1;
-    let avail_l = moments.log_cheb.as_ref().map_or(0, |l| l.len() - 1);
-    let k1 = k1.min(avail_s);
-    let k2 = k2.min(avail_l);
-    let mut mu = vec![1.0];
-    mu.extend_from_slice(&moments.std_cheb[1..=k1]);
-    if k2 > 0 {
-        mu.extend_from_slice(&moments.log_cheb.as_ref().unwrap()[1..=k2]);
-    }
-    Ok(Basis {
-        k1,
-        k2,
-        primary: if k2 > 0 {
-            PrimaryDomain::Log
-        } else {
-            PrimaryDomain::Standard
-        },
-        std_dom: moments.std_dom,
-        log_dom: moments.log_dom,
-        mu,
-    })
-}
-
 impl QuantileEstimator for NaiveNewtonEstimator {
     fn name(&self) -> &'static str {
         "newton"
@@ -130,11 +99,8 @@ impl QuantileEstimator for NaiveNewtonEstimator {
         if sketch.min() >= sketch.max() {
             return Ok(vec![sketch.min(); phis.len()]);
         }
-        let basis = forced_basis(sketch, self.k1, self.k2)?;
-        let mut obj = RombergObjective {
-            basis: &basis,
-            tol: self.tol,
-        };
+        let basis = Basis::new(cheb_moments(sketch, self.k2 > 0)?, self.k1, self.k2);
+        let mut obj = RombergObjective { basis: &basis, tol: self.tol };
         let mut theta0 = vec![0.0; basis.dim()];
         theta0[0] = (0.5f64).ln();
         let cfg = SolverConfig::default();
@@ -147,17 +113,12 @@ impl QuantileEstimator for NaiveNewtonEstimator {
                 ..Default::default()
             },
         )
-        .map_err(|e| Error::SolverFailed {
-            reason: format!("naive newton: {e}"),
-        })?;
+        .map_err(|e| Error::SolverFailed { reason: format!("naive newton: {e}") })?;
         // Quantiles from a fine grid of the solved density.
         let n = 2048;
         let grid = super::uniform_grid(n);
         let du = 2.0 / n as f64;
-        let masses: Vec<f64> = grid
-            .iter()
-            .map(|&u| obj.density(&res.theta, u) * du)
-            .collect();
+        let masses: Vec<f64> = grid.iter().map(|&u| obj.density(&res.theta, u) * du).collect();
         let dom = match basis.primary {
             PrimaryDomain::Standard => basis.std_dom,
             PrimaryDomain::Log => *basis.log_dom.as_ref().unwrap(),
@@ -177,20 +138,10 @@ mod tests {
     fn agrees_with_optimized_solver() {
         let data = normal_grid(20_000);
         let s = MomentsSketch::from_data(8, &data);
-        let ps = phis21();
-        let naive = NaiveNewtonEstimator {
-            k1: 8,
-            k2: 0,
-            tol: 1e-9,
-        }
-        .estimate(&s, &ps)
-        .unwrap();
+        let ps = eval_phis();
+        let naive = NaiveNewtonEstimator { k1: 8, k2: 0, tol: 1e-9 }.estimate(&s, &ps).unwrap();
         let opt = OptEstimator {
-            config: SolverConfig {
-                k1: Some(8),
-                k2: Some(0),
-                ..Default::default()
-            },
+            config: SolverConfig { k1: Some(8), k2: Some(0), ..Default::default() },
         }
         .estimate(&s, &ps)
         .unwrap();
@@ -203,24 +154,16 @@ mod tests {
     fn log_moment_configuration() {
         let data = lognormal_grid(20_000, 1.5);
         let s = MomentsSketch::from_data(8, &data);
-        let ps = phis21();
-        let qs = NaiveNewtonEstimator {
-            k1: 0,
-            k2: 8,
-            tol: 1e-8,
-        }
-        .estimate(&s, &ps)
-        .unwrap();
-        let err = avg_error(&data, &qs, &ps);
+        let ps = eval_phis();
+        let qs = NaiveNewtonEstimator { k1: 0, k2: 8, tol: 1e-8 }.estimate(&s, &ps).unwrap();
+        let err = avg_quantile_error(&data, &qs, &ps);
         assert!(err < 0.01, "err {err}");
     }
 
     #[test]
     fn point_mass_short_circuits() {
         let s = MomentsSketch::from_data(4, &[3.0, 3.0]);
-        let qs = NaiveNewtonEstimator::default()
-            .estimate(&s, &[0.5])
-            .unwrap();
+        let qs = NaiveNewtonEstimator::default().estimate(&s, &[0.5]).unwrap();
         assert_eq!(qs[0], 3.0);
     }
 }

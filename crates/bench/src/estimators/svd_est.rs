@@ -7,9 +7,9 @@
 //! entropy routes in Figure 10 (we clamp negatives when forming the CDF).
 
 use super::{quantiles_from_masses, scaled_setup, uniform_grid, MomentSource, QuantileEstimator};
-use crate::{MomentsSketch, Result};
+use crate::svd::least_norm_solve;
+use moments_sketch::{MomentsSketch, Result};
 use numerics::linalg::Matrix;
-use numerics::svd::least_norm_solve;
 
 /// Least-norm discretized density via SVD pseudo-inverse.
 #[derive(Debug, Clone, Copy)]
@@ -22,10 +22,7 @@ pub struct SvdEstimator {
 
 impl Default for SvdEstimator {
     fn default() -> Self {
-        SvdEstimator {
-            source: MomentSource::Standard,
-            grid: 256,
-        }
+        SvdEstimator { source: MomentSource::Standard, grid: 256 }
     }
 }
 
@@ -62,9 +59,9 @@ mod tests {
     fn reasonable_on_smooth_symmetric_data() {
         let data = normal_grid(30_000);
         let s = MomentsSketch::from_data(10, &data);
-        let ps = phis21();
+        let ps = eval_phis();
         let qs = SvdEstimator::default().estimate(&s, &ps).unwrap();
-        let err = avg_error(&data, &qs, &ps);
+        let err = avg_quantile_error(&data, &qs, &ps);
         assert!(err < 0.05, "err {err}");
     }
 
@@ -97,18 +94,11 @@ mod tests {
     fn worse_than_opt_on_long_tail() {
         let data = lognormal_grid(30_000, 1.5);
         let s = MomentsSketch::from_data(10, &data);
-        let ps = phis21();
-        let svd = SvdEstimator {
-            source: MomentSource::Log,
-            grid: 256,
-        }
-        .estimate(&s, &ps)
-        .unwrap();
-        let opt = crate::estimators::OptEstimator::default()
-            .estimate(&s, &ps)
-            .unwrap();
-        let e_svd = avg_error(&data, &svd, &ps);
-        let e_opt = avg_error(&data, &opt, &ps);
+        let ps = eval_phis();
+        let svd = SvdEstimator { source: MomentSource::Log, grid: 256 }.estimate(&s, &ps).unwrap();
+        let opt = crate::estimators::OptEstimator::default().estimate(&s, &ps).unwrap();
+        let e_svd = avg_quantile_error(&data, &svd, &ps);
+        let e_opt = avg_quantile_error(&data, &opt, &ps);
         assert!(e_opt <= e_svd + 1e-6, "opt {e_opt} vs svd {e_svd}");
     }
 }

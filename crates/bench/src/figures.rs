@@ -3,15 +3,15 @@
 //! the scale [`HarnessArgs`] asks for. Seeds and sizes are fixed, so every
 //! cell that is not a stopwatch reading repeats exactly.
 
+use crate::estimators::{
+    BfgsEstimator, CvxMaxEntEstimator, CvxMinEstimator, GaussianEstimator, MnatEstimator,
+    MomentSource, NaiveNewtonEstimator, OptEstimator, QuantileEstimator, SvdEstimator,
+};
 use crate::{
     build_cells, fmt_duration, merge_all, merge_parallel, time_it, time_mean, AnySummary,
     HarnessArgs, SummaryConfig as S, Table,
 };
 use moments_sketch::bounds::{markov_bound, quantile_error_bound, rtt_bound};
-use moments_sketch::estimators::{
-    BfgsEstimator, CvxMaxEntEstimator, CvxMinEstimator, GaussianEstimator, MnatEstimator,
-    MomentSource, NaiveNewtonEstimator, OptEstimator, QuantileEstimator, SvdEstimator,
-};
 use moments_sketch::lowprec::LowPrecisionCodec;
 use moments_sketch::stats::{cheb_moments_from_mono, max_stable_k, shifted_moments, ScaledDomain};
 use moments_sketch::{solve_robust, CascadeConfig, MaxEntSolution, MomentsSketch, SolverConfig};

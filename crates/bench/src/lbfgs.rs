@@ -5,7 +5,7 @@
 //! used a Java port of `liblbfgs`). We implement the standard two-loop
 //! recursion with a small history and a backtracking line search.
 
-use crate::{dot, norm_inf, Error, Result};
+use numerics::{dot, norm_inf, Error, Result};
 
 /// An objective providing value and gradient only.
 pub trait GradObjective {
@@ -45,33 +45,16 @@ impl Default for LbfgsOptions {
     }
 }
 
-/// Result of an L-BFGS minimization.
-#[derive(Debug, Clone)]
-pub struct LbfgsResult {
-    /// Minimizer.
-    pub theta: Vec<f64>,
-    /// Objective value at the minimizer.
-    pub value: f64,
-    /// Gradient infinity-norm at the minimizer.
-    pub grad_norm: f64,
-    /// Iterations used.
-    pub iterations: usize,
-    /// Total objective evaluations.
-    pub evals: usize,
-}
-
-/// Minimize a smooth objective with L-BFGS.
+/// Minimize a smooth objective with L-BFGS, returning the minimizer.
 pub fn lbfgs_minimize<O: GradObjective>(
     obj: &mut O,
     theta0: &[f64],
     opt: LbfgsOptions,
-) -> Result<LbfgsResult> {
+) -> Result<Vec<f64>> {
     let n = obj.dim();
     let mut theta = theta0.to_vec();
     let mut grad = vec![0.0; n];
-    let mut evals = 0usize;
     let mut value = obj.eval(&theta, &mut grad);
-    evals += 1;
     if !value.is_finite() {
         return Err(Error::InvalidArgument("objective not finite at start"));
     }
@@ -79,15 +62,8 @@ pub fn lbfgs_minimize<O: GradObjective>(
     let mut y_hist: Vec<Vec<f64>> = Vec::new();
     let mut rho_hist: Vec<f64> = Vec::new();
     for iter in 0..opt.max_iter {
-        let gnorm = norm_inf(&grad);
-        if gnorm <= opt.grad_tol {
-            return Ok(LbfgsResult {
-                theta,
-                value,
-                grad_norm: gnorm,
-                iterations: iter,
-                evals,
-            });
+        if norm_inf(&grad) <= opt.grad_tol {
+            return Ok(theta);
         }
         // Two-loop recursion to compute H~ * (-g).
         let mut q: Vec<f64> = grad.iter().map(|g| -g).collect();
@@ -130,7 +106,6 @@ pub fn lbfgs_minimize<O: GradObjective>(
                 *th = ot + t * d;
             }
             let new_value = obj.eval(&theta, &mut grad);
-            evals += 1;
             if new_value.is_finite() && new_value <= value + opt.armijo_c * t * slope {
                 value = new_value;
                 accepted = true;
@@ -142,24 +117,15 @@ pub fn lbfgs_minimize<O: GradObjective>(
             theta.copy_from_slice(&old_theta);
             let gnorm = norm_inf(&old_grad);
             if gnorm <= opt.grad_tol.max(1e-6) {
-                return Ok(LbfgsResult {
-                    theta,
-                    value,
-                    grad_norm: gnorm,
-                    iterations: iter + 1,
-                    evals,
-                });
+                return Ok(theta);
             }
-            return Err(Error::NoConvergence {
-                iterations: iter + 1,
-                residual: gnorm,
-            });
+            return Err(Error::NoConvergence { iterations: iter + 1, residual: gnorm });
         }
         // Update history.
         let s: Vec<f64> = theta.iter().zip(&old_theta).map(|(a, b)| a - b).collect();
         let y: Vec<f64> = grad.iter().zip(&old_grad).map(|(a, b)| a - b).collect();
         let sy = dot(&s, &y);
-        if sy > 1e-12 * crate::norm2(&s) * crate::norm2(&y) {
+        if sy > 1e-12 * norm2(&s) * norm2(&y) {
             if s_hist.len() == opt.memory {
                 s_hist.remove(0);
                 y_hist.remove(0);
@@ -170,10 +136,12 @@ pub fn lbfgs_minimize<O: GradObjective>(
             y_hist.push(y);
         }
     }
-    Err(Error::NoConvergence {
-        iterations: opt.max_iter,
-        residual: norm_inf(&grad),
-    })
+    Err(Error::NoConvergence { iterations: opt.max_iter, residual: norm_inf(&grad) })
+}
+
+/// Euclidean norm of a slice.
+fn norm2(a: &[f64]) -> f64 {
+    dot(a, a).sqrt()
 }
 
 #[cfg(test)]
@@ -195,18 +163,14 @@ mod tests {
 
     #[test]
     fn lbfgs_rosenbrock() {
-        let res = lbfgs_minimize(
+        let theta = lbfgs_minimize(
             &mut Rosenbrock,
             &[-1.2, 1.0],
-            LbfgsOptions {
-                max_iter: 2000,
-                grad_tol: 1e-8,
-                ..Default::default()
-            },
+            LbfgsOptions { max_iter: 2000, grad_tol: 1e-8, ..Default::default() },
         )
         .unwrap();
-        assert!((res.theta[0] - 1.0).abs() < 1e-5);
-        assert!((res.theta[1] - 1.0).abs() < 1e-5);
+        assert!((theta[0] - 1.0).abs() < 1e-5);
+        assert!((theta[1] - 1.0).abs() < 1e-5);
     }
 
     struct Quadratic10;
@@ -227,11 +191,11 @@ mod tests {
 
     #[test]
     fn lbfgs_quadratic_high_dim() {
-        let res = lbfgs_minimize(&mut Quadratic10, &[0.0; 10], LbfgsOptions::default()).unwrap();
-        for &x in &res.theta {
+        let theta = lbfgs_minimize(&mut Quadratic10, &[0.0; 10], LbfgsOptions::default()).unwrap();
+        for &x in &theta {
             assert!((x - 1.0).abs() < 1e-6);
         }
-        assert!(res.value < 1e-10);
+        assert!(Quadratic10.eval(&theta, &mut [0.0; 10]) < 1e-10);
     }
 
     #[test]
@@ -246,7 +210,7 @@ mod tests {
                 t[0].exp() - t[0]
             }
         }
-        let res = lbfgs_minimize(&mut E, &[3.0], LbfgsOptions::default()).unwrap();
-        assert!(res.theta[0].abs() < 1e-7);
+        let theta = lbfgs_minimize(&mut E, &[3.0], LbfgsOptions::default()).unwrap();
+        assert!(theta[0].abs() < 1e-7);
     }
 }

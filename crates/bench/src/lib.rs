@@ -7,11 +7,20 @@
 //! `--full` switches to paper-scale workloads; the default sizes are
 //! scaled down to finish interactively while preserving every qualitative
 //! comparison.
+//!
+//! [`estimators`] holds the Section 6.3 lesion study's comparators to
+//! the system's solver (Figure 10), with the numerical methods only they
+//! use: Romberg quadrature, L-BFGS, a simplex LP solver and an SVD.
 
 use msketch_sketches::{QuantileSummary, Sketch, SketchSpec};
 use std::time::{Duration, Instant};
 
+pub mod estimators;
 pub mod figures;
+mod integrate;
+mod lbfgs;
+mod simplex;
+mod svd;
 
 /// A summary configuration: the parameterizations of Table 2 plus size
 /// sweeps, with uniform construction and labeling.

@@ -1,6 +1,6 @@
 //! Dense two-phase simplex method for small linear programs.
 //!
-//! Supports the `cvx-min` lesion estimator (Section 6.3): minimize the
+//! The solver of the `cvx-min` lesion estimator (Section 6.3): minimize the
 //! maximum density of a discretized distribution subject to moment
 //! constraints. The reference implementation used the ECOS cone solver; a
 //! textbook simplex with Bland's anti-cycling rule is more than adequate
@@ -10,7 +10,18 @@
 // iterator rewrites would obscure the pivots.
 #![allow(clippy::needless_range_loop)]
 
-use crate::{Error, Result};
+/// Why [`solve`] found no optimum.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LpError {
+    /// No point satisfies the constraints.
+    Infeasible,
+    /// The objective decreases without bound.
+    Unbounded,
+    /// The pivot budget ran out.
+    NoConvergence,
+}
+
+type Result<T> = std::result::Result<T, LpError>;
 
 /// A linear program in standard form:
 /// minimize `c' x` subject to `A x = b`, `x >= 0`.
@@ -24,32 +35,15 @@ pub struct StandardLp {
     pub c: Vec<f64>,
 }
 
-/// Solution to a linear program.
-#[derive(Debug, Clone)]
-pub struct LpSolution {
-    /// Primal solution.
-    pub x: Vec<f64>,
-    /// Optimal objective value.
-    pub objective: f64,
-    /// Simplex pivots performed (both phases).
-    pub pivots: usize,
-}
-
-/// Solve a standard-form LP with the two-phase simplex method.
-pub fn solve(lp: &StandardLp) -> Result<LpSolution> {
+/// Solve a standard-form LP with the two-phase simplex method, returning
+/// an optimal `x`. Panics on
+/// a malformed program (empty, ragged, or a mismatched right-hand side).
+pub fn solve(lp: &StandardLp) -> Result<Vec<f64>> {
     let m = lp.a.len();
     let n = lp.c.len();
-    if m == 0 || n == 0 {
-        return Err(Error::InvalidArgument("empty linear program"));
-    }
-    for row in &lp.a {
-        if row.len() != n {
-            return Err(Error::InvalidArgument("ragged constraint matrix"));
-        }
-    }
-    if lp.b.len() != m {
-        return Err(Error::InvalidArgument("rhs length mismatch"));
-    }
+    assert!(m > 0 && n > 0, "empty linear program");
+    assert!(lp.a.iter().all(|row| row.len() == n), "ragged constraint matrix");
+    assert_eq!(lp.b.len(), m, "rhs length mismatch");
 
     // Tableau layout: columns [x_0 .. x_{n-1} | artificial_0 .. artificial_{m-1} | rhs].
     // Rows: m constraint rows + 1 objective row.
@@ -82,7 +76,7 @@ pub fn solve(lp: &StandardLp) -> Result<LpSolution> {
         run_simplex(&mut tab, &mut basis, n + m, &mut pivots)?;
         let phase1 = -tab[m][ncols - 1];
         if phase1 > 1e-7 {
-            return Err(Error::Infeasible);
+            return Err(LpError::Infeasible);
         }
         // Drive any artificial variables out of the basis.
         for i in 0..m {
@@ -136,12 +130,7 @@ pub fn solve(lp: &StandardLp) -> Result<LpSolution> {
             x[basis[i]] = tab[i][rhs_col];
         }
     }
-    let objective = crate::dot(&lp.c, &x);
-    Ok(LpSolution {
-        x,
-        objective,
-        pivots,
-    })
+    Ok(x)
 }
 
 /// Run simplex pivots on the tableau until optimal. Only the first
@@ -186,16 +175,13 @@ fn run_simplex(
             }
         }
         let Some(l) = leave else {
-            return Err(Error::Unbounded);
+            return Err(LpError::Unbounded);
         };
         pivot(tab, l, e);
         basis[l] = e;
         *pivots += 1;
         if *pivots > max_pivots {
-            return Err(Error::NoConvergence {
-                iterations: *pivots,
-                residual: best.abs(),
-            });
+            return Err(LpError::NoConvergence);
         }
     }
 }
@@ -228,6 +214,11 @@ fn pivot(tab: &mut [Vec<f64>], row: usize, col: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn objective(lp: &StandardLp, x: &[f64]) -> f64 {
+        numerics::dot(&lp.c, x)
+    }
 
     #[test]
     fn simple_lp() {
@@ -238,10 +229,10 @@ mod tests {
             b: vec![4.0, 6.0],
             c: vec![-1.0, -2.0, 0.0, 0.0],
         };
-        let sol = solve(&lp).unwrap();
-        assert!((sol.objective + 5.0).abs() < 1e-9);
-        assert!((sol.x[0] - 3.0).abs() < 1e-9);
-        assert!((sol.x[1] - 1.0).abs() < 1e-9);
+        let x = solve(&lp).unwrap();
+        assert!((objective(&lp, &x) + 5.0).abs() < 1e-9);
+        assert!((x[0] - 3.0).abs() < 1e-9);
+        assert!((x[1] - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -254,44 +245,32 @@ mod tests {
             b: vec![1.0, 0.5],
             c: vec![0.0, 1.0, 0.0],
         };
-        let sol = solve(&lp).unwrap();
-        assert!(sol.objective.abs() < 1e-9);
-        assert!((sol.x[0] - 0.25).abs() < 1e-9);
-        assert!((sol.x[2] - 0.75).abs() < 1e-9);
+        let x = solve(&lp).unwrap();
+        assert!(objective(&lp, &x).abs() < 1e-9);
+        assert!((x[0] - 0.25).abs() < 1e-9);
+        assert!((x[2] - 0.75).abs() < 1e-9);
     }
 
     #[test]
     fn infeasible_detected() {
         // x >= 0 with x = -1 is infeasible.
-        let lp = StandardLp {
-            a: vec![vec![1.0]],
-            b: vec![-1.0],
-            c: vec![1.0],
-        };
-        assert!(matches!(solve(&lp), Err(Error::Infeasible)));
+        let lp = StandardLp { a: vec![vec![1.0]], b: vec![-1.0], c: vec![1.0] };
+        assert!(matches!(solve(&lp), Err(LpError::Infeasible)));
     }
 
     #[test]
     fn unbounded_detected() {
         // min -x s.t. x - y = 1 (y can grow forever pushing x up).
-        let lp = StandardLp {
-            a: vec![vec![1.0, -1.0]],
-            b: vec![1.0],
-            c: vec![-1.0, 0.0],
-        };
-        assert!(matches!(solve(&lp), Err(Error::Unbounded)));
+        let lp = StandardLp { a: vec![vec![1.0, -1.0]], b: vec![1.0], c: vec![-1.0, 0.0] };
+        assert!(matches!(solve(&lp), Err(LpError::Unbounded)));
     }
 
     #[test]
     fn negative_rhs_handled() {
         // -x = -2 -> x = 2, minimize x gives 2.
-        let lp = StandardLp {
-            a: vec![vec![-1.0]],
-            b: vec![-2.0],
-            c: vec![1.0],
-        };
-        let sol = solve(&lp).unwrap();
-        assert!((sol.x[0] - 2.0).abs() < 1e-9);
+        let lp = StandardLp { a: vec![vec![-1.0]], b: vec![-2.0], c: vec![1.0] };
+        let x = solve(&lp).unwrap();
+        assert!((x[0] - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -326,8 +305,31 @@ mod tests {
         }
         let mut c = vec![0.0; n + 1 + n];
         c[n] = 1.0; // minimize t
-        let sol = solve(&StandardLp { a, b, c }).unwrap();
+        let lp = StandardLp { a, b, c };
+        let x = solve(&lp).unwrap();
         // Optimal max density is 1/5 (uniform).
-        assert!((sol.objective - 0.2).abs() < 1e-9);
+        assert!((objective(&lp, &x) - 0.2).abs() < 1e-9);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Simplex solutions are feasible and no worse than a uniform
+        /// feasible point for random small distribution-matching LPs.
+        #[test]
+        fn simplex_feasible_and_optimal(c in prop::collection::vec(0.0f64..1.0, 6)) {
+            // min c'p  s.t.  sum p = 1, p >= 0: optimum = min(c).
+            let lp = StandardLp {
+                a: vec![vec![1.0; 6]],
+                b: vec![1.0],
+                c: c.clone(),
+            };
+            let x = solve(&lp).unwrap();
+            let min_c = c.iter().cloned().fold(f64::INFINITY, f64::min);
+            prop_assert!((objective(&lp, &x) - min_c).abs() < 1e-9);
+            let total: f64 = x.iter().sum();
+            prop_assert!((total - 1.0).abs() < 1e-9);
+            prop_assert!(x.iter().all(|&v| v >= -1e-12));
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! density matching the observed moments — i.e. applies the pseudo-inverse
 //! of a short, wide moment matrix.
 
-use crate::linalg::Matrix;
+use numerics::linalg::Matrix;
 
 /// Thin SVD `A = U Σ V^T` of an `m x n` matrix with `m >= n`.
 #[derive(Debug, Clone)]
@@ -73,9 +73,8 @@ pub fn svd_tall(a: &Matrix) -> Svd {
         }
     }
     // Column norms are singular values; normalize U's columns.
-    let mut sigma: Vec<f64> = (0..n)
-        .map(|j| (0..m).map(|i| u[(i, j)] * u[(i, j)]).sum::<f64>().sqrt())
-        .collect();
+    let mut sigma: Vec<f64> =
+        (0..n).map(|j| (0..m).map(|i| u[(i, j)] * u[(i, j)]).sum::<f64>().sqrt()).collect();
     for j in 0..n {
         if sigma[j] > 0.0 {
             for i in 0..m {
@@ -99,11 +98,7 @@ pub fn svd_tall(a: &Matrix) -> Svd {
         }
     }
     sigma = s_sorted;
-    Svd {
-        u: u_sorted,
-        sigma,
-        v: v_sorted,
-    }
+    Svd { u: u_sorted, sigma, v: v_sorted }
 }
 
 /// Minimum-norm solution of the (usually underdetermined) system
@@ -118,11 +113,8 @@ pub fn least_norm_solve(a: &Matrix, b: &[f64], rcond: f64) -> Vec<f64> {
     let cutoff = rcond * svd.sigma.first().copied().unwrap_or(0.0);
     // y = Σ^+ V^T b
     let vtb = svd.v.matvec_t(b);
-    let y: Vec<f64> = vtb
-        .iter()
-        .zip(&svd.sigma)
-        .map(|(&c, &s)| if s > cutoff { c / s } else { 0.0 })
-        .collect();
+    let y: Vec<f64> =
+        vtb.iter().zip(&svd.sigma).map(|(&c, &s)| if s > cutoff { c / s } else { 0.0 }).collect();
     // x = U y
     svd.u.matvec(&y)
 }

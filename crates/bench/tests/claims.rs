@@ -150,6 +150,21 @@ fn fig9_log_moments_beat_standard_moments_on_long_tails() {
 }
 
 #[test]
+fn fig10_every_maxent_estimator_is_at_least_3x_more_accurate_than_every_other() {
+    for t in run("10") {
+        let (names, eps) = (text(&t, "estimator"), numbers(&t, "eps_avg(%)"));
+        assert!(eps.iter().all(|e| e.is_finite()), "{t:?}");
+        let maxent = ["cvx-maxent", "newton", "bfgs", "opt"];
+        let (family, others): (Vec<_>, Vec<_>) =
+            names.iter().zip(&eps).partition(|(name, _)| maxent.contains(name));
+        assert_eq!((family.len(), others.len()), (4, 4), "{t:?}");
+        let worst_maxent = family.iter().map(|(_, e)| **e).fold(0.0, f64::max);
+        let best_other = others.iter().map(|(_, e)| **e).fold(f64::INFINITY, f64::min);
+        assert!(3.0 * worst_maxent <= best_other, "{}: {worst_maxent} vs {best_other}", t.title);
+    }
+}
+
+#[test]
 fn fig15_eq21_is_at_or_below_the_empirical_limit_at_every_offset() {
     let t = &run("15")[0];
     let (empirical, bound) = (numbers(t, "empirical"), numbers(t, "bound (Eq 21)"));

@@ -4,13 +4,13 @@
 //! family must beat the non-max-ent family on average, which is the core
 //! claim of the paper's Figure 10.
 
-use msketch::core::estimators::{
+use moments_sketch::{MomentsSketch, SolverConfig};
+use msketch_bench::estimators::{
     BfgsEstimator, CvxMaxEntEstimator, CvxMinEstimator, GaussianEstimator, MnatEstimator,
     MomentSource, NaiveNewtonEstimator, OptEstimator, QuantileEstimator, SvdEstimator,
 };
-use msketch::core::{MomentsSketch, SolverConfig};
-use msketch::datasets::Dataset;
-use msketch::sketches::{avg_quantile_error, exact::eval_phis};
+use msketch_datasets::Dataset;
+use msketch_sketches::{avg_quantile_error, exact::eval_phis};
 
 fn estimators(source: MomentSource) -> Vec<(Box<dyn QuantileEstimator>, bool)> {
     // (estimator, is_maxent_family)
@@ -19,10 +19,7 @@ fn estimators(source: MomentSource) -> Vec<(Box<dyn QuantileEstimator>, bool)> {
         MomentSource::Log => (0, 8),
     };
     vec![
-        (
-            Box::new(GaussianEstimator { source }) as Box<dyn QuantileEstimator>,
-            false,
-        ),
+        (Box::new(GaussianEstimator { source }) as Box<dyn QuantileEstimator>, false),
         (Box::new(MnatEstimator { source }), false),
         (Box::new(SvdEstimator { source, grid: 128 }), false),
         (Box::new(CvxMinEstimator { source, grid: 64 }), false),
@@ -31,11 +28,7 @@ fn estimators(source: MomentSource) -> Vec<(Box<dyn QuantileEstimator>, bool)> {
         (Box::new(BfgsEstimator { k1, k2 }), true),
         (
             Box::new(OptEstimator {
-                config: SolverConfig {
-                    k1: Some(k1),
-                    k2: Some(k2),
-                    ..Default::default()
-                },
+                config: SolverConfig { k1: Some(k1), k2: Some(k2), ..Default::default() },
             }),
             true,
         ),
@@ -49,11 +42,7 @@ fn every_estimator_on_every_dataset() {
         let n = dataset.default_size().min(60_000);
         let data = dataset.generate(n, 888);
         let sketch = MomentsSketch::from_data(8, &data);
-        let source = if sketch.log_usable() {
-            MomentSource::Log
-        } else {
-            MomentSource::Standard
-        };
+        let source = if sketch.log_usable() { MomentSource::Log } else { MomentSource::Standard };
         let mut maxent_errs = Vec::new();
         let mut other_errs = Vec::new();
         for (est, is_maxent) in estimators(source) {
@@ -106,10 +95,9 @@ fn opt_estimator_is_most_accurate_maxent_route_or_close() {
     // `opt` must stay within a small factor of the best estimator on the
     // two lesion datasets (it IS the best in the paper).
     let phis = eval_phis();
-    for (dataset, source) in [
-        (Dataset::Milan, MomentSource::Log),
-        (Dataset::Hepmass, MomentSource::Standard),
-    ] {
+    for (dataset, source) in
+        [(Dataset::Milan, MomentSource::Log), (Dataset::Hepmass, MomentSource::Standard)]
+    {
         let data = dataset.generate(80_000, 999);
         let sketch = MomentsSketch::from_data(10, &data);
         let mut best = f64::INFINITY;
@@ -123,10 +111,6 @@ fn opt_estimator_is_most_accurate_maxent_route_or_close() {
                 }
             }
         }
-        assert!(
-            opt_err <= best * 3.0 + 1e-4,
-            "{}: opt {opt_err} vs best {best}",
-            dataset.name()
-        );
+        assert!(opt_err <= best * 3.0 + 1e-4, "{}: opt {opt_err} vs best {best}", dataset.name());
     }
 }

@@ -29,13 +29,12 @@
 //! * [`solver`] — the maximum-entropy quantile estimator (method of
 //!   moments + maximum entropy principle, Section 4 of the paper), with
 //!   the Chebyshev-basis conditioning and cosine-transform integration
-//!   optimizations of Section 4.3.
+//!   optimizations of Section 4.3. It is the one estimator the system
+//!   runs; the Section 6.3 lesion study's alternatives are Figure 10
+//!   comparators in the reproduction crate (`msketch_bench::estimators`).
 //! * [`bounds`] — Markov and Racz–Tari–Telek (RTT) rank bounds used both
 //!   for worst-case error guarantees and for cascades.
 //! * [`cascade`] — the threshold-query cascade of Section 5 (Algorithm 2).
-//! * [`estimators`] — the alternative estimators of the Section 6.3
-//!   lesion study (gaussian, mnat, svd, cvx-min, cvx-maxent, naive
-//!   newton, bfgs).
 //! * [`serialize`] — compact binary encoding; [`lowprec`] — reduced
 //!   precision storage with randomized rounding (Appendix C).
 //! * [`stats`] — moment-shift arithmetic and floating-point stability
@@ -45,7 +44,6 @@
 
 pub mod bounds;
 pub mod cascade;
-pub mod estimators;
 pub mod lowprec;
 pub mod serialize;
 pub mod sketch;
@@ -62,8 +60,8 @@ pub enum Error {
     /// The sketch holds no data points.
     EmptySketch,
     /// The maximum-entropy optimization failed to converge — typically a
-    /// near-degenerate dataset (the paper observes failures below five
-    /// distinct values, Section 6.2.3).
+    /// near-degenerate dataset, or moments forced past what the data
+    /// supports.
     SolverFailed {
         /// Failure detail from the numerical layer.
         reason: String,

@@ -55,6 +55,33 @@ pub struct Basis {
 }
 
 impl Basis {
+    /// The basis of the first `k1` standard and `k2` log Chebyshev moments
+    /// of `moments`, each count clamped to what `moments` holds. The log
+    /// domain is primary whenever log moments take part.
+    pub fn new(moments: ChebMoments, k1: usize, k2: usize) -> Basis {
+        let log_cheb = moments.log_cheb.unwrap_or_default();
+        let k1 = k1.min(moments.std_cheb.len() - 1);
+        let k2 = k2.min(log_cheb.len().saturating_sub(1));
+        let mut mu = Vec::with_capacity(1 + k1 + k2);
+        mu.push(1.0);
+        mu.extend_from_slice(&moments.std_cheb[1..=k1]);
+        if k2 > 0 {
+            mu.extend_from_slice(&log_cheb[1..=k2]);
+        }
+        Basis {
+            k1,
+            k2,
+            primary: if k2 > 0 {
+                PrimaryDomain::Log
+            } else {
+                PrimaryDomain::Standard
+            },
+            std_dom: moments.std_dom,
+            log_dom: moments.log_dom,
+            mu,
+        }
+    }
+
     /// Total number of basis functions including the constant.
     #[inline]
     pub fn dim(&self) -> usize {

@@ -248,32 +248,19 @@ pub fn uniform_hessian(basis: &Basis, n_nodes: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::basis::{cheb_moments, Basis, PrimaryDomain};
+    use crate::solver::basis::{cheb_moments, Basis};
     use crate::MomentsSketch;
     use numerics::optimize::{newton_minimize, NewtonOptions};
 
-    fn basis_for(data: &[f64], k1: usize, k2: usize, primary: PrimaryDomain) -> Basis {
+    fn basis_for(data: &[f64], k1: usize, k2: usize) -> Basis {
         let s = MomentsSketch::from_data(12, data);
-        let m = cheb_moments(&s, true).unwrap();
-        let mut mu = vec![1.0];
-        mu.extend_from_slice(&m.std_cheb[1..=k1]);
-        if k2 > 0 {
-            mu.extend_from_slice(&m.log_cheb.as_ref().unwrap()[1..=k2]);
-        }
-        Basis {
-            k1,
-            k2,
-            primary,
-            std_dom: m.std_dom,
-            log_dom: m.log_dom,
-            mu,
-        }
+        Basis::new(cheb_moments(&s, true).unwrap(), k1, k2)
     }
 
     #[test]
     fn gradient_matches_finite_differences() {
         let data: Vec<f64> = (1..=500).map(|i| (i as f64 / 50.0).exp()).collect();
-        let basis = basis_for(&data, 3, 2, PrimaryDomain::Log);
+        let basis = basis_for(&data, 3, 2);
         let mut obj = MaxEntObjective::new(&basis, 64);
         let dim = basis.dim();
         let theta: Vec<f64> = (0..dim).map(|i| -0.3 + 0.1 * i as f64).collect();
@@ -301,7 +288,7 @@ mod tests {
     #[test]
     fn hessian_matches_gradient_differences() {
         let data: Vec<f64> = (1..=400).map(|i| 1.0 + (i as f64).sqrt()).collect();
-        let basis = basis_for(&data, 4, 0, PrimaryDomain::Standard);
+        let basis = basis_for(&data, 4, 0);
         let mut obj = MaxEntObjective::new(&basis, 64);
         let dim = basis.dim();
         let theta = vec![-0.7, 0.2, -0.1, 0.05, 0.01];
@@ -334,7 +321,7 @@ mod tests {
         // For uniform data the maximum entropy density is ~uniform, so
         // θ ≈ (ln(1/2), 0, 0, ...).
         let data: Vec<f64> = (0..4000).map(|i| i as f64 / 3999.0).collect();
-        let basis = basis_for(&data, 4, 0, PrimaryDomain::Standard);
+        let basis = basis_for(&data, 4, 0);
         let mut obj = MaxEntObjective::new(&basis, 64);
         let mut theta0 = vec![0.0; basis.dim()];
         theta0[0] = (0.5f64).ln();
@@ -349,7 +336,7 @@ mod tests {
     #[test]
     fn diverged_theta_yields_infinite_value() {
         let data: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let basis = basis_for(&data, 2, 0, PrimaryDomain::Standard);
+        let basis = basis_for(&data, 2, 0);
         let mut obj = MaxEntObjective::new(&basis, 32);
         let mut grad = vec![0.0; 3];
         let mut hess = Matrix::zeros(3, 3);
@@ -360,7 +347,7 @@ mod tests {
     #[test]
     fn uniform_hessian_is_gram_matrix() {
         let data: Vec<f64> = (0..1000).map(|i| i as f64 / 999.0).collect();
-        let basis = basis_for(&data, 3, 0, PrimaryDomain::Standard);
+        let basis = basis_for(&data, 3, 0);
         let h = uniform_hessian(&basis, 64);
         // H_00 = 0.5 * ∫ 1 = 1. H_11 = 0.5 ∫ T_1² = 0.5 * (I_2 + I_0)/2 = 1/3.
         assert!((h[(0, 0)] - 1.0).abs() < 1e-12);

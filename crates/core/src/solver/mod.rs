@@ -14,8 +14,9 @@
 //!    condition-number budget ([`selector`]);
 //! 3. each Newton step costs one fast cosine transform plus closed-form
 //!    series integrals ([`maxent`]);
-//! 4. quantiles come from integrating the solved density (closed form on
-//!    the series) and inverting the CDF with Brent's method.
+//! 4. quantiles come from integrating the solved density into a sampled
+//!    CDF and inverting it with Brent's method
+//!    ([`MaxEntSolution::from_node_density`]).
 
 pub mod basis;
 pub mod maxent;
@@ -23,7 +24,7 @@ pub mod selector;
 
 use crate::sketch::MomentsSketch;
 use crate::{Error, Result};
-use basis::{Basis, PrimaryDomain};
+use basis::Basis;
 use numerics::chebyshev;
 use numerics::optimize::{newton_minimize, NewtonOptions};
 use numerics::roots::{brent, BrentOptions};
@@ -77,7 +78,6 @@ enum Inner {
     /// All mass at a single value (e.g. `xmin == xmax`).
     PointMass {
         x: f64,
-        n: f64,
     },
     Solved(Box<Solved>),
 }
@@ -85,9 +85,6 @@ enum Inner {
 #[derive(Debug, Clone)]
 struct Solved {
     basis: Basis,
-    theta: Vec<f64>,
-    /// Chebyshev series of the density over the primary variable.
-    pdf_series: Vec<f64>,
     /// Monotone sampled CDF on a uniform grid over `[-1, 1]`:
     /// `cdf_samples[i] = F(-1 + 2 i / M)`. Built from *clamped*
     /// non-negative density samples so monotonicity holds by construction
@@ -98,20 +95,54 @@ struct Solved {
     norm: f64,
     xmin: f64,
     xmax: f64,
-    n: f64,
     iterations: usize,
     fct_count: usize,
     cond: f64,
 }
 
 impl MaxEntSolution {
+    /// The solution whose density over `basis`'s primary variable takes
+    /// the values `node_f` at the Chebyshev–Lobatto nodes of a
+    /// [`maxent::MaxEntObjective`]: its series is integrated into a
+    /// monotone CDF on a 1 024-step grid, which quantiles invert. [`solve`]
+    /// ends here, and so can any other optimizer of that objective; such a
+    /// solution reports zero iterations and cosine transforms and a `NaN`
+    /// condition number.
+    pub fn from_node_density(
+        sketch: &MomentsSketch,
+        basis: Basis,
+        node_f: &[f64],
+    ) -> Result<MaxEntSolution> {
+        let pdf_series = chebyshev::interpolate_values(node_f);
+        let cdf_samples = monotone_cdf_samples(&pdf_series, 1024);
+        let norm = *cdf_samples.last().unwrap();
+        if !(norm.is_finite() && norm > 0.0) {
+            return Err(Error::SolverFailed {
+                reason: format!("non-normalizable density (norm = {norm})"),
+            });
+        }
+        let solved = Solved {
+            basis,
+            cdf_samples,
+            norm,
+            xmin: sketch.min(),
+            xmax: sketch.max(),
+            iterations: 0,
+            fct_count: 0,
+            cond: f64::NAN,
+        };
+        Ok(MaxEntSolution {
+            inner: Inner::Solved(Box::new(solved)),
+        })
+    }
+
     /// Estimated `φ`-quantile of the sketched data.
     pub fn quantile(&self, phi: f64) -> Result<f64> {
         if !(phi > 0.0 && phi < 1.0) {
             return Err(Error::InvalidQuantile(phi));
         }
         match &self.inner {
-            Inner::PointMass { x, .. } => Ok(*x),
+            Inner::PointMass { x } => Ok(*x),
             Inner::Solved(s) => {
                 let target = phi * s.norm;
                 let u = brent(
@@ -136,7 +167,7 @@ impl MaxEntSolution {
     /// Estimated `P(X <= x)` under the maximum-entropy density.
     pub fn cdf(&self, x: f64) -> f64 {
         match &self.inner {
-            Inner::PointMass { x: px, .. } => {
+            Inner::PointMass { x: px } => {
                 if x >= *px {
                     1.0
                 } else {
@@ -152,29 +183,6 @@ impl MaxEntSolution {
                 }
                 let u = s.basis.to_primary(x).clamp(-1.0, 1.0);
                 (sample_cdf(&s.cdf_samples, u) / s.norm).clamp(0.0, 1.0)
-            }
-        }
-    }
-
-    /// Density of the solution at `x` (in data units).
-    pub fn pdf(&self, x: f64) -> f64 {
-        match &self.inner {
-            Inner::PointMass { .. } => f64::INFINITY,
-            Inner::Solved(s) => {
-                if x < s.xmin || x > s.xmax {
-                    return 0.0;
-                }
-                let u = s.basis.to_primary(x).clamp(-1.0, 1.0);
-                let f_u = chebyshev::clenshaw(&s.pdf_series, u).max(0.0) / s.norm;
-                // Change of variables back to data units.
-                let jacobian = match s.basis.primary {
-                    PrimaryDomain::Standard => 1.0 / s.basis.std_dom.radius,
-                    PrimaryDomain::Log => {
-                        let dom = s.basis.log_dom.as_ref().unwrap();
-                        1.0 / (dom.radius * x.max(f64::MIN_POSITIVE))
-                    }
-                };
-                f_u * jacobian
             }
         }
     }
@@ -219,28 +227,12 @@ impl MaxEntSolution {
             Inner::Solved(s) => s.cond,
         }
     }
-
-    /// Final Newton parameters (diagnostics).
-    pub fn theta(&self) -> &[f64] {
-        match &self.inner {
-            Inner::PointMass { .. } => &[],
-            Inner::Solved(s) => &s.theta,
-        }
-    }
-
-    /// Number of points in the underlying sketch.
-    pub fn count(&self) -> f64 {
-        match &self.inner {
-            Inner::PointMass { n, .. } => *n,
-            Inner::Solved(s) => s.n,
-        }
-    }
 }
 
 /// Cumulative-trapezoid CDF samples of a density series on a uniform grid
 /// over `[-1, 1]`, with negative interpolation undershoot clamped to zero
 /// so the result is monotone by construction.
-pub(crate) fn monotone_cdf_samples(pdf_series: &[f64], m: usize) -> Vec<f64> {
+fn monotone_cdf_samples(pdf_series: &[f64], m: usize) -> Vec<f64> {
     let du = 2.0 / m as f64;
     let mut out = Vec::with_capacity(m + 1);
     let mut prev_f = chebyshev::clenshaw(pdf_series, -1.0).max(0.0);
@@ -258,7 +250,7 @@ pub(crate) fn monotone_cdf_samples(pdf_series: &[f64], m: usize) -> Vec<f64> {
 
 /// Linear interpolation into uniform CDF samples at `u ∈ [-1, 1]`.
 #[inline]
-pub(crate) fn sample_cdf(samples: &[f64], u: f64) -> f64 {
+fn sample_cdf(samples: &[f64], u: f64) -> f64 {
     let m = samples.len() - 1;
     let pos = (u.clamp(-1.0, 1.0) + 1.0) * 0.5 * m as f64;
     let i = (pos.floor() as usize).min(m - 1);
@@ -313,50 +305,26 @@ pub fn solve(sketch: &MomentsSketch, config: &SolverConfig) -> Result<MaxEntSolu
     }
     if sketch.min() >= sketch.max() {
         return Ok(MaxEntSolution {
-            inner: Inner::PointMass {
-                x: sketch.min(),
-                n: sketch.count(),
-            },
+            inner: Inner::PointMass { x: sketch.min() },
         });
     }
     let moments = basis::cheb_moments(sketch, config.use_log)?;
-    let avail_s = moments.std_cheb.len() - 1;
-    let avail_l = moments.log_cheb.as_ref().map_or(0, |l| l.len() - 1);
-    // Forced counts clamp to availability; otherwise run the selector.
+    // Forced counts clamp to availability (in `Basis::new`); otherwise the
+    // selector chooses, under any one forced count as a cap.
     let (k1, k2, cond) = match (config.k1, config.k2) {
-        (Some(f1), Some(f2)) => {
-            let sel = (f1.min(avail_s), f2.min(avail_l));
-            (sel.0, sel.1, f64::NAN)
-        }
-        _ => {
-            let max1 = config.k1.unwrap_or(avail_s).min(avail_s);
-            let max2 = config.k2.unwrap_or(avail_l).min(avail_l);
+        (Some(k1), Some(k2)) => (k1, k2, f64::NAN),
+        (max1, max2) => {
+            let (max1, max2) = (max1.unwrap_or(usize::MAX), max2.unwrap_or(usize::MAX));
             let sel = selector::select(&moments, max1, max2, config.kappa_max);
             (sel.k1, sel.k2, sel.cond)
         }
     };
-    let primary = if k2 > 0 {
-        PrimaryDomain::Log
+    let basis = Basis::new(moments, k1, k2);
+    let n_nodes = config.n_nodes.unwrap_or(if basis.k1 > 0 && basis.k2 > 0 {
+        128
     } else {
-        PrimaryDomain::Standard
-    };
-    let mut mu = Vec::with_capacity(1 + k1 + k2);
-    mu.push(1.0);
-    mu.extend_from_slice(&moments.std_cheb[1..=k1]);
-    if k2 > 0 {
-        mu.extend_from_slice(&moments.log_cheb.as_ref().unwrap()[1..=k2]);
-    }
-    let basis = Basis {
-        k1,
-        k2,
-        primary,
-        std_dom: moments.std_dom,
-        log_dom: moments.log_dom,
-        mu,
-    };
-    let n_nodes = config
-        .n_nodes
-        .unwrap_or(if k1 > 0 && k2 > 0 { 128 } else { 64 });
+        64
+    });
     let mut objective = maxent::MaxEntObjective::new(&basis, n_nodes);
     let mut theta0 = vec![0.0; basis.dim()];
     theta0[0] = (0.5f64).ln(); // uniform density on [-1, 1]
@@ -370,29 +338,11 @@ pub fn solve(sketch: &MomentsSketch, config: &SolverConfig) -> Result<MaxEntSolu
             reason: e.to_string(),
         })?;
     let node_f = objective.density_at_nodes(&res.theta);
-    let pdf_series = chebyshev::interpolate_values(&node_f);
-    let cdf_samples = monotone_cdf_samples(&pdf_series, 1024);
-    let norm = *cdf_samples.last().unwrap();
-    if !(norm.is_finite() && norm > 0.0) {
-        return Err(Error::SolverFailed {
-            reason: format!("non-normalizable density (norm = {norm})"),
-        });
+    let mut solution = MaxEntSolution::from_node_density(sketch, basis, &node_f)?;
+    if let Inner::Solved(s) = &mut solution.inner {
+        (s.iterations, s.fct_count, s.cond) = (res.iterations, objective.fct_count.get(), cond);
     }
-    Ok(MaxEntSolution {
-        inner: Inner::Solved(Box::new(Solved {
-            basis,
-            theta: res.theta,
-            pdf_series,
-            cdf_samples,
-            norm,
-            xmin: sketch.min(),
-            xmax: sketch.max(),
-            n: sketch.count(),
-            iterations: res.iterations,
-            fct_count: objective.fct_count.get(),
-            cond,
-        })),
-    })
+    Ok(solution)
 }
 
 #[cfg(test)]

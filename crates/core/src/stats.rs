@@ -119,12 +119,6 @@ pub fn max_stable_k(c: f64) -> usize {
     k.floor().max(2.0) as usize
 }
 
-/// Absolute-error bound on the `k`-th shifted moment given relative error
-/// `eps_s` in the raw power sums (Appendix B): `2^k (|c| + 1)^k eps_s`.
-pub fn shifted_moment_error_bound(k: usize, c: f64, eps_s: f64) -> f64 {
-    (2.0 * (c.abs() + 1.0)).powi(k as i32) * eps_s
-}
-
 /// Summary statistics (mean, population stddev, skewness) from a slice;
 /// used to validate dataset generators against Table 1 of the paper.
 #[derive(Debug, Clone, Copy)]

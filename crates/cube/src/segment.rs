@@ -1,5 +1,5 @@
 //! CRC-framed segment records: the on-disk framing shared by the
-//! engine's write-ahead log and any future segment store.
+//! engine's write-ahead log and the timeline's segment store.
 //!
 //! A *segment* is an opaque payload — in practice a [`DynCube`] wire
 //! image from [`DataCube::to_bytes`](crate::DataCube::to_bytes) — that

@@ -129,7 +129,7 @@ pub fn mono_to_cheb(coeffs: &[f64]) -> Vec<f64> {
 
 /// Multiply a Chebyshev series by `x` using
 /// `x T_0 = T_1`, `x T_k = (T_{k+1} + T_{k-1}) / 2`.
-pub fn mul_by_x(coeffs: &[f64]) -> Vec<f64> {
+fn mul_by_x(coeffs: &[f64]) -> Vec<f64> {
     let mut out = vec![0.0; coeffs.len() + 1];
     for (k, &c) in coeffs.iter().enumerate() {
         if c == 0.0 {

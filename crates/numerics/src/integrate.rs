@@ -1,12 +1,9 @@
-//! Numerical quadrature: trapezoid, Romberg, and Clenshaw–Curtis.
+//! Numerical quadrature: trapezoid and Clenshaw–Curtis.
 //!
-//! The optimized solver integrates Chebyshev series in closed form, but the
-//! lesion study (Section 6.3) compares against a "naive newton" variant
-//! that evaluates every Hessian entry with adaptive Romberg integration —
-//! implemented here — and the paper's footnote 1 compares the polynomial
-//! trick with Clenshaw–Curtis integration.
-
-use crate::{Error, Result};
+//! The optimized solver integrates Chebyshev series in closed form; the
+//! moment selector weighs its uniform-density Gram matrix with
+//! Clenshaw–Curtis weights, which the paper's footnote 1 compares with the
+//! polynomial trick.
 
 /// Composite trapezoid rule with `n` panels.
 pub fn trapezoid<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, n: usize) -> f64 {
@@ -17,48 +14,6 @@ pub fn trapezoid<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, n: usize) -> f6
         acc += f(a + i as f64 * h);
     }
     acc * h
-}
-
-/// Romberg integration with Richardson extrapolation.
-///
-/// Subdivides until successive extrapolants agree to `tol` (relative) or
-/// `max_levels` is reached.
-pub fn romberg<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    tol: f64,
-    max_levels: usize,
-) -> Result<f64> {
-    assert!((2..=30).contains(&max_levels));
-    let mut r = vec![vec![0.0f64; max_levels]; max_levels];
-    let mut h = b - a;
-    r[0][0] = 0.5 * h * (f(a) + f(b));
-    let mut n = 1usize;
-    for i in 1..max_levels {
-        h *= 0.5;
-        // Trapezoid refinement: add midpoints only.
-        let mut sum = 0.0;
-        for k in 0..n {
-            sum += f(a + (2 * k + 1) as f64 * h);
-        }
-        r[i][0] = 0.5 * r[i - 1][0] + h * sum;
-        n *= 2;
-        let mut factor = 1.0f64;
-        for j in 1..=i {
-            factor *= 4.0;
-            r[i][j] = r[i][j - 1] + (r[i][j - 1] - r[i - 1][j - 1]) / (factor - 1.0);
-        }
-        let est = r[i][i];
-        let prev = r[i - 1][i - 1];
-        if i >= 3 && (est - prev).abs() <= tol * (1.0 + est.abs()) {
-            return Ok(est);
-        }
-    }
-    Err(Error::NoConvergence {
-        iterations: max_levels,
-        residual: (r[max_levels - 1][max_levels - 1] - r[max_levels - 2][max_levels - 2]).abs(),
-    })
 }
 
 /// Clenshaw–Curtis quadrature weights for `n + 1` Lobatto nodes on
@@ -103,20 +58,6 @@ mod tests {
         // Trapezoid is exact on affine functions.
         let v = trapezoid(|x| 3.0 * x + 1.0, 0.0, 2.0, 4);
         assert!((v - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn romberg_polynomial() {
-        let v = romberg(|x| x * x * x - x + 2.0, -1.0, 3.0, 1e-12, 20).unwrap();
-        // ∫ = [x^4/4 - x^2/2 + 2x] from -1 to 3 = (20.25 - 4.5 + 6) - (0.25 - 0.5 - 2)
-        let exact = (81.0 / 4.0 - 4.5 + 6.0) - (0.25 - 0.5 - 2.0);
-        assert!((v - exact).abs() < 1e-10);
-    }
-
-    #[test]
-    fn romberg_exponential() {
-        let v = romberg(|x| x.exp(), 0.0, 1.0, 1e-12, 24).unwrap();
-        assert!((v - (std::f64::consts::E - 1.0)).abs() < 1e-10);
     }
 
     #[test]

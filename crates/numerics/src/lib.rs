@@ -1,9 +1,8 @@
-//! Numerical substrate for the moments-sketch reproduction.
+//! Numerical substrate of the moments sketch's maximum-entropy solver and
+//! moment bounds.
 //!
-//! The paper's maximum-entropy quantile estimator needs a number of numerical
-//! building blocks that in the reference (Java) implementation came from
-//! Apache `commons-math`, ECOS, and `liblbfgs`. This crate implements all of
-//! them from scratch:
+//! The reference (Java) implementation took these building blocks from
+//! Apache `commons-math`; this crate implements them from scratch:
 //!
 //! * [`chebyshev`] — Chebyshev polynomials/series: Clenshaw evaluation,
 //!   basis conversions, series products, closed-form integration, and
@@ -13,16 +12,10 @@
 //! * [`linalg`] — small dense matrices, LU and Cholesky solves.
 //! * [`eigen`] — symmetric Jacobi eigen-decomposition and condition numbers
 //!   (used by the paper's `k1,k2` selection heuristic).
-//! * [`svd`] — one-sided Jacobi SVD and pseudo-inverse (the `svd` lesion
-//!   estimator of Section 6.3).
 //! * [`roots`] — Brent's method and a real-rooted polynomial root finder
 //!   (used by the Racz–Tari–Telek quantile bounds).
-//! * [`integrate`] — trapezoid, Romberg, and Clenshaw–Curtis quadrature
-//!   (the "naive newton" lesion estimator integrates with Romberg).
+//! * [`integrate`] — trapezoid and Clenshaw–Curtis quadrature.
 //! * [`optimize`] — damped Newton's method with backtracking line search.
-//! * [`lbfgs`] — limited-memory BFGS (the `bfgs` lesion estimator).
-//! * [`simplex`] — a dense two-phase simplex LP solver (the `cvx-min`
-//!   lesion estimator).
 //! * [`special`] — erf, inverse normal CDF, log-gamma, binomials.
 //! * [`poly`] — dense monomial-basis polynomial arithmetic.
 
@@ -32,21 +25,17 @@ pub mod chebyshev;
 pub mod eigen;
 pub mod fct;
 pub mod integrate;
-pub mod lbfgs;
 pub mod linalg;
 pub mod optimize;
 pub mod poly;
 pub mod roots;
-pub mod simplex;
 pub mod special;
-pub mod svd;
 
 /// Errors produced by numerical routines.
 ///
-/// Numerical failure (singular systems, non-convergence, infeasible
-/// programs) is an expected runtime condition for the estimators built on
-/// top of this crate, so every fallible routine reports it as a `Result`
-/// rather than panicking.
+/// Numerical failure (singular systems, non-convergence) is an expected
+/// runtime condition for the estimators built on top of this crate, so
+/// every fallible routine reports it as a `Result` rather than panicking.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
     /// A linear system was singular (or numerically indistinguishable from
@@ -75,10 +64,6 @@ pub enum Error {
         /// Upper end of the offending bracket.
         hi: f64,
     },
-    /// A linear program was infeasible.
-    Infeasible,
-    /// A linear program was unbounded.
-    Unbounded,
     /// Invalid argument (dimension mismatch, empty input, ...).
     InvalidArgument(&'static str),
 }
@@ -100,8 +85,6 @@ impl std::fmt::Display for Error {
             Error::NoBracket { lo, hi } => {
                 write!(f, "no sign change on bracket [{lo:.6e}, {hi:.6e}]")
             }
-            Error::Infeasible => write!(f, "linear program infeasible"),
-            Error::Unbounded => write!(f, "linear program unbounded"),
             Error::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }
@@ -119,12 +102,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm of a slice.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Infinity norm of a slice.
 #[inline]
 pub fn norm_inf(a: &[f64]) -> f64 {
@@ -139,7 +116,6 @@ mod tests {
     fn dot_and_norms() {
         let a = [3.0, 4.0];
         assert_eq!(dot(&a, &a), 25.0);
-        assert_eq!(norm2(&a), 5.0);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
     }
 
@@ -150,6 +126,8 @@ mod tests {
             residual: 1e-3,
         };
         assert!(e.to_string().contains("10"));
-        assert!(Error::Infeasible.to_string().contains("infeasible"));
+        assert!(Error::Singular { pivot: 3 }
+            .to_string()
+            .contains("singular"));
     }
 }

@@ -79,27 +79,6 @@ pub fn degree(coeffs: &[f64]) -> usize {
     d
 }
 
-/// Compose `p(a + b*x)`: substitute a linear map into a polynomial.
-///
-/// Used to re-center polynomials when mapping between the data domain and
-/// the Chebyshev domain `[-1, 1]`.
-pub fn compose_linear(coeffs: &[f64], a: f64, b: f64) -> Vec<f64> {
-    // Horner in the polynomial ring: result = ((c_n)(a+bx) + c_{n-1})(a+bx)...
-    let mut out = vec![0.0];
-    for &c in coeffs.iter().rev() {
-        // out = out * (a + b x) + c
-        let mut next = vec![0.0; out.len() + 1];
-        for (i, &oi) in out.iter().enumerate() {
-            next[i] += oi * a;
-            next[i + 1] += oi * b;
-        }
-        next[0] += c;
-        out = next;
-    }
-    trim(&mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,14 +105,6 @@ mod tests {
         let b = [1.0, -1.0]; // 1 - x
         assert_eq!(mul(&a, &b), vec![1.0, 0.0, -1.0]); // 1 - x^2
         assert_eq!(add(&a, &b), vec![2.0, 0.0]);
-    }
-
-    #[test]
-    fn compose_linear_shifts() {
-        // p(x) = x^2; p(1 + 2x) = 1 + 4x + 4x^2
-        let p = [0.0, 0.0, 1.0];
-        let q = compose_linear(&p, 1.0, 2.0);
-        assert_eq!(q, vec![1.0, 4.0, 4.0]);
     }
 
     #[test]

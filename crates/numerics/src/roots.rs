@@ -117,7 +117,7 @@ pub fn brent<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, opt: BrentOptions) 
 }
 
 /// Plain bisection (robust fallback used by the polynomial root finder).
-pub fn bisect<F: FnMut(f64) -> f64>(mut f: F, mut lo: f64, mut hi: f64, iters: usize) -> f64 {
+fn bisect<F: FnMut(f64) -> f64>(mut f: F, mut lo: f64, mut hi: f64, iters: usize) -> f64 {
     let mut flo = f(lo);
     for _ in 0..iters {
         let mid = 0.5 * (lo + hi);

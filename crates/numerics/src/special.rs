@@ -69,11 +69,6 @@ pub fn norm_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
-/// Standard normal PDF.
-pub fn norm_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * PI).sqrt()
-}
-
 /// Inverse standard normal CDF (quantile function).
 ///
 /// Acklam's rational approximation refined by one Halley step, giving

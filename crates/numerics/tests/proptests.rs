@@ -4,7 +4,6 @@ use numerics::chebyshev;
 use numerics::linalg::Matrix;
 use numerics::poly;
 use numerics::roots::{brent, real_roots_in, BrentOptions};
-use numerics::simplex::{solve as lp_solve, StandardLp};
 use numerics::special;
 use proptest::prelude::*;
 
@@ -106,24 +105,6 @@ proptest! {
         for (f, r) in found.iter().zip(&roots) {
             prop_assert!((f - r).abs() < 1e-6, "{f} vs {r}");
         }
-    }
-
-    /// Simplex solutions are feasible and no worse than a uniform
-    /// feasible point for random small distribution-matching LPs.
-    #[test]
-    fn simplex_feasible_and_optimal(c in prop::collection::vec(0.0f64..1.0, 6)) {
-        // min c'p  s.t.  sum p = 1, p >= 0: optimum = min(c).
-        let lp = StandardLp {
-            a: vec![vec![1.0; 6]],
-            b: vec![1.0],
-            c: c.clone(),
-        };
-        let sol = lp_solve(&lp).unwrap();
-        let min_c = c.iter().cloned().fold(f64::INFINITY, f64::min);
-        prop_assert!((sol.objective - min_c).abs() < 1e-9);
-        let total: f64 = sol.x.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-        prop_assert!(sol.x.iter().all(|&v| v >= -1e-12));
     }
 
     /// erf is odd, bounded, monotone.

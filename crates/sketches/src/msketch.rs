@@ -121,9 +121,10 @@ impl WireCodec for MSketchSummary {
 
 /// Access to the raw moments sketch behind a summary, when there is one.
 ///
-/// The sliding-window engine folds retired panes into
-/// [`moments_sketch::MomentsSketch`] aggregates (turnstile updates need
-/// the raw power sums); this trait lets it do so uniformly over typed
+/// `/quantile` reads it to answer a request past its deadline from the
+/// closed-form moment bounds, which need the raw
+/// [`moments_sketch::MomentsSketch`]; the benchmark's layer probes read it
+/// to time the typed solver on cube cells. It works uniformly over typed
 /// [`MSketchSummary`] cells and runtime-chosen boxed cells.
 pub trait MomentsBacked {
     /// The underlying moments sketch, or `None` for other backends.

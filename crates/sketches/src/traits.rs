@@ -172,8 +172,8 @@ pub trait SummaryFactory {
 /// Blanket factory from a closure.
 ///
 /// Prefer [`crate::api::SketchSpec`] at public boundaries — it is
-/// runtime-selectable and serializable; `FnFactory` remains for tests and
-/// compile-time-specialized harnesses.
+/// runtime-selectable and serializable; only tests build typed cubes
+/// with `FnFactory`.
 pub struct FnFactory<S, F: Fn() -> S>(pub F);
 
 impl<S: QuantileSummary, F: Fn() -> S> SummaryFactory for FnFactory<S, F> {

@@ -4,13 +4,14 @@
 //! Quantile Sketches for Efficient High Cardinality Aggregation Queries*
 //! (Gan et al., VLDB 2018):
 //!
-//! * [`core`] — the moments sketch, maximum-entropy solver, bounds,
-//!   cascades, and lesion-study estimators;
+//! * [`core`] — the moments sketch, its maximum-entropy solver, bounds,
+//!   and cascades;
 //! * [`sketches`] — the baseline mergeable quantile summaries;
 //! * [`datasets`] — calibrated synthetic evaluation datasets;
 //! * [`cube`] — the Druid-like pre-aggregation engine;
 //! * [`engine`] — the sharded concurrent ingestion engine (batched
-//!   shard-local cubes, epoch snapshots, sliding-window serving);
+//!   shard-local cubes, delta-refreshed epoch snapshots, the
+//!   write-ahead log);
 //! * [`timeline`] — time-bucketed continuous aggregation: persisted
 //!   per-bucket segments, the hierarchical rollup compactor, and
 //!   arbitrary-range query planning over the minimal segment cover;
@@ -21,7 +22,8 @@
 //! * [`numerics`] — the numerical substrate.
 //!
 //! See `examples/` for runnable end-to-end scenarios and
-//! `msketch-repro` (`crates/bench`) for the paper's figures and tables.
+//! `msketch-repro` (`crates/bench`) for the paper's figures and tables,
+//! including the lesion study's alternative estimators.
 //!
 //! Most applications only need the [`prelude`]:
 //!
