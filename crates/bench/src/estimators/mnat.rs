@@ -40,7 +40,7 @@ pub(crate) fn mnat_cdf_levels(mu01: &[f64]) -> Vec<f64> {
     let mut acc = 0.0;
     for m in 0..=alpha {
         let mut b = 0.0;
-        #[allow(clippy::needless_range_loop)] // index doubles as the moment order
+        #[allow(clippy::needless_range_loop, reason = "index doubles as the moment order")]
         for j in m..=alpha {
             let sign = if (j - m) % 2 == 0 { 1.0 } else { -1.0 };
             b += binomial(alpha, j) * binomial(j, m) * sign * mu01[j];

@@ -174,17 +174,17 @@ pub(crate) fn uniform_grid(n: usize) -> Vec<f64> {
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    pub use msketch_sketches::{avg_quantile_error, exact::eval_phis};
+    pub(crate) use msketch_sketches::{avg_quantile_error, exact::eval_phis};
 
     /// Deterministic heavy-tailed (log-normal-grid) dataset.
-    pub fn lognormal_grid(n: usize, sigma: f64) -> Vec<f64> {
+    pub(crate) fn lognormal_grid(n: usize, sigma: f64) -> Vec<f64> {
         (1..n)
             .map(|i| (sigma * numerics::special::inv_norm_cdf(i as f64 / n as f64)).exp())
             .collect()
     }
 
     /// Deterministic standard-normal-grid dataset.
-    pub fn normal_grid(n: usize) -> Vec<f64> {
+    pub(crate) fn normal_grid(n: usize) -> Vec<f64> {
         (1..n).map(|i| numerics::special::inv_norm_cdf(i as f64 / n as f64)).collect()
     }
 }

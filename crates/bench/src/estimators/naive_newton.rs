@@ -69,7 +69,7 @@ impl NewtonObjective for RombergObjective<'_> {
         if !total.is_finite() {
             return f64::INFINITY;
         }
-        #[allow(clippy::needless_range_loop)] // index doubles as the moment order
+        #[allow(clippy::needless_range_loop, reason = "index doubles as the moment order")]
         for i in 0..dim {
             grad[i] = self.integral(|u| self.basis.eval(i, u) * self.density(theta, u))
                 - self.basis.mu[i];

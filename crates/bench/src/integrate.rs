@@ -8,7 +8,7 @@ use numerics::{Error, Result};
 ///
 /// Subdivides until successive extrapolants agree to `tol` (relative) or
 /// `max_levels` is reached.
-pub fn romberg<F: FnMut(f64) -> f64>(
+pub(crate) fn romberg<F: FnMut(f64) -> f64>(
     mut f: F,
     a: f64,
     b: f64,

@@ -8,7 +8,7 @@
 use numerics::{dot, norm_inf, Error, Result};
 
 /// An objective providing value and gradient only.
-pub trait GradObjective {
+pub(crate) trait GradObjective {
     /// Problem dimension.
     fn dim(&self) -> usize;
     /// Evaluate value and gradient at `theta`.
@@ -17,19 +17,19 @@ pub trait GradObjective {
 
 /// Configuration for [`lbfgs_minimize`].
 #[derive(Debug, Clone, Copy)]
-pub struct LbfgsOptions {
+pub(crate) struct LbfgsOptions {
     /// History size (number of (s, y) pairs).
-    pub memory: usize,
+    pub(crate) memory: usize,
     /// Stop when the gradient infinity-norm drops below this.
-    pub grad_tol: f64,
+    pub(crate) grad_tol: f64,
     /// Maximum iterations.
-    pub max_iter: usize,
+    pub(crate) max_iter: usize,
     /// Armijo constant.
-    pub armijo_c: f64,
+    pub(crate) armijo_c: f64,
     /// Line-search shrink factor.
-    pub backtrack: f64,
+    pub(crate) backtrack: f64,
     /// Max line-search steps.
-    pub max_line_search: usize,
+    pub(crate) max_line_search: usize,
 }
 
 impl Default for LbfgsOptions {
@@ -46,7 +46,7 @@ impl Default for LbfgsOptions {
 }
 
 /// Minimize a smooth objective with L-BFGS, returning the minimizer.
-pub fn lbfgs_minimize<O: GradObjective>(
+pub(crate) fn lbfgs_minimize<O: GradObjective>(
     obj: &mut O,
     theta0: &[f64],
     opt: LbfgsOptions,

@@ -6,13 +6,14 @@
 //! textbook simplex with Bland's anti-cycling rule is more than adequate
 //! for the ~1000-variable, ~15-constraint programs involved.
 
-// Index-based loops mirror the textbook matrix algorithms here;
-// iterator rewrites would obscure the pivots.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index-based loops mirror the textbook matrix algorithms; iterator rewrites would obscure the pivots"
+)]
 
 /// Why [`solve`] found no optimum.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LpError {
+pub(crate) enum LpError {
     /// No point satisfies the constraints.
     Infeasible,
     /// The objective decreases without bound.
@@ -26,19 +27,19 @@ type Result<T> = std::result::Result<T, LpError>;
 /// A linear program in standard form:
 /// minimize `c' x` subject to `A x = b`, `x >= 0`.
 #[derive(Debug, Clone)]
-pub struct StandardLp {
+pub(crate) struct StandardLp {
     /// Constraint matrix, row-major, `m x n`.
-    pub a: Vec<Vec<f64>>,
+    pub(crate) a: Vec<Vec<f64>>,
     /// Right-hand side, length `m`.
-    pub b: Vec<f64>,
+    pub(crate) b: Vec<f64>,
     /// Objective coefficients, length `n`.
-    pub c: Vec<f64>,
+    pub(crate) c: Vec<f64>,
 }
 
 /// Solve a standard-form LP with the two-phase simplex method, returning
 /// an optimal `x`. Panics on
 /// a malformed program (empty, ragged, or a mismatched right-hand side).
-pub fn solve(lp: &StandardLp) -> Result<Vec<f64>> {
+pub(crate) fn solve(lp: &StandardLp) -> Result<Vec<f64>> {
     let m = lp.a.len();
     let n = lp.c.len();
     assert!(m > 0 && n > 0, "empty linear program");

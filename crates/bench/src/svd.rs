@@ -9,13 +9,13 @@ use numerics::linalg::Matrix;
 
 /// Thin SVD `A = U Σ V^T` of an `m x n` matrix with `m >= n`.
 #[derive(Debug, Clone)]
-pub struct Svd {
+pub(crate) struct Svd {
     /// `m x n` matrix with orthonormal columns.
-    pub u: Matrix,
+    pub(crate) u: Matrix,
     /// Singular values, descending.
-    pub sigma: Vec<f64>,
+    pub(crate) sigma: Vec<f64>,
     /// `n x n` orthogonal matrix.
-    pub v: Matrix,
+    pub(crate) v: Matrix,
 }
 
 /// One-sided Jacobi SVD for a tall (or square) matrix `m >= n`.
@@ -23,7 +23,7 @@ pub struct Svd {
 /// Rotates pairs of columns of `A` until they are mutually orthogonal; the
 /// column norms are then the singular values. Quadratically convergent and
 /// very accurate for the small systems used here.
-pub fn svd_tall(a: &Matrix) -> Svd {
+pub(crate) fn svd_tall(a: &Matrix) -> Svd {
     let m = a.rows();
     let n = a.cols();
     assert!(m >= n, "svd_tall requires rows >= cols");
@@ -105,7 +105,7 @@ pub fn svd_tall(a: &Matrix) -> Svd {
 /// `A x = b` for a short, wide `A` (`rows <= cols`), via the SVD of `A^T`.
 ///
 /// Singular values below `rcond * sigma_max` are treated as zero.
-pub fn least_norm_solve(a: &Matrix, b: &[f64], rcond: f64) -> Vec<f64> {
+pub(crate) fn least_norm_solve(a: &Matrix, b: &[f64], rcond: f64) -> Vec<f64> {
     assert!(a.rows() <= a.cols());
     assert_eq!(b.len(), a.rows());
     // A^T = U Σ V^T (tall). Then A = V Σ U^T and pinv(A) = U Σ^+ V^T.

@@ -16,8 +16,6 @@
 //! the clone, and writers never wait on query execution. Swapping in the
 //! real crate later is the usual one-line path change.
 
-#![warn(missing_docs)]
-
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// An atomically replaceable shared `Arc<T>`.

@@ -3,8 +3,6 @@
 //! `Vec<u8>`. Panics on under-read, exactly like the real crate; callers
 //! are expected to check [`Buf::remaining`] first.
 
-#![warn(missing_docs)]
-
 /// Read cursor over a byte source.
 pub trait Buf {
     /// Bytes left to read.

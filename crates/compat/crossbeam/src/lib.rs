@@ -7,8 +7,6 @@
 //! thread finishes before `scope` returns) are inherited from the
 //! standard library.
 
-#![warn(missing_docs)]
-
 pub mod channel;
 
 /// Scoped threads (mirrors `crossbeam::thread`).

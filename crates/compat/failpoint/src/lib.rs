@@ -30,8 +30,6 @@
 //! disarms every site when it drops, also when the test panics, so an
 //! armed fault never outlives the test that armed it.
 
-#![warn(missing_docs)]
-
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -230,8 +228,8 @@ pub fn fail_if(name: &str) -> bool {
 /// even when reached through this wrapper).
 pub fn sleep_if(name: &str) {
     if let Some(Action::Panic) = eval(name) {
-        // lint:allow(panic): the entire purpose of an armed `panic`
-        // failpoint is to panic; sites are unreachable in release use.
+        // The entire purpose of an armed `panic` failpoint is to
+        // panic; sites are unreachable in release use.
         panic!("failpoint {name:?} armed with panic");
     }
 }

@@ -13,8 +13,6 @@
 //! * strategies are sampled independently per case (no recursive or
 //!   filtered strategies, which the workspace does not use).
 
-#![warn(missing_docs)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// Deterministic generator driving all strategies (SplitMix64).

@@ -10,8 +10,6 @@
 //! what the reproduction needs. Swapping in the real `rand` later only
 //! requires replacing the path dependency; call sites are unchanged.
 
-#![warn(missing_docs)]
-
 /// Low-level source of random 64-bit words.
 pub trait RngCore {
     /// Next raw 64-bit value.

@@ -8,8 +8,6 @@
 //! unchanged and can switch to the real `serde` by swapping the path
 //! dependency.
 
-#![warn(missing_docs)]
-
 /// Marker: the type declares a serde-serializable shape.
 pub trait Serialize {}
 

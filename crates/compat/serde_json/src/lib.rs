@@ -17,8 +17,6 @@
 //! Non-finite floats have no JSON representation and are written as
 //! `null`, matching `serde_json`'s default behavior.
 
-#![warn(missing_docs)]
-
 use std::fmt;
 
 /// A parsed or constructed JSON document node.

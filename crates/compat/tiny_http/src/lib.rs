@@ -18,8 +18,6 @@
 //! silent clients cannot pin the whole worker pool. Not supported:
 //! chunked transfer encoding (rejected with 411), TLS, and HTTP/2.
 
-#![warn(missing_docs)]
-
 pub mod client;
 
 use std::io::{Read, Write};

@@ -40,8 +40,6 @@
 //! * [`stats`] — moment-shift arithmetic and floating-point stability
 //!   rules (Section 4.3.2 / Appendix B).
 
-#![warn(missing_docs)]
-
 pub mod bounds;
 pub mod cascade;
 pub mod lowprec;

@@ -201,8 +201,10 @@ fn clamped_cheb(raw: &[f64], dom: &ScaledDomain) -> Vec<f64> {
     // |E[T_n(u)]| <= 1 always; out-of-range values signal precision loss.
     let mut valid = cheb.len();
     for (i, &c) in cheb.iter().enumerate().skip(1) {
-        // NaN must also truncate here, so compare via the negation.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        #[allow(
+            clippy::neg_cmp_op_on_partial_ord,
+            reason = "NaN must also truncate here, so compare via the negation"
+        )]
         if !(c.abs() <= 1.0 + 1e-7) {
             valid = i;
             break;

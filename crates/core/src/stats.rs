@@ -82,7 +82,10 @@ pub fn shifted_moments(raw: &[f64], dom: &ScaledDomain) -> Vec<f64> {
     }
     let c = dom.center;
     let r_inv = 1.0 / dom.radius;
-    #[allow(clippy::needless_range_loop)] // j is the moment order, not just an index
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "j is the moment order, not just an index"
+    )]
     for j in 0..=k {
         let row = binomial_row(j);
         let mut acc = 0.0;
@@ -202,7 +205,10 @@ mod tests {
             .collect();
         let dom = ScaledDomain::from_range(1.0, 7.0);
         let shifted = shifted_moments(&raw, &dom);
-        #[allow(clippy::needless_range_loop)] // index doubles as the moment order
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "index doubles as the moment order"
+        )]
         for j in 0..=k {
             let direct: f64 = data
                 .iter()
@@ -228,7 +234,10 @@ mod tests {
             .collect();
         let mono = shifted_moments(&raw, &dom);
         let cheb = cheb_moments_from_mono(&mono);
-        #[allow(clippy::needless_range_loop)] // index doubles as the moment order
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "index doubles as the moment order"
+        )]
         for t in 0..=k {
             let direct: f64 = data
                 .iter()

@@ -26,6 +26,20 @@
 //! no `expect`, no panicking indexing on wire-derived values —
 //! malformed input surfaces as [`Error::BadInternedBatch`].
 
+// Panic perimeter (lint/README.md): a panic here parks a shard's
+// channel peers or poisons state that later requests share. Test
+// builds may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::cube::DataCube;
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::{Error, Result};

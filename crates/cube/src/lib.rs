@@ -21,8 +21,6 @@
 //!   (`merge` new pane / `sub` old pane) update the moments sketch
 //!   supports (Section 7.2.2).
 
-#![warn(missing_docs)]
-
 pub mod batch;
 pub mod cube;
 pub mod delta;

@@ -12,8 +12,6 @@
 //! holds the underlying samplers (built on `rand`'s uniform source only),
 //! and [`cells`] partitions data into pre-aggregation cells.
 
-#![warn(missing_docs)]
-
 pub mod cells;
 pub mod dist;
 pub mod gen;

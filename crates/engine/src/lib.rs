@@ -41,7 +41,19 @@
 //! answers `t0`/`t1` ranges from `msketch_timeline`, and the paper's
 //! §7.2.2 turnstile lives in [`msketch_cube::window`].
 
-#![warn(missing_docs)]
+// Panic perimeter (lint/README.md): a panic here parks a shard's
+// channel peers or poisons state that later requests share. Test
+// builds may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod delta;
 mod sharded;

@@ -317,14 +317,16 @@ where
             let factory = factory.clone();
             let names: Vec<String> = dim_names.iter().map(|s| s.to_string()).collect();
             let stats = Arc::clone(&stats);
+            #[expect(
+                clippy::expect_used,
+                reason = "thread spawn fails only on OS resource exhaustion during engine \
+                          construction: no channel peer exists yet to park, and no caller \
+                          has a meaningful recovery short of aborting"
+            )]
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("msketch-shard-{shard}"))
                     .spawn(move || worker_loop(shard, rx, cube, factory, names, stats))
-                    // lint:allow(panic): thread spawn fails only on OS
-                    // resource exhaustion during engine construction — no
-                    // channel peer exists yet to park, and no caller has
-                    // a meaningful recovery short of aborting.
                     .expect("spawn shard worker"),
             );
             senders.push(tx);

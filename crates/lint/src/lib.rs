@@ -1,23 +1,21 @@
 //! `msketch-lint` — workspace static analysis for the moments-sketch
 //! repo.
 //!
-//! The workspace carries five load-bearing invariants that `cargo
-//! test` cannot see: wire tags must never move (`wire`), the concurrent
-//! core must never panic (`panic`, `channel`), `unsafe` lives only
-//! in the reviewed compat stand-ins (`unsafe`), every
-//! fault-injection site stays pinned in the registry CI arms by name
-//! (`failpoint`), and every metric name dashboards scrape stays pinned
-//! the same way (`metrics`). This crate machine-checks them — plus
-//! public-API doc coverage (`docs`) — with a
-//! dependency-free scanner over the tree (`std::fs` + a hand-rolled
-//! line scanner in [`scan`]).
+//! The workspace carries four load-bearing invariants that neither
+//! rustc nor clippy can see: wire tags must never move (`wire`), the
+//! concurrent core must never block on a channel while holding a lock
+//! (`channel`), every fault-injection site stays pinned in the registry
+//! CI arms by name (`failpoint`), and every metric name dashboards
+//! scrape stays pinned the same way (`metrics`). This crate
+//! machine-checks them with a dependency-free scanner over the tree
+//! (`std::fs` + a hand-rolled line scanner in [`scan`]). Docs,
+//! visibility, `unsafe` and panic-freedom are compiler lints, declared
+//! in the workspace manifest and the perimeter crates' roots.
 //!
 //! Run it with `cargo run -p msketch-lint`; see `lint/README.md` for
 //! each rule's rationale and the failure it prevents. The library
 //! surface exists so the self-test (`tests/lint_self.rs`) and the
 //! per-rule fixture tests can call the same code the binary runs.
-
-#![warn(missing_docs)]
 
 pub mod rules;
 pub mod scan;
@@ -44,8 +42,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Stable rule id (`wire`, `panic`, `unsafe`, `channel`, `docs`,
-    /// `failpoint`, `metrics`, `lint-allow`).
+    /// Stable rule id (`wire`, `channel`, `failpoint`, `metrics`).
     pub rule: &'static str,
     /// Human-readable explanation with a remediation hint.
     pub message: String,
@@ -108,22 +105,17 @@ fn json_escape(text: &str) -> String {
 pub struct FileContext {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// Under `crates/compat/` — the only sanctioned home for `unsafe`,
-    /// exempt from panic/docs rules (stand-ins mirror foreign APIs).
+    /// Under `crates/compat/`: stand-ins for external crates, which
+    /// define no failpoint sites or metric names of their own.
     pub compat: bool,
-    /// In the panic-freedom perimeter (`crates/engine`, `crates/server`,
-    /// `crates/timeline`, `crates/obs` — instrumentation runs inside
-    /// every handler and shard worker, so a panicking probe is a
-    /// panicking server — and the cube crate's delta/interning module:
-    /// shard workers call straight into it, so a panic there would tear
-    /// a live shard cube).
+    /// In the panic perimeter, where the `channel` rule applies: the
+    /// crates whose roots deny clippy's panic lints (`crates/engine`,
+    /// `crates/server`, `crates/timeline`, `crates/obs`) and the cube
+    /// crate's delta module, which shard workers call straight into.
     pub panic_scope: bool,
     /// Test-only code: integration tests, benches, examples, or a
     /// `tests.rs` module file.
     pub test_code: bool,
-    /// A `src/bin/` target (exempt from the docs rule: binaries have no
-    /// API consumers).
-    pub bin: bool,
 }
 
 impl FileContext {
@@ -141,20 +133,17 @@ impl FileContext {
             || path.starts_with("examples/")
             || path.contains("/examples/")
             || path.ends_with("/tests.rs");
-        let bin = path.contains("/bin/");
         FileContext {
             path: path.to_string(),
             compat,
             panic_scope,
             test_code,
-            bin,
         }
     }
 }
 
-/// Which rules run. Full runs (and the self-test) use [`RuleSet::all`],
-/// which includes the `lint-allow` hygiene rule policing the escape
-/// hatch itself; `--rule` narrows to exactly the named rules.
+/// Which rules run. Full runs (and the self-test) use [`RuleSet::all`];
+/// `--rule` narrows to exactly the named rules.
 #[derive(Debug, Clone)]
 pub struct RuleSet {
     enabled: Vec<&'static str>,
@@ -344,23 +333,24 @@ mod tests {
         let integration = FileContext::classify("tests/lint_self.rs");
         assert!(integration.test_code);
         let bin = FileContext::classify("crates/server/src/bin/serve.rs");
-        assert!(bin.bin && bin.panic_scope);
+        assert!(bin.panic_scope && !bin.test_code);
     }
 
     #[test]
     fn findings_render_stably() {
-        let f = Finding::at("a/b.rs", 7, "panic", "bad \"thing\"".to_string());
-        assert_eq!(f.render(), "a/b.rs:7: panic: bad \"thing\"");
+        let f = Finding::at("a/b.rs", 7, "channel", "bad \"thing\"".to_string());
+        assert_eq!(f.render(), "a/b.rs:7: channel: bad \"thing\"");
         assert_eq!(
             f.render_json(),
-            "{\"file\":\"a/b.rs\",\"line\":7,\"rule\":\"panic\",\"message\":\"bad \\\"thing\\\"\"}"
+            "{\"file\":\"a/b.rs\",\"line\":7,\"rule\":\"channel\",\"message\":\"bad \\\"thing\\\"\"}"
         );
     }
 
     #[test]
-    fn rule_filtering_keeps_allow_hygiene_off_unless_requested() {
-        let only_panic = RuleSet::only(&["panic"]);
-        assert!(only_panic.enabled("panic"));
-        assert!(!only_panic.enabled("docs"));
+    fn rule_filtering_enables_only_the_named_rules() {
+        let only_channel = RuleSet::only(&["channel", "no-such-rule"]);
+        assert!(only_channel.enabled("channel"));
+        assert!(!only_channel.enabled("wire"));
+        assert!(!only_channel.enabled("no-such-rule"));
     }
 }

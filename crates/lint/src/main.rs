@@ -6,8 +6,7 @@
 //!
 //! Prints `file:line: rule-id: message` per finding (or a JSON array
 //! with `--json`) and exits nonzero if anything was found. Rules:
-//! `wire`, `panic`, `unsafe`, `channel`, `docs`, `failpoint`,
-//! `metrics` — see `lint/README.md`.
+//! `wire`, `channel`, `failpoint`, `metrics` — see `lint/README.md`.
 
 use msketch_lint::{lint_workspace, rules::RULE_IDS, RuleSet};
 use std::path::PathBuf;

@@ -16,7 +16,6 @@
 //! A `.lock()` used as a plain expression statement (no `let`) only
 //! guards its own line — the temporary dies at the semicolon.
 
-use super::allowed;
 use crate::scan::SourceFile;
 use crate::{FileContext, Finding};
 
@@ -39,7 +38,7 @@ pub fn check(ctx: &FileContext, file: &SourceFile, findings: &mut Vec<Finding>) 
         return;
     }
     let mut guards: Vec<GuardScope> = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
+    for line in &file.lines {
         if line.in_test {
             continue;
         }
@@ -58,7 +57,7 @@ pub fn check(ctx: &FileContext, file: &SourceFile, findings: &mut Vec<Finding>) 
         let held_here = !guards.is_empty() || takes_guard;
         if held_here {
             for op in CHANNEL_OPS {
-                if code.contains(op) && !allowed(file, idx, "channel") {
+                if code.contains(op) {
                     let since = guards.first().map_or(line.number, |g| g.line);
                     findings.push(Finding::new(
                         ctx,

@@ -1,31 +1,18 @@
-//! The seven repo-specific rules. Each rule is a pure function from
+//! The four repo-specific rules. Each rule is a pure function from
 //! scanned source (plus file context) to findings, so unit tests drive
 //! them with inline fixture snippets and the binary drives them with
 //! the real tree — same code path either way.
 
 pub mod channels;
-pub mod docs;
 pub mod failpoints;
 pub mod metrics;
-pub mod panics;
-pub mod unsafety;
 pub mod wire;
 
 use crate::scan::SourceFile;
 use crate::{FileContext, Finding, RuleSet};
 
-/// Stable rule identifiers, as accepted by `--rule` and
-/// `lint:allow(<id>)`.
-pub const RULE_IDS: [&str; 8] = [
-    "wire",
-    "panic",
-    "unsafe",
-    "channel",
-    "docs",
-    "failpoint",
-    "metrics",
-    "lint-allow",
-];
+/// Stable rule identifiers, as accepted by `--rule`.
+pub const RULE_IDS: [&str; 4] = ["wire", "channel", "failpoint", "metrics"];
 
 /// Run every per-file rule enabled in `rules` over one scanned file.
 ///
@@ -35,54 +22,8 @@ pub const RULE_IDS: [&str; 8] = [
 /// [`metrics::check`].
 pub fn check_file(ctx: &FileContext, file: &SourceFile, rules: &RuleSet) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if rules.enabled("panic") {
-        panics::check(ctx, file, &mut findings);
-    }
-    if rules.enabled("unsafe") {
-        unsafety::check(ctx, file, &mut findings);
-    }
     if rules.enabled("channel") {
         channels::check(ctx, file, &mut findings);
     }
-    if rules.enabled("docs") {
-        docs::check(ctx, file, &mut findings);
-    }
-    if rules.enabled("lint-allow") {
-        check_allow_hygiene(ctx, file, &mut findings);
-    }
     findings
-}
-
-/// The escape hatch polices itself: every `lint:allow(rule)` must name a
-/// known rule and carry a `: justification`. An unexplained suppression
-/// is exactly the review blind spot the linter exists to remove.
-fn check_allow_hygiene(ctx: &FileContext, file: &SourceFile, findings: &mut Vec<Finding>) {
-    for line in &file.lines {
-        for (rule, justified) in line.allow_directives() {
-            if !RULE_IDS.contains(&rule.as_str()) {
-                findings.push(Finding::new(
-                    ctx,
-                    line.number,
-                    "lint-allow",
-                    format!("unknown rule {rule:?} in lint:allow (known: wire, panic, unsafe, channel, docs, failpoint, metrics)"),
-                ));
-            } else if !justified {
-                findings.push(Finding::new(
-                    ctx,
-                    line.number,
-                    "lint-allow",
-                    format!("lint:allow({rule}) requires a justification: `// lint:allow({rule}): <why this is safe>`"),
-                ));
-            }
-        }
-    }
-}
-
-/// Is `rule` suppressed at line index `idx` by a justified
-/// `lint:allow` directive (same line or immediately preceding
-/// comment-only lines)?
-pub fn allowed(file: &SourceFile, idx: usize, rule: &str) -> bool {
-    file.allows_at(idx)
-        .iter()
-        .any(|(r, justified)| r == rule && *justified)
 }

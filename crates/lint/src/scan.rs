@@ -3,10 +3,9 @@
 //! Rules never look at raw source: they look at [`Line::code`], which is
 //! the line with every comment removed and every string / char literal
 //! hollowed out (`"…"` stays as an empty `""`), so a substring check for
-//! `.unwrap()` cannot fire on prose, doc examples, or log messages. The
-//! scanner also tracks brace depth, `#[cfg(test)]` regions, and
-//! `// lint:allow(rule): reason` escape-hatch directives, because every
-//! rule needs those three.
+//! `failpoint::fail_if(` cannot fire on prose, doc examples, or log
+//! messages. The scanner also tracks brace depth and `#[cfg(test)]`
+//! regions, because the rules need both.
 //!
 //! It is *not* a parser. It understands exactly as much Rust as the
 //! rules need: line and (nested) block comments, plain and raw string
@@ -21,44 +20,10 @@ pub struct Line {
     pub number: usize,
     /// The line with comments stripped and literal contents hollowed out.
     pub code: String,
-    /// Comment text on this line (including the `//` / `/*` markers).
-    pub comment: String,
     /// Brace depth at the start of the line.
     pub depth: usize,
     /// Is this line inside a `#[cfg(test)]` item (test module or fn)?
     pub in_test: bool,
-}
-
-impl Line {
-    /// The `lint:allow(rule)` directive on this line's comment, if any,
-    /// with whether a `: justification` follows. A directive must open
-    /// the comment (`// lint:allow(…)`) — a doc sentence *mentioning*
-    /// the syntax is prose, not a suppression.
-    pub fn allow_directives(&self) -> Vec<(String, bool)> {
-        let body = self.comment.trim_start_matches('/').trim_start();
-        let Some(rest) = body.strip_prefix("lint:allow(") else {
-            return Vec::new();
-        };
-        let Some(close) = rest.find(')') else {
-            return Vec::new();
-        };
-        let rule = rest[..close].trim().to_string();
-        // A justification is a non-empty tail after `):`.
-        let justified = rest[close + 1..]
-            .strip_prefix(':')
-            .is_some_and(|tail| !tail.trim().is_empty());
-        vec![(rule, justified)]
-    }
-
-    /// Is this line nothing but comment (no code)?
-    pub fn is_comment_only(&self) -> bool {
-        self.code.trim().is_empty() && !self.comment.trim().is_empty()
-    }
-
-    /// Is this line completely blank (no code, no comment)?
-    pub fn is_blank(&self) -> bool {
-        self.code.trim().is_empty() && self.comment.trim().is_empty()
-    }
 }
 
 /// A fully scanned source file.
@@ -84,7 +49,6 @@ impl SourceFile {
         let bytes: Vec<char> = text.chars().collect();
         let mut lines = Vec::new();
         let mut code = String::new();
-        let mut comment = String::new();
         let mut number = 1usize;
         let mut depth = 0usize;
         let mut line_start_depth = 0usize;
@@ -107,7 +71,6 @@ impl SourceFile {
                 lines.push(Line {
                     number,
                     code: std::mem::take(&mut code),
-                    comment: std::mem::take(&mut comment),
                     depth: line_start_depth,
                     in_test,
                 });
@@ -124,13 +87,11 @@ impl SourceFile {
                 Mode::Code => match c {
                     '/' if next == Some('/') => {
                         mode = Mode::LineComment;
-                        comment.push_str("//");
                         i += 2;
                         continue;
                     }
                     '/' if next == Some('*') => {
                         mode = Mode::BlockComment(1);
-                        comment.push_str("/*");
                         i += 2;
                         continue;
                     }
@@ -207,11 +168,10 @@ impl SourceFile {
                     }
                     _ => code.push(c),
                 },
-                Mode::LineComment => comment.push(c),
+                Mode::LineComment => {}
                 Mode::BlockComment(n) => {
                     if c == '/' && next == Some('*') {
                         mode = Mode::BlockComment(n + 1);
-                        comment.push_str("/*");
                         i += 2;
                         continue;
                     }
@@ -221,11 +181,9 @@ impl SourceFile {
                         } else {
                             Mode::BlockComment(n - 1)
                         };
-                        comment.push_str("*/");
                         i += 2;
                         continue;
                     }
-                    comment.push(c);
                 }
                 Mode::Str => match c {
                     // An escape consumes the next char — except a
@@ -281,54 +239,16 @@ impl SourceFile {
             }
             i += 1;
         }
-        if !code.is_empty() || !comment.is_empty() {
+        if !code.is_empty() {
             lines.push(Line {
                 number,
                 code,
-                comment,
                 depth: line_start_depth,
                 in_test: line_started_in_test || !test_stack.is_empty(),
             });
         }
         SourceFile { lines }
     }
-
-    /// Rules suppressed on line index `idx`: directives on the line
-    /// itself plus directives on an immediately preceding comment-only
-    /// line. Returns `(rule, justified)` pairs.
-    pub fn allows_at(&self, idx: usize) -> Vec<(String, bool)> {
-        let mut out = self.lines[idx].allow_directives();
-        let mut j = idx;
-        while j > 0 && self.lines[j - 1].is_comment_only() {
-            j -= 1;
-            out.extend(self.lines[j].allow_directives());
-        }
-        out
-    }
-}
-
-/// Does `code` contain `needle` as a whole word (not an identifier
-/// fragment, so `unsafe_code` never matches `unsafe`)?
-pub fn contains_word(code: &str, needle: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = code[from..].find(needle) {
-        let start = from + at;
-        let end = start + needle.len();
-        let before_ok = start == 0
-            || !code[..start]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after_ok = !code[end..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
 }
 
 #[cfg(test)]
@@ -340,8 +260,7 @@ mod tests {
         let src = "let x = \"call .unwrap() here\"; // and .unwrap() there\n";
         let file = SourceFile::scan(src);
         assert_eq!(file.lines.len(), 1);
-        assert!(!file.lines[0].code.contains(".unwrap()"));
-        assert!(file.lines[0].comment.contains(".unwrap()"));
+        assert_eq!(file.lines[0].code.trim(), "let x = \"\";");
     }
 
     #[test]
@@ -393,24 +312,5 @@ mod tests {
         let src = "/* outer /* inner */ still comment */ let x = 1;\n";
         let file = SourceFile::scan(src);
         assert_eq!(file.lines[0].code.trim(), "let x = 1;");
-    }
-
-    #[test]
-    fn allow_directives_parse_with_and_without_justification() {
-        let src = "// lint:allow(panic): spawn cannot fail here\nx.unwrap();\ny.unwrap(); // lint:allow(panic)\n";
-        let file = SourceFile::scan(src);
-        assert_eq!(
-            file.allows_at(1),
-            vec![("panic".to_string(), true)],
-            "preceding comment-only line applies"
-        );
-        assert_eq!(file.allows_at(2), vec![("panic".to_string(), false)]);
-    }
-
-    #[test]
-    fn word_boundaries_hold() {
-        assert!(contains_word("unsafe { x }", "unsafe"));
-        assert!(!contains_word("#![allow(unsafe_code)]", "unsafe"));
-        assert!(!contains_word("my_unsafe", "unsafe"));
     }
 }

@@ -12,8 +12,6 @@
 //! * [`engine`] — the subpopulation search;
 //! * [`alert`] — sliding-window alerting over time panes (Section 7.2.2).
 
-#![warn(missing_docs)]
-
 pub mod alert;
 pub mod engine;
 

@@ -6,11 +6,10 @@
 //! This module provides:
 //!
 //! * evaluation of `T_n(x)` and of series (Clenshaw's algorithm),
-//! * monomial <-> Chebyshev basis conversion,
-//! * series arithmetic, in particular products via the linearization
+//! * the monomial coefficients of `T_n` (for moment conversion),
+//! * series products via the linearization
 //!   `T_i T_j = (T_{i+j} + T_{|i-j|}) / 2`,
-//! * closed-form definite integrals over `[-1, 1]`,
-//! * antiderivatives (for CDF evaluation), and
+//! * closed-form definite integrals over `[-1, 1]`, and
 //! * interpolation at Chebyshev–Lobatto nodes via the cosine transform.
 
 use crate::fct;
@@ -91,60 +90,6 @@ pub fn t_coefficient_table(n: usize) -> Vec<Vec<f64>> {
     rows
 }
 
-/// Convert a Chebyshev series to monomial coefficients.
-pub fn cheb_to_mono(coeffs: &[f64]) -> Vec<f64> {
-    if coeffs.is_empty() {
-        return vec![];
-    }
-    let table = t_coefficient_table(coeffs.len() - 1);
-    let mut out = vec![0.0; coeffs.len()];
-    for (k, &c) in coeffs.iter().enumerate() {
-        if c == 0.0 {
-            continue;
-        }
-        for (i, &t) in table[k].iter().enumerate() {
-            out[i] += c * t;
-        }
-    }
-    out
-}
-
-/// Convert monomial coefficients to a Chebyshev series.
-///
-/// Uses the stable "multiply by x" recurrence
-/// `x T_k = (T_{k+1} + T_{|k-1|}) / 2` applied Horner-style, avoiding the
-/// huge alternating binomial sums of the closed-form conversion.
-pub fn mono_to_cheb(coeffs: &[f64]) -> Vec<f64> {
-    if coeffs.is_empty() {
-        return vec![];
-    }
-    // Horner: result = (((c_n) * x + c_{n-1}) * x + ...) in Chebyshev space.
-    let mut out: Vec<f64> = vec![0.0];
-    for &c in coeffs.iter().rev() {
-        out = mul_by_x(&out);
-        out[0] += c;
-    }
-    out
-}
-
-/// Multiply a Chebyshev series by `x` using
-/// `x T_0 = T_1`, `x T_k = (T_{k+1} + T_{k-1}) / 2`.
-fn mul_by_x(coeffs: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; coeffs.len() + 1];
-    for (k, &c) in coeffs.iter().enumerate() {
-        if c == 0.0 {
-            continue;
-        }
-        if k == 0 {
-            out[1] += c;
-        } else {
-            out[k + 1] += 0.5 * c;
-            out[k - 1] += 0.5 * c;
-        }
-    }
-    out
-}
-
 /// Product of two Chebyshev series using
 /// `T_i T_j = (T_{i+j} + T_{|i-j|}) / 2`.
 pub fn mul(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -183,36 +128,6 @@ pub fn integrate(coeffs: &[f64]) -> f64 {
         .enumerate()
         .map(|(half, &c)| c * t_integral(2 * half))
         .sum()
-}
-
-/// Antiderivative of a Chebyshev series.
-///
-/// Returns the series of `F(x) = ∫ f` normalized so that `F(-1) = 0`,
-/// using `∫T_0 = T_1`, `∫T_1 = T_2/4 (+ const)`, and for `n >= 2`
-/// `∫T_n = T_{n+1}/(2(n+1)) - T_{n-1}/(2(n-1))`.
-pub fn antiderivative(coeffs: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; coeffs.len() + 1];
-    for (n, &c) in coeffs.iter().enumerate() {
-        if c == 0.0 {
-            continue;
-        }
-        match n {
-            0 => out[1] += c,
-            1 => out[2] += 0.25 * c,
-            _ => {
-                out[n + 1] += c / (2.0 * (n as f64 + 1.0));
-                out[n - 1] -= c / (2.0 * (n as f64 - 1.0));
-            }
-        }
-    }
-    // Fix the constant so F(-1) = 0. T_k(-1) = (-1)^k.
-    let at_minus1: f64 = out
-        .iter()
-        .enumerate()
-        .map(|(k, &c)| if k % 2 == 0 { c } else { -c })
-        .sum();
-    out[0] -= at_minus1;
-    out
 }
 
 /// The `n + 1` Chebyshev–Lobatto nodes `x_j = cos(pi j / n)`, descending
@@ -291,16 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn basis_roundtrip() {
-        let mono = [1.0, -2.0, 0.5, 3.0, -0.25];
-        let cheb = mono_to_cheb(&mono);
-        let back = cheb_to_mono(&cheb);
-        for (a, b) in mono.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn series_product() {
         // (T_1)^2 = x^2 = (T_0 + T_2)/2.
         let p = mul(&[0.0, 1.0], &[0.0, 1.0]);
@@ -320,28 +225,11 @@ mod tests {
 
     #[test]
     fn integral_closed_form() {
-        // ∫_{-1}^{1} x^2 dx = 2/3 via Chebyshev series of x^2.
-        let series = mono_to_cheb(&[0.0, 0.0, 1.0]);
-        assert!((integrate(&series) - 2.0 / 3.0).abs() < 1e-14);
+        // ∫_{-1}^{1} x^2 dx = 2/3 via the Chebyshev series of x^2,
+        // (T_0 + T_2) / 2.
+        assert!((integrate(&[0.5, 0.0, 0.5]) - 2.0 / 3.0).abs() < 1e-14);
         assert_eq!(t_integral(1), 0.0);
         assert!((t_integral(2) + 2.0 / 3.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn antiderivative_is_cdf_like() {
-        // f = T_0 (constant 1): F(x) = x + 1, F(1) = 2.
-        let f = [1.0];
-        let big_f = antiderivative(&f);
-        assert!((clenshaw(&big_f, -1.0)).abs() < 1e-14);
-        assert!((clenshaw(&big_f, 1.0) - 2.0).abs() < 1e-14);
-        // Derivative check on a generic series by finite differences.
-        let g = [0.2, -0.5, 0.3, 0.1];
-        let big_g = antiderivative(&g);
-        for &x in &[-0.5, 0.0, 0.7] {
-            let h = 1e-6;
-            let d = (clenshaw(&big_g, x + h) - clenshaw(&big_g, x - h)) / (2.0 * h);
-            assert!((d - clenshaw(&g, x)).abs() < 1e-6);
-        }
     }
 
     #[test]

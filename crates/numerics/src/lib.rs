@@ -19,8 +19,6 @@
 //! * [`special`] — erf, inverse normal CDF, log-gamma, binomials.
 //! * [`poly`] — dense monomial-basis polynomial arithmetic.
 
-#![warn(missing_docs)]
-
 pub mod chebyshev;
 pub mod eigen;
 pub mod fct;

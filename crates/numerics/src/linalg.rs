@@ -4,9 +4,10 @@
 //! simple row-major `Vec<f64>` representation with partial-pivoting LU is
 //! both adequate and cache friendly.
 
-// Index-based loops mirror the textbook matrix algorithms here;
-// iterator rewrites would obscure the pivots.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index-based loops mirror the textbook matrix algorithms; iterator rewrites would obscure the pivots"
+)]
 
 use crate::{Error, Result};
 
@@ -102,24 +103,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `A * B`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows);
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += a * other[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -141,11 +124,6 @@ impl Matrix {
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let lu = Lu::factor(self.clone())?;
         Ok(lu.solve(b))
-    }
-
-    /// Cholesky factorization of a symmetric positive definite matrix.
-    pub fn cholesky(&self) -> Result<Cholesky> {
-        Cholesky::factor(self)
     }
 
     /// Inverse via LU (small matrices only).
@@ -347,11 +325,11 @@ mod tests {
     fn inverse_roundtrip() {
         let a = Matrix::from_rows(&[&[4.0, 7.0, 1.0], &[2.0, 6.0, 0.5], &[1.0, 1.0, 3.0]]);
         let inv = a.inverse().unwrap();
-        let prod = a.matmul(&inv);
-        for i in 0..3 {
-            for j in 0..3 {
+        for j in 0..3 {
+            let col: Vec<f64> = (0..3).map(|i| inv[(i, j)]).collect();
+            for (i, v) in a.matvec(&col).into_iter().enumerate() {
                 let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expect).abs() < 1e-10);
+                assert!((v - expect).abs() < 1e-10);
             }
         }
     }
@@ -359,7 +337,7 @@ mod tests {
     #[test]
     fn cholesky_solves_spd() {
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let ch = a.cholesky().unwrap();
+        let ch = Cholesky::factor(&a).unwrap();
         let x = ch.solve(&[2.0, 1.0]);
         // Verify A x = b.
         let b = a.matvec(&x);
@@ -371,7 +349,7 @@ mod tests {
     fn cholesky_rejects_indefinite() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
         assert!(matches!(
-            a.cholesky().err(),
+            Cholesky::factor(&a).err(),
             Some(Error::NotPositiveDefinite { .. })
         ));
     }
@@ -384,12 +362,5 @@ mod tests {
         let t = a.transpose();
         assert_eq!(t.rows(), 3);
         assert_eq!(t[(2, 1)], 6.0);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i), a);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the numerical substrate.
 
 use numerics::chebyshev;
-use numerics::linalg::Matrix;
+use numerics::linalg::{Cholesky, Matrix};
 use numerics::poly;
 use numerics::roots::{brent, real_roots_in, BrentOptions};
 use numerics::special;
@@ -13,16 +13,6 @@ fn small_coeffs(n: usize) -> impl Strategy<Value = Vec<f64>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Chebyshev <-> monomial conversion round-trips.
-    #[test]
-    fn cheb_mono_roundtrip(coeffs in small_coeffs(12)) {
-        let cheb = chebyshev::mono_to_cheb(&coeffs);
-        let back = chebyshev::cheb_to_mono(&cheb);
-        for (a, b) in coeffs.iter().zip(&back) {
-            prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-    }
 
     /// Clenshaw evaluation equals the naive T_k sum.
     #[test]
@@ -72,12 +62,14 @@ proptest! {
     fn cholesky_matches_lu(entries in prop::collection::vec(-1.0f64..1.0, 16), b in prop::collection::vec(-5.0f64..5.0, 4)) {
         // A = M^T M + I is SPD.
         let m = Matrix::from_vec(4, 4, entries);
-        let mut a = m.transpose().matmul(&m);
+        let mut a = Matrix::identity(4);
         for i in 0..4 {
-            a[(i, i)] += 1.0;
+            for j in 0..4 {
+                a[(i, j)] += (0..4).map(|k| m[(k, i)] * m[(k, j)]).sum::<f64>();
+            }
         }
         let x_lu = a.solve(&b).unwrap();
-        let x_ch = a.cholesky().unwrap().solve(&b);
+        let x_ch = Cholesky::factor(&a).unwrap().solve(&b);
         for (l, r) in x_lu.iter().zip(&x_ch) {
             prop_assert!((l - r).abs() < 1e-7);
         }

@@ -27,6 +27,20 @@
 //! in `lint/metrics.golden` by the `metrics` lint rule, like wire tags
 //! and failpoint sites.
 
+// Panic perimeter (lint/README.md): a panic here parks a shard's
+// channel peers or poisons state that later requests share. Test
+// builds may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod registry;
 pub mod trace;
 

@@ -21,6 +21,20 @@
 //! Fault-injection sites honor the `FAILPOINTS` environment variable
 //! (`name=spec;…`), wired through `failpoint::init_from_env()`.
 
+// Panic perimeter (lint/README.md): a panic here parks a shard's
+// channel peers or poisons state that later requests share. Test
+// builds may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use msketch_engine::FsyncPolicy;
 use msketch_server::{MsketchServer, ServeError, ServerConfig};
 use msketch_sketches::SketchSpec;

@@ -89,7 +89,19 @@
 //! `GET /trace` drains, and are mirrored to stderr as JSON once they
 //! cross [`ServerConfig::slow_query`].
 
-#![warn(missing_docs)]
+// Panic perimeter (lint/README.md): a panic here parks a shard's
+// channel peers or poisons state that later requests share. Test
+// builds may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use arc_swap::ArcSwap;
 use moments_sketch::CascadeStats;
@@ -486,8 +498,8 @@ struct ServerState {
 
 impl ServerState {
     /// Lock the engine, shrugging off mutex poisoning. Handlers are
-    /// panic-free by construction (enforced by `msketch-lint`'s `panic`
-    /// rule), so poisoning can only come from a panic injected outside
+    /// panic-free by construction (enforced by the crate's clippy panic
+    /// lints), so poisoning can only come from a panic injected outside
     /// this crate — and even then, one wrecked request must not cascade
     /// a panic through every subsequent one.
     fn lock_engine(&self) -> MutexGuard<'_, DynShardedCube> {

@@ -28,8 +28,6 @@
 //! assert_eq!(restored.count(), 3);
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod api;
 pub mod ewhist;
 pub mod exact;

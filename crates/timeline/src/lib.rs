@@ -3,8 +3,9 @@
 //! The paper's central property — sketches merge in O(k) with no
 //! accuracy loss — makes *two-step* aggregation work: raw rows fold
 //! once into small per-bucket partials, and queries re-aggregate the
-//! partials instead of the rows. This crate adds the time dimension
-//! that the sliding-window engine lacks:
+//! partials instead of the rows. The sharded engine keeps one all-time
+//! snapshot; this crate keeps the same rows by time as well, so a query
+//! can ask for any `[t0, t1)` range:
 //!
 //! 1. **Bucketing** ([`Timeline::insert`]): each row carries a
 //!    millisecond timestamp and lands in a fixed-width base bucket
@@ -37,6 +38,20 @@
 //! merge in decoded-value order, covers merge in time order), so two
 //! stores holding the same segments answer queries bit-identically —
 //! including across a crash and restart.
+
+// Panic perimeter (lint/README.md): a panic here parks a shard's
+// channel peers or poisons state that later requests share. Test
+// builds may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod ladder;
 mod planner;
