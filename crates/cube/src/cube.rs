@@ -6,21 +6,294 @@
 //! merge the summaries of every cell matching a filter; with cheap merges
 //! this is the whole query cost model of Section 3.3:
 //! `t_query = t_merge · n_merge + t_est`.
+//!
+//! Merges happen in one canonical order (decoded value tuples, see
+//! [`DataCube::matching_sorted`]). The store establishes that order
+//! once per cube state, at its second ordered read (or first unfiltered
+//! one), and every later read filters it; a write that only replaces
+//! summaries keeps it, and a write that adds, removes or rekeys cells
+//! discards it.
 
 use crate::batch::ColumnarBatch;
 use crate::dictionary::Dictionary;
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::{Error, Result};
 use msketch_sketches::traits::{QuantileSummary, Sketch, SummaryFactory};
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A borrowed cube cell: encoded key plus pre-aggregated summary.
-pub type CellRef<'a, S> = (&'a Vec<u32>, &'a S);
+pub type CellRef<'a, S> = (&'a [u32], &'a S);
 
-/// A cell lifted out of the store for a deterministic rewrite: decoded
-/// name tuple (the sort key), rewritten dictionary-id key, and summary.
-type FoldedCell<S> = (Vec<String>, Vec<u32>, Arc<S>);
+/// The canonical cell order: keys compare by their decoded value
+/// tuples, dimension by dimension. It depends only on the data, never on
+/// how dictionaries assigned ids, so every read, delta and fold that
+/// follows it is reproducible across differently built cubes. Equal ids
+/// are equal names, so only differing ids are decoded.
+pub(crate) fn canonical_cmp(dims: &[Dictionary], a: &[u32], b: &[u32]) -> Ordering {
+    for ((&x, &y), dict) in a.iter().zip(b).zip(dims) {
+        if x != y {
+            let by_name = dict
+                .decode(x)
+                .unwrap_or("")
+                .cmp(dict.decode(y).unwrap_or(""));
+            if by_name != Ordering::Equal {
+                return by_name;
+            }
+        }
+    }
+    Ordering::Equal
+}
+
+/// Does a cell key match a filter (`None` = wildcard per dimension)?
+#[inline]
+fn key_matches(key: &[u32], filter: &[Option<u32>]) -> bool {
+    key.iter()
+        .zip(filter)
+        .all(|(k, f)| f.is_none_or(|v| v == *k))
+}
+
+/// The first index in `lo..hi` where `below` turns false, for a
+/// `below` that is true on a prefix of the range.
+fn partition_point(mut lo: usize, mut hi: usize, below: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Every row of a [`CellStore`] in canonical order, with the rows' keys
+/// copied alongside as one flat id column, so a filtered read is a
+/// linear scan of contiguous ids.
+struct Order {
+    /// Rows (indices into the store's summaries), in canonical order.
+    rows: Vec<u32>,
+    /// The keys of `rows`, in the same order, `arity` ids per row.
+    keys: Vec<u32>,
+}
+
+impl Order {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn key(&self, i: usize, arity: usize) -> &[u32] {
+        &self.keys[i * arity..(i + 1) * arity]
+    }
+}
+
+/// The cells of a [`DataCube`]: a key → row index, summaries by row,
+/// and the canonical order of the rows.
+///
+/// The store owns the only path to its cells, so the order cannot go
+/// stale: replacing or mutating the summary of an existing cell leaves
+/// it as it is, and adding or removing a cell drops it for a later
+/// ordered read to rebuild. Cloning shares the order (`Arc`), so a
+/// cube cloned for a snapshot or checkpoint inherits it.
+#[derive(Clone)]
+pub(crate) struct CellStore<S> {
+    /// Ids per key — the cube's dimension count.
+    arity: usize,
+    /// Key → row.
+    index: HashMap<Vec<u32>, u32>,
+    /// Summaries by row; rows are appended, and removal swaps the last
+    /// row into the hole.
+    summaries: Vec<Arc<S>>,
+    /// The canonical order of every row, built by the first unfiltered
+    /// or second ordered read of the state.
+    order: OnceLock<Arc<Order>>,
+    /// Set by the first filtered read of a state with no order, which
+    /// scans instead of building one.
+    scanned: OnceLock<()>,
+}
+
+impl<S> CellStore<S> {
+    pub(crate) fn new(arity: usize) -> Self {
+        Self::with_capacity(arity, 0)
+    }
+
+    pub(crate) fn with_capacity(arity: usize, cells: usize) -> Self {
+        CellStore {
+            arity,
+            index: HashMap::with_capacity(cells),
+            summaries: Vec::with_capacity(cells),
+            order: OnceLock::new(),
+            scanned: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.summaries.len()
+    }
+
+    /// Room for `cells` more cells without regrowing.
+    pub(crate) fn reserve(&mut self, cells: usize) {
+        self.index.reserve(cells);
+        self.summaries.reserve(cells);
+    }
+
+    pub(crate) fn get(&self, key: &[u32]) -> Option<&Arc<S>> {
+        let &row = self.index.get(key)?;
+        Some(&self.summaries[row as usize])
+    }
+
+    /// The summary of an existing cell, for an in-place update.
+    pub(crate) fn get_mut(&mut self, key: &[u32]) -> Option<&mut Arc<S>> {
+        let &row = self.index.get(key)?;
+        Some(&mut self.summaries[row as usize])
+    }
+
+    /// The summary under `key`, adding a cell made by `make` when the
+    /// key is new (one hash lookup either way).
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        key: Vec<u32>,
+        make: impl FnOnce() -> Arc<S>,
+    ) -> &mut Arc<S> {
+        let row = match self.index.entry(key) {
+            Entry::Occupied(e) => *e.get() as usize,
+            Entry::Vacant(e) => {
+                // Made before the index names the row, so a panicking
+                // `make` leaves the store as it was.
+                let summary = make();
+                e.insert(self.summaries.len() as u32);
+                self.push(summary)
+            }
+        };
+        &mut self.summaries[row]
+    }
+
+    /// Store `summary` under `key`, replacing any previous one.
+    pub(crate) fn put(&mut self, key: Vec<u32>, summary: Arc<S>) {
+        match self.index.entry(key) {
+            Entry::Occupied(e) => self.summaries[*e.get() as usize] = summary,
+            Entry::Vacant(e) => {
+                e.insert(self.summaries.len() as u32);
+                self.push(summary);
+            }
+        }
+    }
+
+    /// Append the summary of the row the index just named, dropping the
+    /// built order; returns the row.
+    fn push(&mut self, summary: Arc<S>) -> usize {
+        self.summaries.push(summary);
+        self.new_state();
+        self.summaries.len() - 1
+    }
+
+    /// The set of cells changed: forget the order and the reads of it.
+    fn new_state(&mut self) {
+        self.order.take();
+        self.scanned.take();
+    }
+
+    /// Drop the cell under `key`, if any.
+    pub(crate) fn remove(&mut self, key: &[u32]) {
+        let Some(row) = self.index.remove(key) else {
+            return;
+        };
+        let last = self.summaries.len() as u32 - 1;
+        self.summaries.swap_remove(row as usize);
+        if row != last {
+            if let Some(moved) = self.index.values_mut().find(|r| **r == last) {
+                *moved = row;
+            }
+        }
+        self.new_state();
+    }
+
+    /// Every cell, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Vec<u32>, &Arc<S>)> {
+        self.index
+            .iter()
+            .map(|(key, &row)| (key, &self.summaries[row as usize]))
+    }
+
+    /// Cells matching `filter`, in canonical order.
+    ///
+    /// The first filtered read of a state without an order filters
+    /// every cell and sorts only the matches: a cube read once (a range
+    /// read's answer) never sorts the cells it skips. Any later read, or
+    /// an unfiltered first one, sorts every cell once into the order.
+    /// When the filter fixes the leading dimension(s), their cells are
+    /// one contiguous run of the order, found by binary search; the run
+    /// is then filtered linearly on the flat key column.
+    pub(crate) fn ordered<'s, 'f>(
+        &'s self,
+        dims: &[Dictionary],
+        filter: &'f [Option<u32>],
+    ) -> impl Iterator<Item = (&'s [u32], &'s Arc<S>)> + use<'s, 'f, S> {
+        let scan = (self.order.get().is_none()
+            && filter.iter().any(Option::is_some)
+            && self.scanned.set(()).is_ok())
+        .then(|| {
+            let mut cells: Vec<(&[u32], &Arc<S>)> = self
+                .iter()
+                .filter(|(key, _)| key_matches(key, filter))
+                .map(|(key, summary)| (key.as_slice(), summary))
+                .collect();
+            cells.sort_unstable_by(|a, b| canonical_cmp(dims, a.0, b.0));
+            cells
+        });
+        let run = scan.is_none().then(|| self.run(dims, filter));
+        scan.into_iter().flatten().chain(run.into_iter().flatten())
+    }
+
+    /// Cells matching `filter`, read from the order (built if need be).
+    fn run<'s, 'f>(
+        &'s self,
+        dims: &[Dictionary],
+        filter: &'f [Option<u32>],
+    ) -> impl Iterator<Item = (&'s [u32], &'s Arc<S>)> + use<'s, 'f, S> {
+        let order = self.order.get_or_init(|| Arc::new(self.build_order(dims)));
+        let arity = self.arity;
+        // Only ids the dictionaries know can narrow: an unknown id
+        // matches no cell, which the linear filter decides exactly.
+        let fixed = filter
+            .iter()
+            .zip(dims)
+            .take_while(|(f, dict)| f.is_some_and(|id| dict.decode(id).is_some()))
+            .count();
+        let (mut lo, mut hi) = (0, order.len());
+        if fixed > 0 {
+            let target: Vec<u32> = filter[..fixed].iter().flatten().copied().collect();
+            let cmp = |i: usize| canonical_cmp(dims, &order.key(i, arity)[..fixed], &target);
+            lo = partition_point(lo, hi, |i| cmp(i) == Ordering::Less);
+            hi = partition_point(lo, hi, |i| cmp(i) == Ordering::Equal);
+        }
+        (lo..hi).filter_map(move |i| {
+            let key = order.key(i, arity);
+            key_matches(key, filter).then(|| (key, &self.summaries[order.rows[i] as usize]))
+        })
+    }
+
+    /// The canonical order of every row.
+    fn build_order(&self, dims: &[Dictionary]) -> Order {
+        let mut sorted: Vec<(&[u32], u32)> = self
+            .index
+            .iter()
+            .map(|(key, &row)| (key.as_slice(), row))
+            .collect();
+        sorted.sort_unstable_by(|a, b| canonical_cmp(dims, a.0, b.0));
+        let mut order = Order {
+            rows: Vec::with_capacity(sorted.len()),
+            keys: Vec::with_capacity(sorted.len() * self.arity),
+        };
+        for (key, row) in sorted {
+            order.rows.push(row);
+            order.keys.extend_from_slice(key);
+        }
+        order
+    }
+}
 
 /// An in-memory data cube of pre-aggregated summaries.
 ///
@@ -35,7 +308,7 @@ pub struct DataCube<F: SummaryFactory> {
     pub(crate) factory: F,
     pub(crate) dims: Vec<Dictionary>,
     pub(crate) dim_names: Vec<String>,
-    pub(crate) cells: HashMap<Vec<u32>, Arc<F::Summary>>,
+    pub(crate) cells: CellStore<F::Summary>,
     pub(crate) rows: u64,
 }
 
@@ -46,7 +319,7 @@ impl<F: SummaryFactory> DataCube<F> {
             factory,
             dims: dim_names.iter().map(|_| Dictionary::new()).collect(),
             dim_names: dim_names.iter().map(|s| s.to_string()).collect(),
-            cells: HashMap::new(),
+            cells: CellStore::new(dim_names.len()),
             rows: 0,
         }
     }
@@ -91,8 +364,7 @@ impl<F: SummaryFactory> DataCube<F> {
             .collect();
         Arc::make_mut(
             self.cells
-                .entry(key)
-                .or_insert_with(|| Arc::new(self.factory.build())),
+                .get_or_insert_with(key, || Arc::new(self.factory.build())),
         )
         .accumulate(metric);
         self.rows += 1;
@@ -234,8 +506,7 @@ impl<F: SummaryFactory> DataCube<F> {
             let start = starts[slot] as usize;
             Arc::make_mut(
                 self.cells
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(self.factory.build())),
+                    .get_or_insert_with(key, || Arc::new(self.factory.build())),
             )
             .accumulate_all(&scattered[start..start + count as usize]);
         }
@@ -265,8 +536,7 @@ impl<F: SummaryFactory> DataCube<F> {
             }
             Arc::make_mut(
                 self.cells
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(self.factory.build())),
+                    .get_or_insert_with(key, || Arc::new(self.factory.build())),
             )
             .accumulate_all(&metrics);
         }
@@ -310,10 +580,15 @@ impl<F: SummaryFactory> DataCube<F> {
             .zip(&other.dims)
             .map(|(mine, theirs)| mine.merge_remap(theirs))
             .collect();
+        // Into an empty cube (a range read's first segment) every cell
+        // is new: size the store once instead of regrowing it.
+        if self.cells.len() == 0 {
+            self.cells.reserve(other.cells.len());
+        }
         // Plain map iteration: `merge_remap` is injective, so every
         // remapped key targets a distinct destination cell — each cell
         // receives at most one `merge_from` per call, making visit order
-        // irrelevant to the result (read paths re-sort for determinism).
+        // irrelevant to the result (reads follow the canonical order).
         // One key buffer serves every lookup; only a cell new to this
         // cube allocates its key.
         let mut new_key: Vec<u32> = Vec::with_capacity(remaps.len());
@@ -324,11 +599,9 @@ impl<F: SummaryFactory> DataCube<F> {
                     .zip(&remaps)
                     .map(|(&id, remap)| remap[id as usize]),
             );
-            match self.cells.get_mut(new_key.as_slice()) {
+            match self.cells.get_mut(&new_key) {
                 Some(cell) => Arc::make_mut(cell).merge_from(summary),
-                None => {
-                    self.cells.insert(new_key.clone(), Arc::clone(summary));
-                }
+                None => self.cells.put(new_key.clone(), Arc::clone(summary)),
             }
         }
         self.rows += other.rows;
@@ -352,7 +625,7 @@ impl<F: SummaryFactory> DataCube<F> {
     /// an existing cell under the key is replaced, and the row count is
     /// left untouched (callers set it via [`Self::set_row_count`]).
     pub fn insert_cell_shared(&mut self, key: Vec<u32>, summary: Arc<F::Summary>) {
-        self.cells.insert(key, summary);
+        self.cells.put(key, summary);
     }
 
     /// Overwrite the row count — the delta-application path accounts
@@ -376,7 +649,7 @@ impl<F: SummaryFactory> DataCube<F> {
             factory: self.factory.clone(),
             dims: self.dims.clone(),
             dim_names: self.dim_names.clone(),
-            cells: HashMap::new(),
+            cells: CellStore::new(self.dims.len()),
             rows: 0,
         }
     }
@@ -384,9 +657,7 @@ impl<F: SummaryFactory> DataCube<F> {
     /// Does a cell key match a filter (`None` = wildcard per dimension)?
     #[inline]
     pub fn matches(key: &[u32], filter: &[Option<u32>]) -> bool {
-        key.iter()
-            .zip(filter)
-            .all(|(k, f)| f.is_none_or(|v| v == *k))
+        key_matches(key, filter)
     }
 
     /// Matching cells in sorted dimension-*name* order.
@@ -401,27 +672,30 @@ impl<F: SummaryFactory> DataCube<F> {
     /// the data: two cubes holding the same logical cells produce
     /// bit-identical aggregates no matter how they were built — the
     /// property the concurrent engine's snapshot-equivalence guarantee
-    /// (and test suite) rests on. The sort compares short string tuples;
-    /// its cost is negligible next to the summary merges it orders.
+    /// (and test suite) rests on.
+    ///
+    /// The order is not sorted per call. The first filtered read of a
+    /// cube state filters every cell and sorts just the matches, so a
+    /// cube read once (a range read's answer) sorts no more than it
+    /// merges. The next ordered read, or an unfiltered first one, sorts
+    /// every cell once (a cube clone — an engine snapshot — shares the
+    /// result); later reads binary-search the run of a filter's fixed
+    /// leading dimensions and filter it linearly. Writes keep the order
+    /// as long as they only replace summaries; a write that adds or
+    /// removes a cell, or a fold into `other`, drops it.
     ///
     /// Public so callers that walk cells themselves (the cascade
     /// benchmarks) see the exact merge order of [`Self::rollup`].
     pub fn matching_sorted(&self, filter: &[Option<u32>]) -> Vec<CellRef<'_, F::Summary>> {
-        let mut matching: Vec<(Vec<&str>, CellRef<'_, F::Summary>)> = self
-            .cells
-            .iter()
-            .filter(|(k, _)| Self::matches(k, filter))
-            .map(|(k, s)| {
-                let names: Vec<&str> = k
-                    .iter()
-                    .zip(&self.dims)
-                    .map(|(&id, dict)| dict.decode(id).unwrap_or(""))
-                    .collect();
-                (names, (k, &**s))
-            })
-            .collect();
-        matching.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        matching.into_iter().map(|(_, kv)| kv).collect()
+        self.ordered(filter).map(|(k, s)| (k, &**s)).collect()
+    }
+
+    /// [`Self::matching_sorted`] as an iterator over shared summaries.
+    pub(crate) fn ordered<'s, 'f>(
+        &'s self,
+        filter: &'f [Option<u32>],
+    ) -> impl Iterator<Item = (&'s [u32], &'s Arc<F::Summary>)> + use<'s, 'f, F> {
+        self.cells.ordered(&self.dims, filter)
     }
 
     /// All cells in deterministic (decoded value tuple) order — the
@@ -449,24 +723,8 @@ impl<F: SummaryFactory> DataCube<F> {
         group_dims: &[usize],
         filter: &[Option<u32>],
     ) -> Result<HashMap<Vec<u32>, F::Summary>> {
-        for &d in group_dims {
-            if d >= self.dims.len() {
-                return Err(Error::NoSuchDimension(d));
-            }
-        }
-        let mut groups: HashMap<Vec<u32>, F::Summary> = HashMap::new();
-        for (key, summary) in self.matching_sorted(filter) {
-            let gkey: Vec<u32> = group_dims.iter().map(|&d| key[d]).collect();
-            match groups.entry(gkey) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().merge_from(summary)
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(summary.clone());
-                }
-            }
-        }
-        Ok(groups)
+        crate::query::sorted_groups(self, group_dims, filter)
+            .map(|(groups, _)| groups.into_iter().collect())
     }
 
     /// A wildcard filter for this cube's arity.
@@ -553,30 +811,22 @@ impl<F: SummaryFactory> DataCube<F> {
         if other == victim {
             return;
         }
-        let old = std::mem::take(&mut self.cells);
-        let mut ordered: Vec<FoldedCell<F::Summary>> = old
-            .into_iter()
-            .map(|(mut key, summary)| {
-                let names: Vec<String> = key
-                    .iter()
-                    .zip(&self.dims)
-                    .map(|(&id, dict)| dict.decode(id).unwrap_or("").to_string())
-                    .collect();
+        let all = self.no_filter();
+        let folded: Vec<(Vec<u32>, Arc<F::Summary>)> = self
+            .ordered(&all)
+            .map(|(key, summary)| {
+                let mut key = key.to_vec();
                 if key[dim] == victim {
                     key[dim] = other;
                 }
-                (names, key, summary)
+                (key, Arc::clone(summary))
             })
             .collect();
-        ordered.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (_, key, summary) in ordered {
-            match self.cells.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    Arc::make_mut(e.get_mut()).merge_from(&summary)
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(summary);
-                }
+        self.cells = CellStore::new(self.dims.len());
+        for (key, summary) in folded {
+            match self.cells.get_mut(&key) {
+                Some(cell) => Arc::make_mut(cell).merge_from(&summary),
+                None => self.cells.put(key, summary),
             }
         }
     }
@@ -601,18 +851,17 @@ impl<F: SummaryFactory> DataCube<F> {
                 .iter()
                 .map(|&d| self.dim_names[d].clone())
                 .collect(),
-            cells: HashMap::new(),
+            cells: CellStore::new(keep_dims.len()),
             rows: self.rows,
         };
-        for (key, summary) in self.matching_sorted(&self.no_filter()) {
-            let new_key: Vec<u32> = keep_dims.iter().map(|&d| key[d]).collect();
-            match out.cells.entry(new_key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    Arc::make_mut(e.get_mut()).merge_from(summary)
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(Arc::new(summary.clone()));
-                }
+        let all = self.no_filter();
+        let mut new_key: Vec<u32> = Vec::with_capacity(keep_dims.len());
+        for (key, summary) in self.ordered(&all) {
+            new_key.clear();
+            new_key.extend(keep_dims.iter().map(|&d| key[d]));
+            match out.cells.get_mut(&new_key) {
+                Some(cell) => Arc::make_mut(cell).merge_from(summary),
+                None => out.cells.put(new_key.clone(), Arc::clone(summary)),
             }
         }
         Ok(out)
@@ -945,6 +1194,158 @@ mod tests {
         assert_eq!(cube.row_count(), 3);
         let all = cube.rollup(&cube.no_filter()).unwrap();
         assert_eq!(all.count(), 3);
+    }
+
+    /// The built order's allocation, if a read has built one.
+    fn order_of<F: SummaryFactory>(cube: &DataCube<F>) -> Option<*const Order> {
+        cube.cells.order.get().map(Arc::as_ptr)
+    }
+
+    /// The decoded keys of `cells_sorted`, and of every cell decoded
+    /// and sorted from scratch: equal when the store's order is right.
+    fn read_and_reference<F: SummaryFactory>(cube: &DataCube<F>) -> [Vec<Vec<&str>>; 2] {
+        let decode = |key: &[u32]| -> Vec<&str> {
+            key.iter()
+                .zip(&cube.dims)
+                .map(|(&id, dict)| dict.decode(id).unwrap())
+                .collect()
+        };
+        let read = cube
+            .cells_sorted()
+            .iter()
+            .map(|(key, _)| decode(key))
+            .collect();
+        let mut reference: Vec<Vec<&str>> = cube.cells().map(|(key, _)| decode(key)).collect();
+        reference.sort_unstable();
+        [read, reference]
+    }
+
+    #[test]
+    fn summary_only_delta_keeps_the_order_allocation() {
+        let mut shard = small_cube();
+        let mut cube = small_cube().schema_clone();
+        cube.apply_delta(&shard.full_delta(), &FxHashMap::default())
+            .unwrap();
+        let before = cube.cells_sorted().len();
+        let order = order_of(&cube).expect("a read builds the order");
+        // New rows for existing cells only: every summary is replaced.
+        for i in 0..50 {
+            shard
+                .insert(&[["US", "CA"][i % 2], ["v1", "v2", "v3"][i % 3]], i as f64)
+                .unwrap();
+        }
+        cube.apply_delta(&shard.full_delta(), &FxHashMap::default())
+            .unwrap();
+        assert_eq!(order_of(&cube), Some(order));
+        assert_eq!(cube.cells_sorted().len(), before);
+        assert_eq!(order_of(&cube), Some(order));
+        // The read sees the replaced summaries through the kept order.
+        assert_eq!(cube.rollup(&cube.no_filter()).unwrap().count(), 4050);
+    }
+
+    #[test]
+    fn order_after_a_delta_that_adds_cells_equals_a_fresh_build() {
+        let mut shard = small_cube();
+        let mut cube = small_cube().schema_clone();
+        cube.apply_delta(&shard.full_delta(), &FxHashMap::default())
+            .unwrap();
+        cube.cells_sorted();
+        assert!(order_of(&cube).is_some(), "a read builds the order");
+        // Values that sort before, between and after the existing ones.
+        for (country, version) in [("AA", "v0"), ("DE", "v2"), ("ZZ", "v9"), ("US", "v4")] {
+            shard.insert(&[country, version], 1.0).unwrap();
+        }
+        let applied = cube
+            .apply_delta(&shard.full_delta(), &FxHashMap::default())
+            .unwrap();
+        assert_eq!(order_of(&cube), None, "adding cells drops the order");
+        let [read, reference] = read_and_reference(&cube);
+        assert_eq!(read.len(), 10);
+        assert_eq!(read, reference);
+        // The twin buffer replays the same adds and drops its order too.
+        let mut twin = small_cube().schema_clone();
+        twin.apply_delta(&small_cube().full_delta(), &FxHashMap::default())
+            .unwrap();
+        twin.cells_sorted();
+        twin.replay_applied(&applied);
+        assert_eq!(order_of(&twin), None);
+        let [replayed, twin_reference] = read_and_reference(&twin);
+        assert_eq!(replayed, twin_reference);
+        assert_eq!(replayed, read);
+    }
+
+    #[test]
+    fn a_first_filtered_read_scans_and_the_next_read_builds_the_order() {
+        let mut cube = small_cube();
+        let us = cube.dictionary(0).unwrap().lookup("US").unwrap();
+        let filter = [Some(us), None];
+        let scanned: Vec<Vec<u32>> = cube
+            .matching_sorted(&filter)
+            .iter()
+            .map(|c| c.0.to_vec())
+            .collect();
+        assert_eq!(scanned.len(), 3);
+        assert_eq!(order_of(&cube), None, "one filtered read sorts no order");
+        let ordered: Vec<Vec<u32>> = cube
+            .matching_sorted(&filter)
+            .iter()
+            .map(|c| c.0.to_vec())
+            .collect();
+        assert!(order_of(&cube).is_some(), "the second read builds it");
+        assert_eq!(scanned, ordered);
+        // A new cell starts a new state; an unfiltered read builds at once.
+        cube.insert(&["MX", "v1"], 1.0).unwrap();
+        assert_eq!(order_of(&cube), None);
+        let [read, reference] = read_and_reference(&cube);
+        assert!(order_of(&cube).is_some());
+        assert_eq!(read, reference);
+    }
+
+    #[test]
+    fn prefix_filters_read_the_same_cells_as_a_scan() {
+        let cube = small_cube();
+        let card = |d: usize| cube.dictionary(d).unwrap().cardinality() as u32;
+        // Every fixed prefix, plus ids no dictionary holds.
+        let mut filters = vec![cube.no_filter(), vec![Some(u32::MAX), None]];
+        for c in 0..=card(0) {
+            filters.push(vec![Some(c), None]);
+            for v in 0..=card(1) {
+                filters.push(vec![Some(c), Some(v)]);
+                filters.push(vec![None, Some(v)]);
+            }
+        }
+        let all = cube.cells_sorted();
+        for filter in filters {
+            let got: Vec<&[u32]> = cube.matching_sorted(&filter).iter().map(|c| c.0).collect();
+            let want: Vec<&[u32]> = all
+                .iter()
+                .map(|c| c.0)
+                .filter(|key| key_matches(key, &filter))
+                .collect();
+            assert_eq!(got, want, "filter {filter:?}");
+        }
+    }
+
+    #[test]
+    fn removal_and_folds_rebuild_the_order() {
+        let mut live = small_cube();
+        let mut checkpoint = live.clone();
+        // A touched key the live cube lacks is removed from the checkpoint.
+        let gone = checkpoint.cells_sorted()[0].0.to_vec();
+        let mut touched = FxHashSet::default();
+        touched.insert(gone.clone());
+        live.cells.remove(&gone);
+        checkpoint.sync_checkpoint(&live, &touched);
+        assert_eq!(order_of(&checkpoint), None);
+        assert!(checkpoint.cells.get(&gone).is_none());
+        let [read, reference] = read_and_reference(&checkpoint);
+        assert_eq!(read.len(), 5);
+        assert_eq!(read, reference);
+        checkpoint.enforce_cell_budget(2, "<other>");
+        assert_eq!(order_of(&checkpoint), None);
+        let [read, reference] = read_and_reference(&checkpoint);
+        assert_eq!(read.len(), checkpoint.cell_count());
+        assert_eq!(read, reference);
     }
 
     #[test]

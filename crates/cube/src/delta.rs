@@ -40,15 +40,11 @@
     )
 )]
 
-use crate::cube::DataCube;
+use crate::cube::{canonical_cmp, DataCube};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::{Error, Result};
 use msketch_sketches::traits::{QuantileSummary, SummaryFactory};
 use std::sync::Arc;
-
-/// A cell staged for deterministic delta encoding: decoded name tuple
-/// (the sort key), the raw dictionary-id key, and the shared summary.
-type DecodedCell<'a, S> = (Vec<&'a str>, &'a Vec<u32>, &'a Arc<S>);
 
 /// The cells one shard touched since the last epoch, self-describing.
 ///
@@ -190,13 +186,19 @@ impl<F: SummaryFactory> DataCube<F> {
     /// cube's id space). Keys absent from the cell store are skipped —
     /// a key this cube never materialized was never shipped either.
     pub fn build_delta(&self, touched: &FxHashSet<Vec<u32>>) -> CubeDelta<F::Summary> {
-        self.delta_of(touched.iter())
+        let mut cells: Vec<(&[u32], &Arc<F::Summary>)> = touched
+            .iter()
+            .filter_map(|key| Some((key.as_slice(), self.cells.get(key)?)))
+            .collect();
+        cells.sort_unstable_by(|a, b| canonical_cmp(&self.dims, a.0, b.0));
+        self.delta_of(cells)
     }
 
     /// Build a delta carrying *every* cell — the rotation path, where
     /// the retiring pane must be shipped whole.
     pub fn full_delta(&self) -> CubeDelta<F::Summary> {
-        self.delta_of(self.cells.keys())
+        let all = self.no_filter();
+        self.delta_of(self.ordered(&all))
     }
 
     /// Bring a checkpoint clone of `live` back up to date after the
@@ -216,50 +218,37 @@ impl<F: SummaryFactory> DataCube<F> {
         }
         for key in touched {
             match live.cells.get(key) {
-                Some(summary) => {
-                    self.cells.insert(key.to_owned(), Arc::clone(summary));
-                }
+                Some(summary) => self.cells.put(key.to_owned(), Arc::clone(summary)),
                 // A touched key missing from the live cube can only
                 // mean the cell never materialized; mirror that.
-                None => {
-                    self.cells.remove(key);
-                }
+                None => self.cells.remove(key),
             }
         }
         self.rows = live.rows;
     }
 
-    fn delta_of<'a>(&'a self, keys: impl Iterator<Item = &'a Vec<u32>>) -> CubeDelta<F::Summary> {
-        // Deterministic decoded-tuple order, the repo-wide convention:
-        // the same logical delta is byte-identical no matter how the
-        // touched set iterated.
-        let mut ordered: Vec<DecodedCell<'a, F::Summary>> = keys
-            .filter_map(|key| {
-                let summary = self.cells.get(key)?;
-                let names: Vec<&str> = key
-                    .iter()
-                    .zip(&self.dims)
-                    .map(|(&id, dict)| dict.decode(id).unwrap_or(""))
-                    .collect();
-                Some((names, key, summary))
-            })
-            .collect();
-        ordered.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-
+    /// Encode `cells`, given in canonical order (the repo-wide
+    /// convention: the same logical delta is byte-identical no matter
+    /// how the touched set iterated), against fresh per-delta pools.
+    fn delta_of<'a>(
+        &'a self,
+        ordered: impl IntoIterator<Item = (&'a [u32], &'a Arc<F::Summary>)>,
+    ) -> CubeDelta<F::Summary> {
         let mut pools: Vec<Vec<String>> = self.dims.iter().map(|_| Vec::new()).collect();
         let mut memos: Vec<FxHashMap<u32, u32>> =
             self.dims.iter().map(|_| FxHashMap::default()).collect();
-        let mut cells = Vec::with_capacity(ordered.len());
-        for (names, key, summary) in ordered {
+        let mut cells = Vec::new();
+        for (key, summary) in ordered {
             let mut pool_key = Vec::with_capacity(key.len());
-            for (((&id, name), memo), pool) in key.iter().zip(names).zip(&mut memos).zip(&mut pools)
+            for (((&id, dict), memo), pool) in
+                key.iter().zip(&self.dims).zip(&mut memos).zip(&mut pools)
             {
                 let pid = match memo.get(&id) {
                     Some(&p) => p,
                     None => {
                         let p = pool.len() as u32;
                         memo.insert(id, p);
-                        pool.push(name.to_string());
+                        pool.push(dict.decode(id).unwrap_or("").to_string());
                         p
                     }
                 };
@@ -321,7 +310,7 @@ impl<F: SummaryFactory> DataCube<F> {
                 }
                 None => Arc::clone(summary),
             };
-            self.cells.insert(key.clone(), Arc::clone(&resolved));
+            self.cells.put(key.clone(), Arc::clone(&resolved));
             cells.push((key, resolved));
         }
         Ok(AppliedDelta {
@@ -343,7 +332,7 @@ impl<F: SummaryFactory> DataCube<F> {
             }
         }
         for (key, summary) in &applied.cells {
-            self.cells.insert(key.clone(), Arc::clone(summary));
+            self.cells.put(key.clone(), Arc::clone(summary));
         }
         self.rows = applied.rows;
     }

@@ -14,7 +14,12 @@
 //!   hash;
 //! * [`cube`] — the cell store: ingest rows (one at a time or batched),
 //!   union concurrently built cubes, pre-aggregate per cell, roll-up
-//!   with filters (sequentially or with parallel sharded merges);
+//!   with filters. Every read merges in one canonical (decoded-tuple)
+//!   cell order that the store sorts once per cube state, at its second
+//!   ordered read (the first filtered one sorts only its matches);
+//!   writes that only replace summaries keep it, writes that add or
+//!   remove cells drop it, and reads binary-search a filter's fixed
+//!   leading dimensions and filter the rest linearly;
 //! * [`query`] — single-quantile and group-by/HAVING threshold queries,
 //!   with the cascade fast path for moments-sketch cells;
 //! * [`window`] — time panes and sliding windows, including the turnstile

@@ -6,6 +6,7 @@ use crate::Result;
 use moments_sketch::{CascadeConfig, CascadeStats, ThresholdEvaluator};
 use msketch_sketches::traits::{QuantileSummary, Sketch, SummaryFactory};
 use serde::Serialize;
+use std::collections::HashMap;
 
 /// A multi-quantile roll-up answer in wire-friendly form: plain decoded
 /// fields, no summary handles — what the HTTP serving layer renders to
@@ -62,29 +63,51 @@ pub fn fold_cells<F: SummaryFactory>(
     cube: &DataCube<F>,
     filter: &[Option<u32>],
 ) -> Option<(F::Summary, usize)> {
-    let matching = cube.matching_sorted(filter);
-    let cells_merged = matching.len();
-    let mut cells = matching.into_iter().map(|(_, summary)| summary);
-    let mut merged = cells.next()?.clone();
+    let mut cells = cube.ordered(filter).map(|(_, summary)| summary);
+    let mut merged = (**cells.next()?).clone();
+    let mut cells_merged = 1;
     for summary in cells {
         merged.merge_from(summary);
+        cells_merged += 1;
     }
     Some((merged, cells_merged))
 }
 
-/// Matching cells grouped by `group_dims`, in sorted-key order — the
-/// one group scan of the workspace, and the deterministic evaluation
-/// order of every group query ([`QueryEngine::group_quantiles_decoded`],
+/// Matching cells grouped by `group_dims`, in sorted-key order, with
+/// the number of cells merged into them — the one group scan of the
+/// workspace, and the deterministic evaluation order of every group
+/// query ([`QueryEngine::group_quantiles_decoded`],
 /// [`GroupThresholdQuery::run_cube_decoded`], MacroBase's
-/// `search_cube`). No matching cell is no group, not an error.
+/// `search_cube`, [`DataCube::group_by`]). Each group merges its cells
+/// in canonical order; one key buffer serves every lookup, so only a
+/// new group allocates its key. No matching cell is no group, not an
+/// error.
+#[expect(clippy::type_complexity, reason = "the groups plus one count")]
 pub fn sorted_groups<F: SummaryFactory>(
     cube: &DataCube<F>,
     group_dims: &[usize],
     filter: &[Option<u32>],
-) -> Result<Vec<(Vec<u32>, F::Summary)>> {
-    let mut groups: Vec<_> = cube.group_by(group_dims, filter)?.into_iter().collect();
+) -> Result<(Vec<(Vec<u32>, F::Summary)>, usize)> {
+    if let Some(&d) = group_dims.iter().find(|&&d| d >= cube.dim_count()) {
+        return Err(crate::Error::NoSuchDimension(d));
+    }
+    let mut groups: HashMap<Vec<u32>, F::Summary> = HashMap::new();
+    let mut gkey: Vec<u32> = Vec::with_capacity(group_dims.len());
+    let mut cells = 0;
+    for (key, summary) in cube.ordered(filter) {
+        cells += 1;
+        gkey.clear();
+        gkey.extend(group_dims.iter().map(|&d| key[d]));
+        match groups.get_mut(&gkey) {
+            Some(group) => group.merge_from(summary),
+            None => {
+                groups.insert(gkey.clone(), (**summary).clone());
+            }
+        }
+    }
+    let mut groups: Vec<_> = groups.into_iter().collect();
     groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    Ok(groups)
+    Ok((groups, cells))
 }
 
 /// Decode a group key's ids into their dimension values; ids unknown to
@@ -139,7 +162,14 @@ impl QueryEngine {
         filter: &[Option<u32>],
         phis: &[f64],
     ) -> Result<Vec<GroupReport>> {
-        let mut out: Vec<GroupReport> = sorted_groups(cube, group_dims, filter)?
+        let mut span = msketch_obs::span("cube::group_by");
+        let (groups, cells) = sorted_groups(cube, group_dims, filter)?;
+        span.field("groups", groups.len());
+        span.field("cells", cells);
+        drop(span);
+        let mut span = msketch_obs::span("cube::estimate");
+        span.field("groups", groups.len());
+        let mut out: Vec<GroupReport> = groups
             .into_iter()
             .map(|(key, summary)| GroupReport {
                 key: decode_group_key(cube, group_dims, &key),
@@ -150,6 +180,7 @@ impl QueryEngine {
         // Decoded keys depend only on the data, never on dictionary id
         // assignment, so the order is stable across ingest paths.
         out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        drop(span);
         Ok(out)
     }
 }
@@ -192,7 +223,7 @@ impl GroupThresholdQuery {
         filter: &[Option<u32>],
     ) -> Result<ThresholdReport> {
         let mut span = msketch_obs::span("cascade::evaluate");
-        let entries = sorted_groups(cube, group_dims, filter)?;
+        let (entries, _) = sorted_groups(cube, group_dims, filter)?;
         let mut evaluator = ThresholdEvaluator::new(self.cascade);
         let mut hits: Vec<Vec<String>> = Vec::new();
         for (key, summary) in &entries {

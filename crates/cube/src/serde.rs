@@ -22,12 +22,11 @@
 //! 4. cell count (`u32`), then per cell its key (`u32` per dimension)
 //!    and the cell's encoded sketch (length-prefixed, self-describing).
 
-use crate::cube::DataCube;
+use crate::cube::{CellStore, DataCube};
 use crate::dictionary::Dictionary;
 use crate::{Error, Result};
 use msketch_sketches::api::{Reader, SketchError, Writer};
 use msketch_sketches::{sketch_from_bytes, Sketch, SketchSpec};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A cube whose sketch backend is chosen at runtime via [`SketchSpec`].
@@ -79,7 +78,7 @@ impl DynCube {
             }
         }
         w.u32(self.cells.len() as u32);
-        for (key, cell) in &self.cells {
+        for (key, cell) in self.cells.iter() {
             for &id in key {
                 w.u32(id);
             }
@@ -121,7 +120,7 @@ impl DynCube {
             dims.push(dict);
         }
         let n_cells = r.len(4 * n_dims + 4).map_err(Error::Wire)?;
-        let mut cells: HashMap<Vec<u32>, Arc<Box<dyn Sketch>>> = HashMap::with_capacity(n_cells);
+        let mut cells = CellStore::with_capacity(n_dims, n_cells);
         for _ in 0..n_cells {
             let mut key = Vec::with_capacity(n_dims);
             for dict in &dims {
@@ -140,7 +139,7 @@ impl DynCube {
                     got: sketch.kind(),
                 }));
             }
-            cells.insert(key, Arc::new(sketch));
+            cells.put(key, Arc::new(sketch));
         }
         r.finish().map_err(Error::Wire)?;
         Ok(DataCube {
@@ -157,6 +156,7 @@ impl DynCube {
 mod tests {
     use super::*;
     use msketch_sketches::SketchKind;
+    use std::collections::HashMap;
 
     fn runtime_cube(spec: SketchSpec) -> DynCube {
         let mut cube = DynCube::from_spec(spec, &["region", "tier"]);

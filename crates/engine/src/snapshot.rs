@@ -21,6 +21,12 @@ use std::sync::Arc;
 /// merged state republishes the same allocation across delta refreshes
 /// instead of cloning the full cell map.
 ///
+/// The canonical cell order every read merges in is per snapshot, not
+/// per request: an early read sorts the cells once and every later
+/// reader of the snapshot reuses it. The buffer the next refresh
+/// patches keeps that order when the delta only replaces summaries; a
+/// delta that adds cells drops it, to be sorted again.
+///
 /// [`GroupThresholdQuery::run_cube_decoded`]:
 ///     msketch_cube::GroupThresholdQuery::run_cube_decoded
 #[derive(Clone)]

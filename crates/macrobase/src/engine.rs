@@ -148,7 +148,7 @@ impl MacroBaseEngine {
         let threshold = self
             .global_threshold(&all)
             .map_err(SearchError::Threshold)?;
-        let groups = sorted_groups(cube, group_dims, &cube.no_filter())?;
+        let (groups, _) = sorted_groups(cube, group_dims, &cube.no_filter())?;
         let labels: Vec<String> = groups
             .iter()
             .map(|(key, _)| {

@@ -371,8 +371,15 @@ pub(crate) fn threshold(state: &ServerState, req: &Request) -> Outcome<Response>
         Ok(phi) if (0.0..=1.0).contains(&phi) => phi,
         _ => return Err(error(400, "q must be one fraction in [0, 1]")),
     };
-    let Some(t) = req.query_param("t").and_then(|t| t.parse::<f64>().ok()) else {
-        return Err(error(400, "missing or non-numeric threshold \"t\""));
+    // NaN compares false at every cascade stage, so it would fall
+    // through to one max-ent solve per group and then count as a hit;
+    // ±inf stay valid (the simple stage answers them exactly).
+    let Some(t) = req
+        .query_param("t")
+        .and_then(|t| t.parse::<f64>().ok())
+        .filter(|t| !t.is_nan())
+    else {
+        return Err(error(400, "missing, non-numeric or NaN threshold \"t\""));
     };
     let report = GroupThresholdQuery::new(phi, t)
         .run_cube_decoded(selection.cube(), &by, &selection.filter)

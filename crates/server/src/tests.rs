@@ -363,6 +363,11 @@ fn malformed_requests_get_specific_4xx() {
                 &[("by", "")],
                 [NotTaken, Status(400), Status(400), Status(400)],
             ),
+            (
+                "NaN threshold",
+                &[("t", "nan")],
+                [NotTaken, NotTaken, Status(400), NotTaken],
+            ),
             ("unknown parameter", &[("bogus", "1")], [Status(400); 4]),
             ("half a range", &[("t0", "60000")], [Status(400); 4]),
             // `/search` answers for the whole snapshot: a filter is
@@ -376,6 +381,13 @@ fn malformed_requests_get_specific_4xx() {
     );
     let (status, doc) = call(&server, &request("GET", "/threshold", &[("by", "app")], ""));
     assert_eq!(status, 400, "missing t: {doc}");
+    // Infinite thresholds are exact answers, not errors.
+    for (t, hits) in [("inf", 0), ("-inf", 2)] {
+        let query = [("by", "app"), ("t", t)];
+        let (status, doc) = call(&server, &request("GET", "/threshold", &query, ""));
+        assert_eq!(status, 200, "t={t}: {doc}");
+        assert_eq!(doc.get("hits").unwrap().as_array().unwrap().len(), hits);
+    }
 
     // An empty cube is the empty selection on every route.
     let empty = test_server();
