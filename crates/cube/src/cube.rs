@@ -557,29 +557,7 @@ impl<F: SummaryFactory> DataCube<F> {
     /// per call (the id remap is injective), so equal inputs always
     /// produce bit-identical results regardless of hash-map layout.
     pub fn merge_cube(&mut self, other: &DataCube<F>) -> Result<()> {
-        if self.dim_names != other.dim_names {
-            return Err(Error::SchemaMismatch {
-                expected: self.dim_names.clone(),
-                got: other.dim_names.clone(),
-            });
-        }
-        // Typed cubes can't disagree on backend (one concrete summary
-        // type), but boxed cells (`DynCube`) can: merging, say, t-digest
-        // cells into a moments cube would panic in `merge_from` or leave
-        // cells that contradict the cube's own spec. Reject cross-kind
-        // unions up front.
-        if self.factory.kind() != other.factory.kind() {
-            return Err(Error::BackendMismatch {
-                expected: self.factory.build().name(),
-                got: other.factory.build().name(),
-            });
-        }
-        let remaps: Vec<Vec<u32>> = self
-            .dims
-            .iter_mut()
-            .zip(&other.dims)
-            .map(|(mine, theirs)| mine.merge_remap(theirs))
-            .collect();
+        let remaps = self.remap_from(other)?;
         // Into an empty cube (a range read's first segment) every cell
         // is new: size the store once instead of regrowing it.
         if self.cells.len() == 0 {
@@ -606,6 +584,52 @@ impl<F: SummaryFactory> DataCube<F> {
         }
         self.rows += other.rows;
         Ok(())
+    }
+
+    /// [`Self::merge_cube`], except that each of `other`'s cells
+    /// *replaces* the cell under the same names, and `other`'s row
+    /// count becomes this cube's: how WAL replay applies a record of
+    /// the current value of every cell it carries.
+    pub fn replace_cells(&mut self, other: &DataCube<F>) -> Result<()> {
+        let remaps = self.remap_from(other)?;
+        for (key, summary) in other.cells.iter() {
+            let key = key
+                .iter()
+                .zip(&remaps)
+                .map(|(&id, remap)| remap[id as usize]);
+            self.cells.put(key.collect(), Arc::clone(summary));
+        }
+        self.rows = other.rows;
+        Ok(())
+    }
+
+    /// Check that `other` shares this cube's schema and backend, then
+    /// remap its dictionaries into this cube's id space, one id table
+    /// per dimension.
+    fn remap_from(&mut self, other: &DataCube<F>) -> Result<Vec<Vec<u32>>> {
+        if self.dim_names != other.dim_names {
+            return Err(Error::SchemaMismatch {
+                expected: self.dim_names.clone(),
+                got: other.dim_names.clone(),
+            });
+        }
+        // Typed cubes can't disagree on backend (one concrete summary
+        // type), but boxed cells (`DynCube`) can: merging, say, t-digest
+        // cells into a moments cube would panic in `merge_from` or leave
+        // cells that contradict the cube's own spec. Reject cross-kind
+        // unions up front.
+        if self.factory.kind() != other.factory.kind() {
+            return Err(Error::BackendMismatch {
+                expected: self.factory.build().name(),
+                got: other.factory.build().name(),
+            });
+        }
+        Ok(self
+            .dims
+            .iter_mut()
+            .zip(&other.dims)
+            .map(|(mine, theirs)| mine.merge_remap(theirs))
+            .collect())
     }
 
     /// Iterate all `(key, summary)` cells.
@@ -638,9 +662,9 @@ impl<F: SummaryFactory> DataCube<F> {
     /// A cube with this cube's factory, dimension names, *and
     /// dictionaries*, but no cells and zero rows. Keeping the
     /// dictionaries preserves the id space, so cell keys taken from
-    /// this cube stay valid in the clone — the engine rebuilds its
-    /// merged cube this way after a pane rotation without invalidating
-    /// its retained base cells.
+    /// this cube stay valid in the clone — the engine's reference
+    /// refold starts from its recovered base cells this way without
+    /// invalidating their keys.
     pub fn schema_clone(&self) -> DataCube<F>
     where
         F: Clone,
@@ -1084,6 +1108,35 @@ mod tests {
             other => panic!("expected BackendMismatch, got {other:?}"),
         }
         assert_eq!(a.row_count(), 1, "failed merge must not mutate the cube");
+    }
+
+    #[test]
+    fn replace_cells_overwrites_by_name_and_takes_the_row_count() {
+        use msketch_sketches::SketchSpec;
+        let mut base = crate::DynCube::from_spec(SketchSpec::moments(8), &["app"]);
+        for (app, x) in [("a", 1.0), ("b", 2.0), ("b", 3.0)] {
+            base.insert(&[app], x).unwrap();
+        }
+        // The record interned "c" before "b", so its ids differ.
+        let mut record = crate::DynCube::from_spec(SketchSpec::moments(8), &["app"]);
+        for (app, x) in [("c", 9.0), ("b", 4.0)] {
+            record.insert(&[app], x).unwrap();
+        }
+        record.set_row_count(5);
+        base.replace_cells(&record).unwrap();
+        assert_eq!((base.row_count(), base.cell_count()), (5, 3));
+        let count = |cube: &crate::DynCube, app: &str| {
+            let id = cube.dictionary(0).unwrap().lookup(app).unwrap();
+            cube.cells().find(|(k, _)| k[0] == id).unwrap().1.count()
+        };
+        assert_eq!(count(&base, "a"), 1);
+        assert_eq!(count(&base, "b"), 1, "replaced, not merged");
+        assert_eq!(count(&base, "c"), 1);
+        let tdigest = crate::DynCube::from_spec(SketchSpec::tdigest(5.0), &["app"]);
+        assert!(matches!(
+            base.replace_cells(&tdigest),
+            Err(Error::BackendMismatch { .. })
+        ));
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl InternedBatch {
 /// writer's memo is ahead of us and will never re-send these values) —
 /// while `dict_ids` is derived state, rebuilt by
 /// [`DataCube::rebind_tables`] whenever the cube's dictionaries regress
-/// (rollback) or reset (pane rotation).
+/// (a worker's rollback to its checkpoint).
 #[derive(Debug, Clone, Default)]
 pub struct WriterTable {
     /// Writer-pool values, indexed by pool id.
@@ -194,8 +194,7 @@ impl<F: SummaryFactory> DataCube<F> {
         self.delta_of(cells)
     }
 
-    /// Build a delta carrying *every* cell — the rotation path, where
-    /// the retiring pane must be shipped whole.
+    /// Build a delta carrying *every* cell.
     pub fn full_delta(&self) -> CubeDelta<F::Summary> {
         let all = self.no_filter();
         self.delta_of(self.ordered(&all))
@@ -269,9 +268,9 @@ impl<F: SummaryFactory> DataCube<F> {
     /// value — the idempotent replacement semantics that make worker
     /// re-ships after rollback safe.
     ///
-    /// `base` holds the cells retained from rotated panes (the part of
-    /// the merged cube no live shard re-ships), keyed in this cube's id
-    /// space. Returns the resolved [`AppliedDelta`] for replay onto the
+    /// `base` holds the cells the engine recovered from its WAL (the
+    /// part of the merged cube no live shard re-ships), keyed in this
+    /// cube's id space. Returns the resolved [`AppliedDelta`] for replay onto the
     /// twin buffer; its `rows` field is left 0 for the caller to set.
     pub fn apply_delta(
         &mut self,
@@ -421,9 +420,9 @@ impl<F: SummaryFactory> DataCube<F> {
     }
 
     /// Rebuild every table's `dict_ids` by re-encoding its `strings`
-    /// against this cube's dictionaries — required after the cube
-    /// regressed to a checkpoint (rollback) or was replaced (pane
-    /// rotation), when previously handed-out dictionary ids are stale.
+    /// against this cube's dictionaries — required after a shard worker
+    /// rolled its cube back to a checkpoint, when previously handed-out
+    /// dictionary ids are stale. Nothing else replaces a shard's cube.
     pub fn rebind_tables(&mut self, tables: &mut [WriterTable]) {
         for (dict, table) in self.dims.iter_mut().zip(tables.iter_mut()) {
             let WriterTable { strings, dict_ids } = table;
@@ -659,8 +658,8 @@ mod tests {
         }
         cube.insert_interned(&b, &mut tables, &mut touched).unwrap();
 
-        // Pane rotation: fresh cube, stale dict_ids. Rebind, then a
-        // news-free batch referencing old pool ids must still land.
+        // A cube with fresh dictionaries, stale dict_ids. Rebind, then
+        // a news-free batch referencing old pool ids must still land.
         let mut fresh = empty();
         fresh.rebind_tables(&mut tables);
         let again = InternedBatch {

@@ -21,15 +21,25 @@
 //!   replaying the resolved [`AppliedDelta`] before taking new work),
 //!   so their dictionaries assign identical ids forever and
 //!   `base_cells` keys are valid in either buffer's id space.
+//!
+//! The same refresh feeds the durable log: every key a refresh applies
+//! joins the `unlogged` set, and a checkpoint turns that set into one
+//! record of the cells' current values.
 
 use crate::snapshot::EngineSnapshot;
 use crate::Result;
-use msketch_cube::hash::FxHashMap;
+use msketch_cube::hash::{FxHashMap, FxHashSet};
 use msketch_cube::{AppliedDelta, CubeDelta, DataCube};
 use msketch_sketches::traits::SummaryFactory;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Double-buffered merged cube plus the retained-pane base layer.
+/// Merged-space keys refreshed since the last staged log record,
+/// shared with the staged records that have not landed yet: a record
+/// whose append fails (or that is dropped uncommitted) hands its keys
+/// back here, so the next record logs them again.
+pub(crate) type Unlogged = Arc<Mutex<FxHashSet<Vec<u32>>>>;
+
+/// Double-buffered merged cube plus the recovered base layer.
 pub(crate) struct MergedState<F: SummaryFactory> {
     /// The two merged cubes. `buffers[publish]` is what readers see;
     /// the other trails by exactly `lag`.
@@ -39,13 +49,15 @@ pub(crate) struct MergedState<F: SummaryFactory> {
     /// the last refresh, replayed (cheap inserts, no merges) before the
     /// buffer takes new deltas.
     lag: Option<AppliedDelta<F::Summary>>,
-    /// Cells rotated out of the live shards by past checkpoints, keyed
-    /// in the merged cubes' (shared) id space. The part of the merged
-    /// cube no live shard re-ships in its deltas.
+    /// Cells replayed from the log at recovery, keyed in the merged
+    /// cubes' (shared) id space: the part of the merged cube no live
+    /// shard re-ships in its deltas. Empty unless the engine recovered.
     base_cells: FxHashMap<Vec<u32>, Arc<F::Summary>>,
     base_rows: u64,
     /// Per-shard absolute live row counts, refreshed from each delta.
-    pane_rows: Vec<u64>,
+    shard_rows: Vec<u64>,
+    /// Every key a refresh applied since the last staged log record.
+    unlogged: Unlogged,
 }
 
 impl<F> MergedState<F>
@@ -58,7 +70,8 @@ where
 
     /// Seed the merged state from a recovered base cube (WAL replay):
     /// every recovered cell becomes a base cell, and both buffers start
-    /// as shallow clones of the recovered cube.
+    /// as shallow clones of the recovered cube. The log already holds
+    /// every recovered cell, so nothing starts unlogged.
     pub(crate) fn from_base(base: &DataCube<F>, shards: usize) -> Self {
         let base_cells = base
             .cells_shared()
@@ -70,7 +83,8 @@ where
             lag: None,
             base_cells,
             base_rows: base.row_count(),
-            pane_rows: vec![0; shards],
+            shard_rows: vec![0; shards],
+            unlogged: Unlogged::default(),
         }
     }
 
@@ -93,49 +107,30 @@ where
         }
         let mut new_lag = AppliedDelta::empty(cube.dim_count());
         let mut cells_applied = 0u64;
-        for (delta, pane_rows) in deltas.iter().zip(self.pane_rows.iter_mut()) {
+        for (delta, shard_rows) in deltas.iter().zip(self.shard_rows.iter_mut()) {
             cells_applied += delta.cells.len() as u64;
             let applied = cube.apply_delta(delta, &self.base_cells)?;
-            *pane_rows = delta.pane_rows;
+            *shard_rows = delta.pane_rows;
             new_lag.absorb(applied);
         }
-        let rows = self.base_rows + self.pane_rows.iter().sum::<u64>();
+        let rows = self.base_rows + self.shard_rows.iter().sum::<u64>();
         cube.set_row_count(rows);
         new_lag.rows = rows;
+        self.unlogged
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend(new_lag.cells.iter().map(|(key, _)| key.clone()));
         self.lag = Some(new_lag);
         self.publish = back;
         Ok((self.published(epoch), cells_applied))
     }
 
-    /// Fold a rotated pane into the base layer (the checkpoint path).
-    ///
-    /// The pane carries each retiring cell's *complete* live summary,
-    /// so applying its full delta over the old base replaces any value
-    /// a past refresh left in the buffer with the exact `base ⊕ pane`
-    /// merge a refold would compute.
-    pub(crate) fn rotate_into_base(
-        &mut self,
-        pane: &DataCube<F>,
-        epoch: u64,
-    ) -> Result<EngineSnapshot<F>> {
-        let back = 1 - self.publish;
-        let cube = Arc::make_mut(&mut self.buffers[back]);
-        if let Some(lag) = self.lag.take() {
-            cube.replay_applied(&lag);
-        }
-        let mut applied = cube.apply_delta(&pane.full_delta(), &self.base_cells)?;
-        for (key, summary) in &applied.cells {
-            self.base_cells.insert(key.clone(), Arc::clone(summary));
-        }
-        self.base_rows += pane.row_count();
-        for rows in &mut self.pane_rows {
-            *rows = 0;
-        }
-        cube.set_row_count(self.base_rows);
-        applied.rows = self.base_rows;
-        self.lag = Some(applied);
-        self.publish = back;
-        Ok(self.published(epoch))
+    /// Take the keys refreshed since the last call, plus the shared set
+    /// a record that fails to land returns them to.
+    pub(crate) fn take_unlogged(&self) -> (FxHashSet<Vec<u32>>, Unlogged) {
+        let keys =
+            std::mem::take(&mut *self.unlogged.lock().unwrap_or_else(PoisonError::into_inner));
+        (keys, Arc::clone(&self.unlogged))
     }
 
     /// A fresh cube holding only the base layer, sharing the published

@@ -20,10 +20,11 @@
 //!              route_hash(dims) % N
 //! writer ──┬─▶ channel 0 ─▶ worker 0: DataCube (shard-local dicts)
 //!  (rows   ├─▶ channel 1 ─▶ worker 1: DataCube        │ delta (cells
-//!  batched │        …                …                │ touched) /
-//!  per     └─▶ channel N-1 ─▶ worker N-1: DataCube    ▼ checkpoint (pane)
+//!  batched │        …                …                │ touched since
+//!  per     └─▶ channel N-1 ─▶ worker N-1: DataCube    ▼ the last one)
 //!  shard)                       apply_delta ─▶ EngineSnapshot (epoch e)
-//!                                     │ checkpoint: pane ─▶ Wal (CRC frames)
+//!                                     │ checkpoint: cells refreshed since
+//!                                     ▼ the last record ─▶ Wal (CRC frames)
 //! ```
 //!
 //! * [`ShardedCube`] — the engine: spawn workers, ingest, snapshot,
@@ -31,7 +32,7 @@
 //! * [`ShardWriter`] — additional ingest handles for concurrent writers;
 //! * [`EngineSnapshot`] — an epoch-stamped immutable merged cube;
 //!   readers query it (it derefs to `DataCube`) while writers continue;
-//! * [`Wal`] — the durable pane log a checkpoint appends to and
+//! * [`Wal`] — the durable log a checkpoint appends to and
 //!   [`DynShardedCube::recover`] replays;
 //! * [`EngineStats`] — a read of the engine's health numbers, which
 //!   live in `msketch_obs` handles the engine owns (and `set_obs`
@@ -64,7 +65,7 @@ mod wal;
 pub use sharded::{DynShardedCube, EngineConfig, ShardWriter, ShardedCube, StagedCheckpoint};
 pub use snapshot::EngineSnapshot;
 pub use supervisor::EngineStats;
-pub use wal::{FsyncPolicy, RecoveryReport, Wal, WalConfig, WalError};
+pub use wal::{sync_dir, FsyncPolicy, RecoveryReport, Wal, WalConfig, WalError};
 
 /// Errors from the concurrent engine.
 #[derive(Debug, Clone, PartialEq)]

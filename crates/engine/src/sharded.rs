@@ -1,13 +1,13 @@
 //! The sharded write path: routing, per-shard channels, worker threads.
 
-use crate::delta::MergedState;
+use crate::delta::{MergedState, Unlogged};
 use crate::snapshot::EngineSnapshot;
 use crate::supervisor::{worker_loop, EngineStats, SharedStats};
-use crate::wal::{RecoveryReport, Wal, WalConfig};
+use crate::wal::{encode_record, RecoveryReport, Wal, WalConfig};
 use crate::{EngineError, Result};
 use crossbeam::channel::{self, Receiver, Sender};
-use msketch_cube::hash::{route_hash, FxHashMap};
-use msketch_cube::{CubeDelta, DataCube, InternedBatch, InternedColumn};
+use msketch_cube::hash::{route_hash, FxHashMap, FxHashSet};
+use msketch_cube::{CubeDelta, DataCube, DynCube, InternedBatch, InternedColumn};
 use msketch_sketches::traits::SummaryFactory;
 use msketch_sketches::SketchSpec;
 use std::path::Path;
@@ -70,8 +70,6 @@ pub(crate) enum ShardMsg<F: SummaryFactory> {
     /// Reply with a delta of the cells touched since the last delta
     /// reply; keep ingesting.
     Delta(Sender<CubeDelta<F::Summary>>),
-    /// Reply with the shard-local cube, replacing it with a fresh one.
-    Rotate(Sender<DataCube<F>>),
     /// Stop the worker thread, even while other writers still hold
     /// senders. Batches already queued ahead of this marker are ingested
     /// first (per-sender FIFO); anything arriving after it is dropped.
@@ -117,8 +115,8 @@ pub struct ShardWriter<F: SummaryFactory> {
     senders: Vec<Sender<ShardMsg<F>>>,
     pending: Vec<PendingBatch>,
     /// Per-shard, per-dimension value→pool-id memos. Never reset: pool
-    /// id spaces only grow, so cached ids stay valid across flushes,
-    /// worker rollbacks, and checkpoints.
+    /// id spaces only grow, so cached ids stay valid across flushes and
+    /// worker rollbacks.
     memos: Vec<Vec<FxHashMap<String, u32>>>,
     /// Engine-assigned writer id; workers index their decode tables by
     /// it.
@@ -277,12 +275,11 @@ where
     writer: ShardWriter<F>,
     workers: Vec<JoinHandle<()>>,
     /// The persistently maintained merged cube (double-buffered), plus
-    /// the base layer of panes retired through [`Self::checkpoint`]
-    /// (seeded from WAL replay after [`Self::recover`]).
+    /// the base layer WAL replay seeds in [`Self::recover`].
     merged: MergedState<F>,
-    /// Durable pane log, when attached via [`Self::recover`]. Shared
-    /// with [`StagedCheckpoint`]s so the fsync can run after the engine
-    /// lock is released by the serving layer.
+    /// Durable log, when attached via [`Self::recover`]. Shared with
+    /// [`StagedCheckpoint`]s so the fsync can run after the engine lock
+    /// is released by the serving layer.
     wal: Option<Arc<Mutex<Wal>>>,
     /// Dense writer-id allocator for [`Self::writer`] handles.
     writer_seq: Arc<AtomicU32>,
@@ -314,8 +311,6 @@ where
         for shard in 0..shards {
             let (tx, rx) = channel::bounded::<ShardMsg<F>>(config.channel_batches.max(1));
             let cube = DataCube::new(factory.clone(), dim_names);
-            let factory = factory.clone();
-            let names: Vec<String> = dim_names.iter().map(|s| s.to_string()).collect();
             let stats = Arc::clone(&stats);
             #[expect(
                 clippy::expect_used,
@@ -326,7 +321,7 @@ where
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("msketch-shard-{shard}"))
-                    .spawn(move || worker_loop(shard, rx, cube, factory, names, stats))
+                    .spawn(move || worker_loop(shard, rx, cube, stats))
                     .expect("spawn shard worker"),
             );
             senders.push(tx);
@@ -446,8 +441,7 @@ where
         move || stats.read()
     }
 
-    /// Is a durable pane log attached (engine built via
-    /// [`Self::recover`])?
+    /// Is a durable log attached (engine built via [`Self::recover`])?
     pub fn wal_attached(&self) -> bool {
         self.wal.is_some()
     }
@@ -489,11 +483,17 @@ where
     /// calling thread, and its cost tracks the cells *changed* since
     /// the previous refresh — not the cube size. Bit-exact with
     /// [`Self::snapshot_refold`]: each delta cell is the owning shard's
-    /// complete live summary, merged over the checkpointed base in the
+    /// complete live summary, merged over the recovered base in the
     /// same single `merge_from` a refold performs.
     pub fn snapshot(&mut self) -> Result<EngineSnapshot<F>> {
+        self.refresh("engine::snapshot")
+    }
+
+    /// The one refresh path, behind [`Self::snapshot`] and
+    /// [`DynShardedCube::stage_checkpoint`].
+    fn refresh(&mut self, span_name: &'static str) -> Result<EngineSnapshot<F>> {
         self.ensure_running()?;
-        let mut span = msketch_obs::span("engine::snapshot");
+        let mut span = msketch_obs::span(span_name);
         let started = Instant::now();
         self.writer.flush()?;
         // Ask every shard first, then await the replies: workers build
@@ -532,7 +532,16 @@ where
         let _span = msketch_obs::span("engine::snapshot_refold");
         let started = Instant::now();
         self.writer.flush()?;
-        let replies = self.request_cubes(false)?;
+        // Ask every shard first, then await the replies: workers clone
+        // their cubes concurrently with each other.
+        let mut replies = Vec::with_capacity(self.workers.len());
+        for sender in &self.writer.senders {
+            let (tx, rx) = channel::bounded(1);
+            sender
+                .send(ShardMsg::Snapshot(tx))
+                .map_err(|_| EngineError::Disconnected)?;
+            replies.push(rx);
+        }
         let mut merged = self.merged.base_only_cube();
         let folded = &self.stats.snapshot_cells_folded;
         folded.add(merged.cell_count() as u64);
@@ -549,39 +558,6 @@ where
     fn empty_cube(&self) -> DataCube<F> {
         let names: Vec<&str> = self.dim_names.iter().map(String::as_str).collect();
         DataCube::new(self.factory.clone(), &names)
-    }
-
-    fn request_cubes(&self, rotate: bool) -> Result<Vec<Receiver<DataCube<F>>>> {
-        // Ask every shard first, then await the replies: workers clone /
-        // swap their cubes concurrently with each other.
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for sender in &self.writer.senders {
-            let (tx, rx) = channel::bounded(1);
-            let msg = if rotate {
-                ShardMsg::Rotate(tx)
-            } else {
-                ShardMsg::Snapshot(tx)
-            };
-            sender.send(msg).map_err(|_| EngineError::Disconnected)?;
-            replies.push(rx);
-        }
-        Ok(replies)
-    }
-
-    /// Rotate every shard and fold the retired cubes into one pane.
-    /// Fold order is shard order, so equal ingest histories produce
-    /// bit-identical panes.
-    fn collect_pane(&mut self) -> Result<DataCube<F>> {
-        let replies = self.request_cubes(true)?;
-        let mut pane = self.empty_cube();
-        for rx in replies {
-            let shard_cube = rx.recv().map_err(|_| EngineError::Disconnected)?;
-            self.stats
-                .snapshot_cells_folded
-                .add(shard_cube.cell_count() as u64);
-            pane.merge_cube(&shard_cube)?;
-        }
-        Ok(pane)
     }
 
     /// Stop every shard worker and join its thread.
@@ -635,54 +611,69 @@ where
 /// A checkpoint whose in-memory half is done but whose WAL append has
 /// not happened yet ([`DynShardedCube::stage_checkpoint`]).
 ///
-/// The split exists for the serving layer: staging (rotate + fold into
-/// the merged cube) needs the engine, but the append — and above all
-/// its fsync — does not. A server stages under its engine lock, drops
-/// the lock, then calls [`Self::commit`], so a slow fsync never stalls
-/// concurrent ingest. Callers that don't care (tests, CLIs) use
-/// [`DynShardedCube::checkpoint`], which stages and commits in one
-/// call.
+/// The split exists for the serving layer: staging (the delta refresh,
+/// plus the log record of the cells it replaced) needs the engine, but
+/// the append — and above all its fsync — does not. A server stages
+/// under its engine lock, drops the lock, then calls [`Self::commit`],
+/// so a slow fsync never stalls concurrent ingest. Callers that don't
+/// care (tests, CLIs) use [`DynShardedCube::checkpoint`], which stages
+/// and commits in one call.
 ///
-/// Dropping a staged checkpoint without committing skips the WAL
-/// append for that pane: durability for the pane is lost (recovery
-/// replays up to the previous commit), memory is unaffected.
+/// A record that does not land — its append fails, or the stage is
+/// dropped without committing — hands its cells back to the engine, so
+/// the next checkpoint logs them again: the log never gets a hole that
+/// a later record papers over.
 pub struct StagedCheckpoint {
-    epoch: u64,
     snapshot: EngineSnapshot<SketchSpec>,
-    bytes: Option<Vec<u8>>,
-    wal: Option<Arc<Mutex<Wal>>>,
+    /// The record and its log; `None` without a WAL or when no cell
+    /// changed since the last record.
+    record: Option<(DynCube, Arc<Mutex<Wal>>)>,
+    /// The merged-space keys the record covers, handed back to the
+    /// engine's `unlogged` set on drop unless the append succeeded.
+    keys: FxHashSet<Vec<u32>>,
+    unlogged: Unlogged,
 }
 
 impl StagedCheckpoint {
-    /// Append the staged pane to the WAL (fsync per the WAL's policy)
-    /// and return the snapshot. No-op without a WAL or for an empty
-    /// pane. An append failure degrades durability for this pane only —
-    /// the snapshot is already live in the engine's memory — and the
-    /// WAL handle rewinds to the last good frame boundary (or poisons
-    /// itself), so a damaged tail can never silently swallow the
-    /// checkpoints appended after it.
-    pub fn commit(self) -> crate::Result<EngineSnapshot<SketchSpec>> {
-        if let (Some(bytes), Some(wal)) = (&self.bytes, &self.wal) {
-            let mut guard = wal.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.append(self.epoch, bytes).map_err(EngineError::Wal)?;
+    /// Append the staged record to the WAL (fsync per the WAL's policy)
+    /// and return the snapshot. No-op without a WAL or when no cell
+    /// changed. On an append failure the snapshot stays live in memory,
+    /// the next checkpoint logs this record's cells again, and the WAL
+    /// handle rewinds to the last good frame boundary (or poisons
+    /// itself), so a damaged tail never swallows later records.
+    pub fn commit(mut self) -> crate::Result<EngineSnapshot<SketchSpec>> {
+        if let Some((cube, wal)) = &self.record {
+            let payload = encode_record(cube);
+            let mut wal = wal.lock().unwrap_or_else(PoisonError::into_inner);
+            wal.append(self.snapshot.epoch(), &payload)?;
         }
-        Ok(self.snapshot)
+        self.keys.clear();
+        Ok(self.snapshot.clone())
+    }
+}
+
+impl Drop for StagedCheckpoint {
+    fn drop(&mut self) {
+        if !self.keys.is_empty() {
+            let mut unlogged = self.unlogged.lock().unwrap_or_else(PoisonError::into_inner);
+            unlogged.extend(self.keys.drain());
+        }
     }
 }
 
 impl DynShardedCube {
-    /// Open (or create) the durable pane WAL under `dir`, replay its
-    /// valid segment prefix into the engine's base cube, and return
-    /// the recovered engine plus a [`RecoveryReport`].
+    /// Open (or create) the durable WAL under `dir`, replay its valid
+    /// segment prefix into the engine's base cube, and return the
+    /// recovered engine plus a [`RecoveryReport`].
     ///
     /// This is "new with durability": on a fresh directory it returns
     /// an empty engine with the WAL attached; after a crash it returns
     /// an engine whose snapshots are *bit-exact* with the last
-    /// committed [`Self::checkpoint`] before the crash (replay folds
-    /// the same panes with the same `merge_cube` calls in the same
-    /// order, and the delta refresh path performs the identical
-    /// `base ⊕ shard` merges on top). Torn tails are truncated, mid-log
-    /// corruption shortens the prefix and is surfaced in
+    /// committed [`Self::checkpoint`] before the crash (each record
+    /// replaces the cells it carries with the values that checkpoint
+    /// published, and the delta refresh path performs the identical
+    /// `base ⊕ shard` merges on top). Torn tails are truncated,
+    /// mid-log corruption shortens the prefix and is surfaced in
     /// [`RecoveryReport::tail`] — replay never panics and corruption
     /// never fails the open.
     ///
@@ -697,27 +688,15 @@ impl DynShardedCube {
     ) -> Result<(Self, RecoveryReport)> {
         let (mut wal, base, report) =
             Wal::open(dir.as_ref(), wal_config).map_err(EngineError::Wal)?;
-        if let Some(recovered) = &base {
-            // Eager schema/backend checks: a WAL from a different
-            // engine must fail loudly now, not at the first snapshot's
-            // merge.
-            if recovered.dim_names() != dim_names {
-                return Err(EngineError::Cube(msketch_cube::Error::SchemaMismatch {
-                    expected: dim_names.iter().map(|s| s.to_string()).collect(),
-                    got: recovered.dim_names().to_vec(),
-                }));
-            }
-            if recovered.spec().kind() != spec.kind() {
-                return Err(EngineError::Cube(msketch_cube::Error::BackendMismatch {
-                    expected: spec.build().name(),
-                    got: recovered.spec().build().name(),
-                }));
-            }
-        }
         let mut engine = Self::new(spec, dim_names, config);
         engine.stats.epoch.set(report.last_epoch);
         if let Some(recovered) = &base {
-            engine.merged = MergedState::from_base(recovered, engine.shard_count());
+            // `merge_cube` into the engine's empty cube checks schema
+            // and backend: a WAL from a different engine fails loudly
+            // now, not at the first snapshot.
+            let mut seeded = engine.empty_cube();
+            seeded.merge_cube(recovered)?;
+            engine.merged = MergedState::from_base(&seeded, engine.shard_count());
         }
         let stats = &engine.stats;
         wal.count_into(
@@ -729,45 +708,45 @@ impl DynShardedCube {
         Ok((engine, report))
     }
 
-    /// Retire the current pane into the engine's memory — rotate it out
-    /// of the shards and fold it into the persistent merged cube's base
-    /// layer — and hand back a [`StagedCheckpoint`] carrying the pane's
-    /// serialized bytes for the durable half. The returned stage's
-    /// snapshot is a full snapshot (base = every checkpointed row so
-    /// far) and is immediately serveable.
+    /// Refresh exactly as [`Self::snapshot`] does, and stage the log
+    /// record of every cell refreshed since the last record: the
+    /// cells' current values and the engine's row total, in a
+    /// [`StagedCheckpoint`] for the durable half. The returned stage's
+    /// snapshot is immediately serveable.
     pub fn stage_checkpoint(&mut self) -> Result<StagedCheckpoint> {
-        self.ensure_running()?;
-        let mut span = msketch_obs::span("engine::stage_checkpoint");
-        let started = Instant::now();
-        self.writer.flush()?;
-        let pane = self.collect_pane()?;
-        let epoch = self.next_epoch();
-        let bytes = (pane.row_count() > 0).then(|| pane.to_bytes());
-        self.stats.delta_cells_applied.add(pane.cell_count() as u64);
-        let snapshot = self.merged.rotate_into_base(&pane, epoch)?;
-        self.observe_refresh(started);
-        span.field("epoch", epoch);
-        span.field("pane_rows", pane.row_count());
-        Ok(StagedCheckpoint {
-            epoch,
+        let snapshot = self.refresh("engine::stage_checkpoint")?;
+        let (keys, unlogged) = self.merged.take_unlogged();
+        let mut staged = StagedCheckpoint {
             snapshot,
-            bytes,
-            wal: self.wal.clone(),
-        })
+            record: None,
+            keys,
+            unlogged,
+        };
+        if let (Some(wal), false) = (&self.wal, staged.keys.is_empty()) {
+            let mut cube = self.empty_cube();
+            cube.apply_delta(
+                &staged.snapshot.build_delta(&staged.keys),
+                &FxHashMap::default(),
+            )?;
+            cube.set_row_count(staged.snapshot.row_count());
+            staged.record = Some((cube, Arc::clone(wal)));
+        } else {
+            staged.keys.clear();
+        }
+        Ok(staged)
     }
 
-    /// Retire the current pane durably: rotate it out of the shards,
-    /// fold it into the base layer of the persistent merged cube, and
-    /// append it to the WAL (when attached). Returns a full snapshot
-    /// (base = every checkpointed row so far).
+    /// Refresh, and append the record of every cell refreshed since the
+    /// last record to the WAL (when attached). Returns the refreshed
+    /// snapshot.
     ///
     /// This is [`Self::stage_checkpoint`] + [`StagedCheckpoint::commit`]
-    /// in one call; each checkpoint logs only the rows since the
-    /// previous one, so WAL traffic is proportional to ingest, not to
-    /// history. A WAL append failure degrades durability for this pane
-    /// only — the pane is already folded into the in-memory base before
-    /// the error is returned, so queries stay consistent and a later
-    /// recovery simply replays one pane fewer.
+    /// in one call. A record carries one summary per changed cell, so
+    /// WAL traffic tracks the cells touched between checkpoints, not
+    /// the cube size or the row count. A WAL append failure degrades
+    /// durability until the next successful checkpoint, which logs the
+    /// failed record's cells again; memory is unaffected, so queries
+    /// stay consistent.
     pub fn checkpoint(&mut self) -> Result<EngineSnapshot<SketchSpec>> {
         self.stage_checkpoint()?.commit()
     }
@@ -990,10 +969,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_stay_exact_across_rotations() {
-        // A checkpoint rotates the shard cubes out and moves their
-        // cells from the merged state's live layer to its base; later
-        // delta refreshes must still be exact.
+    fn snapshots_stay_exact_across_checkpoints() {
+        // A checkpoint is the delta refresh plus a log record; the
+        // shards keep their cubes, so later delta refreshes must still
+        // be exact.
         let mut engine = DynShardedCube::new(
             SketchSpec::moments(8),
             &["country", "version"],
@@ -1005,7 +984,6 @@ mod tests {
         }
         engine.snapshot().unwrap();
         assert_eq!(engine.checkpoint().unwrap().row_count(), 1500);
-        // The live shards are empty again; the base kept the rows.
         assert_eq!(engine.snapshot().unwrap().row_count(), 1500);
         for i in 1500..2100 {
             let (dims, metric) = row(i);
@@ -1105,8 +1083,8 @@ mod tests {
 
     #[test]
     fn checkpoint_accumulates_panes_into_full_snapshots() {
-        // No WAL attached: checkpoint still retires panes into the
-        // base cube and returns cumulative snapshots.
+        // No WAL attached: checkpoint is a delta refresh and returns
+        // cumulative snapshots.
         let mut engine = DynShardedCube::new(
             SketchSpec::moments(8),
             &["region"],
@@ -1126,11 +1104,11 @@ mod tests {
                 .unwrap();
         }
         let second = engine.checkpoint().unwrap();
-        assert_eq!(second.row_count(), 500, "base accumulates both panes");
+        assert_eq!(second.row_count(), 500, "both batches are served");
         assert_eq!(second.epoch(), 2);
-        // A plain snapshot also sees the base plus (empty) live shards.
+        // A plain snapshot sees the same rows.
         assert_eq!(engine.snapshot().unwrap().row_count(), 500);
-        // An empty checkpoint appends nothing and keeps the base.
+        // An idle checkpoint keeps every row.
         let third = engine.checkpoint().unwrap();
         assert_eq!(third.row_count(), 500);
         // Like every other mutating call, it is typed once the engine

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 /// An immutable merged cube produced by
 /// [`ShardedCube::snapshot`](crate::ShardedCube::snapshot) (or
-/// [`checkpoint`](crate::ShardedCube::checkpoint)), stamped with the
+/// [`checkpoint`](crate::DynShardedCube::checkpoint)), stamped with the
 /// epoch at which it was taken.
 ///
 /// Snapshots deref to [`DataCube`], so every read-side API — roll-ups,

@@ -6,12 +6,12 @@
 //! `engine::worker_panic` failpoint) cannot be allowed to leave the
 //! shard cube half-mutated — a torn insert would silently skew every
 //! later snapshot. Instead the worker keeps a *checkpoint*: a clone of
-//! its cube taken at each epoch boundary (snapshot, delta, or rotate
-//! reply). On panic it rolls the cube back to the checkpoint, counts
-//! the rows discarded (everything applied since the boundary plus the
-//! poisoned batch), bumps the restart counter, and keeps draining its
-//! channel — the thread itself never dies, so per-sender FIFO ordering
-//! and the shutdown barrier survive any number of restarts.
+//! its cube taken at each epoch boundary (snapshot or delta reply). On
+//! panic it rolls the cube back to the checkpoint, counts the rows
+//! discarded (everything applied since the boundary plus the poisoned
+//! batch), bumps the restart counter, and keeps draining its channel —
+//! the thread itself never dies, so per-sender FIFO ordering and the
+//! shutdown barrier survive any number of restarts.
 //!
 //! The trade: a restart rewinds the shard to its last epoch boundary,
 //! trading bounded, *accounted* data loss ([`EngineStats::rows_lost`])
@@ -24,8 +24,10 @@
 //! appended to the table's string log *outside* the unwind boundary
 //! (the id assignments are writer-side facts, valid regardless of what
 //! happens to this batch), while the derived `dict_ids` cache is
-//! rebuilt eagerly after any rollback or rotation — both revert or
-//! replace the cube's dictionaries out from under the cache.
+//! rebuilt eagerly after a rollback, which reverts the cube's
+//! dictionaries out from under the cache. A shard keeps its cube for
+//! the engine's lifetime otherwise: checkpoints read it through the
+//! same delta as snapshots and never replace it.
 
 use crate::sharded::ShardMsg;
 use msketch_cube::hash::{FxHashMap, FxHashSet};
@@ -95,9 +97,9 @@ pub struct EngineStats {
     pub wal_bytes: u64,
     /// WAL appends that failed (durability degraded, memory intact).
     pub wal_append_errors: u64,
-    /// Cells folded whole on the engine thread (`snapshot_refold`, and
-    /// the pane a `checkpoint` retires) this process lifetime — the
-    /// cost the delta path avoids.
+    /// Cells folded whole on the engine thread by `snapshot_refold`,
+    /// the test-only reference refresh, this process lifetime — the
+    /// cost the delta path avoids. Zero in a serving engine.
     pub snapshot_cells_folded: u64,
     /// Delta cells applied by incremental refreshes (`snapshot`,
     /// `checkpoint`) this process lifetime; tracks cells *touched*
@@ -145,8 +147,6 @@ pub(crate) fn worker_loop<F>(
     shard: usize,
     rx: crossbeam::channel::Receiver<ShardMsg<F>>,
     mut cube: DataCube<F>,
-    factory: F,
-    dim_names: Vec<String>,
     stats: Arc<SharedStats>,
 ) where
     F: SummaryFactory + Clone,
@@ -162,7 +162,7 @@ pub(crate) fn worker_loop<F>(
     let mut touched: FxHashSet<Vec<u32>> = FxHashSet::default();
     // Per-writer pool decode tables, one `WriterTable` per dimension.
     let mut tables: FxHashMap<u32, Vec<WriterTable>> = FxHashMap::default();
-    let dims = dim_names.len();
+    let dims = cube.dim_count();
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Interned(batch) => {
@@ -257,20 +257,6 @@ pub(crate) fn worker_loop<F>(
                 touched.clear();
                 let _ = reply.send(delta);
             }
-            ShardMsg::Rotate(reply) => {
-                let names: Vec<&str> = dim_names.iter().map(String::as_str).collect();
-                let fresh = DataCube::new(factory.clone(), &names);
-                let retired = std::mem::replace(&mut cube, fresh);
-                // The new pane starts empty; so does its checkpoint.
-                // Its dictionaries are empty too, so the decode caches
-                // must re-intern every known writer string.
-                checkpoint = cube.clone();
-                touched.clear();
-                for writer_tables in tables.values_mut() {
-                    cube.rebind_tables(writer_tables);
-                }
-                let _ = reply.send(retired);
-            }
             ShardMsg::Shutdown => return,
         }
     }
@@ -295,7 +281,7 @@ fn abandon<F>(
         if let ShardMsg::Interned(batch) = msg {
             lost = lost.saturating_add(batch.metrics.len() as u64);
         }
-        // Snapshot/Delta/Rotate replies drop here; their senders see
+        // Snapshot/Delta replies drop here; their senders see
         // the disconnect, same as when the receiver itself drops.
     }
     stats.rows_lost.add(lost);

@@ -1,18 +1,23 @@
-//! Durable pane WAL: crash recovery for the sharded engine.
+//! Durable WAL: crash recovery for the sharded engine.
 //!
-//! The moments sketch makes durability unusually cheap: a retired pane
-//! is an immutable mergeable cube, and merging panes back together is
-//! bit-exact ([`DataCube::merge_cube`](msketch_cube::DataCube::merge_cube)
-//! folds cells in decoded-value order). So the log never records rows —
-//! it records *panes*: each [`ShardedCube::checkpoint`] appends the
-//! retired pane's [`DynCube`] wire image as one CRC-framed segment
-//! ([`msketch_cube::segment`]), and recovery is nothing more than
-//! "replay the valid segment prefix, merging as you go".
+//! A moments-sketch cell is a fixed-size summary, so a cell's current
+//! value costs as many log bytes as its increment. The log records
+//! neither rows nor increments: each [`checkpoint`] runs the delta
+//! refresh a snapshot runs and appends one *replacement record* — the
+//! value of every cell refreshed since the previous record, plus the
+//! row total — as one CRC-framed segment ([`msketch_cube::segment`]).
+//! Recovery replays the valid segment prefix, replacing cells as it
+//! goes, and ends at the last committed snapshot.
 //!
 //! ```text
 //! segments.wal:  [frame epoch=1][frame epoch=2]...[frame epoch=k][torn tail?]
 //!                 └──────────────── replayed ─────────────────┘ └ truncated ┘
 //! ```
+//!
+//! A payload's first byte is [`WalWire::WalReplaceV1`] for a record (a
+//! [`DynCube`] image follows), or the `QC` magic of a bare pane image
+//! from logs written before records, which replay folds in with
+//! `merge_cube`.
 //!
 //! Crash-consistency contract:
 //!
@@ -24,10 +29,9 @@
 //!   crash" from "disk ate my log";
 //! * replay is panic-free on arbitrary bytes (property-tested in
 //!   `tests/wal_recovery.rs`);
-//! * a failed [`Wal::append`] degrades durability for that pane only —
-//!   the pane is still merged into the in-memory base cube, so queries
-//!   stay consistent and the error is reported to the caller. The
-//!   handle rewinds the file to the last known-good frame boundary
+//! * a failed [`Wal::append`] degrades durability until the next
+//!   successful checkpoint, which logs the failed record's cells again.
+//!   The handle rewinds the file to the last known-good frame boundary
 //!   before accepting another append (replay stops at the first
 //!   damaged frame, so appending past the damage would be silently
 //!   dropped by the next recovery); if the rewind itself fails, the
@@ -37,6 +41,8 @@
 //! Fsync cadence is the throughput knob ([`FsyncPolicy`]); perfbench
 //! prices the `Always` end of it (`engine.wal_append_us`,
 //! `engine.checkpoint_ms`, and `ingest-durable` end to end).
+//!
+//! [`checkpoint`]: crate::DynShardedCube::checkpoint
 
 use msketch_cube::segment::{frame_segment, unframe_segment, SegmentError};
 use msketch_cube::DynCube;
@@ -45,16 +51,31 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+/// Segment payload tags, pinned append-only in `lint/wire_tags.golden`
+/// in one namespace with the sketch and timeline tags.
+#[repr(u8)]
+pub(crate) enum WalWire {
+    /// A replacement record: refreshed cells' values and the row total.
+    WalReplaceV1 = 11,
+}
+
+/// A checkpoint's record as a segment payload: tag, then cube image.
+pub(crate) fn encode_record(cube: &DynCube) -> Vec<u8> {
+    let mut payload = vec![WalWire::WalReplaceV1 as u8];
+    payload.extend_from_slice(&cube.to_bytes());
+    payload
+}
+
 /// How often appends reach the disk platter, from safest to fastest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `fsync` after every append: a completed [`checkpoint`] is
     /// durable against power loss, not just process crash.
     ///
-    /// [`checkpoint`]: crate::ShardedCube::checkpoint
+    /// [`checkpoint`]: crate::DynShardedCube::checkpoint
     Always,
     /// `fsync` once per N appends: bounds the power-loss exposure to
-    /// the last N panes while amortizing the sync cost.
+    /// the last N records while amortizing the sync cost.
     EveryN(u64),
     /// Never `fsync` explicitly: appends survive process crashes (the
     /// kernel holds the pages) but not power loss. The right choice
@@ -98,7 +119,7 @@ pub enum WalError {
         /// The cube decoder's rendered error.
         detail: String,
     },
-    /// A decoded segment does not merge with the segments before it
+    /// A decoded segment does not apply to the segments before it
     /// (schema or backend mismatch — logs from different engines were
     /// mixed). Ends the valid prefix.
     Merge {
@@ -178,7 +199,7 @@ pub struct RecoveryReport {
 /// One file, `segments.wal`, inside the directory handed to
 /// [`Wal::open`]; segments are framed by [`msketch_cube::segment`] and
 /// appended strictly in epoch order by
-/// [`ShardedCube::checkpoint`](crate::ShardedCube::checkpoint).
+/// [`DynShardedCube::checkpoint`](crate::DynShardedCube::checkpoint).
 pub struct Wal {
     path: PathBuf,
     file: File,
@@ -286,7 +307,7 @@ impl Wal {
         ))
     }
 
-    /// Append one segment (a `DynCube` wire image) under `epoch`,
+    /// Append one segment payload under `epoch`,
     /// syncing per the configured [`FsyncPolicy`]. Returns the frame
     /// size written.
     ///
@@ -456,26 +477,28 @@ impl Wal {
     }
 }
 
-/// Make a directory's entries durable. A file created inside `dir` is
-/// only crash-safe once the directory itself has been fsynced.
+/// Make a directory's entries durable. A file created or renamed
+/// inside `dir` is only crash-safe once the directory itself has been
+/// fsynced. Both durable stores — this log and the timeline's segment
+/// store — sync their directories here.
 #[cfg(unix)]
-fn sync_dir(dir: &Path) -> Result<(), WalError> {
+pub fn sync_dir(dir: &Path) -> Result<(), WalError> {
     File::open(dir)
         .and_then(|d| d.sync_all())
-        .map_err(|e| io_err("sync wal dir", e))
+        .map_err(|e| io_err(&format!("sync dir {}", dir.display()), e))
 }
 
-/// Directories cannot be opened as files off unix; the log degrades to
-/// the platform's default metadata durability there.
+/// Directories cannot be opened as files off unix; the stores degrade
+/// to the platform's default metadata durability there.
 #[cfg(not(unix))]
-fn sync_dir(_dir: &Path) -> Result<(), WalError> {
+pub fn sync_dir(_dir: &Path) -> Result<(), WalError> {
     Ok(())
 }
 
-/// Replay a log byte stream: fold the longest usable segment prefix
-/// into a base cube, exactly as the live engine folds retired panes
-/// (empty cube, then `merge_cube` per pane in epoch order — bit-exact
-/// with the never-crashed path). Panic-free on arbitrary input.
+/// Replay a log byte stream into a base cube: start empty, then per
+/// segment either replace the record's cells and take its row total,
+/// or fold a pre-record pane in with `merge_cube`. Panic-free on
+/// arbitrary input.
 fn replay(stream: &[u8]) -> (Option<DynCube>, RecoveryReport) {
     let mut report = RecoveryReport::default();
     let mut base: Option<DynCube> = None;
@@ -488,8 +511,12 @@ fn replay(stream: &[u8]) -> (Option<DynCube>, RecoveryReport) {
                 break;
             }
             Ok(Some(seg)) => {
-                let pane = match DynCube::from_bytes(seg.payload) {
-                    Ok(pane) => pane,
+                let (record, image) = match seg.payload.split_first() {
+                    Some((&tag, image)) if tag == WalWire::WalReplaceV1 as u8 => (true, image),
+                    _ => (false, seg.payload),
+                };
+                let cube = match DynCube::from_bytes(image) {
+                    Ok(cube) => cube,
                     Err(e) => {
                         report.tail = Some(WalError::Decode {
                             offset,
@@ -498,15 +525,18 @@ fn replay(stream: &[u8]) -> (Option<DynCube>, RecoveryReport) {
                         break;
                     }
                 };
-                // Same fold the live checkpoint path performs: create
-                // the base empty on the first pane, then merge. Merge
-                // failure means mixed logs; the prefix before this
-                // frame is still usable.
                 let dst = base.get_or_insert_with(|| {
-                    let names: Vec<&str> = pane.dim_names().iter().map(String::as_str).collect();
-                    DynCube::from_spec(pane.spec().clone(), &names)
+                    let names: Vec<&str> = cube.dim_names().iter().map(String::as_str).collect();
+                    DynCube::from_spec(cube.spec().clone(), &names)
                 });
-                if let Err(e) = dst.merge_cube(&pane) {
+                // A segment that does not apply means mixed logs; the
+                // prefix before this frame is still usable.
+                let applied = if record {
+                    dst.replace_cells(&cube)
+                } else {
+                    dst.merge_cube(&cube)
+                };
+                if let Err(e) = applied {
                     report.tail = Some(WalError::Merge {
                         offset,
                         detail: e.to_string(),
@@ -531,6 +561,7 @@ fn replay(stream: &[u8]) -> (Option<DynCube>, RecoveryReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msketch_cube::hash::FxHashMap;
     use msketch_sketches::SketchSpec;
 
     fn pane(rows: std::ops::Range<u64>) -> DynCube {
@@ -579,6 +610,49 @@ mod tests {
         let a = base.rollup(&base.no_filter()).unwrap().quantile(0.5);
         let b = direct.rollup(&direct.no_filter()).unwrap().quantile(0.5);
         assert_eq!(a.to_bits(), b.to_bits());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_replace_cells_on_top_of_pane_logs() {
+        // A log begun with a pane and continued with a record: replay
+        // folds the pane, then replaces the one cell the record
+        // carries and takes the record's row total.
+        let _failpoints = failpoint::scope();
+        let dir = std::env::temp_dir().join("msketch-wal-test-record");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut current = pane(0..100);
+        {
+            let (mut wal, _, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+            wal.append(1, &current.to_bytes()).unwrap();
+            for i in 100..160 {
+                current.insert(&["eu"], i as f64).unwrap();
+            }
+            let eu = current.dictionary(0).unwrap().lookup("eu").unwrap();
+            let keys = [vec![eu]].into_iter().collect();
+            let mut record = DynCube::from_spec(SketchSpec::moments(8), &["region"]);
+            record
+                .apply_delta(&current.build_delta(&keys), &FxHashMap::default())
+                .unwrap();
+            record.set_row_count(current.row_count());
+            assert_eq!(record.cell_count(), 1);
+            wal.append(2, &encode_record(&record)).unwrap();
+        }
+        let (_, base, report) = Wal::open(&dir, WalConfig::default()).unwrap();
+        assert_eq!(report.segments_replayed, 2);
+        assert_eq!(report.rows_recovered, 160);
+        assert_eq!(report.tail, None);
+        let base = base.unwrap();
+        let cells = |cube: &DynCube| -> Vec<(String, Vec<u8>)> {
+            let dict = cube.dictionary(0).unwrap();
+            let mut cells: Vec<_> = cube
+                .cells()
+                .map(|(k, s)| (dict.decode(k[0]).unwrap().to_string(), s.to_bytes()))
+                .collect();
+            cells.sort();
+            cells
+        };
+        assert_eq!(cells(&base), cells(&current));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -125,7 +125,7 @@ proptest! {
                     }
                     assert_delta_matches_refold(&mut engine, "mid-stream refresh");
                 }
-                // Retire the pane: the delta state must rebase cleanly.
+                // Checkpoint: the same refresh plus a log record.
                 _ => {
                     for writer in writers.iter_mut() {
                         writer.flush().unwrap();
@@ -299,7 +299,7 @@ fn delta_snapshots_stay_exact_across_wal_crash_recovery() {
         700
     );
 
-    // And the recovered base keeps absorbing new panes correctly:
+    // And the recovered base keeps absorbing new rows correctly:
     // ingest, refresh, checkpoint, refresh — all still bit-exact.
     for seed in 750..900 {
         let (dims, metric) = row(seed);

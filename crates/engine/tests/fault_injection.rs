@@ -196,8 +196,8 @@ fn torn_append_degrades_durability_but_not_queries() {
         engine.checkpoint().unwrap();
 
         // The second checkpoint's append dies halfway through the
-        // frame. The pane must still merge into the in-memory base —
-        // only durability degrades.
+        // frame. Its rows must still be served from memory — only
+        // durability degrades.
         failpoint::cfg("engine::wal_torn_append", "1*return").unwrap();
         ingest(&mut engine, 300..500);
         let result = engine.checkpoint();
@@ -227,5 +227,136 @@ fn torn_append_degrades_durability_but_not_queries() {
     assert_eq!(report.segments_replayed, 1);
     assert_eq!(report.rows_recovered, 300);
     assert!(report.truncated_bytes > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every cell of `cube` as `name -> serialized summary`, so two cubes
+/// whose dictionaries assigned ids in different orders compare by
+/// value.
+fn fingerprint(cube: &msketch_cube::DynCube) -> std::collections::BTreeMap<String, Vec<u8>> {
+    let dict = cube.dictionary(0).unwrap();
+    cube.cells()
+        .map(|(key, summary)| (dict.decode(key[0]).unwrap().to_string(), summary.to_bytes()))
+        .collect()
+}
+
+fn ingest_cells(engine: &mut DynShardedCube, cells: &[&str], rows: std::ops::Range<u64>) {
+    for i in rows {
+        engine
+            .insert(&[cells[i as usize % cells.len()]], i as f64)
+            .unwrap();
+    }
+}
+
+#[test]
+fn a_failed_checkpoint_is_logged_by_the_next_one() {
+    let _failpoints = failpoint::scope();
+    let dir = temp_dir("failed-record");
+    let spec = SketchSpec::moments(8);
+    let config = || EngineConfig::with_shards(2).batch_rows(64);
+    let committed;
+    {
+        let (mut engine, _) =
+            DynShardedCube::recover(spec.clone(), &["app"], config(), &dir, WalConfig::default())
+                .unwrap();
+        ingest_cells(&mut engine, &["a", "b"], 0..200);
+        engine.checkpoint().unwrap();
+
+        // The second record's append fails halfway through its frame:
+        // the log rewinds, memory keeps the rows.
+        failpoint::cfg("engine::wal_partial_append", "1*return").unwrap();
+        ingest_cells(&mut engine, &["c", "a"], 200..350);
+        assert!(matches!(engine.checkpoint(), Err(EngineError::Wal(_))));
+
+        // The third record touches other cells only, yet must carry the
+        // failed record's cells too, or recovery would lose them.
+        ingest_cells(&mut engine, &["d"], 350..400);
+        let snap = engine.checkpoint().unwrap();
+        assert_eq!(snap.row_count(), 400);
+        committed = fingerprint(snap.cube());
+        assert_eq!(committed.len(), 4);
+        assert_eq!(engine.stats().wal_append_errors, 1);
+    }
+    let (mut engine, report) =
+        DynShardedCube::recover(spec, &["app"], config(), &dir, WalConfig::default()).unwrap();
+    assert_eq!(report.segments_replayed, 2);
+    assert_eq!(report.rows_recovered, 400);
+    assert_eq!(report.tail, None);
+    let snap = engine.snapshot().unwrap();
+    assert_eq!(snap.row_count(), 400);
+    assert_eq!(fingerprint(snap.cube()), committed);
+    engine.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_snapshot_between_checkpoints_loses_no_cell_on_recovery() {
+    let _failpoints = failpoint::scope();
+    let dir = temp_dir("snapshot-between");
+    let spec = SketchSpec::moments(8);
+    let config = || EngineConfig::with_shards(2).batch_rows(64);
+    let committed;
+    {
+        let (mut engine, _) =
+            DynShardedCube::recover(spec.clone(), &["app"], config(), &dir, WalConfig::default())
+                .unwrap();
+        ingest_cells(&mut engine, &["a"], 0..100);
+        engine.checkpoint().unwrap();
+        // This refresh ships `b` to the merged cube; the next
+        // checkpoint's shards have nothing new for it.
+        ingest_cells(&mut engine, &["b"], 100..200);
+        assert_eq!(engine.snapshot().unwrap().row_count(), 200);
+        ingest_cells(&mut engine, &["c"], 200..250);
+        let snap = engine.checkpoint().unwrap();
+        committed = fingerprint(snap.cube());
+        // Rows after the last checkpoint are the only ones a crash may
+        // lose.
+        ingest_cells(&mut engine, &["a", "d"], 250..300);
+        assert_eq!(engine.snapshot().unwrap().row_count(), 300);
+    }
+    let (mut engine, report) =
+        DynShardedCube::recover(spec, &["app"], config(), &dir, WalConfig::default()).unwrap();
+    assert_eq!(report.rows_recovered, 250);
+    let snap = engine.snapshot().unwrap();
+    assert_eq!(snap.row_count(), 250);
+    assert_eq!(fingerprint(snap.cube()), committed);
+    engine.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovering_a_log_under_another_schema_fails_loudly() {
+    let _failpoints = failpoint::scope();
+    let dir = temp_dir("foreign-schema");
+    let spec = SketchSpec::moments(8);
+    let config = || EngineConfig::with_shards(1);
+    {
+        let (mut engine, _) =
+            DynShardedCube::recover(spec.clone(), &["app"], config(), &dir, WalConfig::default())
+                .unwrap();
+        ingest(&mut engine, 0..10);
+        engine.checkpoint().unwrap();
+    }
+    let other_dims =
+        DynShardedCube::recover(spec, &["region"], config(), &dir, WalConfig::default());
+    assert!(matches!(
+        other_dims.map(|_| ()),
+        Err(EngineError::Cube(
+            msketch_cube::Error::SchemaMismatch { .. }
+        ))
+    ));
+    let other_backend = DynShardedCube::recover(
+        SketchSpec::tdigest(5.0),
+        &["app"],
+        config(),
+        &dir,
+        WalConfig::default(),
+    );
+    assert!(matches!(
+        other_backend.map(|_| ()),
+        Err(EngineError::Cube(
+            msketch_cube::Error::BackendMismatch { .. }
+        ))
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }

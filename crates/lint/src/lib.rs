@@ -27,6 +27,8 @@ use std::path::{Path, PathBuf};
 pub const API_PATH: &str = "crates/sketches/src/api.rs";
 /// Where the `TimelineWire` segment tags live (same flat registry).
 pub const TIMELINE_WIRE_PATH: &str = "crates/timeline/src/segment.rs";
+/// Where the `WalWire` log-record tags live (same flat registry).
+pub const WAL_WIRE_PATH: &str = "crates/engine/src/wal.rs";
 /// The committed wire-tag registry the `wire` rule diffs against.
 pub const GOLDEN_PATH: &str = "lint/wire_tags.golden";
 /// The committed fault-injection site registry the `failpoint` rule
@@ -244,8 +246,10 @@ pub fn lint_workspace(root: &Path, ruleset: &RuleSet) -> std::io::Result<Vec<Fin
     if ruleset.enabled("wire") {
         let api = std::fs::read_to_string(root.join(API_PATH))?;
         let timeline = std::fs::read_to_string(root.join(TIMELINE_WIRE_PATH))?;
+        let wal = std::fs::read_to_string(root.join(WAL_WIRE_PATH))?;
         let api_scanned = SourceFile::scan(&api);
         let timeline_scanned = SourceFile::scan(&timeline);
+        let wal_scanned = SourceFile::scan(&wal);
         match std::fs::read_to_string(root.join(GOLDEN_PATH)) {
             Ok(golden) => findings.extend(rules::wire::check(
                 &[
@@ -258,6 +262,11 @@ pub fn lint_workspace(root: &Path, ruleset: &RuleSet) -> std::io::Result<Vec<Fin
                         path: TIMELINE_WIRE_PATH,
                         file: &timeline_scanned,
                         enum_name: "TimelineWire",
+                    },
+                    rules::wire::TagSource {
+                        path: WAL_WIRE_PATH,
+                        file: &wal_scanned,
+                        enum_name: "WalWire",
                     },
                 ],
                 GOLDEN_PATH,

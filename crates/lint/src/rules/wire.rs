@@ -1,9 +1,10 @@
 //! Rule `wire`: wire-tag stability across every tag-owning enum.
 //!
 //! The one-byte discriminants of `SketchKind` (`crates/sketches/src/
-//! api.rs`) and `TimelineWire` (`crates/timeline/src/segment.rs`) are
-//! the wire format's tags: every serialized cube, sketch, and timeline
-//! segment carries one, so a reused or renumbered tag silently decodes
+//! api.rs`), `TimelineWire` (`crates/timeline/src/segment.rs`) and
+//! `WalWire` (`crates/engine/src/wal.rs`) are the wire format's tags:
+//! every serialized cube, sketch, timeline segment and WAL record
+//! carries one, so a reused or renumbered tag silently decodes
 //! old bytes as the wrong format. The committed registry
 //! `lint/wire_tags.golden` pins every tag ever shipped in one flat
 //! namespace — tags are unique across *all* enums, so a sketch tag can
@@ -30,7 +31,7 @@ pub struct TagEntry {
     pub code: u8,
     /// 1-based source line (golden entries: their line in the golden).
     pub line: usize,
-    /// Owning enum (`SketchKind`, `TimelineWire`; empty for golden
+    /// Owning enum (`SketchKind`, `TimelineWire`, `WalWire`; empty for golden
     /// entries — the registry is one flat namespace).
     pub owner: String,
     /// Source file the entry was parsed from.
@@ -55,7 +56,7 @@ pub struct TagSource<'a> {
     pub path: &'a str,
     /// Scanned source.
     pub file: &'a SourceFile,
-    /// The enum to extract (`SketchKind`, `TimelineWire`).
+    /// The enum to extract (`SketchKind`, `TimelineWire`, `WalWire`).
     pub enum_name: &'a str,
 }
 

@@ -15,7 +15,7 @@
 //! until `quit` arrives on stdin — the graceful path: snapshot
 //! refresher stopped, HTTP pool drained, shard workers joined. A plain
 //! kill is also safe: every thread dies with the process, and with
-//! `--wal-dir` set a restart replays every checkpointed pane bit-exactly
+//! `--wal-dir` set a restart replays every checkpoint bit-exactly
 //! (the kill-9 crash-recovery smoke in CI exercises exactly this).
 //!
 //! Fault-injection sites honor the `FAILPOINTS` environment variable

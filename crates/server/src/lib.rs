@@ -58,7 +58,7 @@
 //!   interval) instead of a max-entropy solve and marks the response
 //!   `"degraded": true`;
 //! * with [`ServerConfig::wal_dir`] set, refreshes run through the
-//!   engine's durable pane WAL ([`msketch_engine::Wal`]) and a restart
+//!   engine's durable WAL ([`msketch_engine::Wal`]) and a restart
 //!   replays every checkpointed row bit-exactly.
 //!
 //! Endpoints (details in the README's "Serving layer" section):
@@ -162,10 +162,9 @@ pub struct ServerConfig {
     /// `Retry-After` until the first refresh lands. This is how a
     /// recovering replica avoids serving an empty cube as truth.
     pub defer_initial_snapshot: bool,
-    /// Directory for the engine's durable pane WAL. `Some(dir)` opens
-    /// (or recovers) the log there and routes every refresh through
-    /// [`DynShardedCube::checkpoint`]; `None` keeps the engine purely
-    /// in-memory.
+    /// Directory for the engine's durable WAL. `Some(dir)` opens (or
+    /// recovers) the log there, and every refresh's checkpoint appends
+    /// to it; `None` keeps the engine purely in-memory.
     pub wal_dir: Option<PathBuf>,
     /// Fsync cadence for the WAL (ignored without `wal_dir`).
     pub fsync: FsyncPolicy,
@@ -550,21 +549,22 @@ impl ServerState {
         }
     }
 
-    /// Rotate a fresh snapshot into the slot; returns its epoch. With
-    /// a WAL attached this is a durable checkpoint: the retired pane
-    /// hits disk before the snapshot is published.
+    /// Put a fresh snapshot into the slot; returns its epoch. Every
+    /// refresh is a checkpoint: with a WAL attached, the record of the
+    /// cells it changed hits disk before the snapshot is published;
+    /// without one, the commit is a no-op.
     ///
     /// The checkpoint is split so ingest never waits on the disk: the
-    /// pane rotation and merge are *staged* under the engine lock
+    /// delta refresh and the record are *staged* under the engine lock
     /// (pure in-memory work), the lock is dropped, and only then does
-    /// [`StagedCheckpoint::commit`] append the pane to the WAL and
+    /// [`StagedCheckpoint::commit`] append the record to the WAL and
     /// fsync. A slow sync therefore stalls this refresh, not
     /// `/ingest` — writers only need the engine mutex to mint a new
     /// handle, and even that is untouched by the commit. `wal_commit`
-    /// serializes whole refreshes so staged panes reach the log in
-    /// epoch order and the snapshot slot is monotonic. The durability
-    /// contract is unchanged: the snapshot containing a pane is
-    /// published only after `commit()` has put that pane on disk.
+    /// serializes whole refreshes so staged records reach the log in
+    /// epoch order and the snapshot slot is monotonic. The snapshot
+    /// containing a change is published only after `commit()` has put
+    /// its record on disk.
     fn refresh(&self) -> Result<u64, EngineError> {
         // Root the refresh trace here: on the refresher thread this
         // *is* the root; under `POST /refresh` it degrades to a child
@@ -578,15 +578,9 @@ impl ServerState {
             .unwrap_or_else(PoisonError::into_inner);
         let mut engine = self.lock_engine();
         let accepted = self.metrics.rows_ingested.get();
-        let snapshot = if engine.wal_attached() {
-            let staged = engine.stage_checkpoint()?;
-            drop(engine);
-            staged.commit()?
-        } else {
-            let snapshot = engine.snapshot()?;
-            drop(engine);
-            snapshot
-        };
+        let staged = engine.stage_checkpoint()?;
+        drop(engine);
+        let snapshot = staged.commit()?;
         let epoch = snapshot.epoch();
         self.rows_at_refresh.store(accepted, Ordering::SeqCst);
         self.metrics.snapshot_epoch.set(epoch);

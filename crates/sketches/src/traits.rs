@@ -142,8 +142,8 @@ impl QuantileSummary for Box<dyn Sketch> {
     }
 }
 
-/// Builds fresh summaries of one configuration; used by the harness to
-/// pre-aggregate one summary per data-cube cell.
+/// Builds fresh summaries of one configuration: a data cube builds one
+/// per cell.
 pub trait SummaryFactory {
     /// The summary type built.
     type Summary: QuantileSummary;
@@ -155,17 +155,6 @@ pub trait SummaryFactory {
     /// overrides it (`DataCube::merge_cube` checks this on every call).
     fn kind(&self) -> SketchKind {
         self.build().kind()
-    }
-
-    /// Build one summary per cell of `cell_size` consecutive elements.
-    fn build_cells(&self, data: &[f64], cell_size: usize) -> Vec<Self::Summary> {
-        data.chunks(cell_size)
-            .map(|chunk| {
-                let mut s = self.build();
-                s.accumulate_all(chunk);
-                s
-            })
-            .collect()
     }
 }
 
@@ -193,16 +182,6 @@ impl<S, F: Fn() -> S + Clone> Clone for FnFactory<S, F> {
 mod tests {
     use super::*;
     use crate::ReservoirSample;
-
-    #[test]
-    fn factory_builds_cells() {
-        let factory = FnFactory(|| ReservoirSample::new(16, 7));
-        let data: Vec<f64> = (0..100).map(f64::from).collect();
-        let cells = factory.build_cells(&data, 30);
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].count(), 30);
-        assert_eq!(cells[3].count(), 10);
-    }
 
     #[test]
     fn sketch_is_object_safe() {

@@ -492,7 +492,10 @@ impl SegmentStore {
     /// Write protocol: encode → `.tmp` file → fsync (per policy) →
     /// rename into place → directory fsync. The `timeline::segment_write`
     /// failpoint aborts after the `.tmp` write, simulating a crash
-    /// mid-checkpoint; recovery discards the orphan.
+    /// mid-checkpoint; recovery discards the orphan. A failed directory
+    /// fsync returns [`TimelineError::Io`] after the segment is renamed
+    /// and indexed — the index matches the directory, and the caller
+    /// learns the rename may not survive power loss.
     pub fn write(&mut self, header: SegmentHeader, cube: &DynCube) -> Result<&SegmentMeta> {
         let bytes = encode_segment(header, cube);
         let name = format!(
@@ -509,9 +512,10 @@ impl SegmentStore {
             )));
         }
         std::fs::rename(&tmp, &path).map_err(|e| io_err("publish segment", &path, &e))?;
-        if !matches!(self.fsync, FsyncPolicy::Never) {
-            sync_dir(dir);
-        }
+        let synced = match self.fsync {
+            FsyncPolicy::Never => Ok(()),
+            _ => msketch_engine::sync_dir(dir).map_err(|e| TimelineError::Io(e.to_string())),
+        };
         // Replacing a bucket at a different end (cannot happen: the
         // name encodes the range) is impossible, but replacing the
         // same range rewrites the same file name in place.
@@ -532,6 +536,7 @@ impl SegmentStore {
             self.counters.unindexed(&replaced);
             self.reader.cache().remove(replaced.cache_key());
         }
+        synced?;
         // The entry was just inserted under `key`; spelled as a checked
         // lookup to keep the store panic-free.
         self.index
@@ -577,18 +582,6 @@ fn write_file(path: &Path, bytes: &[u8], fsync: FsyncPolicy) -> Result<()> {
     }
     Ok(())
 }
-
-/// Fsync the directory so a freshly renamed segment survives power
-/// loss (no-op where directories cannot be opened for sync).
-#[cfg(unix)]
-fn sync_dir(dir: &Path) {
-    if let Ok(handle) = std::fs::File::open(dir) {
-        let _ = handle.sync_all();
-    }
-}
-
-#[cfg(not(unix))]
-fn sync_dir(_dir: &Path) {}
 
 #[cfg(test)]
 mod tests {

@@ -56,8 +56,8 @@ fn every_rule_is_clean_in_isolation() {
 #[test]
 fn golden_registry_pins_all_shipped_tags() {
     // The registry must stay append-only and cover every tag the wire
-    // format has ever shipped; as of PR 8 that is tags 1 through 10
-    // (sketch kinds 1-9 plus the timeline segment header).
+    // format has ever shipped: tags 1 through 11 (sketch kinds 1-9,
+    // the timeline segment header, and the WAL replacement record).
     let golden = std::fs::read_to_string(workspace_root().join("lint/wire_tags.golden"))
         .expect("read wire_tags.golden");
     let entries = msketch_lint::rules::wire::parse_golden("lint/wire_tags.golden", &golden)
@@ -66,8 +66,8 @@ fn golden_registry_pins_all_shipped_tags() {
     codes.sort_unstable();
     assert_eq!(
         codes,
-        (1..=10).collect::<Vec<u8>>(),
-        "golden registry must pin tags 1..=10 exactly once each"
+        (1..=11).collect::<Vec<u8>>(),
+        "golden registry must pin tags 1..=11 exactly once each"
     );
 }
 

@@ -2,12 +2,15 @@
 //! shard count, batch split, and writer count, snapshots must answer
 //! quantile queries identically to sequential ingestion — bit-exactly
 //! for the moments backend, whose shard merges are pure power-sum
-//! additions. Plus the negative case: `merge_cube` refuses cubes with
-//! mismatched dimension schemas.
+//! additions — with or without a WAL attached. Plus the negative case:
+//! `merge_cube` refuses cubes with mismatched dimension schemas.
 
 use msketch::cube::Error as CubeError;
+use msketch::engine::WalConfig;
 use msketch::prelude::*;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const APPS: [&str; 7] = ["api", "web", "auth", "feed", "cart", "pay", "img"];
 const REGIONS: [&str; 4] = ["us", "eu", "ap", "sa"];
@@ -24,6 +27,33 @@ fn sequential(rows: &[(usize, usize, f64)]) -> DynCube {
         cube.insert(&[APPS[a], REGIONS[r]], m).unwrap();
     }
     cube
+}
+
+/// Every cell as `decoded value tuple -> summary bytes`, so cubes whose
+/// dictionaries assigned ids in different orders compare by value.
+fn fingerprint(cube: &DynCube) -> BTreeMap<Vec<String>, Vec<u8>> {
+    cube.cells()
+        .map(|(key, summary)| {
+            let names = key
+                .iter()
+                .enumerate()
+                .map(|(d, &id)| cube.dictionary(d).unwrap().decode(id).unwrap().to_string())
+                .collect();
+            (names, summary.to_bytes())
+        })
+        .collect()
+}
+
+/// A fresh WAL directory per proptest case.
+fn wal_dir() -> std::path::PathBuf {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "msketch-shard-equiv-wal-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 proptest! {
@@ -123,6 +153,52 @@ proptest! {
                 prop_assert_eq!(a.quantile(phi).to_bits(), b.quantile(phi).to_bits());
             }
         }
+    }
+
+    /// A WAL-attached engine that checkpoints at every refresh point
+    /// answers bit-identically to an in-memory engine snapshotting at
+    /// the same points, and to sequential ingest of the rows so far:
+    /// a checkpoint is the same delta refresh plus a log record.
+    #[test]
+    fn durable_checkpoints_equal_in_memory_snapshots(
+        rows in rows(),
+        shards in 1usize..=4,
+        cuts in prop::collection::vec(0.0f64..1.0, 1..4),
+    ) {
+        let config = EngineConfig::with_shards(shards).batch_rows(16);
+        let dims = ["app", "region"];
+        let dir = wal_dir();
+        let (mut durable, _) = DynShardedCube::recover(
+            SketchSpec::moments(8),
+            &dims,
+            config,
+            &dir,
+            WalConfig::default(),
+        )
+        .unwrap();
+        let mut memory = DynShardedCube::new(SketchSpec::moments(8), &dims, config);
+        let mut reference = DynCube::from_spec(SketchSpec::moments(8), &dims);
+        let mut ends: Vec<usize> = cuts.iter().map(|c| (c * rows.len() as f64) as usize).collect();
+        ends.push(rows.len());
+        ends.sort_unstable();
+        let mut at = 0;
+        for end in ends {
+            for &(a, r, m) in &rows[at..end] {
+                durable.insert(&[APPS[a], REGIONS[r]], m).unwrap();
+                memory.insert(&[APPS[a], REGIONS[r]], m).unwrap();
+                reference.insert(&[APPS[a], REGIONS[r]], m).unwrap();
+            }
+            at = end;
+            let checkpointed = durable.checkpoint().unwrap();
+            let snapshot = memory.snapshot().unwrap();
+            prop_assert_eq!(checkpointed.row_count(), reference.row_count());
+            prop_assert_eq!(snapshot.row_count(), reference.row_count());
+            let want = fingerprint(&reference);
+            prop_assert_eq!(&fingerprint(checkpointed.cube()), &want, "checkpoint at row {}", at);
+            prop_assert_eq!(&fingerprint(snapshot.cube()), &want, "snapshot at row {}", at);
+        }
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Splitting any row set into two cubes and unioning them with
