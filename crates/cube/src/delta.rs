@@ -11,9 +11,8 @@
 //!   application idempotent: applying the same delta twice yields the
 //!   same cube, which is what lets a worker that rolled back after a
 //!   panic simply re-ship the same keys next epoch. The engine applies
-//!   deltas with [`DataCube::apply_delta`] and replays the *resolved*
-//!   result ([`AppliedDelta`]) onto its second snapshot buffer with
-//!   [`DataCube::replay_applied`].
+//!   deltas to its merged cube with [`DataCube::apply_delta`], which
+//!   returns the merged-space keys it wrote ([`AppliedDelta`]).
 //!
 //! * **Interned ingest batches** ([`InternedBatch`] / [`WriterTable`]):
 //!   `ShardWriter` interns dimension values once per writer and ships
@@ -72,46 +71,13 @@ impl<S> CubeDelta<S> {
     }
 }
 
-/// The resolved result of applying one refresh's deltas: merged-space
-/// keys, final cell values, and the dictionary entries the application
-/// appended. Replaying this onto a second cube that last saw the
-/// previous epoch brings it to an identical state (same dictionaries,
-/// same cells, bit-identical summaries) without re-doing any merges —
-/// the double-buffered engine's catch-up currency.
+/// The resolved result of applying one shard's delta: merged-space
+/// keys and the final cell values written under them.
 #[derive(Clone)]
 pub struct AppliedDelta<S> {
     /// `(merged-space key, final cell value)` pairs, `Arc`-shared with
     /// the cube the delta was applied to.
     pub cells: Vec<(Vec<u32>, Arc<S>)>,
-    /// Per-dimension dictionary names appended during application, in
-    /// append order — replayed with `encode` they reproduce identical
-    /// id assignments on the twin cube.
-    pub dict_news: Vec<Vec<String>>,
-    /// Absolute row count of the cube after this refresh (set by the
-    /// engine once all shards' deltas are in).
-    pub rows: u64,
-}
-
-impl<S> AppliedDelta<S> {
-    /// An empty applied delta for a cube of `dims` dimensions.
-    pub fn empty(dims: usize) -> Self {
-        AppliedDelta {
-            cells: Vec::new(),
-            dict_news: vec![Vec::new(); dims],
-            rows: 0,
-        }
-    }
-
-    /// Fold another applied delta (from a disjoint shard of the same
-    /// refresh) into this one. Keys never collide across shards (each
-    /// cell is owned by exactly one shard), so concatenation suffices;
-    /// dictionary news concatenate in application order.
-    pub fn absorb(&mut self, other: AppliedDelta<S>) {
-        self.cells.extend(other.cells);
-        for (mine, theirs) in self.dict_news.iter_mut().zip(other.dict_news) {
-            mine.extend(theirs);
-        }
-    }
 }
 
 /// One dimension column of an [`InternedBatch`]: per-row writer-pool
@@ -158,11 +124,11 @@ impl InternedBatch {
 /// writer-pool values seen so far and their ids in the worker cube's
 /// dictionary.
 ///
-/// `strings` is the durable half — it survives worker rollback (the
-/// writer's memo is ahead of us and will never re-send these values) —
-/// while `dict_ids` is derived state, rebuilt by
-/// [`DataCube::rebind_tables`] whenever the cube's dictionaries regress
-/// (a worker's rollback to its checkpoint).
+/// Both halves survive a worker's rollback: `strings` because the
+/// writer's memo is ahead of us and will never re-send these values,
+/// and `dict_ids` because a rollback restores only cells and the row
+/// count ([`DataCube::roll_back_to`]) — the cube's dictionaries only
+/// ever grow, so an id handed out once stays valid.
 #[derive(Debug, Clone, Default)]
 pub struct WriterTable {
     /// Writer-pool values, indexed by pool id.
@@ -204,10 +170,11 @@ impl<F: SummaryFactory> DataCube<F> {
     /// touched cells have shipped, in O(touched + dictionary growth)
     /// instead of the O(cells) a fresh `live.clone()` would cost.
     ///
-    /// Sound because `self` was equal to `live` at the previous
-    /// barrier, and everything an insert can change since then is
-    /// covered here: cells only in `touched`, dictionaries only by
-    /// appending (prefix property, so [`Dictionary::extend_from`]
+    /// Sound because `self` held `live`'s cells and a prefix of its
+    /// dictionaries at the previous barrier (or rollback, which keeps
+    /// the live dictionaries), and everything an insert can change
+    /// since then is covered here: cells only in `touched`,
+    /// dictionaries only by appending (so [`Dictionary::extend_from`]
     /// keeps ids aligned), and the row count. Cell values are shared
     /// (`Arc`), so the live cube's copy-on-write inserts can never
     /// mutate what the checkpoint now holds.
@@ -224,6 +191,17 @@ impl<F: SummaryFactory> DataCube<F> {
             }
         }
         self.rows = live.rows;
+    }
+
+    /// Restore this cube's cells and row count from `checkpoint`, the
+    /// shard worker's rollback after a panic. The dictionaries stay as
+    /// they are: a checkpoint's are a prefix of the live cube's
+    /// ([`Self::sync_checkpoint`] only appends), so its keys mean the
+    /// same here, and ids already handed to [`WriterTable::dict_ids`]
+    /// stay valid.
+    pub fn roll_back_to(&mut self, checkpoint: &DataCube<F>) {
+        self.cells = checkpoint.cells.clone();
+        self.rows = checkpoint.rows;
     }
 
     /// Encode `cells`, given in canonical order (the repo-wide
@@ -270,8 +248,8 @@ impl<F: SummaryFactory> DataCube<F> {
     ///
     /// `base` holds the cells the engine recovered from its WAL (the
     /// part of the merged cube no live shard re-ships), keyed in this
-    /// cube's id space. Returns the resolved [`AppliedDelta`] for replay onto the
-    /// twin buffer; its `rows` field is left 0 for the caller to set.
+    /// cube's id space. Returns the keys written and their resolved
+    /// values ([`AppliedDelta`]); the row count is the caller's to set.
     pub fn apply_delta(
         &mut self,
         delta: &CubeDelta<F::Summary>,
@@ -283,17 +261,12 @@ impl<F: SummaryFactory> DataCube<F> {
                 got: delta.pools.len(),
             });
         }
-        let mut dict_news: Vec<Vec<String>> = Vec::with_capacity(self.dims.len());
-        let mut remaps: Vec<Vec<u32>> = Vec::with_capacity(self.dims.len());
-        for (dict, pool) in self.dims.iter_mut().zip(&delta.pools) {
-            let before = dict.cardinality();
-            let remap: Vec<u32> = pool.iter().map(|v| dict.encode(v)).collect();
-            let news: Vec<String> = (before..dict.cardinality())
-                .map(|id| dict.decode(id as u32).unwrap_or("").to_string())
-                .collect();
-            remaps.push(remap);
-            dict_news.push(news);
-        }
+        let remaps: Vec<Vec<u32>> = self
+            .dims
+            .iter_mut()
+            .zip(&delta.pools)
+            .map(|(dict, pool)| pool.iter().map(|v| dict.encode(v)).collect())
+            .collect();
         let mut cells = Vec::with_capacity(delta.cells.len());
         for (pool_key, summary) in &delta.cells {
             let mut key = Vec::with_capacity(pool_key.len());
@@ -312,28 +285,7 @@ impl<F: SummaryFactory> DataCube<F> {
             self.cells.put(key.clone(), Arc::clone(&resolved));
             cells.push((key, resolved));
         }
-        Ok(AppliedDelta {
-            cells,
-            dict_news,
-            rows: 0,
-        })
-    }
-
-    /// Replay a resolved delta onto this cube. Under the engine's
-    /// identical-dictionary invariant (both snapshot buffers apply
-    /// every delta exactly once, in the same order), re-encoding
-    /// `dict_news` assigns the same ids the original application did,
-    /// so the carried keys are valid here verbatim.
-    pub fn replay_applied(&mut self, applied: &AppliedDelta<F::Summary>) {
-        for (dict, news) in self.dims.iter_mut().zip(&applied.dict_news) {
-            for name in news {
-                dict.encode(name);
-            }
-        }
-        for (key, summary) in &applied.cells {
-            self.cells.put(key.clone(), Arc::clone(summary));
-        }
-        self.rows = applied.rows;
+        Ok(AppliedDelta { cells })
     }
 
     /// Ingest a pre-interned batch (the multi-writer fast path).
@@ -418,20 +370,6 @@ impl<F: SummaryFactory> DataCube<F> {
         self.rows += batch.metrics.len() as u64;
         Ok(())
     }
-
-    /// Rebuild every table's `dict_ids` by re-encoding its `strings`
-    /// against this cube's dictionaries — required after a shard worker
-    /// rolled its cube back to a checkpoint, when previously handed-out
-    /// dictionary ids are stale. Nothing else replaces a shard's cube.
-    pub fn rebind_tables(&mut self, tables: &mut [WriterTable]) {
-        for (dict, table) in self.dims.iter_mut().zip(tables.iter_mut()) {
-            let WriterTable { strings, dict_ids } = table;
-            dict_ids.clear();
-            for s in strings.iter() {
-                dict_ids.push(dict.encode(s));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -477,24 +415,10 @@ mod tests {
         let a = via_delta.rollup(&via_delta.no_filter()).unwrap();
         let b = via_merge.rollup(&via_merge.no_filter()).unwrap();
         assert_eq!(a.to_bytes(), b.to_bytes());
-
-        // Replay onto a twin reproduces identical dictionaries + cells.
-        let mut twin = empty();
-        let mut resolved = applied;
-        resolved.rows = 500;
-        twin.replay_applied(&resolved);
-        assert_eq!(twin.row_count(), 500);
-        let t = twin.rollup(&twin.no_filter()).unwrap();
-        assert_eq!(t.to_bytes(), a.to_bytes());
-        for d in 0..2 {
-            let x: Vec<&str> = via_delta
-                .dictionary(d)
-                .unwrap()
-                .iter()
-                .map(|(_, n)| n)
-                .collect();
-            let y: Vec<&str> = twin.dictionary(d).unwrap().iter().map(|(_, n)| n).collect();
-            assert_eq!(x, y);
+        // The applied keys are exactly the cube's cells, in its id space.
+        assert_eq!(applied.cells.len(), via_delta.cell_count());
+        for (key, summary) in &applied.cells {
+            assert!(Arc::ptr_eq(summary, via_delta.cells.get(key).unwrap()));
         }
     }
 
@@ -635,53 +559,46 @@ mod tests {
     }
 
     #[test]
-    fn rebind_tables_survives_dictionary_reset() {
+    fn roll_back_keeps_dictionaries_and_writer_ids() {
+        // One-row batches from writer 0; `news` names the values first
+        // sighted in the batch.
+        let one_row = |ids: [u32; 2], news: [&[&str]; 2]| InternedBatch {
+            writer: 0,
+            columns: ids
+                .iter()
+                .zip(news)
+                .map(|(&id, news)| InternedColumn {
+                    ids: vec![id],
+                    news: news.iter().map(|s| s.to_string()).collect(),
+                })
+                .collect(),
+            metrics: vec![1.0],
+        };
         let mut cube = empty();
         let mut touched = FxHashSet::default();
         let mut tables = vec![WriterTable::default(), WriterTable::default()];
-        let b = InternedBatch {
-            writer: 0,
-            columns: vec![
-                InternedColumn {
-                    ids: vec![0, 1],
-                    news: vec!["US".into(), "CA".into()],
-                },
-                InternedColumn {
-                    ids: vec![0, 0],
-                    news: vec!["v1".into()],
-                },
-            ],
-            metrics: vec![1.0, 2.0],
+        let mut ingest = |cube: &mut Cube, b: InternedBatch| {
+            for (t, c) in tables.iter_mut().zip(&b.columns) {
+                t.extend_strings(&c.news);
+            }
+            cube.insert_interned(&b, &mut tables, &mut touched).unwrap();
         };
-        for (t, c) in tables.iter_mut().zip(&b.columns) {
-            t.extend_strings(&c.news);
-        }
-        cube.insert_interned(&b, &mut tables, &mut touched).unwrap();
-
-        // A cube with fresh dictionaries, stale dict_ids. Rebind, then
-        // a news-free batch referencing old pool ids must still land.
-        let mut fresh = empty();
-        fresh.rebind_tables(&mut tables);
-        let again = InternedBatch {
-            writer: 0,
-            columns: vec![
-                InternedColumn {
-                    ids: vec![1],
-                    news: vec![],
-                },
-                InternedColumn {
-                    ids: vec![0],
-                    news: vec![],
-                },
-            ],
-            metrics: vec![9.0],
-        };
-        let mut touched2 = FxHashSet::default();
-        fresh
-            .insert_interned(&again, &mut tables, &mut touched2)
-            .unwrap();
-        assert_eq!(fresh.row_count(), 1);
-        let id = fresh.dictionary(0).unwrap().lookup("CA");
-        assert!(id.is_some());
+        ingest(&mut cube, one_row([0, 0], [&["US"], &["v1"]]));
+        let checkpoint = cube.clone();
+        // Past the checkpoint: "CA" enters the dictionary.
+        ingest(&mut cube, one_row([1, 0], [&["CA"], &[]]));
+        cube.roll_back_to(&checkpoint);
+        assert_eq!((cube.row_count(), cube.cell_count()), (1, 1));
+        assert_eq!(cube.dictionary(0).unwrap().lookup("CA"), Some(1));
+        // A news-free row naming "CA" by its pool id lands on the id the
+        // writer table cached before the rollback.
+        ingest(&mut cube, one_row([1, 0], [&[], &[]]));
+        assert_eq!((cube.row_count(), cube.cell_count()), (2, 2));
+        assert!(cube.cells.get(&[1, 0]).is_some());
+        // The checkpoint still syncs forward from the rolled-back cube.
+        let mut synced = checkpoint;
+        synced.sync_checkpoint(&cube, &touched);
+        assert_eq!(synced.row_count(), 2);
+        assert_eq!(synced.dictionary(0).unwrap().lookup("CA"), Some(1));
     }
 }

@@ -25,9 +25,6 @@ pub struct EngineConfig {
     /// amortize channel and dictionary-intern costs; smaller batches
     /// shorten the ingest-to-snapshot visibility lag.
     pub batch_rows: usize,
-    /// Bounded channel depth per shard, in batches. Backpressure: a
-    /// writer flushing into a full shard blocks until the worker drains.
-    pub channel_batches: usize,
 }
 
 impl Default for EngineConfig {
@@ -38,7 +35,6 @@ impl Default for EngineConfig {
             // well past the crossover where sharded ingest beats
             // row-at-a-time insertion.
             batch_rows: 16384,
-            channel_batches: 8,
         }
     }
 }
@@ -123,13 +119,6 @@ pub struct ShardWriter<F: SummaryFactory> {
     id: u32,
     dims: usize,
     batch_rows: usize,
-    /// Run cache: telemetry streams repeat dimension tuples in bursts,
-    /// so the previous row's tuple, shard, and pool ids are kept to
-    /// skip routing and memo lookups on repeats.
-    last_dims: Vec<String>,
-    last_ids: Vec<u32>,
-    last_shard: usize,
-    last_valid: bool,
 }
 
 impl<F: SummaryFactory> ShardWriter<F> {
@@ -146,10 +135,6 @@ impl<F: SummaryFactory> ShardWriter<F> {
             id,
             dims,
             batch_rows,
-            last_dims: vec![String::new(); dims],
-            last_ids: Vec::with_capacity(dims),
-            last_shard: 0,
-            last_valid: false,
         }
     }
 
@@ -167,22 +152,7 @@ impl<F: SummaryFactory> ShardWriter<F> {
                 got: dim_values.len(),
             }));
         }
-        if self.last_valid && dim_values.iter().zip(&self.last_dims).all(|(v, l)| *v == l) {
-            // Repeated tuple: the cached pool ids are permanently valid
-            // (memos never shrink), so push them straight through.
-            let shard = self.last_shard;
-            let pending = &mut self.pending[shard];
-            for (column, &id) in pending.columns.iter_mut().zip(&self.last_ids) {
-                column.ids.push(id);
-            }
-            pending.metrics.push(metric);
-            if pending.metrics.len() >= self.batch_rows {
-                self.flush_shard(shard)?;
-            }
-            return Ok(());
-        }
         let shard = (route_hash(dim_values) % self.senders.len() as u64) as usize;
-        self.last_ids.clear();
         let pending = &mut self.pending[shard];
         let memos = &mut self.memos[shard];
         for ((memo, column), v) in memos.iter_mut().zip(&mut pending.columns).zip(dim_values) {
@@ -199,16 +169,9 @@ impl<F: SummaryFactory> ShardWriter<F> {
                 }
             };
             column.ids.push(id);
-            self.last_ids.push(id);
         }
         pending.metrics.push(metric);
-        for (slot, v) in self.last_dims.iter_mut().zip(dim_values) {
-            slot.clear();
-            slot.push_str(v);
-        }
-        self.last_shard = shard;
-        self.last_valid = true;
-        if self.pending[shard].metrics.len() >= self.batch_rows {
+        if pending.metrics.len() >= self.batch_rows {
             self.flush_shard(shard)?;
         }
         Ok(())
@@ -259,8 +222,9 @@ impl<F: SummaryFactory> Drop for ShardWriter<F> {
 /// [`EngineSnapshot`]s — immutable merged cubes the engine maintains
 /// persistently and refreshes *incrementally*: each [`Self::snapshot`]
 /// asks every shard only for the cells it touched since its last reply
-/// and applies those deltas to a double-buffered merged cube, so
-/// refresh cost tracks the change rate, not the cube size.
+/// and applies those deltas to one merged cube, copied on write while a
+/// reader holds the previous snapshot, so the applied cells track the
+/// change rate, not the cube size.
 ///
 /// Worker threads exit when the engine and every extra writer have been
 /// dropped (the channels disconnect).
@@ -274,8 +238,8 @@ where
     config: EngineConfig,
     writer: ShardWriter<F>,
     workers: Vec<JoinHandle<()>>,
-    /// The persistently maintained merged cube (double-buffered), plus
-    /// the base layer WAL replay seeds in [`Self::recover`].
+    /// The persistently maintained merged cube, plus the base layer WAL
+    /// replay seeds in [`Self::recover`].
     merged: MergedState<F>,
     /// Durable log, when attached via [`Self::recover`]. Shared with
     /// [`StagedCheckpoint`]s so the fsync can run after the engine lock
@@ -308,8 +272,12 @@ where
         let stats = Arc::new(SharedStats::default());
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
+        // Bounded channel depth per shard, in batches. Backpressure: a
+        // writer flushing into a full shard blocks until the worker
+        // drains.
+        const CHANNEL_BATCHES: usize = 8;
         for shard in 0..shards {
-            let (tx, rx) = channel::bounded::<ShardMsg<F>>(config.channel_batches.max(1));
+            let (tx, rx) = channel::bounded::<ShardMsg<F>>(CHANNEL_BATCHES);
             let cube = DataCube::new(factory.clone(), dim_names);
             let stats = Arc::clone(&stats);
             #[expect(
@@ -473,15 +441,17 @@ where
     /// Take an epoch-stamped snapshot by *delta refresh*: flush this
     /// handle, have every worker ship only the cells it touched since
     /// its last delta reply, and apply those deltas to the engine's
-    /// persistent double-buffered merged cube.
+    /// persistent merged cube.
     ///
     /// Isolation: per-sender channel FIFO makes the delta request a
     /// barrier, so the snapshot contains *every* row this handle (and
     /// any writer that flushed before the barrier reached the shard)
     /// shipped, and *no* row shipped after. Workers resume ingesting
     /// the moment they have replied; delta application runs on the
-    /// calling thread, and its cost tracks the cells *changed* since
-    /// the previous refresh — not the cube size. Bit-exact with
+    /// calling thread. It applies the cells *changed* since the
+    /// previous refresh, after copying the merged cube's key index and
+    /// cell pointers (no sketch) if a reader still holds the previous
+    /// snapshot. Bit-exact with
     /// [`Self::snapshot_refold`]: each delta cell is the owning shard's
     /// complete live summary, merged over the recovered base in the
     /// same single `merge_from` a refold performs.
@@ -696,7 +666,7 @@ impl DynShardedCube {
             // now, not at the first snapshot.
             let mut seeded = engine.empty_cube();
             seeded.merge_cube(recovered)?;
-            engine.merged = MergedState::from_base(&seeded, engine.shard_count());
+            engine.merged = MergedState::from_base(seeded, engine.shard_count());
         }
         let stats = &engine.stats;
         wal.count_into(
@@ -782,6 +752,28 @@ mod tests {
         cube
     }
 
+    /// Every cell's serialized summary, keyed by its decoded names.
+    fn cell_bytes_by_name(
+        cube: &DataCube<MomentsFactory>,
+    ) -> std::collections::HashMap<Vec<String>, Vec<u8>> {
+        cube.cells()
+            .map(|(k, s)| {
+                let names: Vec<String> = k
+                    .iter()
+                    .enumerate()
+                    .map(|(d, &id)| {
+                        cube.dictionary(d)
+                            .ok()
+                            .and_then(|dict| dict.decode(id))
+                            .unwrap_or("")
+                            .to_string()
+                    })
+                    .collect();
+                (names, s.to_bytes())
+            })
+            .collect()
+    }
+
     #[test]
     fn snapshot_is_bit_exact_vs_sequential_at_8_shards() {
         let reference = sequential_reference(50_000);
@@ -833,26 +825,8 @@ mod tests {
             assert_eq!(delta_snap.cell_count(), refold_snap.cell_count());
             // The two snapshots' dictionaries may assign different ids;
             // compare cells by decoded name tuple.
-            let decode = |cube: &DataCube<MomentsFactory>| {
-                cube.cells()
-                    .map(|(k, s)| {
-                        let names: Vec<String> = k
-                            .iter()
-                            .enumerate()
-                            .map(|(d, &id)| {
-                                cube.dictionary(d)
-                                    .ok()
-                                    .and_then(|dict| dict.decode(id))
-                                    .unwrap_or("")
-                                    .to_string()
-                            })
-                            .collect();
-                        (names, s.to_bytes())
-                    })
-                    .collect::<std::collections::HashMap<_, _>>()
-            };
-            let refold_cells = decode(refold_snap.cube());
-            for (names, bytes) in decode(delta_snap.cube()) {
+            let refold_cells = cell_bytes_by_name(refold_snap.cube());
+            for (names, bytes) in cell_bytes_by_name(delta_snap.cube()) {
                 assert_eq!(
                     refold_cells.get(&names),
                     Some(&bytes),
@@ -931,6 +905,7 @@ mod tests {
         }
         let first = engine.snapshot().unwrap();
         assert_eq!(first.row_count(), 1000);
+        let fingerprint = cell_bytes_by_name(first.cube());
         // Keep ingesting after the snapshot; the old snapshot is
         // unaffected, a new one sees everything.
         for i in 1000..3000 {
@@ -941,6 +916,17 @@ mod tests {
         assert_eq!(first.row_count(), 1000);
         assert_eq!(second.row_count(), 3000);
         assert_eq!(second.epoch(), 2);
+        // Held through a third refresh too, `first` still reads bit for
+        // bit as published: each refresh that found it held copied the
+        // merged cube before writing.
+        for i in 3000..3500 {
+            let (dims, metric) = row(i);
+            engine.insert(&dims, metric).unwrap();
+        }
+        assert_eq!(engine.snapshot().unwrap().row_count(), 3500);
+        assert_eq!(first.row_count(), 1000);
+        assert_eq!(cell_bytes_by_name(first.cube()), fingerprint);
+        assert_eq!(second.row_count(), 3000);
     }
 
     #[test]

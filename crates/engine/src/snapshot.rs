@@ -17,14 +17,15 @@ use std::sync::Arc;
 /// without ever touching it.
 ///
 /// The cube lives behind an `Arc`: cloning a snapshot (or handing it to
-/// reader threads) is a pointer bump, and the engine's double-buffered
-/// merged state republishes the same allocation across delta refreshes
-/// instead of cloning the full cell map.
+/// reader threads) is a pointer bump. The engine's merged cube *is*
+/// that `Arc`: the next refresh writes through `Arc::make_mut`, which
+/// leaves a held snapshot untouched by copying the cube's key index and
+/// cell pointers (never a sketch) before it applies the delta.
 ///
 /// The canonical cell order every read merges in is per snapshot, not
 /// per request: an early read sorts the cells once and every later
-/// reader of the snapshot reuses it. The buffer the next refresh
-/// patches keeps that order when the delta only replaces summaries; a
+/// reader of the snapshot reuses it. The next refresh keeps that order
+/// (the copy shares it) when the delta only replaces summaries; a
 /// delta that adds cells drops it, to be sorted again.
 ///
 /// [`GroupThresholdQuery::run_cube_decoded`]:

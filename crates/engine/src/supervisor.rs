@@ -23,11 +23,12 @@
 //! pool ids to this shard cube's dictionary ids. A batch's `news` are
 //! appended to the table's string log *outside* the unwind boundary
 //! (the id assignments are writer-side facts, valid regardless of what
-//! happens to this batch), while the derived `dict_ids` cache is
-//! rebuilt eagerly after a rollback, which reverts the cube's
-//! dictionaries out from under the cache. A shard keeps its cube for
-//! the engine's lifetime otherwise: checkpoints read it through the
-//! same delta as snapshots and never replace it.
+//! happens to this batch). The derived `dict_ids` cache never goes
+//! stale: a rollback restores only the cube's cells and row count
+//! ([`DataCube::roll_back_to`]) and keeps its dictionaries, of which
+//! the checkpoint's are a prefix. A shard keeps its cube for the
+//! engine's lifetime: checkpoints read it through the same delta as
+//! snapshots and never replace it.
 
 use crate::sharded::ShardMsg;
 use msketch_cube::hash::{FxHashMap, FxHashSet};
@@ -213,14 +214,7 @@ pub(crate) fn worker_loop<F>(
                         // both would let applied + lost exceed the
                         // rows the engine ever accepted.
                         let rolled_back = cube.row_count().saturating_sub(checkpoint.row_count());
-                        cube = checkpoint.clone();
-                        // The rollback reverted the cube's dictionaries;
-                        // every cached dict id may now be stale or
-                        // dangling. Rebuild the caches against the
-                        // reverted dictionaries.
-                        for writer_tables in tables.values_mut() {
-                            cube.rebind_tables(writer_tables);
-                        }
+                        cube.roll_back_to(&checkpoint);
                         let lost = rolled_back.saturating_add(rows);
                         stats.rows_lost.add(lost);
                         stats.rows_applied.sub(rolled_back);

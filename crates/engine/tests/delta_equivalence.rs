@@ -1,7 +1,7 @@
 //! Property suite for the incremental delta-snapshot path: for any
 //! random stream of multi-writer ingest, epoch refreshes, and
 //! checkpoints — including worker restarts and WAL crash recovery — the
-//! delta-maintained double buffer must be *bit-identical* to a full
+//! delta-maintained merged cube must be *bit-identical* to a full
 //! refold of the same shard state, and (for order-preserving
 //! single-writer streams) to plain sequential ingest into one cube.
 //!
