@@ -637,19 +637,11 @@ impl<F: SummaryFactory> DataCube<F> {
         self.cells.iter().map(|(k, s)| (k, &**s))
     }
 
-    /// Iterate cells as `(key, shared summary)` pairs — the engine's
-    /// delta path clones the `Arc`s to share structure instead of
-    /// deep-copying summaries.
+    /// Iterate cells as `(key, shared summary)` pairs, so a caller can
+    /// clone the `Arc`s to share structure instead of deep-copying
+    /// summaries.
     pub fn cells_shared(&self) -> impl Iterator<Item = (&Vec<u32>, &Arc<F::Summary>)> {
         self.cells.iter()
-    }
-
-    /// Insert a cell by raw key, sharing the summary. The key must
-    /// already be valid in this cube's id space (same dictionaries);
-    /// an existing cell under the key is replaced, and the row count is
-    /// left untouched (callers set it via [`Self::set_row_count`]).
-    pub fn insert_cell_shared(&mut self, key: Vec<u32>, summary: Arc<F::Summary>) {
-        self.cells.put(key, summary);
     }
 
     /// Overwrite the row count — the delta-application path accounts
@@ -657,25 +649,6 @@ impl<F: SummaryFactory> DataCube<F> {
     /// insert.
     pub fn set_row_count(&mut self, rows: u64) {
         self.rows = rows;
-    }
-
-    /// A cube with this cube's factory, dimension names, *and
-    /// dictionaries*, but no cells and zero rows. Keeping the
-    /// dictionaries preserves the id space, so cell keys taken from
-    /// this cube stay valid in the clone — the engine's reference
-    /// refold starts from its recovered base cells this way without
-    /// invalidating their keys.
-    pub fn schema_clone(&self) -> DataCube<F>
-    where
-        F: Clone,
-    {
-        DataCube {
-            factory: self.factory.clone(),
-            dims: self.dims.clone(),
-            dim_names: self.dim_names.clone(),
-            cells: CellStore::new(self.dims.len()),
-            rows: 0,
-        }
     }
 
     /// Does a cell key match a filter (`None` = wildcard per dimension)?
@@ -1276,7 +1249,10 @@ mod tests {
     #[test]
     fn summary_only_delta_keeps_the_order_allocation() {
         let mut shard = small_cube();
-        let mut cube = small_cube().schema_clone();
+        let mut cube = DataCube::new(
+            FnFactory(|| MSketchSummary::new(8)),
+            &["country", "version"],
+        );
         cube.apply_delta(&shard.full_delta(), &FxHashMap::default())
             .unwrap();
         let before = cube.cells_sorted().len();
@@ -1299,7 +1275,10 @@ mod tests {
     #[test]
     fn order_after_a_delta_that_adds_cells_equals_a_fresh_build() {
         let mut shard = small_cube();
-        let mut cube = small_cube().schema_clone();
+        let mut cube = DataCube::new(
+            FnFactory(|| MSketchSummary::new(8)),
+            &["country", "version"],
+        );
         cube.apply_delta(&shard.full_delta(), &FxHashMap::default())
             .unwrap();
         cube.cells_sorted();

@@ -246,10 +246,11 @@ impl<F: SummaryFactory> DataCube<F> {
     /// value — the idempotent replacement semantics that make worker
     /// re-ships after rollback safe.
     ///
-    /// `base` holds the cells the engine recovered from its WAL (the
-    /// part of the merged cube no live shard re-ships), keyed in this
-    /// cube's id space. Returns the keys written and their resolved
-    /// values ([`AppliedDelta`]); the row count is the caller's to set.
+    /// `base` cells are keyed in this cube's id space. The engine
+    /// passes an empty map, because a shard owns a cell's whole state,
+    /// recovered rows included. Returns the keys written and their
+    /// resolved values ([`AppliedDelta`]); the row count is the
+    /// caller's to set.
     pub fn apply_delta(
         &mut self,
         delta: &CubeDelta<F::Summary>,

@@ -33,7 +33,8 @@
 //! * [`EngineSnapshot`] — an epoch-stamped immutable merged cube;
 //!   readers query it (it derefs to `DataCube`) while writers continue;
 //! * [`Wal`] — the durable log a checkpoint appends to and
-//!   [`DynShardedCube::recover`] replays;
+//!   [`DynShardedCube::recover`] replays, handing each recovered cell
+//!   back to the shard that owns it;
 //! * [`EngineStats`] — a read of the engine's health numbers, which
 //!   live in `msketch_obs` handles the engine owns (and `set_obs`
 //!   publishes), so reading them takes no lock.
@@ -62,7 +63,7 @@ mod snapshot;
 mod supervisor;
 mod wal;
 
-pub use sharded::{DynShardedCube, EngineConfig, ShardWriter, ShardedCube, StagedCheckpoint};
+pub use sharded::{DynShardedCube, EngineConfig, ShardWriter, ShardedCube};
 pub use snapshot::EngineSnapshot;
 pub use supervisor::EngineStats;
 pub use wal::{sync_dir, FsyncPolicy, RecoveryReport, Wal, WalConfig, WalError};

@@ -1,18 +1,19 @@
 //! The sharded write path: routing, per-shard channels, worker threads.
 
-use crate::delta::{MergedState, Unlogged};
+use crate::delta::MergedState;
 use crate::snapshot::EngineSnapshot;
 use crate::supervisor::{worker_loop, EngineStats, SharedStats};
 use crate::wal::{encode_record, RecoveryReport, Wal, WalConfig};
 use crate::{EngineError, Result};
 use crossbeam::channel::{self, Receiver, Sender};
 use msketch_cube::hash::{route_hash, FxHashMap, FxHashSet};
+use msketch_cube::query::decode_group_key;
 use msketch_cube::{CubeDelta, DataCube, DynCube, InternedBatch, InternedColumn};
 use msketch_sketches::traits::SummaryFactory;
 use msketch_sketches::SketchSpec;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -238,13 +239,10 @@ where
     config: EngineConfig,
     writer: ShardWriter<F>,
     workers: Vec<JoinHandle<()>>,
-    /// The persistently maintained merged cube, plus the base layer WAL
-    /// replay seeds in [`Self::recover`].
+    /// The persistently maintained merged cube.
     merged: MergedState<F>,
-    /// Durable log, when attached via [`Self::recover`]. Shared with
-    /// [`StagedCheckpoint`]s so the fsync can run after the engine lock
-    /// is released by the serving layer.
-    wal: Option<Arc<Mutex<Wal>>>,
+    /// Durable log, when attached via [`DynShardedCube::recover`].
+    wal: Option<Wal>,
     /// Dense writer-id allocator for [`Self::writer`] handles.
     writer_seq: Arc<AtomicU32>,
     /// Every health number the engine has — epoch, supervision, WAL and
@@ -268,17 +266,32 @@ where
     /// Spawn `config.shards` workers, each owning an empty cube with the
     /// given dimension names.
     pub fn new(factory: F, dim_names: &[&str], config: EngineConfig) -> Self {
-        let shards = config.shards.max(1);
+        let shards = (0..config.shards.max(1))
+            .map(|_| DataCube::new(factory.clone(), dim_names))
+            .collect();
+        let merged = DataCube::new(factory.clone(), dim_names);
+        Self::start(factory, dim_names, config, merged, shards)
+    }
+
+    /// Spawn one worker per shard cube. `merged` holds every shard's
+    /// cells, each under the shard `route_hash` assigns it.
+    fn start(
+        factory: F,
+        dim_names: &[&str],
+        config: EngineConfig,
+        merged: DataCube<F>,
+        shard_cubes: Vec<DataCube<F>>,
+    ) -> Self {
         let stats = Arc::new(SharedStats::default());
-        let mut senders = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
+        let shard_rows = shard_cubes.iter().map(DataCube::row_count).collect();
+        let mut senders = Vec::with_capacity(shard_cubes.len());
+        let mut workers = Vec::with_capacity(shard_cubes.len());
         // Bounded channel depth per shard, in batches. Backpressure: a
         // writer flushing into a full shard blocks until the worker
         // drains.
         const CHANNEL_BATCHES: usize = 8;
-        for shard in 0..shards {
+        for (shard, cube) in shard_cubes.into_iter().enumerate() {
             let (tx, rx) = channel::bounded::<ShardMsg<F>>(CHANNEL_BATCHES);
-            let cube = DataCube::new(factory.clone(), dim_names);
             let stats = Arc::clone(&stats);
             #[expect(
                 clippy::expect_used,
@@ -295,14 +308,13 @@ where
             senders.push(tx);
         }
         let writer = ShardWriter::new(senders, 0, dim_names.len(), config.batch_rows.max(1));
-        let merged = MergedState::new(factory.clone(), dim_names, shards);
         ShardedCube {
             factory,
             dim_names: dim_names.iter().map(|s| s.to_string()).collect(),
             config,
             writer,
             workers,
-            merged,
+            merged: MergedState::new(merged, shard_rows),
             wal: None,
             writer_seq: Arc::new(AtomicU32::new(1)),
             stats,
@@ -338,8 +350,8 @@ where
             .events
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = Some((*obs.trace).clone());
-        if let Some(wal) = &self.wal {
-            wal.lock().unwrap_or_else(PoisonError::into_inner).set_obs(
+        if let Some(wal) = &mut self.wal {
+            wal.set_obs(
                 obs.registry.recorder("msketch_wal_fsync_seconds", &[]),
                 (*obs.trace).clone(),
             );
@@ -453,14 +465,13 @@ where
     /// cell pointers (no sketch) if a reader still holds the previous
     /// snapshot. Bit-exact with
     /// [`Self::snapshot_refold`]: each delta cell is the owning shard's
-    /// complete live summary, merged over the recovered base in the
-    /// same single `merge_from` a refold performs.
+    /// complete live summary, the value a refold copies too.
     pub fn snapshot(&mut self) -> Result<EngineSnapshot<F>> {
         self.refresh("engine::snapshot")
     }
 
     /// The one refresh path, behind [`Self::snapshot`] and
-    /// [`DynShardedCube::stage_checkpoint`].
+    /// [`DynShardedCube::checkpoint`].
     fn refresh(&mut self, span_name: &'static str) -> Result<EngineSnapshot<F>> {
         self.ensure_running()?;
         let mut span = msketch_obs::span(span_name);
@@ -493,9 +504,9 @@ where
     /// Not a product path: the reference the equivalence suites
     /// (`delta_equivalence`, `shard_equivalence`) hold [`Self::snapshot`]
     /// to, bit for bit. It takes an epoch-stamped snapshot the pre-delta
-    /// way — clone every shard's full live cube and fold the clones over
-    /// the base, O(total cells) on the calling thread regardless of what
-    /// changed — and nothing outside the tests calls it.
+    /// way — clone every shard's full live cube and fold the clones into
+    /// an empty cube, O(total cells) on the calling thread regardless of
+    /// what changed — and nothing outside the tests calls it.
     #[doc(hidden)]
     pub fn snapshot_refold(&mut self) -> Result<EngineSnapshot<F>> {
         self.ensure_running()?;
@@ -512,9 +523,8 @@ where
                 .map_err(|_| EngineError::Disconnected)?;
             replies.push(rx);
         }
-        let mut merged = self.merged.base_only_cube();
+        let mut merged = self.empty_cube();
         let folded = &self.stats.snapshot_cells_folded;
-        folded.add(merged.cell_count() as u64);
         for rx in replies {
             let shard_cube = rx.recv().map_err(|_| EngineError::Disconnected)?;
             folded.add(shard_cube.cell_count() as u64);
@@ -578,74 +588,25 @@ where
     }
 }
 
-/// A checkpoint whose in-memory half is done but whose WAL append has
-/// not happened yet ([`DynShardedCube::stage_checkpoint`]).
-///
-/// The split exists for the serving layer: staging (the delta refresh,
-/// plus the log record of the cells it replaced) needs the engine, but
-/// the append — and above all its fsync — does not. A server stages
-/// under its engine lock, drops the lock, then calls [`Self::commit`],
-/// so a slow fsync never stalls concurrent ingest. Callers that don't
-/// care (tests, CLIs) use [`DynShardedCube::checkpoint`], which stages
-/// and commits in one call.
-///
-/// A record that does not land — its append fails, or the stage is
-/// dropped without committing — hands its cells back to the engine, so
-/// the next checkpoint logs them again: the log never gets a hole that
-/// a later record papers over.
-pub struct StagedCheckpoint {
-    snapshot: EngineSnapshot<SketchSpec>,
-    /// The record and its log; `None` without a WAL or when no cell
-    /// changed since the last record.
-    record: Option<(DynCube, Arc<Mutex<Wal>>)>,
-    /// The merged-space keys the record covers, handed back to the
-    /// engine's `unlogged` set on drop unless the append succeeded.
-    keys: FxHashSet<Vec<u32>>,
-    unlogged: Unlogged,
-}
-
-impl StagedCheckpoint {
-    /// Append the staged record to the WAL (fsync per the WAL's policy)
-    /// and return the snapshot. No-op without a WAL or when no cell
-    /// changed. On an append failure the snapshot stays live in memory,
-    /// the next checkpoint logs this record's cells again, and the WAL
-    /// handle rewinds to the last good frame boundary (or poisons
-    /// itself), so a damaged tail never swallows later records.
-    pub fn commit(mut self) -> crate::Result<EngineSnapshot<SketchSpec>> {
-        if let Some((cube, wal)) = &self.record {
-            let payload = encode_record(cube);
-            let mut wal = wal.lock().unwrap_or_else(PoisonError::into_inner);
-            wal.append(self.snapshot.epoch(), &payload)?;
-        }
-        self.keys.clear();
-        Ok(self.snapshot.clone())
-    }
-}
-
-impl Drop for StagedCheckpoint {
-    fn drop(&mut self) {
-        if !self.keys.is_empty() {
-            let mut unlogged = self.unlogged.lock().unwrap_or_else(PoisonError::into_inner);
-            unlogged.extend(self.keys.drain());
-        }
-    }
-}
-
 impl DynShardedCube {
     /// Open (or create) the durable WAL under `dir`, replay its valid
-    /// segment prefix into the engine's base cube, and return the
-    /// recovered engine plus a [`RecoveryReport`].
+    /// segment prefix, hand every recovered cell to the shard that owns
+    /// it, and return the recovered engine plus a [`RecoveryReport`].
     ///
     /// This is "new with durability": on a fresh directory it returns
     /// an empty engine with the WAL attached; after a crash it returns
     /// an engine whose snapshots are *bit-exact* with the last
     /// committed [`Self::checkpoint`] before the crash (each record
     /// replaces the cells it carries with the values that checkpoint
-    /// published, and the delta refresh path performs the identical
-    /// `base ⊕ shard` merges on top). Torn tails are truncated,
-    /// mid-log corruption shortens the prefix and is surfaced in
-    /// [`RecoveryReport::tail`] — replay never panics and corruption
-    /// never fails the open.
+    /// published). Each recovered cell goes back to the shard
+    /// `route_hash` assigns its names — at this engine's shard count,
+    /// which may differ from the crashed one's — so later rows
+    /// accumulate into it in place, exactly as if the engine had never
+    /// stopped. A shard starts with the sum of its cells' counts as its
+    /// rows; they do not count toward `rows_applied`. Torn tails are
+    /// truncated, mid-log corruption shortens the prefix and is
+    /// surfaced in [`RecoveryReport::tail`] — replay never panics and
+    /// corruption never fails the open.
     ///
     /// The engine's epoch resumes from the last replayed segment's, so
     /// segment epochs stay strictly increasing across restarts.
@@ -656,69 +617,83 @@ impl DynShardedCube {
         dir: impl AsRef<Path>,
         wal_config: WalConfig,
     ) -> Result<(Self, RecoveryReport)> {
-        let (mut wal, base, report) =
+        let (mut wal, recovered, report) =
             Wal::open(dir.as_ref(), wal_config).map_err(EngineError::Wal)?;
-        let mut engine = Self::new(spec, dim_names, config);
-        engine.stats.epoch.set(report.last_epoch);
-        if let Some(recovered) = &base {
-            // `merge_cube` into the engine's empty cube checks schema
-            // and backend: a WAL from a different engine fails loudly
-            // now, not at the first snapshot.
-            let mut seeded = engine.empty_cube();
-            seeded.merge_cube(recovered)?;
-            engine.merged = MergedState::from_base(seeded, engine.shard_count());
+        let empty = || DynCube::from_spec(spec.clone(), dim_names);
+        let mut merged = empty();
+        let mut shards: Vec<DynCube> = (0..config.shards.max(1)).map(|_| empty()).collect();
+        if let Some(recovered) = &recovered {
+            // `merge_cube` into an empty cube checks schema and backend:
+            // a WAL from a different engine fails loudly now, not at the
+            // first snapshot.
+            merged.merge_cube(recovered)?;
+            let dims: Vec<usize> = (0..dim_names.len()).collect();
+            let mut owned = vec![FxHashSet::default(); shards.len()];
+            for (key, _) in merged.cells() {
+                let names = decode_group_key(&merged, &dims, key);
+                let names: Vec<&str> = names.iter().map(String::as_str).collect();
+                let shard = route_hash(&names) % owned.len() as u64;
+                owned[shard as usize].insert(key.clone());
+            }
+            for (shard, keys) in shards.iter_mut().zip(&owned) {
+                let share = merged.build_delta(keys);
+                shard.apply_delta(&share, &FxHashMap::default())?;
+                shard.set_row_count(share.cells.iter().map(|(_, s)| s.count()).sum());
+            }
         }
+        let mut engine = Self::start(spec, dim_names, config, merged, shards);
+        engine.stats.epoch.set(report.last_epoch);
         let stats = &engine.stats;
         wal.count_into(
             &stats.wal_segments,
             &stats.wal_bytes,
             &stats.wal_append_errors,
         );
-        engine.wal = Some(Arc::new(Mutex::new(wal)));
+        engine.wal = Some(wal);
         Ok((engine, report))
     }
 
-    /// Refresh exactly as [`Self::snapshot`] does, and stage the log
-    /// record of every cell refreshed since the last record: the
-    /// cells' current values and the engine's row total, in a
-    /// [`StagedCheckpoint`] for the durable half. The returned stage's
-    /// snapshot is immediately serveable.
-    pub fn stage_checkpoint(&mut self) -> Result<StagedCheckpoint> {
-        let snapshot = self.refresh("engine::stage_checkpoint")?;
-        let (keys, unlogged) = self.merged.take_unlogged();
-        let mut staged = StagedCheckpoint {
-            snapshot,
-            record: None,
-            keys,
-            unlogged,
-        };
-        if let (Some(wal), false) = (&self.wal, staged.keys.is_empty()) {
-            let mut cube = self.empty_cube();
-            cube.apply_delta(
-                &staged.snapshot.build_delta(&staged.keys),
-                &FxHashMap::default(),
-            )?;
-            cube.set_row_count(staged.snapshot.row_count());
-            staged.record = Some((cube, Arc::clone(wal)));
-        } else {
-            staged.keys.clear();
-        }
-        Ok(staged)
-    }
-
-    /// Refresh, and append the record of every cell refreshed since the
-    /// last record to the WAL (when attached). Returns the refreshed
+    /// Refresh exactly as [`Self::snapshot`] does, and append the
+    /// record of every cell refreshed since the last record — the
+    /// cells' current values and the engine's row total — to the WAL
+    /// (when attached), fsynced per its policy. Returns the refreshed
     /// snapshot.
     ///
-    /// This is [`Self::stage_checkpoint`] + [`StagedCheckpoint::commit`]
-    /// in one call. A record carries one summary per changed cell, so
-    /// WAL traffic tracks the cells touched between checkpoints, not
-    /// the cube size or the row count. A WAL append failure degrades
-    /// durability until the next successful checkpoint, which logs the
-    /// failed record's cells again; memory is unaffected, so queries
-    /// stay consistent.
+    /// A record carries one summary per changed cell, so WAL traffic
+    /// tracks the cells touched between checkpoints, not the cube size
+    /// or the row count. A record that does not land hands its cells
+    /// back, so the next checkpoint logs them again and the log never
+    /// gets a hole that a later record papers over. Such a failure
+    /// degrades durability until the next successful checkpoint;
+    /// memory is unaffected, so queries stay consistent, and the WAL
+    /// handle rewinds to the last good frame boundary (or poisons
+    /// itself), so a damaged tail never swallows later records.
     pub fn checkpoint(&mut self) -> Result<EngineSnapshot<SketchSpec>> {
-        self.stage_checkpoint()?.commit()
+        let snapshot = self.refresh("engine::checkpoint")?;
+        let keys = self.merged.take_unlogged();
+        if self.wal.is_none() || keys.is_empty() {
+            return Ok(snapshot);
+        }
+        if let Err(e) = self.append_record(&snapshot, &keys) {
+            self.merged.return_unlogged(keys);
+            return Err(e);
+        }
+        Ok(snapshot)
+    }
+
+    /// Append the record of `keys`' values in `snapshot` to the WAL.
+    fn append_record(
+        &mut self,
+        snapshot: &EngineSnapshot<SketchSpec>,
+        keys: &FxHashSet<Vec<u32>>,
+    ) -> Result<()> {
+        let mut record = self.empty_cube();
+        record.apply_delta(&snapshot.build_delta(keys), &FxHashMap::default())?;
+        record.set_row_count(snapshot.row_count());
+        if let Some(wal) = &mut self.wal {
+            wal.append(snapshot.epoch(), &encode_record(&record))?;
+        }
+        Ok(())
     }
 }
 

@@ -28,7 +28,10 @@
 //! ([`DataCube::roll_back_to`]) and keeps its dictionaries, of which
 //! the checkpoint's are a prefix. A shard keeps its cube for the
 //! engine's lifetime: checkpoints read it through the same delta as
-//! snapshots and never replace it.
+//! snapshots and never replace it. A recovered engine starts each
+//! worker on the cells WAL replay handed its shard, so that cube is the
+//! worker's first rollback target and later rows accumulate into the
+//! recovered cells in place.
 
 use crate::sharded::ShardMsg;
 use msketch_cube::hash::{FxHashMap, FxHashSet};
@@ -90,6 +93,7 @@ pub struct EngineStats {
     /// Rows currently applied across all shard workers, net of
     /// rollbacks — rows discarded by a rollback move from here to
     /// [`rows_lost`](Self::rows_lost), they are never counted in both.
+    /// Rows a recovered engine's shards started with are not counted.
     pub rows_applied: u64,
     /// Segments appended to the WAL this process lifetime (0 when no
     /// WAL is attached).

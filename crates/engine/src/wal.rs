@@ -7,7 +7,11 @@
 //! value of every cell refreshed since the previous record, plus the
 //! row total — as one CRC-framed segment ([`msketch_cube::segment`]).
 //! Recovery replays the valid segment prefix, replacing cells as it
-//! goes, and ends at the last committed snapshot.
+//! goes, and ends at the last committed snapshot; the engine then hands
+//! each recovered cell to the shard that owns it, so a cell has one home
+//! whether or not the engine ever crashed. The engine owns its handle
+//! outright: a checkpoint refreshes, builds the record and appends it in
+//! one call, under whatever guards the engine.
 //!
 //! ```text
 //! segments.wal:  [frame epoch=1][frame epoch=2]...[frame epoch=k][torn tail?]
@@ -178,9 +182,9 @@ fn io_err(context: &str, e: std::io::Error) -> WalError {
 /// What [`Wal::open`] found and did while replaying an existing log.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Valid segments replayed into the recovered base cube.
+    /// Valid segments replayed into the recovered cube.
     pub segments_replayed: usize,
-    /// Total rows in the recovered base cube.
+    /// Total rows in the recovered cube.
     pub rows_recovered: u64,
     /// Bytes of valid segment prefix kept.
     pub valid_bytes: u64,
@@ -238,7 +242,7 @@ impl Wal {
     pub const LOG_FILE: &'static str = "segments.wal";
 
     /// Open (creating if absent) the segment log under `dir`, replay
-    /// its valid prefix into a base cube, and truncate any invalid
+    /// its valid prefix into one cube, and truncate any invalid
     /// tail.
     ///
     /// Returns the append handle, the recovered cube (`None` when the
@@ -405,9 +409,10 @@ impl Wal {
             // fsync shows up in both the trace and the p99 series.
             let _span = msketch_obs::span("engine::wal_fsync");
             let started = std::time::Instant::now();
-            // Fault injection: a slow fsync (arm with `sleep(..)`), the
-            // stall the serving layer's staged-commit path must never
-            // hold the engine lock across.
+            // Fault injection: a slow fsync (arm with `sleep(..)`). It
+            // stalls the checkpoint, which holds the engine, but never
+            // ingest: the serving layer's writers are pooled handles
+            // that need no engine lock.
             failpoint::sleep_if("engine::wal_fsync");
             self.sync()?;
             if let Some(obs) = &self.obs {
@@ -495,7 +500,7 @@ pub fn sync_dir(_dir: &Path) -> Result<(), WalError> {
     Ok(())
 }
 
-/// Replay a log byte stream into a base cube: start empty, then per
+/// Replay a log byte stream into one cube: start empty, then per
 /// segment either replace the record's cells and take its row total,
 /// or fold a pre-record pane in with `merge_cube`. Panic-free on
 /// arbitrary input.

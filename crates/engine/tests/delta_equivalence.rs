@@ -4,6 +4,8 @@
 //! delta-maintained merged cube must be *bit-identical* to a full
 //! refold of the same shard state, and (for order-preserving
 //! single-writer streams) to plain sequential ingest into one cube.
+//! After a recovery the shards themselves hold the replayed cells, so
+//! the refold folds the same shard clones as it does before a crash.
 //!
 //! "Bit-identical" is checked cell by cell: snapshots are flattened to
 //! `decoded name tuple -> serialized summary bytes` maps, so two cubes
@@ -226,10 +228,10 @@ fn delta_snapshots_stay_exact_across_worker_restarts() {
     clean.shutdown().unwrap();
 }
 
-/// Crash-stop between checkpoints: replaying the WAL must restore the
-/// merged base so that delta refreshes over it keep matching the
-/// refold path, and the recovered state must equal the last durable
-/// snapshot bit for bit.
+/// Crash-stop between checkpoints: replaying the WAL must hand the
+/// recovered cells back to their shards so that delta refreshes keep
+/// matching the refold path, and the recovered state must equal the
+/// last durable snapshot bit for bit.
 #[test]
 fn delta_snapshots_stay_exact_across_wal_crash_recovery() {
     let _failpoints = failpoint::scope();
@@ -282,7 +284,7 @@ fn delta_snapshots_stay_exact_across_wal_crash_recovery() {
         engine.flush().unwrap();
     }
 
-    // Second life: the replayed base seeds the delta state.
+    // Second life: the replayed cells seed the shards.
     let (mut engine, report) = DynShardedCube::recover(
         spec,
         &["region", "app"],
@@ -299,7 +301,7 @@ fn delta_snapshots_stay_exact_across_wal_crash_recovery() {
         700
     );
 
-    // And the recovered base keeps absorbing new rows correctly:
+    // And the recovered cells keep absorbing new rows correctly:
     // ingest, refresh, checkpoint, refresh — all still bit-exact.
     for seed in 750..900 {
         let (dims, metric) = row(seed);

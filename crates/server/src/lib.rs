@@ -11,13 +11,13 @@
 //!
 //! ```text
 //!            POST /ingest ──▶ pooled ShardWriter handles (lock-free
-//!                                   │  multi-writer: one per in-flight
-//!                                   │  request, no engine mutex)
+//!                                   │  multi-writer: one per HTTP
+//!                                   │  thread, no engine mutex)
 //!                                   ▼ shard channels
-//!                             DynShardedCube ── snapshot()/checkpoint()
+//!                             DynShardedCube ── checkpoint()
 //!                                   │  every refresh_interval
-//!                                   │  (refresher; WAL fsync runs
-//!                                   ▼  *outside* the engine lock)
+//!                                   │  (refresher; WAL fsync under the
+//!                                   ▼  engine lock, which ingest skips)
 //!            ArcSwap<EngineSnapshot> slot  ◀── POST /refresh (manual)
 //!                                   │ load() — never blocks writers
 //!                                   ▼
@@ -25,12 +25,13 @@
 //! ```
 //!
 //! Ingest is **multi-writer end to end**: each `/ingest` request checks
-//! a [`ShardWriter`] out of a pool (minting one from the engine if the
-//! pool is dry), streams its rows through that handle's own per-shard
-//! intern pools and buffers, flushes, and checks the handle back in.
-//! Concurrent ingest requests share nothing but the bounded shard
-//! channels; the engine mutex is taken only to mint a handle, to
-//! refresh/checkpoint, and to shut down — never to report:
+//! a [`ShardWriter`] out of a pool that start-up fills with one handle
+//! per HTTP thread, streams its rows through that handle's own
+//! per-shard intern pools and buffers, flushes, and checks the handle
+//! back in. Concurrent ingest requests share nothing but the bounded
+//! shard channels; the engine mutex is taken to refresh/checkpoint, to
+//! shut down, and to replace a handle a failed request dropped — never
+//! to report:
 //! `/stats`, `/health` and `/metrics` read the obs handles the engine,
 //! the WAL and the timeline write their own numbers into, so they take
 //! no lock and cannot be stalled by a slow shard or a slow disk.
@@ -445,17 +446,14 @@ struct ServerState {
     /// Engine facts fixed at start-up, copied out for the same reason.
     shards: usize,
     wal_attached: bool,
-    /// Pooled ingest handles. Each `/ingest` request pops one (minting
-    /// a fresh handle under a brief engine lock only when the pool is
-    /// dry), streams its rows through the handle's own intern memos and
-    /// per-shard buffers, flushes, and pushes it back. Concurrent
-    /// ingest requests therefore never contend on the engine mutex —
-    /// only on this pop/push and the bounded shard channels.
+    /// Pooled ingest handles, one per HTTP worker thread from start-up
+    /// on. Each `/ingest` request pops one, streams its rows through the
+    /// handle's own intern memos and per-shard buffers, flushes, and
+    /// pushes it back. Concurrent ingest requests therefore never
+    /// contend on the engine mutex — only on this pop/push and the
+    /// bounded shard channels — and a refresh that holds the engine
+    /// across a slow fsync stalls no ingest.
     writers: Mutex<Vec<ShardWriter<SketchSpec>>>,
-    /// Serializes [`ServerState::refresh`] end to end so staged WAL
-    /// commits land in epoch order and the snapshot slot never goes
-    /// backwards, without holding the *engine* lock across the fsync.
-    wal_commit: Mutex<()>,
     /// The currently served snapshot. Readers `load()` (an `Arc`
     /// clone); the refresher `store()`s — queries in flight keep the
     /// snapshot they started with alive until they finish. `None`
@@ -518,11 +516,11 @@ impl ServerState {
         self.snapshot.load().as_ref().clone()
     }
 
-    /// Pop a pooled ingest handle, or mint one from the engine. The
-    /// engine lock is held only for the mint (allocating a writer id
-    /// and cloning the shard senders — no I/O), never for row work.
-    /// `Err` carries the ready-made `503` when the engine is already
-    /// shut down.
+    /// Pop a pooled ingest handle. The pool starts full, so the engine
+    /// lock is taken only to mint a replacement for a handle a failed
+    /// request dropped (allocating a writer id and cloning the shard
+    /// senders — no I/O), never for row work. `Err` carries the
+    /// ready-made `503` when the engine is already shut down.
     fn take_writer(&self) -> Result<ShardWriter<SketchSpec>, Response> {
         let pooled = {
             let mut pool = self.writers.lock().unwrap_or_else(PoisonError::into_inner);
@@ -549,38 +547,34 @@ impl ServerState {
         }
     }
 
-    /// Put a fresh snapshot into the slot; returns its epoch. Every
-    /// refresh is a checkpoint: with a WAL attached, the record of the
-    /// cells it changed hits disk before the snapshot is published;
-    /// without one, the commit is a no-op.
+    /// Put a fresh snapshot into the slot, then run timeline
+    /// maintenance; returns the snapshot's epoch. Every refresh is a
+    /// checkpoint: with a WAL attached, the record of the cells it
+    /// changed hits disk before the snapshot is published; without
+    /// one, it is a delta refresh.
     ///
-    /// The checkpoint is split so ingest never waits on the disk: the
-    /// delta refresh and the record are *staged* under the engine lock
-    /// (pure in-memory work), the lock is dropped, and only then does
-    /// [`StagedCheckpoint::commit`] append the record to the WAL and
-    /// fsync. A slow sync therefore stalls this refresh, not
-    /// `/ingest` — writers only need the engine mutex to mint a new
-    /// handle, and even that is untouched by the commit. `wal_commit`
-    /// serializes whole refreshes so staged records reach the log in
-    /// epoch order and the snapshot slot is monotonic. The snapshot
-    /// containing a change is published only after `commit()` has put
-    /// its record on disk.
+    /// The engine lock is held across the whole checkpoint, fsync
+    /// included, and the snapshot is stored before the lock drops, so
+    /// records reach the log in epoch order and the served epoch never
+    /// goes backwards. A slow sync stalls this refresh, not `/ingest`,
+    /// whose pooled writers need no engine lock.
     fn refresh(&self) -> Result<u64, EngineError> {
+        let epoch = self.refresh_engine()?;
+        self.maintain_timeline();
+        Ok(epoch)
+    }
+
+    /// The engine half of [`Self::refresh`].
+    fn refresh_engine(&self) -> Result<u64, EngineError> {
         // Root the refresh trace here: on the refresher thread this
         // *is* the root; under `POST /refresh` it degrades to a child
         // of the request's root span. The engine's own
         // snapshot/checkpoint/WAL spans attach underneath through the
         // thread local.
         let _root = self.obs.trace.root_span("server::refresh");
-        let _ordered = self
-            .wal_commit
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
         let mut engine = self.lock_engine();
         let accepted = self.metrics.rows_ingested.get();
-        let staged = engine.stage_checkpoint()?;
-        drop(engine);
-        let snapshot = staged.commit()?;
+        let snapshot = engine.checkpoint()?;
         let epoch = snapshot.epoch();
         self.rows_at_refresh.store(accepted, Ordering::SeqCst);
         self.metrics.snapshot_epoch.set(epoch);
@@ -589,28 +583,33 @@ impl ServerState {
             .snapshot_cells
             .set(snapshot.cell_count() as u64);
         self.snapshot.store(Arc::new(Some(Arc::new(snapshot))));
-        // Timeline maintenance rides the refresh cadence: checkpoint
-        // open buckets, roll up closed windows, enforce retention. A
-        // failed cycle (e.g. a full disk) is non-fatal — counted and
-        // warn-traced at the moment it happens, retried next refresh.
-        if let Some(mut timeline) = self.lock_timeline() {
-            let _span = msketch_obs::span("server::timeline_maintain");
-            if let Err(e) = timeline.maintain(now_ms()) {
-                self.metrics.timeline_errors.inc();
-                self.obs.trace.event(
-                    Level::Warn,
-                    "server::timeline_error",
-                    &[
-                        ("detail", format!("{e}")),
-                        (
-                            "maintenance_errors_total",
-                            self.metrics.timeline_errors.get().to_string(),
-                        ),
-                    ],
-                );
-            }
-        }
         Ok(epoch)
+    }
+
+    /// Timeline maintenance: checkpoint open buckets, roll up closed
+    /// windows, enforce retention. It runs on every refresher tick,
+    /// idle or not, so windows seal and retention holds after ingest
+    /// stops. A failed cycle (e.g. a full disk) is non-fatal — counted
+    /// and warn-traced at the moment it happens, retried next tick.
+    fn maintain_timeline(&self) {
+        let Some(mut timeline) = self.lock_timeline() else {
+            return;
+        };
+        let _span = msketch_obs::span("server::timeline_maintain");
+        if let Err(e) = timeline.maintain(now_ms()) {
+            self.metrics.timeline_errors.inc();
+            self.obs.trace.event(
+                Level::Warn,
+                "server::timeline_error",
+                &[
+                    ("detail", format!("{e}")),
+                    (
+                        "maintenance_errors_total",
+                        self.metrics.timeline_errors.get().to_string(),
+                    ),
+                ],
+            );
+        }
     }
 }
 
@@ -702,19 +701,20 @@ impl MsketchServer {
         // Hook the engine into the bundle *after* recovery so the WAL
         // handle (re)opened by replay gets its fsync recorder too.
         engine.set_obs(&obs);
+        let threads = threads.max(1);
+        let writers = (0..threads).map(|_| engine.writer()).collect();
         let state = Arc::new(ServerState {
             engine_stats: Box::new(engine.stats_reader()),
             shards: engine.shard_count(),
             wal_attached: engine.wal_attached(),
             engine: Mutex::new(engine),
-            writers: Mutex::new(Vec::new()),
-            wal_commit: Mutex::new(()),
+            writers: Mutex::new(writers),
             timeline,
             timeline_stats,
             snapshot: ArcSwap::new(Arc::new(None)),
             dims: dims.iter().map(|s| s.to_string()).collect(),
             backend,
-            threads: threads.max(1),
+            threads,
             rows_at_refresh: AtomicU64::new(0),
             quantile_deadline,
             retry_after_secs,
@@ -757,14 +757,16 @@ impl MsketchServer {
                             }
                             std::thread::sleep(Duration::from_millis(20).min(interval));
                         }
-                        // Skip the O(cells) fold when nothing arrived —
+                        // Skip the engine refresh when nothing arrived —
                         // unless the slot is still empty (deferred
                         // initial snapshot): then refreshing is how the
-                        // server becomes ready.
+                        // server becomes ready. Timeline maintenance
+                        // runs either way.
                         let accepted = state.metrics.rows_ingested.get();
                         if accepted == state.rows_at_refresh.load(Ordering::SeqCst)
                             && state.load_snapshot().is_some()
                         {
+                            state.maintain_timeline();
                             continue;
                         }
                         match state.refresh() {

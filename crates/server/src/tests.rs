@@ -463,6 +463,32 @@ fn shutdown_turns_ingest_into_503_and_is_idempotent() {
 }
 
 #[test]
+fn ingest_never_waits_on_the_engine_lock() {
+    // The first `/ingest` of a fresh server takes a pooled writer:
+    // start-up filled the pool, so a refresh holding the engine (say,
+    // across a slow fsync) does not hold ingest up.
+    let server = test_server();
+    let (held_tx, held_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _engine = server.state.lock_engine();
+            held_tx.send(()).unwrap();
+            std::thread::sleep(Duration::from_millis(500));
+        });
+        held_rx.recv().unwrap();
+        let started = Instant::now();
+        let body = "{\"columns\": [[\"a\"],[\"b\"]], \"metrics\": [1]}";
+        let (status, doc) = call(&server, &request("POST", "/ingest", &[], body));
+        let elapsed = started.elapsed();
+        assert_eq!(status, 200, "{doc}");
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "ingest waited {elapsed:?} on the engine lock"
+        );
+    });
+}
+
+#[test]
 fn deferred_snapshot_reads_are_503_with_retry_after_until_refresh() {
     let server = MsketchServer::start(
         SketchSpec::moments(8),
@@ -941,4 +967,54 @@ fn late_rows_drop_after_rollup_and_stats_report_the_timeline() {
         timeline.get("maintenance_errors").unwrap().as_u64(),
         Some(0)
     );
+}
+
+#[test]
+fn an_idle_server_keeps_maintaining_its_timeline() {
+    // 10 ms buckets: the first sealing level (60 buckets) is a 600 ms
+    // window. Rows land early in one, the refresh after them runs
+    // before it closes, and then no row arrives again: only
+    // maintenance on idle refresher ticks can close the bucket and roll
+    // the window up.
+    let dir = fresh_dir("idle-maintenance");
+    let server = MsketchServer::start(
+        SketchSpec::moments(8),
+        &["app", "region"],
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 1,
+            refresh_interval: Duration::from_millis(20),
+            engine: EngineConfig::with_shards(2).batch_rows(8),
+            timeline_dir: Some(dir.clone()),
+            bucket_ms: 10,
+            fsync: FsyncPolicy::Never,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start timeline server");
+    while now_ms() % 600 > 300 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    ingest_demo_rows(&server, 40);
+    let timeline = |server: &MsketchServer| {
+        let (status, doc) = call(server, &request("GET", "/stats", &[], ""));
+        assert_eq!(status, 200, "{doc}");
+        let read = |field: &str| doc.get("timeline").and_then(|t| t.get(field)?.as_u64());
+        (read("open_buckets"), read("rollups_written"))
+    };
+    // Idle past the window's end, with slack for a slow machine.
+    std::thread::sleep(Duration::from_millis(700));
+    let deadline = Instant::now() + Duration::from_secs(3);
+    let (mut open, mut rollups) = timeline(&server);
+    while (open != Some(0) || rollups == Some(0)) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+        (open, rollups) = timeline(&server);
+    }
+    assert_eq!(open, Some(0), "the idle server left a bucket open");
+    assert!(
+        rollups.is_some_and(|n| n > 0),
+        "the idle server never rolled its window up: {rollups:?}"
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -228,15 +228,16 @@ fn ingest_proceeds_while_a_checkpoint_fsync_stalls() {
     let addr = server.local_addr();
     client::post(addr, "/ingest", &ingest_body(0..300)).unwrap();
 
-    // Pin the checkpoint's WAL sync: the staged-commit split means the
-    // engine lock is released before this sleep, so ingest keeps
-    // flowing while the refresh is stuck fsyncing its pane.
+    // Pin the checkpoint's WAL sync: the refresh holds the engine lock
+    // across this sleep, but ingest takes pooled writers that need no
+    // engine lock, so it keeps flowing while the refresh is stuck
+    // fsyncing its record.
     failpoint::cfg("engine::wal_fsync", "1*sleep(800)").unwrap();
     let refresh_started = std::time::Instant::now();
     std::thread::scope(|scope| {
         let refresher = scope.spawn(|| server.refresh());
-        // Give the refresh time to stage, drop the engine lock, and
-        // enter the sleeping fsync.
+        // Give the refresh time to build its record and enter the
+        // sleeping fsync.
         std::thread::sleep(Duration::from_millis(200));
         let ingest_started = std::time::Instant::now();
         let (status, body) = client::post(addr, "/ingest", &ingest_body(300..400)).unwrap();

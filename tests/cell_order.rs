@@ -8,7 +8,7 @@
 //! of the cells kept in this file.
 
 use msketch::cube::hash::{FxHashMap, FxHashSet};
-use msketch::cube::{ColumnarBatch, DynCube};
+use msketch::cube::{ColumnarBatch, CubeDelta, DynCube};
 use msketch::sketches::{Sketch, SketchSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -154,7 +154,8 @@ fn step(cube: &mut DynCube, op: u8, seed: u64, n: usize) {
             // A live cube in this cube's id space; touched keys it lacks
             // are removed from the checkpoint. Half the time it is empty,
             // so the sync only removes.
-            let mut live = cube.schema_clone();
+            let mut live = cube.clone();
+            live.roll_back_to(&empty());
             let mut touched = FxHashSet::default();
             let n = if seed & 1 == 0 { 0 } else { n };
             for (values, metric) in rows(seed, n) {
@@ -176,9 +177,22 @@ fn step(cube: &mut DynCube, op: u8, seed: u64, n: usize) {
                 })
                 .collect();
             if let Some(key) = key {
+                // One existing cell replaced by name; the row count stays.
                 let mut summary = cube.spec().build();
                 summary.accumulate(seed as f64 % 13.0);
-                cube.insert_cell_shared(key, Arc::new(summary));
+                let pools = key
+                    .iter()
+                    .enumerate()
+                    .map(|(d, &id)| {
+                        vec![cube.dictionary(d).unwrap().decode(id).unwrap().to_string()]
+                    })
+                    .collect();
+                let delta = CubeDelta {
+                    pools,
+                    cells: vec![(vec![0; DIMS.len()], Arc::new(summary))],
+                    pane_rows: 0,
+                };
+                cube.apply_delta(&delta, &FxHashMap::default()).unwrap();
             }
         }
         7 => {

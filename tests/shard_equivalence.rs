@@ -2,7 +2,8 @@
 //! shard count, batch split, and writer count, snapshots must answer
 //! quantile queries identically to sequential ingestion — bit-exactly
 //! for the moments backend, whose shard merges are pure power-sum
-//! additions — with or without a WAL attached. Plus the negative case:
+//! additions — with or without a WAL attached, and across a crash and
+//! WAL recovery at another shard count. Plus the negative case:
 //! `merge_cube` refuses cubes with mismatched dimension schemas.
 
 use msketch::cube::Error as CubeError;
@@ -198,6 +199,69 @@ proptest! {
             prop_assert_eq!(&fingerprint(snapshot.cube()), &want, "snapshot at row {}", at);
         }
         drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash changes no answer. An engine checkpoints R1, takes R2
+    /// and is dropped before its next checkpoint, so R2 is lost; it
+    /// recovers at a possibly different shard count and takes R3, which
+    /// gives a recovered cell two more rows. Every recovered cell is
+    /// back with the shard that owns it and accumulates in place, so
+    /// each cell holds, bit for bit, what an engine that took R1 then
+    /// R3 and never crashed holds.
+    #[test]
+    fn a_crash_changes_no_answer(
+        r1 in rows(),
+        r2 in rows(),
+        r3 in rows(),
+        extra in (-1.0e3f64..1.0e3, -1.0e3f64..1.0e3),
+        shards_before in 1usize..=4,
+        shards_after in 1usize..=4,
+    ) {
+        let dims = ["app", "region"];
+        let config = |shards| EngineConfig::with_shards(shards).batch_rows(16);
+        let insert = |engine: &mut DynShardedCube, rows: &[(usize, usize, f64)]| {
+            for &(a, r, m) in rows {
+                engine.insert(&[APPS[a], REGIONS[r]], m).unwrap();
+            }
+        };
+        let (a0, r0, _) = r1[0];
+        let r3: Vec<(usize, usize, f64)> =
+            [(a0, r0, extra.0), (a0, r0, extra.1)].into_iter().chain(r3).collect();
+        let dir = wal_dir();
+        {
+            let recover = DynShardedCube::recover(
+                SketchSpec::moments(8),
+                &dims,
+                config(shards_before),
+                &dir,
+                WalConfig::default(),
+            );
+            let (mut first_life, _) = recover.unwrap();
+            insert(&mut first_life, &r1);
+            first_life.checkpoint().unwrap();
+            insert(&mut first_life, &r2);
+            first_life.flush().unwrap();
+        }
+        let (mut recovered, report) = DynShardedCube::recover(
+            SketchSpec::moments(8),
+            &dims,
+            config(shards_after),
+            &dir,
+            WalConfig::default(),
+        )
+        .unwrap();
+        prop_assert_eq!(report.rows_recovered, r1.len() as u64);
+        insert(&mut recovered, &r3);
+        let got = recovered.snapshot().unwrap();
+        let mut never_crashed =
+            DynShardedCube::new(SketchSpec::moments(8), &dims, config(shards_before));
+        insert(&mut never_crashed, &r1);
+        insert(&mut never_crashed, &r3);
+        let want = never_crashed.snapshot().unwrap();
+        prop_assert_eq!(fingerprint(got.cube()), fingerprint(want.cube()));
+        prop_assert_eq!(got.row_count(), (r1.len() + r3.len()) as u64);
+        drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
