@@ -39,20 +39,32 @@ struct RombergObjective<'a> {
 }
 
 impl RombergObjective<'_> {
+    /// Every basis function at `u`, evaluated once per quadrature point.
+    fn row(&self, u: f64) -> Vec<f64> {
+        let mut row = vec![0.0; self.basis.dim()];
+        self.basis.eval_row(u, &mut row);
+        row
+    }
+
     fn density(&self, theta: &[f64], u: f64) -> f64 {
-        let mut s = 0.0;
-        for (i, t) in theta.iter().enumerate() {
-            s += t * self.basis.eval(i, u);
-        }
-        if s > 500.0 {
-            f64::INFINITY
-        } else {
-            s.exp()
-        }
+        density_of_row(theta, &self.row(u))
     }
 
     fn integral<F: FnMut(f64) -> f64>(&self, f: F) -> f64 {
         romberg(f, -1.0, 1.0, self.tol, 22).unwrap_or(f64::INFINITY)
+    }
+}
+
+/// `exp(θ · row)`, saturating to infinity past the solver's exponent cap.
+fn density_of_row(theta: &[f64], row: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for (t, v) in theta.iter().zip(row) {
+        s += t * v;
+    }
+    if s > 500.0 {
+        f64::INFINITY
+    } else {
+        s.exp()
     }
 }
 
@@ -71,13 +83,16 @@ impl NewtonObjective for RombergObjective<'_> {
         }
         #[allow(clippy::needless_range_loop, reason = "index doubles as the moment order")]
         for i in 0..dim {
-            grad[i] = self.integral(|u| self.basis.eval(i, u) * self.density(theta, u))
-                - self.basis.mu[i];
+            grad[i] = self.integral(|u| {
+                let row = self.row(u);
+                row[i] * density_of_row(theta, &row)
+            }) - self.basis.mu[i];
         }
         for i in 0..dim {
             for j in i..dim {
                 let v = self.integral(|u| {
-                    self.basis.eval(i, u) * self.basis.eval(j, u) * self.density(theta, u)
+                    let row = self.row(u);
+                    row[i] * row[j] * density_of_row(theta, &row)
                 });
                 hess[(i, j)] = v;
                 hess[(j, i)] = v;

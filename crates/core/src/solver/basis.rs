@@ -23,7 +23,6 @@
 use crate::stats::ScaledDomain;
 use crate::MomentsSketch;
 use crate::{Error, Result};
-use numerics::chebyshev;
 
 /// Which variable the optimization integrates over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,20 +109,54 @@ impl Basis {
         }
     }
 
-    /// Evaluate basis function `i` at primary-variable value `u`.
+    /// Evaluate every basis function at primary-variable value `u` into
+    /// `out` (length [`Basis::dim`]).
     ///
     /// Index 0 is the constant; `1..=k1` are the standard-moment functions;
-    /// `k1+1..=k1+k2` are the log-moment functions.
-    pub fn eval(&self, i: usize, u: f64) -> f64 {
-        if i == 0 {
-            return 1.0;
-        }
+    /// `k1+1..=k1+k2` are the log-moment functions. The scaled arguments
+    /// and their `acos` are computed once per call, and each entry equals
+    /// `chebyshev::t_eval(order, arg)` bit for bit: both arguments are
+    /// clamped to `[-1, 1]`, where `t_eval` is `cos(order · acos(arg))`.
+    pub fn eval_row(&self, u: f64, out: &mut [f64]) {
+        assert_eq!(out.len(), self.dim());
         let (std_arg, log_arg) = self.secondary_args(u);
-        if i <= self.k1 {
-            chebyshev::t_eval(i, std_arg)
-        } else {
-            chebyshev::t_eval(i - self.k1, log_arg)
+        let (head, log_vals) = out.split_at_mut(1 + self.k1);
+        head[0] = 1.0;
+        cos_multiples(std_arg, &mut head[1..]);
+        cos_multiples(log_arg, log_vals);
+    }
+
+    /// Indices of the basis functions over the secondary domain: those
+    /// that are not plain Chebyshev polynomials of the primary variable.
+    pub(crate) fn secondary_range(&self) -> std::ops::Range<usize> {
+        match self.primary {
+            PrimaryDomain::Standard => 1 + self.k1..self.dim(),
+            PrimaryDomain::Log => 1..1 + self.k1,
         }
+    }
+
+    /// Values of the secondary-domain functions ([`Basis::secondary_range`],
+    /// in order) at each of `points`: one row per function, one entry per
+    /// point, bit-identical to [`Basis::eval_row`].
+    pub(crate) fn secondary_rows(&self, points: &[f64]) -> Vec<Vec<f64>> {
+        let count = self.secondary_range().len();
+        let mut rows = vec![Vec::with_capacity(points.len()); count];
+        if count == 0 {
+            return rows;
+        }
+        let mut vals = vec![0.0; count];
+        for &u in points {
+            let (std_arg, log_arg) = self.secondary_args(u);
+            let arg = match self.primary {
+                PrimaryDomain::Standard => log_arg,
+                PrimaryDomain::Log => std_arg,
+            };
+            cos_multiples(arg, &mut vals);
+            for (row, &v) in rows.iter_mut().zip(&vals) {
+                row.push(v);
+            }
+        }
+        rows
     }
 
     /// Compute both scaled arguments (standard and log) for a primary value.
@@ -143,6 +176,19 @@ impl Basis {
                 (self.std_dom.scale(x).clamp(-1.0, 1.0), u.clamp(-1.0, 1.0))
             }
         }
+    }
+}
+
+/// `out[m - 1] = T_m(x) = cos(m · acos x)` for `m = 1..=out.len()`, with
+/// `x` already in `[-1, 1]` — bit for bit `chebyshev::t_eval(m, x)`, with
+/// one `acos` for the whole row.
+fn cos_multiples(x: f64, out: &mut [f64]) {
+    if out.is_empty() {
+        return;
+    }
+    let angle = x.acos();
+    for (m, slot) in (1usize..).zip(out.iter_mut()) {
+        *slot = (m as f64 * angle).cos();
     }
 }
 
@@ -221,6 +267,7 @@ fn clamped_cheb(raw: &[f64], dom: &ScaledDomain) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numerics::chebyshev;
 
     fn uniform_sketch() -> MomentsSketch {
         let data: Vec<f64> = (0..1000).map(|i| 1.0 + i as f64 / 999.0).collect();
@@ -246,6 +293,46 @@ mod tests {
         assert!(m2.log_cheb.is_none());
     }
 
+    /// Basis function `i` at `u`, read off the row evaluator.
+    fn eval(basis: &Basis, i: usize, u: f64) -> f64 {
+        let mut row = vec![0.0; basis.dim()];
+        basis.eval_row(u, &mut row);
+        row[i]
+    }
+
+    #[test]
+    fn eval_row_is_t_eval_bit_for_bit() {
+        let m = cheb_moments(&uniform_sketch(), true).unwrap();
+        for primary in [PrimaryDomain::Standard, PrimaryDomain::Log] {
+            let basis = Basis {
+                k1: 5,
+                k2: 4,
+                primary,
+                std_dom: m.std_dom,
+                log_dom: m.log_dom,
+                mu: vec![1.0; 10],
+            };
+            let points = [-1.0, -0.77, -0.1, 0.0, 0.31, 0.999, 1.0];
+            let secondary = basis.secondary_rows(&points);
+            for (j, &u) in points.iter().enumerate() {
+                let (std_arg, log_arg) = basis.secondary_args(u);
+                let mut row = vec![0.0; basis.dim()];
+                basis.eval_row(u, &mut row);
+                assert_eq!(row[0], 1.0);
+                for (i, v) in row.iter().enumerate().take(basis.k1 + 1).skip(1) {
+                    assert_eq!(v.to_bits(), chebyshev::t_eval(i, std_arg).to_bits());
+                }
+                for i in 1..=basis.k2 {
+                    let v = row[basis.k1 + i];
+                    assert_eq!(v.to_bits(), chebyshev::t_eval(i, log_arg).to_bits());
+                }
+                for (r, i) in basis.secondary_range().enumerate() {
+                    assert_eq!(secondary[r][j].to_bits(), row[i].to_bits());
+                }
+            }
+        }
+    }
+
     #[test]
     fn basis_eval_standard_primary() {
         let m = cheb_moments(&uniform_sketch(), true).unwrap();
@@ -258,12 +345,12 @@ mod tests {
             mu: vec![1.0; 6],
         };
         assert_eq!(basis.dim(), 6);
-        assert_eq!(basis.eval(0, 0.3), 1.0);
+        assert_eq!(eval(&basis, 0, 0.3), 1.0);
         // Standard functions are plain Chebyshev in u.
-        assert!((basis.eval(2, 0.3) - chebyshev::t_eval(2, 0.3)).abs() < 1e-12);
+        assert!((eval(&basis, 2, 0.3) - chebyshev::t_eval(2, 0.3)).abs() < 1e-12);
         // Log functions stay within [-1, 1] envelope.
         for u in [-1.0, -0.5, 0.0, 0.5, 1.0] {
-            assert!(basis.eval(4, u).abs() <= 1.0 + 1e-9);
+            assert!(eval(&basis, 4, u).abs() <= 1.0 + 1e-9);
         }
     }
 
@@ -303,8 +390,8 @@ mod tests {
         for &v in &[-0.9, 0.0, 0.42, 1.0] {
             let x = basis.from_primary(v);
             let u = m.std_dom.scale(x);
-            assert!((basis.eval(1, v) - chebyshev::t_eval(1, u)).abs() < 1e-9);
-            assert!((basis.eval(3, v) - chebyshev::t_eval(1, v)).abs() < 1e-12);
+            assert!((eval(&basis, 1, v) - chebyshev::t_eval(1, u)).abs() < 1e-9);
+            assert!((eval(&basis, 3, v) - chebyshev::t_eval(1, v)).abs() < 1e-12);
         }
     }
 

@@ -23,26 +23,32 @@
 //! `f`, so each Newton step costs one cosine transform plus dense dot
 //! products.
 
-use super::basis::Basis;
+use super::basis::{Basis, PrimaryDomain};
+use super::tables;
 use numerics::chebyshev;
 use numerics::linalg::Matrix;
 use numerics::optimize::NewtonObjective;
+use std::borrow::Cow;
 
 /// Saturation threshold for exponents inside `exp`; beyond this the
 /// density has diverged and the line search must reject the step.
 const EXP_CAP: f64 = 500.0;
 
+/// A table row: borrowed from the process-wide [`tables`] when the row
+/// does not depend on the sketch, computed for this solve otherwise.
+type Row = Cow<'static, [f64]>;
+
 /// Precomputed state for evaluating `L`, `∇L`, and `∇²L` at any `θ`.
 pub struct MaxEntObjective {
     dim: usize,
     /// Basis values at the Lobatto nodes: `dim x (N + 1)`.
-    basis_nodes: Vec<Vec<f64>>,
+    basis_nodes: Vec<Row>,
     /// Gradient pairing vectors: `dim x (N + 1)`.
-    grad_pair: Vec<Vec<f64>>,
+    grad_pair: Vec<Row>,
     /// Upper-triangle Hessian pairing vectors: `dim (dim+1) / 2 x (N+1)`.
-    hess_pair: Vec<Vec<f64>>,
-    /// `∫ T_m` for `m = 0..=N`.
-    t_int: Vec<f64>,
+    hess_pair: Vec<Row>,
+    /// `∫ T_m` for `m = 0..=3N + 2`.
+    t_int: Row,
     /// Target moments `μ̃`.
     mu: Vec<f64>,
     /// Scratch: density values at nodes.
@@ -54,43 +60,55 @@ pub struct MaxEntObjective {
 }
 
 impl MaxEntObjective {
-    /// Build the objective for a basis, precomputing node values, basis
-    /// series, product series, and pairing vectors.
+    /// Build the objective for a basis: node values, basis series,
+    /// product series, and pairing vectors.
+    ///
+    /// Everything that involves only primary-domain functions is borrowed
+    /// from the process-wide tables for `n_nodes`; only rows that involve
+    /// a secondary-domain function (whose values depend on the sketch's
+    /// range) are computed here.
     pub fn new(basis: &Basis, n_nodes: usize) -> Self {
         assert!(n_nodes.is_power_of_two() && n_nodes >= 8);
         let dim = basis.dim();
-        let nodes = chebyshev::lobatto_nodes(n_nodes);
-        // Basis values at nodes.
-        let basis_nodes: Vec<Vec<f64>> = (0..dim)
-            .map(|i| nodes.iter().map(|&u| basis.eval(i, u)).collect())
-            .collect();
+        let cached = tables::cached(n_nodes);
+        let t_int: Row = match cached {
+            Some(t) => Cow::Borrowed(&t.t_int),
+            None => Cow::Owned(tables::t_integrals(n_nodes)),
+        };
+        let basis_nodes = node_rows(basis, n_nodes);
+        let orders: Vec<Option<usize>> = (0..dim).map(|i| primary_order(basis, i)).collect();
         // Chebyshev series for each basis function. Primary-domain
         // functions are exact unit series; secondary-domain functions are
         // interpolated from their node values (one cosine transform each).
         let series: Vec<Vec<f64>> = (0..dim)
+            .map(|i| match orders[i] {
+                Some(order) => tables::unit_series(order),
+                None => chebyshev::interpolate_values(&basis_nodes[i]),
+            })
+            .collect();
+        let grad_pair: Vec<Row> = (0..dim)
             .map(|i| {
-                if let Some(order) = primary_order(basis, i) {
-                    let mut s = vec![0.0; order + 1];
-                    s[order] = 1.0;
-                    s
-                } else {
-                    chebyshev::interpolate_values(&basis_nodes[i])
+                let tabulated = orders[i].zip(cached).and_then(|(a, t)| t.grad_pair(a));
+                match tabulated {
+                    Some(row) => Cow::Borrowed(row),
+                    None => Cow::Owned(tables::pairing_vector(&series[i], n_nodes, &t_int)),
                 }
             })
             .collect();
-        // Integrals of T_m for m up to the largest index a pairing touches:
-        // product series reach 2N, pairing adds another N.
-        let t_int: Vec<f64> = (0..=3 * n_nodes + 2).map(chebyshev::t_integral).collect();
-        // Pairing vectors.
-        let grad_pair: Vec<Vec<f64>> = series
-            .iter()
-            .map(|s| pairing_vector(s, n_nodes, &t_int))
-            .collect();
-        let mut hess_pair = Vec::with_capacity(dim * (dim + 1) / 2);
+        let mut hess_pair: Vec<Row> = Vec::with_capacity(dim * (dim + 1) / 2);
         for i in 0..dim {
             for j in i..dim {
-                let prod = chebyshev::mul(&series[i], &series[j]);
-                hess_pair.push(pairing_vector(&prod, n_nodes, &t_int));
+                let tabulated = match (orders[i], orders[j], cached) {
+                    (Some(a), Some(b), Some(t)) => t.hess_pair(a, b),
+                    _ => None,
+                };
+                hess_pair.push(match tabulated {
+                    Some(row) => Cow::Borrowed(row),
+                    None => {
+                        let prod = chebyshev::mul(&series[i], &series[j]);
+                        Cow::Owned(tables::pairing_vector(&prod, n_nodes, &t_int))
+                    }
+                });
             }
         }
         MaxEntObjective {
@@ -149,7 +167,11 @@ impl MaxEntObjective {
         let c_f = chebyshev::interpolate_values(&node_f);
         self.fct_count.set(self.fct_count.get() + 1);
         self.node_f = node_f;
-        let integral: f64 = c_f.iter().zip(&self.t_int).map(|(&c, &i)| c * i).sum();
+        let integral: f64 = c_f
+            .iter()
+            .zip(self.t_int.iter())
+            .map(|(&c, &i)| c * i)
+            .sum();
         for (g, (pair, mu)) in grad.iter_mut().zip(self.grad_pair.iter().zip(&self.mu)) {
             *g = numerics::dot(pair, &c_f) - mu;
         }
@@ -161,7 +183,6 @@ impl MaxEntObjective {
 /// the primary variable (constant and primary-domain functions); `None`
 /// for secondary-domain functions that require interpolation.
 fn primary_order(basis: &Basis, i: usize) -> Option<usize> {
-    use super::basis::PrimaryDomain;
     if i == 0 {
         return Some(0);
     }
@@ -172,21 +193,31 @@ fn primary_order(basis: &Basis, i: usize) -> Option<usize> {
     }
 }
 
-/// Pairing vector `p[m] = ∫ s(u) T_m(u) du` for `m = 0..=N`, computed in
-/// closed form from the series coefficients of `s`.
-fn pairing_vector(series: &[f64], n_nodes: usize, t_int: &[f64]) -> Vec<f64> {
-    let mut p = vec![0.0; n_nodes + 1];
-    for (m, slot) in p.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (n, &a) in series.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            acc += a * 0.5 * (t_int[n + m] + t_int[n.abs_diff(m)]);
+/// Values of every function of `basis` at the `n_nodes + 1` Lobatto
+/// nodes, one row per function, bit for bit as [`Basis::eval_row`]
+/// computes them: primary-domain rows are borrowed from the tables for
+/// `n_nodes` when they hold them, secondary-domain rows go through the
+/// row evaluator.
+pub(crate) fn node_rows(basis: &Basis, n_nodes: usize) -> Vec<Row> {
+    let cached = tables::cached(n_nodes);
+    let fresh_nodes;
+    let nodes = match cached {
+        Some(t) => &t.nodes,
+        None => {
+            fresh_nodes = chebyshev::lobatto_nodes(n_nodes);
+            &fresh_nodes
         }
-        *slot = acc;
-    }
-    p
+    };
+    let mut secondary = basis.secondary_rows(nodes).into_iter();
+    (0..basis.dim())
+        .map(|i| match primary_order(basis, i) {
+            Some(order) => match cached.and_then(|t| t.values(order)) {
+                Some(row) => Cow::Borrowed(row),
+                None => Cow::Owned(tables::primary_row(nodes, order)),
+            },
+            None => Cow::Owned(secondary.next().expect("one row per secondary function")),
+        })
+        .collect()
 }
 
 impl NewtonObjective for MaxEntObjective {
@@ -208,7 +239,11 @@ impl NewtonObjective for MaxEntObjective {
         self.fct_count.set(self.fct_count.get() + 1);
         self.node_f = node_f;
         // Value.
-        let integral: f64 = c_f.iter().zip(&self.t_int).map(|(&c, &i)| c * i).sum();
+        let integral: f64 = c_f
+            .iter()
+            .zip(self.t_int.iter())
+            .map(|(&c, &i)| c * i)
+            .sum();
         let value = integral - numerics::dot(theta, &self.mu);
         // Gradient.
         for (g, (pair, mu)) in grad.iter_mut().zip(self.grad_pair.iter().zip(&self.mu)) {
@@ -224,25 +259,6 @@ impl NewtonObjective for MaxEntObjective {
         }
         value
     }
-}
-
-/// Hessian of the potential at the uniform initialization (`f = 1/2`),
-/// used by the moment-selection heuristic: entries are
-/// `H_ij = 0.5 ∫ m̃_i m̃_j du`, i.e. the basis Gram matrix under the
-/// uniform measure.
-pub fn uniform_hessian(basis: &Basis, n_nodes: usize) -> Matrix {
-    let obj = MaxEntObjective::new(basis, n_nodes);
-    let dim = basis.dim();
-    let mut h = Matrix::zeros(dim, dim);
-    for i in 0..dim {
-        for j in i..dim {
-            // Pairing against the series of the constant 1/2 = 0.5 T_0.
-            let v = 0.5 * obj.hess_pair[obj.tri_index(i, j)][0];
-            h[(i, j)] = v;
-            h[(j, i)] = v;
-        }
-    }
-    h
 }
 
 #[cfg(test)]
@@ -342,17 +358,5 @@ mod tests {
         let mut hess = Matrix::zeros(3, 3);
         let v = obj.eval(&[900.0, 0.0, 0.0], &mut grad, &mut hess);
         assert!(v.is_infinite());
-    }
-
-    #[test]
-    fn uniform_hessian_is_gram_matrix() {
-        let data: Vec<f64> = (0..1000).map(|i| i as f64 / 999.0).collect();
-        let basis = basis_for(&data, 3, 0);
-        let h = uniform_hessian(&basis, 64);
-        // H_00 = 0.5 * ∫ 1 = 1. H_11 = 0.5 ∫ T_1² = 0.5 * (I_2 + I_0)/2 = 1/3.
-        assert!((h[(0, 0)] - 1.0).abs() < 1e-12);
-        assert!((h[(1, 1)] - 1.0 / 3.0).abs() < 1e-12);
-        // Odd-order cross terms vanish.
-        assert!(h[(0, 1)].abs() < 1e-12);
     }
 }

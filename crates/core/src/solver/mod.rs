@@ -17,10 +17,29 @@
 //! 4. quantiles come from integrating the solved density into a sampled
 //!    CDF and inverting it with Brent's method
 //!    ([`MaxEntSolution::from_node_density`]).
+//!
+//! What a solve costs is split by what it depends on:
+//!
+//! * **per process**, once per Chebyshev node count: the Lobatto nodes,
+//!   Clenshaw–Curtis weights, `∫ T_m`, and every primary-domain
+//!   function's node values and gradient/Hessian pairing vectors. These
+//!   depend only on the node count, are built on first use and borrowed
+//!   by every solve after that;
+//! * **per solve**: the sketch's Chebyshev moments, the values of the
+//!   secondary-domain functions at the nodes (the basis functions of the
+//!   other domain, which depend on the sketch's range) and every pairing
+//!   vector that involves one, the selector's Gram matrices and their
+//!   condition numbers, the Newton iterations, and the CDF read-out.
+//!
+//! A log-only basis (common for positive, long-tailed data) has no
+//! secondary-domain function, so its objective borrows everything but
+//! the target moments. Borrowed entries are computed by the same code as
+//! the per-solve ones, so no estimate depends on which path built them.
 
 pub mod basis;
 pub mod maxent;
 pub mod selector;
+mod tables;
 
 use crate::sketch::MomentsSketch;
 use crate::{Error, Result};
@@ -232,18 +251,25 @@ impl MaxEntSolution {
 /// Cumulative-trapezoid CDF samples of a density series on a uniform grid
 /// over `[-1, 1]`, with negative interpolation undershoot clamped to zero
 /// so the result is monotone by construction.
+///
+/// The density is evaluated at all `m + 1` grid points first, with
+/// independent Clenshaw chains in lock step ([`chebyshev::clenshaw_each`]);
+/// the running sum stays sequential.
 fn monotone_cdf_samples(pdf_series: &[f64], m: usize) -> Vec<f64> {
     let du = 2.0 / m as f64;
+    // Point 0 is `-1.0 + du * 0.0 == -1.0` exactly.
+    let grid: Vec<f64> = (0..=m).map(|i| -1.0 + du * i as f64).collect();
+    let mut f = vec![0.0; m + 1];
+    chebyshev::clenshaw_each(pdf_series, &grid, &mut f);
     let mut out = Vec::with_capacity(m + 1);
-    let mut prev_f = chebyshev::clenshaw(pdf_series, -1.0).max(0.0);
+    let mut prev_f = f[0].max(0.0);
     let mut acc = 0.0;
     out.push(0.0);
-    for i in 1..=m {
-        let u = -1.0 + du * i as f64;
-        let f = chebyshev::clenshaw(pdf_series, u).max(0.0);
-        acc += 0.5 * (prev_f + f) * du;
+    for &fi in &f[1..] {
+        let fi = fi.max(0.0);
+        acc += 0.5 * (prev_f + fi) * du;
         out.push(acc);
-        prev_f = f;
+        prev_f = fi;
     }
     out
 }

@@ -10,9 +10,13 @@
 //! point would exceed `κ_max`.
 
 use super::basis::{Basis, ChebMoments, PrimaryDomain};
+use super::maxent::node_rows;
+use super::tables;
 use numerics::eigen::condition_number_sym;
-use numerics::integrate::clenshaw_curtis_weights;
 use numerics::linalg::Matrix;
+
+/// Quadrature nodes (panels) of the selector's Gram matrices.
+const GRAM_NODES: usize = 64;
 
 /// Outcome of moment selection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,24 +34,19 @@ fn uniform_moment(n: usize) -> f64 {
     0.5 * numerics::chebyshev::t_integral(n)
 }
 
-/// Gram matrix `G_ij = 0.5 ∫ m̃_i m̃_j du` over the selected basis-function
-/// indices, computed by Clenshaw–Curtis quadrature on the primary domain.
-/// This equals the Newton Hessian at the uniform initialization.
-fn gram_matrix(values: &[Vec<f64>], weights: &[f64], indices: &[usize]) -> Matrix {
-    let d = indices.len();
-    let mut g = Matrix::zeros(d, d);
-    for (a, &i) in indices.iter().enumerate() {
-        for (b, &j) in indices.iter().enumerate().skip(a) {
-            let mut acc = 0.0;
-            for ((&vi, &vj), &w) in values[i].iter().zip(&values[j]).zip(weights) {
-                acc += w * vi * vj;
-            }
-            let v = 0.5 * acc;
-            g[(a, b)] = v;
-            g[(b, a)] = v;
-        }
+/// Gram entry `G_ij = 0.5 ∫ m̃_i m̃_j du` by Clenshaw–Curtis quadrature at
+/// the nodes, from the functions' node values `row_i` and `row_j`. The
+/// Gram matrix equals the Newton Hessian at the uniform initialization.
+///
+/// `row_i` must be the function chosen first: `(w·v_i)·v_j` and
+/// `(w·v_j)·v_i` round differently, and the chosen `(k1, k2)` depends on
+/// those bits.
+fn gram_entry(weights: &[f64], row_i: &[f64], row_j: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for ((&vi, &vj), &w) in row_i.iter().zip(row_j).zip(weights) {
+        acc += w * vi * vj;
     }
-    g
+    0.5 * acc
 }
 
 /// Greedily choose `(k1, k2)` with condition number below `kappa_max`.
@@ -60,9 +59,9 @@ pub fn select(moments: &ChebMoments, max_k1: usize, max_k2: usize, kappa_max: f6
         .log_cheb
         .as_ref()
         .map_or(0, |l| (l.len() - 1).min(max_k2));
-    // Build the full candidate basis once; selection works on principal
-    // submatrices of its Gram matrix. The primary domain matches what the
-    // solver will use if any log moment is selected.
+    // Evaluate the full candidate basis at the nodes once. The primary
+    // domain matches what the solver will use if any log moment is
+    // selected.
     let primary = if avail_l > 0 {
         PrimaryDomain::Log
     } else {
@@ -76,14 +75,16 @@ pub fn select(moments: &ChebMoments, max_k1: usize, max_k2: usize, kappa_max: f6
         log_dom: moments.log_dom,
         mu: vec![0.0; 1 + avail_s + avail_l],
     };
-    let n_quad = 64;
-    let nodes = numerics::chebyshev::lobatto_nodes(n_quad);
-    let weights = clenshaw_curtis_weights(n_quad);
-    let values: Vec<Vec<f64>> = (0..full.dim())
-        .map(|i| nodes.iter().map(|&u| full.eval(i, u)).collect())
-        .collect();
+    let values = node_rows(&full, GRAM_NODES);
+    let weights = &tables::cached(GRAM_NODES)
+        .expect("the Gram node count is in the cached range")
+        .weights;
 
-    let mut indices = vec![0usize]; // constant function always in
+    // The Gram matrix of the chosen functions (row-major, in the order
+    // they were chosen), grown by one row and column per candidate: each
+    // entry is computed once.
+    let mut chosen = vec![0usize]; // constant function always in
+    let mut gram = Matrix::from_vec(1, 1, vec![gram_entry(weights, &values[0], &values[0])]);
     let mut k1 = 0usize;
     let mut k2 = 0usize;
     let mut cond = 1.0;
@@ -109,8 +110,19 @@ pub fn select(moments: &ChebMoments, max_k1: usize, max_k2: usize, kappa_max: f6
         let mut accepted = false;
         for &(is_std, _) in &cands {
             let idx = if is_std { 1 + k1 } else { 1 + avail_s + k2 };
-            indices.push(idx);
-            let g = gram_matrix(&values, &weights, &indices);
+            let d = chosen.len();
+            let column: Vec<f64> = chosen
+                .iter()
+                .map(|&i| gram_entry(weights, &values[i], &values[idx]))
+                .collect();
+            let mut grown = Vec::with_capacity((d + 1) * (d + 1));
+            for (row, &c) in gram.data().chunks_exact(d).zip(&column) {
+                grown.extend_from_slice(row);
+                grown.push(c);
+            }
+            grown.extend_from_slice(&column);
+            grown.push(gram_entry(weights, &values[idx], &values[idx]));
+            let g = Matrix::from_vec(d + 1, d + 1, grown);
             let c = condition_number_sym(&g);
             if c <= kappa_max {
                 if is_std {
@@ -118,11 +130,12 @@ pub fn select(moments: &ChebMoments, max_k1: usize, max_k2: usize, kappa_max: f6
                 } else {
                     k2 += 1;
                 }
+                chosen.push(idx);
+                gram = g;
                 cond = c;
                 accepted = true;
                 break;
             }
-            indices.pop();
             if is_std {
                 std_dead = true;
             } else {
@@ -181,6 +194,22 @@ mod tests {
         let tight = select(&m, 12, 12, 10.0);
         assert!(tight.k1 + tight.k2 <= loose.k1 + loose.k2);
         assert!(tight.cond <= 10.0);
+    }
+
+    #[test]
+    fn uniform_hessian_is_gram_matrix() {
+        let data: Vec<f64> = (0..1000).map(|i| i as f64 / 999.0).collect();
+        let s = MomentsSketch::from_data(12, &data);
+        let m = cheb_moments(&s, true).unwrap();
+        let basis = Basis::new(m, 3, 0);
+        let weights = &tables::cached(GRAM_NODES).unwrap().weights;
+        let values = node_rows(&basis, GRAM_NODES);
+        let h = |i: usize, j: usize| gram_entry(weights, &values[i], &values[j]);
+        // H_00 = 0.5 * ∫ 1 = 1. H_11 = 0.5 ∫ T_1² = 0.5 * (I_2 + I_0)/2 = 1/3.
+        assert!((h(0, 0) - 1.0).abs() < 1e-12);
+        assert!((h(1, 1) - 1.0 / 3.0).abs() < 1e-12);
+        // Odd-order cross terms vanish.
+        assert!(h(0, 1).abs() < 1e-12);
     }
 
     #[test]

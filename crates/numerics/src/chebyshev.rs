@@ -44,6 +44,48 @@ pub fn clenshaw(coeffs: &[f64], x: f64) -> f64 {
     coeffs[0] + x * b1 - b2
 }
 
+/// Evaluate a Chebyshev series at every point of `xs` into `out`, bit for
+/// bit as [`clenshaw`] would at each point.
+///
+/// Clenshaw's recurrence is one latency-bound chain per point; this runs
+/// eight independent chains in lock step, so the chains overlap in
+/// the pipeline (and may share vector registers). Each point keeps the
+/// scalar operation sequence, so no result changes.
+pub fn clenshaw_each(coeffs: &[f64], xs: &[f64], out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len());
+    let mut xs_chunks = xs.chunks_exact(LANES);
+    let mut out_chunks = out.chunks_exact_mut(LANES);
+    match coeffs.split_first() {
+        Some((&c0, rest)) => {
+            for (x, y) in (&mut xs_chunks).zip(&mut out_chunks) {
+                let mut b1 = [0.0; LANES];
+                let mut b2 = [0.0; LANES];
+                for &c in rest.iter().rev() {
+                    for l in 0..LANES {
+                        let b0 = c + 2.0 * x[l] * b1[l] - b2[l];
+                        b2[l] = b1[l];
+                        b1[l] = b0;
+                    }
+                }
+                for l in 0..LANES {
+                    y[l] = c0 + x[l] * b1[l] - b2[l];
+                }
+            }
+        }
+        None => out_chunks.by_ref().for_each(|y| y.fill(0.0)),
+    }
+    for (&x, y) in xs_chunks
+        .remainder()
+        .iter()
+        .zip(out_chunks.into_remainder())
+    {
+        *y = clenshaw(coeffs, x);
+    }
+}
+
+/// Chains [`clenshaw_each`] runs in lock step.
+const LANES: usize = 8;
+
 /// Monomial coefficients (lowest degree first) of `T_n`.
 ///
 /// Built by the recurrence `T_{n+1} = 2x T_n - T_{n-1}`.
@@ -202,6 +244,29 @@ mod tests {
                 .map(|(k, &c)| c * t_eval(k, x))
                 .sum();
             assert!((clenshaw(&coeffs, x) - direct).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn clenshaw_each_is_bit_identical_to_clenshaw() {
+        let coeffs: Vec<f64> = (0..37)
+            .map(|k| ((k * 7 % 11) as f64 - 5.0) / (k + 1) as f64)
+            .collect();
+        for n in [0usize, 1, 7, 8, 9, 16, 1025] {
+            let xs: Vec<f64> = (0..n)
+                .map(|i| -1.0 + 2.0 * i as f64 / n.max(1) as f64)
+                .collect();
+            for len in [0usize, 1, 2, 37] {
+                let mut out = vec![f64::NAN; n];
+                clenshaw_each(&coeffs[..len], &xs, &mut out);
+                for (&x, &y) in xs.iter().zip(&out) {
+                    assert_eq!(
+                        y.to_bits(),
+                        clenshaw(&coeffs[..len], x).to_bits(),
+                        "x={x} len={len}"
+                    );
+                }
+            }
         }
     }
 

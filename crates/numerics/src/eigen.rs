@@ -1,4 +1,4 @@
-//! Symmetric eigen-decomposition by the cyclic Jacobi method, plus
+//! Symmetric eigenvalues by the cyclic Jacobi method, plus
 //! condition-number estimation.
 //!
 //! The paper's solver chooses how many standard/log moments to use
@@ -9,93 +9,76 @@
 
 use crate::linalg::Matrix;
 
-/// Result of a symmetric eigen-decomposition.
-#[derive(Debug, Clone)]
-pub struct SymEigen {
-    /// Eigenvalues in ascending order.
-    pub values: Vec<f64>,
-    /// Eigenvectors as matrix columns, in the same order as `values`.
-    pub vectors: Matrix,
+/// Eigenvalues of a symmetric matrix, in ascending order, by cyclic
+/// Jacobi rotations.
+///
+/// The rotations read both triangles of `a` (the pivot `a[(p, q)]` comes
+/// from the upper one, the convergence test from the lower), so `a` must
+/// be stored symmetric. Converges quadratically; for the at most 35 x 35
+/// matrices used here a handful of sweeps suffices.
+pub fn sym_eigenvalues(a: &Matrix) -> Vec<f64> {
+    let mut values = jacobi_diagonal(a);
+    values.sort_by(|x, y| x.total_cmp(y));
+    values
 }
 
-/// Eigen-decomposition of a symmetric matrix via cyclic Jacobi rotations.
-///
-/// Only the lower triangle of `a` is read. Converges quadratically; for the
-/// `<= 32 x 32` matrices used here a handful of sweeps suffices.
-pub fn sym_eigen(a: &Matrix) -> SymEigen {
+/// The diagonal that cyclic Jacobi rotations leave in a copy of `a`, in
+/// row order. Eigenvectors are not accumulated: no caller reads them.
+fn jacobi_diagonal(a: &Matrix) -> Vec<f64> {
     let n = a.rows();
     assert_eq!(n, a.cols());
-    let mut m = a.clone();
-    let mut v = Matrix::identity(n);
+    let mut m = a.data().to_vec();
     let max_sweeps = 64;
     for _ in 0..max_sweeps {
         // Off-diagonal Frobenius norm.
         let mut off = 0.0;
         for i in 0..n {
             for j in 0..i {
-                off += m[(i, j)] * m[(i, j)];
+                off += m[i * n + j] * m[i * n + j];
             }
         }
-        if off.sqrt() < 1e-14 * (1.0 + m.max_abs()) {
+        let max_abs = m.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
+        if off.sqrt() < 1e-14 * (1.0 + max_abs) {
             break;
         }
         for p in 0..n {
             for q in (p + 1)..n {
-                let apq = m[(p, q)];
+                let apq = m[p * n + q];
                 if apq.abs() < 1e-300 {
                     continue;
                 }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
+                let app = m[p * n + p];
+                let aqq = m[q * n + q];
                 let theta = 0.5 * (aqq - app) / apq;
                 // Stable tangent of the rotation angle.
                 let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
                 let c = 1.0 / (t * t + 1.0).sqrt();
                 let s = t * c;
                 // Apply rotation J(p, q, theta) on both sides: m = J^T m J.
-                for k in 0..n {
-                    let mkp = m[(k, p)];
-                    let mkq = m[(k, q)];
-                    m[(k, p)] = c * mkp - s * mkq;
-                    m[(k, q)] = s * mkp + c * mkq;
+                for row in m.chunks_exact_mut(n) {
+                    let (mkp, mkq) = (row[p], row[q]);
+                    row[p] = c * mkp - s * mkq;
+                    row[q] = s * mkp + c * mkq;
                 }
                 for k in 0..n {
-                    let mpk = m[(p, k)];
-                    let mqk = m[(q, k)];
-                    m[(p, k)] = c * mpk - s * mqk;
-                    m[(q, k)] = s * mpk + c * mqk;
-                }
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
+                    let (mpk, mqk) = (m[p * n + k], m[q * n + k]);
+                    m[p * n + k] = c * mpk - s * mqk;
+                    m[q * n + k] = s * mpk + c * mqk;
                 }
             }
         }
     }
-    let mut idx: Vec<usize> = (0..n).collect();
-    let diag: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
-    idx.sort_by(|&a, &b| diag[a].partial_cmp(&diag[b]).unwrap());
-    let values: Vec<f64> = idx.iter().map(|&i| diag[i]).collect();
-    let mut vectors = Matrix::zeros(n, n);
-    for (col, &i) in idx.iter().enumerate() {
-        for row in 0..n {
-            vectors[(row, col)] = v[(row, i)];
-        }
-    }
-    SymEigen { values, vectors }
+    (0..n).map(|i| m[i * n + i]).collect()
 }
 
 /// Spectral (2-norm) condition number of a symmetric matrix:
 /// `max |λ| / min |λ|`. Returns `f64::INFINITY` for singular matrices.
 pub fn condition_number_sym(a: &Matrix) -> f64 {
-    let eig = sym_eigen(a);
-    let max = eig.values.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-    let min = eig
-        .values
-        .iter()
-        .fold(f64::INFINITY, |m, &x| m.min(x.abs()));
+    // `max` and `min` are exact and order-free, so the eigenvalues need
+    // no sorting here.
+    let values = jacobi_diagonal(a);
+    let max = values.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+    let min = values.iter().fold(f64::INFINITY, |m, &x| m.min(x.abs()));
     if min == 0.0 || !min.is_finite() {
         f64::INFINITY
     } else {
@@ -110,35 +93,18 @@ mod tests {
     #[test]
     fn eigen_diagonal() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -1.0]]);
-        let e = sym_eigen(&a);
-        assert!((e.values[0] + 1.0).abs() < 1e-12);
-        assert!((e.values[1] - 3.0).abs() < 1e-12);
+        let e = sym_eigenvalues(&a);
+        assert!((e[0] + 1.0).abs() < 1e-12);
+        assert!((e[1] - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn eigen_2x2_known() {
         // [[2,1],[1,2]] has eigenvalues 1 and 3.
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        let e = sym_eigen(&a);
-        assert!((e.values[0] - 1.0).abs() < 1e-12);
-        assert!((e.values[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eigenvectors_reconstruct() {
-        let a = Matrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, 0.2], &[0.5, 0.2, 1.0]]);
-        let e = sym_eigen(&a);
-        // A v_i = λ_i v_i for each column.
-        for col in 0..3 {
-            let vi: Vec<f64> = (0..3).map(|r| e.vectors[(r, col)]).collect();
-            let av = a.matvec(&vi);
-            for r in 0..3 {
-                assert!(
-                    (av[r] - e.values[col] * vi[r]).abs() < 1e-9,
-                    "col {col} row {r}"
-                );
-            }
-        }
+        let e = sym_eigenvalues(&a);
+        assert!((e[0] - 1.0).abs() < 1e-12);
+        assert!((e[1] - 3.0).abs() < 1e-12);
     }
 
     #[test]

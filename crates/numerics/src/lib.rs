@@ -10,8 +10,8 @@
 //! * [`fct`] — fast cosine transform (DCT-I), the bottleneck operation of
 //!   the optimized solver (Section 4.3 of the paper).
 //! * [`linalg`] — small dense matrices, LU and Cholesky solves.
-//! * [`eigen`] — symmetric Jacobi eigen-decomposition and condition numbers
-//!   (used by the paper's `k1,k2` selection heuristic).
+//! * [`eigen`] — symmetric Jacobi eigenvalues and condition numbers (used
+//!   by the paper's `k1,k2` selection heuristic).
 //! * [`roots`] — Brent's method and a real-rooted polynomial root finder
 //!   (used by the Racz–Tari–Telek quantile bounds).
 //! * [`integrate`] — trapezoid and Clenshaw–Curtis quadrature.

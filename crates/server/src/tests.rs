@@ -114,6 +114,44 @@ fn ingest_refresh_quantile_round_trip_is_bit_exact() {
 }
 
 #[test]
+fn range_end_fractions_answer_the_exact_min_and_max() {
+    let server = test_server();
+    let metrics: Vec<String> = (1..=1000).map(|i| i.to_string()).collect();
+    let body = format!(
+        "{{\"columns\": [[{}],[{}]], \"metrics\": [{}]}}",
+        vec!["\"a\""; 1000].join(","),
+        vec!["\"eu\""; 1000].join(","),
+        metrics.join(","),
+    );
+    let (status, doc) = call(&server, &request("POST", "/ingest", &[], &body));
+    assert_eq!(status, 200, "{doc}");
+    server.refresh().unwrap();
+
+    let (status, doc) = call(
+        &server,
+        &request("GET", "/quantile", &[("q", "0,0.5,1")], ""),
+    );
+    assert_eq!(status, 200, "{doc}");
+    let values = doc.get("values").unwrap().as_array().unwrap();
+    assert_eq!(values[0].as_f64(), Some(1.0), "{doc}");
+    assert!((values[1].as_f64().unwrap() - 500.0).abs() < 10.0, "{doc}");
+    assert_eq!(values[2].as_f64(), Some(1000.0), "{doc}");
+
+    // `/groupby` reads through the same summary.
+    let (status, doc) = call(
+        &server,
+        &request("GET", "/groupby", &[("by", "app"), ("q", "1,0")], ""),
+    );
+    assert_eq!(status, 200, "{doc}");
+    let group = doc.get("groups").unwrap().at(0).unwrap();
+    let values = group.get("values").unwrap().as_array().unwrap();
+    assert_eq!(
+        (values[0].as_f64(), values[1].as_f64()),
+        (Some(1000.0), Some(1.0))
+    );
+}
+
+#[test]
 fn filters_select_subpopulations() {
     let server = test_server();
     ingest_demo_rows(&server, 2000);

@@ -44,6 +44,19 @@ impl MSketchSummary {
     pub fn from_sketch(sketch: MomentsSketch, config: SolverConfig) -> Self {
         MSketchSummary { sketch, config }
     }
+
+    /// The exact answer at an end of the range: the sketch holds its
+    /// minimum and maximum verbatim, so `φ = 0` and `φ = 1` need no solve
+    /// (the maxent solution answers only `φ ∈ (0, 1)`).
+    fn exact_end(&self, phi: f64) -> Option<f64> {
+        if phi == 0.0 {
+            Some(self.sketch.min())
+        } else if phi == 1.0 {
+            Some(self.sketch.max())
+        } else {
+            None
+        }
+    }
 }
 
 impl Sketch for MSketchSummary {
@@ -65,22 +78,30 @@ impl Sketch for MSketchSummary {
     }
 
     fn quantile(&self, phi: f64) -> f64 {
-        match moments_sketch::solve_robust(&self.sketch, &self.config) {
-            Ok(sol) => sol.quantile(phi).unwrap_or(f64::NAN),
-            Err(_) => f64::NAN,
-        }
+        self.quantiles(&[phi])[0]
     }
 
     fn quantiles(&self, phis: &[f64]) -> Vec<f64> {
-        // One max-entropy solve amortized over all requested quantiles,
-        // with moment back-off on hard (near-discrete) populations.
-        match moments_sketch::solve_robust(&self.sketch, &self.config) {
-            Ok(sol) => phis
-                .iter()
-                .map(|&p| sol.quantile(p).unwrap_or(f64::NAN))
-                .collect(),
-            Err(_) => vec![f64::NAN; phis.len()],
+        if self.sketch.is_empty() {
+            return vec![f64::NAN; phis.len()];
         }
+        // One max-entropy solve amortized over all interior quantiles,
+        // with moment back-off on hard (near-discrete) populations; none
+        // when every fraction is an end of the range.
+        let solution = phis
+            .iter()
+            .any(|&p| self.exact_end(p).is_none())
+            .then(|| moments_sketch::solve_robust(&self.sketch, &self.config).ok())
+            .flatten();
+        phis.iter()
+            .map(|&p| match self.exact_end(p) {
+                Some(x) => x,
+                None => solution
+                    .as_ref()
+                    .and_then(|sol| sol.quantile(p).ok())
+                    .unwrap_or(f64::NAN),
+            })
+            .collect()
     }
 
     fn count(&self) -> u64 {
@@ -200,5 +221,16 @@ mod tests {
     fn degenerate_input_yields_nan_not_panic() {
         let s = MSketchSummary::new(10);
         assert!(s.quantile(0.5).is_nan());
+        assert!(s.quantile(0.0).is_nan() && s.quantile(1.0).is_nan());
+    }
+
+    #[test]
+    fn range_ends_answer_the_exact_extremes() {
+        let mut s = MSketchSummary::new(10);
+        s.accumulate_all(&(1..=1000).map(f64::from).collect::<Vec<_>>());
+        let qs = s.quantiles(&[0.0, 0.5, 1.0]);
+        assert_eq!((qs[0], qs[2]), (1.0, 1000.0));
+        assert_eq!(qs[1].to_bits(), s.quantile(0.5).to_bits());
+        assert_eq!((s.quantile(0.0), s.quantile(1.0)), (1.0, 1000.0));
     }
 }
