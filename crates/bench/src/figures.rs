@@ -448,7 +448,7 @@ fn fig12(args: &HarnessArgs) -> Vec<Table> {
     let cells = moments_cells(10, cell_chunks.iter().copied());
     let cells_per_group = cells.len() / n_groups;
     // The search API takes any backend; raw sketches go in wrapped.
-    let wrap = |sketch| MSketchSummary::from_sketch(sketch, Default::default());
+    let wrap = MSketchSummary::from_sketch;
     let engine = MacroBaseEngine::new(MacroBaseConfig::default());
     let t99 = engine.global_threshold(&wrap(fold(&cells))).unwrap();
     let timed_row = |label: &str, t_merge, t_est, hits: usize| {
@@ -745,7 +745,7 @@ fn fig22(args: &HarnessArgs) -> Vec<Table> {
 fn guaranteed_bound(s: &AnySummary, phis: &[f64]) -> f64 {
     let any = s.as_any();
     if let Some(m) = any.downcast_ref::<MSketchSummary>() {
-        let Ok(sol) = m.sketch.solve(&m.config) else {
+        let Ok(sol) = m.sketch.solve(&SolverConfig::default()) else {
             return 1.0;
         };
         let bound = |&p: &f64| {

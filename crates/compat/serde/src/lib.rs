@@ -4,9 +4,9 @@
 //!
 //! The workspace's actual wire format lives in
 //! `moments_sketch::serialize` and does not go through serde; these
-//! markers exist so `SketchRepr`-style mirror types keep compiling
-//! unchanged and can switch to the real `serde` by swapping the path
-//! dependency.
+//! markers let plain report and statistics types (such as
+//! `CascadeStats`) keep their derives and switch to the real `serde` by
+//! swapping the path dependency.
 
 /// Marker: the type declares a serde-serializable shape.
 pub trait Serialize {}

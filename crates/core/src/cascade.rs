@@ -38,8 +38,6 @@ pub struct CascadeConfig {
     pub use_markov: bool,
     /// Stage 3: RTT bounds.
     pub use_rtt: bool,
-    /// Solver settings for the final stage.
-    pub solver: SolverConfig,
 }
 
 impl Default for CascadeConfig {
@@ -48,7 +46,6 @@ impl Default for CascadeConfig {
             use_simple: true,
             use_markov: true,
             use_rtt: true,
-            solver: SolverConfig::default(),
         }
     }
 }
@@ -61,7 +58,6 @@ impl CascadeConfig {
             use_simple: false,
             use_markov: false,
             use_rtt: false,
-            solver: SolverConfig::default(),
         }
     }
 }
@@ -217,9 +213,10 @@ impl ThresholdEvaluator {
                 return (ans, ResolvedBy::Rtt);
             }
         }
-        // Stage 4: full estimate. q_phi > t  <=>  F(t) < phi.
+        // Stage 4: full estimate at the default solver settings.
+        // q_phi > t  <=>  F(t) < phi.
         self.stats.maxent_evals += 1;
-        match solver::solve(sketch, &self.config.solver) {
+        match solver::solve(sketch, &SolverConfig::default()) {
             Ok(sol) => (sol.cdf(t) < phi, ResolvedBy::MaxEnt),
             Err(_) => {
                 // Degenerate population: fall back to the midpoint of the

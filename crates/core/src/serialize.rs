@@ -4,14 +4,9 @@
 //! (magic, version, order `k`) followed by `min`, `max`, the `k + 1`
 //! power sums, and the `k + 1` log power sums as little-endian `f64`s.
 //! A `k = 10` sketch serializes to 196 bytes (4 + 16 + 16 · 11).
-//!
-//! [`MomentsSketch`] also derives nothing from `serde` directly; use
-//! [`to_bytes`] / [`from_bytes`] for storage, or the mirror struct
-//! [`SketchRepr`] for serde-based pipelines.
 
 use crate::{Error, MomentsSketch, Result};
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
 
 const MAGIC: u8 = 0x4D; // 'M'
 const VERSION: u8 = 1;
@@ -79,9 +74,12 @@ pub fn from_bytes(mut buf: &[u8]) -> Result<MomentsSketch> {
 /// Encode a [`SolverConfig`] to a fixed 37-byte little-endian record
 /// (`k1`, `k2`, `n_nodes` use `u32::MAX` as the `None` sentinel).
 ///
-/// Estimation settings travel with a stored sketch so a deserialized
-/// summary answers queries exactly like the original — the glue the
-/// workspace's tagged wire format (`msketch_sketches::api`) builds on.
+/// A moments cell on the workspace's tagged wire format
+/// (`msketch_sketches::api`) carries the default configuration's record
+/// ahead of its sketch; readers accept that record and nothing else, and
+/// every estimate is solved with [`SolverConfig::default`].
+///
+/// [`SolverConfig::default`]: crate::SolverConfig::default
 pub fn solver_config_to_bytes(config: &crate::SolverConfig) -> Vec<u8> {
     fn opt(v: Option<usize>) -> u32 {
         v.map_or(u32::MAX, |x| x.min((u32::MAX - 1) as usize) as u32)
@@ -95,77 +93,6 @@ pub fn solver_config_to_bytes(config: &crate::SolverConfig) -> Vec<u8> {
     buf.put_u32_le(opt(config.n_nodes));
     buf.put_u8(u8::from(config.use_log));
     buf
-}
-
-/// Decode a [`SolverConfig`] record written by
-/// [`solver_config_to_bytes`].
-pub fn solver_config_from_bytes(mut buf: &[u8]) -> Result<crate::SolverConfig> {
-    if buf.remaining() != 37 {
-        return Err(Error::Corrupt("solver config record must be 37 bytes"));
-    }
-    fn opt(v: u32) -> Option<usize> {
-        (v != u32::MAX).then_some(v as usize)
-    }
-    let k1 = opt(buf.get_u32_le());
-    let k2 = opt(buf.get_u32_le());
-    let kappa_max = buf.get_f64_le();
-    let grad_tol = buf.get_f64_le();
-    if !kappa_max.is_finite() || kappa_max <= 0.0 || !grad_tol.is_finite() || grad_tol <= 0.0 {
-        return Err(Error::Corrupt("solver tolerances must be positive finite"));
-    }
-    let max_iter = buf.get_u64_le() as usize;
-    let n_nodes = opt(buf.get_u32_le());
-    if let Some(n) = n_nodes {
-        // The Chebyshev-node count the maxent solver asserts on.
-        if !n.is_power_of_two() || !(8..=1 << 20).contains(&n) {
-            return Err(Error::Corrupt("node count must be a power of two >= 8"));
-        }
-    }
-    let use_log = match buf.get_u8() {
-        0 => false,
-        1 => true,
-        _ => return Err(Error::Corrupt("invalid use_log flag")),
-    };
-    Ok(crate::SolverConfig {
-        k1,
-        k2,
-        kappa_max,
-        grad_tol,
-        max_iter,
-        n_nodes,
-        use_log,
-    })
-}
-
-/// Serde-friendly mirror of a sketch's state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SketchRepr {
-    /// Minimum accumulated value.
-    pub min: f64,
-    /// Maximum accumulated value.
-    pub max: f64,
-    /// `[n, Σx, Σx², ...]`.
-    pub power_sums: Vec<f64>,
-    /// `[n⁺, Σ ln x, Σ ln² x, ...]`.
-    pub log_sums: Vec<f64>,
-}
-
-impl From<&MomentsSketch> for SketchRepr {
-    fn from(s: &MomentsSketch) -> Self {
-        SketchRepr {
-            min: s.min(),
-            max: s.max(),
-            power_sums: s.power_sums().to_vec(),
-            log_sums: s.log_sums().to_vec(),
-        }
-    }
-}
-
-impl TryFrom<SketchRepr> for MomentsSketch {
-    type Error = Error;
-    fn try_from(r: SketchRepr) -> Result<MomentsSketch> {
-        MomentsSketch::from_parts(r.min, r.max, r.power_sums, r.log_sums)
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn solver_config_roundtrip() {
+    fn solver_config_record_layout() {
         let config = crate::SolverConfig {
             k1: Some(7),
             k2: None,
@@ -220,26 +147,15 @@ mod tests {
         };
         let bytes = solver_config_to_bytes(&config);
         assert_eq!(bytes.len(), 37);
-        let back = solver_config_from_bytes(&bytes).unwrap();
-        assert_eq!(back.k1, Some(7));
-        assert_eq!(back.k2, None);
-        assert_eq!(back.kappa_max, 5e3);
-        assert_eq!(back.grad_tol, 1e-8);
-        assert_eq!(back.max_iter, 99);
-        assert_eq!(back.n_nodes, Some(128));
-        assert!(!back.use_log);
-        assert!(solver_config_from_bytes(&bytes[..12]).is_err());
-        let mut bad = bytes;
-        bad[36] = 7;
-        assert!(solver_config_from_bytes(&bad).is_err());
-    }
-
-    #[test]
-    fn serde_repr_roundtrip() {
-        let s = MomentsSketch::from_data(6, &[0.1, 0.2, 0.9]);
-        let repr = SketchRepr::from(&s);
-        let back = MomentsSketch::try_from(repr).unwrap();
-        assert_eq!(s, back);
+        let mut r = &bytes[..];
+        assert_eq!(r.get_u32_le(), 7);
+        assert_eq!(r.get_u32_le(), u32::MAX);
+        assert_eq!(r.get_f64_le(), 5e3);
+        assert_eq!(r.get_f64_le(), 1e-8);
+        assert_eq!(r.get_u64_le(), 99);
+        assert_eq!(r.get_u32_le(), 128);
+        assert_eq!(r.get_u8(), 0);
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod tables;
 
 use crate::sketch::MomentsSketch;
 use crate::{Error, Result};
-use basis::Basis;
+use basis::{Basis, PrimaryDomain};
 use numerics::chebyshev;
 use numerics::optimize::{newton_minimize, NewtonOptions};
 use numerics::roots::{brent, BrentOptions};
@@ -65,7 +65,9 @@ pub struct SolverConfig {
     /// Maximum Newton iterations before reporting failure.
     pub max_iter: usize,
     /// Chebyshev interpolation panels (power of two); `None` picks 64, or
-    /// 128 when standard and log bases mix.
+    /// 128 when standard and log bases mix. [`solve`] refuses a count
+    /// below 8, or below the chosen basis's top primary-domain order
+    /// minus one, with [`Error::InvalidArgument`].
     pub n_nodes: Option<usize>,
     /// Permit log moments at all (disabled for the Figure 9 ablation).
     pub use_log: bool,
@@ -351,6 +353,17 @@ pub fn solve(sketch: &MomentsSketch, config: &SolverConfig) -> Result<MaxEntSolu
     } else {
         64
     });
+    // `∫ T_m` runs to order 3N + 2, so the objective's pairing vectors
+    // serve primary-domain orders up to N + 1.
+    let top_order = match basis.primary {
+        PrimaryDomain::Standard => basis.k1,
+        PrimaryDomain::Log => basis.k2,
+    };
+    if !n_nodes.is_power_of_two() || n_nodes < 8 || top_order > n_nodes + 1 {
+        return Err(Error::InvalidArgument(
+            "n_nodes must be a power of two >= 8 and >= the basis's top primary order - 1",
+        ));
+    }
     let mut objective = maxent::MaxEntObjective::new(&basis, n_nodes);
     let mut theta0 = vec![0.0; basis.dim()];
     theta0[0] = (0.5f64).ln(); // uniform density on [-1, 1]
@@ -539,6 +552,56 @@ mod tests {
             }
             Err(Error::SolverFailed { .. }) => {}
             Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    /// A 1 000-value positive sketch at k = 10 whose selected basis is ten
+    /// log moments: the log domain is primary, its top order 10.
+    fn positive_k10() -> MomentsSketch {
+        let data: Vec<f64> = (1..=1000).map(|i| (i as f64 / 100.0).exp()).collect();
+        MomentsSketch::from_data(10, &data)
+    }
+
+    #[test]
+    fn too_few_nodes_for_the_basis_is_a_typed_error() {
+        // Ten primary-domain orders at N = 8 would read `∫ T_m` past its
+        // top order 3N + 2.
+        let cfg = SolverConfig {
+            n_nodes: Some(8),
+            ..Default::default()
+        };
+        assert!(matches!(
+            solve(&positive_k10(), &cfg),
+            Err(Error::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            solve_robust(&positive_k10(), &cfg),
+            Err(Error::InvalidArgument(_))
+        ));
+        // Top order N + 1 is the most eight nodes serve: nine log moments
+        // pass the check and reach Newton.
+        let fits = SolverConfig {
+            k1: Some(0),
+            k2: Some(9),
+            ..cfg
+        };
+        assert!(matches!(
+            solve(&positive_k10(), &fits),
+            Err(Error::SolverFailed { .. })
+        ));
+    }
+
+    #[test]
+    fn node_counts_that_are_not_powers_of_two_from_8_are_typed_errors() {
+        for n in [0, 4, 100] {
+            let cfg = SolverConfig {
+                n_nodes: Some(n),
+                ..Default::default()
+            };
+            assert!(
+                matches!(solve(&positive_k10(), &cfg), Err(Error::InvalidArgument(_))),
+                "n_nodes {n}"
+            );
         }
     }
 

@@ -187,10 +187,7 @@ mod tests {
         let mut seen = 0;
         sliding_windows_remerge(
             &ps.iter()
-                .map(|p| msketch_sketches::MSketchSummary {
-                    sketch: p.clone(),
-                    config: SolverConfig::default(),
-                })
+                .map(|p| msketch_sketches::MSketchSummary::from_sketch(p.clone()))
                 .collect::<Vec<_>>(),
             5,
             |_, s| {

@@ -768,6 +768,39 @@ mod tests {
     }
 
     #[test]
+    fn a_framed_cell_with_a_foreign_solver_record_ends_the_prefix() {
+        // The frame and its CRC are sound; the moments cell inside
+        // carries a solver record other than the default one (eight
+        // Chebyshev nodes), which the cell decoder refuses.
+        let _failpoints = failpoint::scope();
+        let dir = std::env::temp_dir().join("msketch-wal-test-solver-record");
+        let _ = std::fs::remove_dir_all(&dir);
+        let record = moments_sketch::serialize::solver_config_to_bytes(&Default::default());
+        let mut payload = encode_record(&pane(40..90));
+        let at = payload
+            .windows(record.len())
+            .position(|w| w == record)
+            .unwrap();
+        payload[at + 32..at + 36].copy_from_slice(&8u32.to_le_bytes());
+        let first_len;
+        {
+            let (mut wal, _, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+            first_len = wal.append(1, &pane(0..40).to_bytes()).unwrap();
+            wal.append(2, &payload).unwrap();
+        }
+        let (_, base, report) = Wal::open(&dir, WalConfig::default()).unwrap();
+        assert_eq!(report.segments_replayed, 1);
+        assert_eq!(report.valid_bytes, first_len);
+        assert!(
+            matches!(report.tail, Some(WalError::Decode { offset, .. }) if offset == first_len as usize),
+            "{:?}",
+            report.tail
+        );
+        assert_eq!(base.unwrap().row_count(), 40);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn fsync_cadence_policies_all_land_appends() {
         let _failpoints = failpoint::scope();
         for fsync in [

@@ -1,6 +1,6 @@
 //! Outlier-rate subpopulation search (Section 7.2.1 of the paper).
 
-use moments_sketch::{CascadeConfig, CascadeStats, SolverConfig, ThresholdEvaluator};
+use moments_sketch::{CascadeConfig, CascadeStats, ThresholdEvaluator};
 use msketch_cube::query::{decode_group_key, sorted_groups};
 use msketch_cube::DataCube;
 use msketch_sketches::traits::SummaryFactory;
@@ -15,8 +15,6 @@ pub struct MacroBaseConfig {
     pub rate_ratio: f64,
     /// Cascade stages to use.
     pub cascade: CascadeConfig,
-    /// Solver used for the global threshold estimate.
-    pub solver: SolverConfig,
 }
 
 impl Default for MacroBaseConfig {
@@ -25,7 +23,6 @@ impl Default for MacroBaseConfig {
             global_phi: 0.99,
             rate_ratio: 30.0,
             cascade: CascadeConfig::default(),
-            solver: SolverConfig::default(),
         }
     }
 }
@@ -95,15 +92,12 @@ impl MacroBaseEngine {
     }
 
     /// Compute the global outlier threshold (`t99`) from the merged
-    /// all-data summary of any backend. Moments sketches go through the
-    /// max-entropy solver with this engine's [`MacroBaseConfig::solver`];
-    /// other backends answer directly.
+    /// all-data summary of any backend. Moments sketches go through one
+    /// max-entropy solve at the default solver settings, so a failed solve
+    /// is an error; other backends answer directly.
     pub fn global_threshold(&self, all: &dyn Sketch) -> moments_sketch::Result<f64> {
         match all.as_any().downcast_ref::<MSketchSummary>() {
-            Some(ms) => ms
-                .sketch
-                .solve(&self.config.solver)?
-                .quantile(self.config.global_phi),
+            Some(ms) => ms.sketch.quantile(self.config.global_phi),
             None => Ok(all.quantile(self.config.global_phi)),
         }
     }
@@ -195,7 +189,7 @@ mod tests {
     /// 99th percentile while being a small share of the total, so the
     /// spike (40% of group 7) must stay under 1% of all 100k points.
     fn groups() -> (Vec<(String, MSketchSummary)>, MSketchSummary) {
-        let wrap = |s| MSketchSummary::from_sketch(s, SolverConfig::default());
+        let wrap = MSketchSummary::from_sketch;
         let mut all = MomentsSketch::new(10);
         let mut out = Vec::new();
         for g in 0..50 {

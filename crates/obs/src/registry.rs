@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use moments_sketch::{bounds, MomentsSketch, SolverConfig};
+use moments_sketch::{bounds, MomentsSketch};
 use msketch_sketches::traits::Sketch as _;
 use msketch_sketches::MSketchSummary;
 
@@ -186,7 +186,7 @@ impl Recorder {
         if merged.count() == 0.0 {
             return vec![f64::NAN; phis.len()];
         }
-        let summary = MSketchSummary::from_sketch(merged.clone(), SolverConfig::default());
+        let summary = MSketchSummary::from_sketch(merged.clone());
         let mut qs = summary.quantiles(phis);
         for (q, &phi) in qs.iter_mut().zip(phis) {
             if q.is_nan() {

@@ -5,17 +5,18 @@
 use crate::api::{impl_sketch_object, Reader, SketchError, SketchKind, WireCodec, Writer};
 use crate::traits::{QuantileSummary, Sketch};
 use moments_sketch::lowprec::LowPrecisionCodec;
-use moments_sketch::serialize::{solver_config_from_bytes, solver_config_to_bytes};
+use moments_sketch::serialize::solver_config_to_bytes;
 use moments_sketch::{MomentsSketch, SolverConfig};
+use std::sync::OnceLock;
 
 /// Moments sketch behind the common summary interface (`M-Sketch` in the
-/// paper's figures).
+/// paper's figures). The summary is its sketch alone: every estimate is
+/// solved at [`SolverConfig::default`] (`κ_max = 10⁴`, `δ = 10⁻⁹`), the
+/// settings of the paper's evaluation.
 #[derive(Debug, Clone)]
 pub struct MSketchSummary {
     /// Underlying sketch.
     pub sketch: MomentsSketch,
-    /// Estimation settings used at query time.
-    pub config: SolverConfig,
 }
 
 impl MSketchSummary {
@@ -23,15 +24,6 @@ impl MSketchSummary {
     pub fn new(k: usize) -> Self {
         MSketchSummary {
             sketch: MomentsSketch::new(k),
-            config: SolverConfig::default(),
-        }
-    }
-
-    /// Create with a custom solver configuration.
-    pub fn with_config(k: usize, config: SolverConfig) -> Self {
-        MSketchSummary {
-            sketch: MomentsSketch::new(k),
-            config,
         }
     }
 
@@ -41,8 +33,8 @@ impl MSketchSummary {
     /// [`MomentsSketch`]es (merged across threads like panes) and wraps
     /// the merge result here to reuse the amortized one-solve
     /// [`Sketch::quantiles`] path at exposition time.
-    pub fn from_sketch(sketch: MomentsSketch, config: SolverConfig) -> Self {
-        MSketchSummary { sketch, config }
+    pub fn from_sketch(sketch: MomentsSketch) -> Self {
+        MSketchSummary { sketch }
     }
 
     /// The exact answer at an end of the range: the sketch holds its
@@ -91,7 +83,7 @@ impl Sketch for MSketchSummary {
         let solution = phis
             .iter()
             .any(|&p| self.exact_end(p).is_none())
-            .then(|| moments_sketch::solve_robust(&self.sketch, &self.config).ok())
+            .then(|| moments_sketch::solve_robust(&self.sketch, &SolverConfig::default()).ok())
             .flatten();
         phis.iter()
             .map(|&p| match self.exact_end(p) {
@@ -119,24 +111,35 @@ impl QuantileSummary for MSketchSummary {
     }
 }
 
-/// Payload: the solver configuration (length-prefixed, see
-/// `moments_sketch::serialize::solver_config_to_bytes`), then the sketch
-/// state through the low-precision codec of Appendix C at its lossless
-/// 64-bit setting — the same bitstream a space-tight deployment would
-/// store at 20 bits per value.
+/// The default solver configuration's 37-byte record
+/// (`moments_sketch::serialize::solver_config_to_bytes`), encoded once.
+fn default_config_record() -> &'static [u8] {
+    static RECORD: OnceLock<Vec<u8>> = OnceLock::new();
+    RECORD.get_or_init(|| solver_config_to_bytes(&SolverConfig::default()))
+}
+
+/// Payload: the default solver configuration's record (length-prefixed),
+/// then the sketch state through the low-precision codec of Appendix C at
+/// its lossless 64-bit setting — the same bitstream a space-tight
+/// deployment would store at 20 bits per value. The record is the only
+/// one ever written, and any other is refused as corrupt.
 impl WireCodec for MSketchSummary {
     const KIND: SketchKind = SketchKind::Moments;
 
     fn write_payload(&self, w: &mut Writer) {
-        w.bytes(&solver_config_to_bytes(&self.config));
+        w.bytes(default_config_record());
         // Seed is irrelevant at 64 bits: randomized rounding never fires.
         w.bytes(&LowPrecisionCodec::new(64).encode(&self.sketch, 0));
     }
 
     fn read_payload(r: &mut Reader<'_>) -> Result<Self, SketchError> {
-        let config = solver_config_from_bytes(r.bytes()?)?;
+        if r.bytes()? != default_config_record() {
+            return Err(SketchError::Corrupt(
+                "moments payload carries a non-default solver config",
+            ));
+        }
         let sketch = LowPrecisionCodec::decode(r.bytes()?)?;
-        Ok(MSketchSummary { sketch, config })
+        Ok(MSketchSummary { sketch })
     }
 }
 

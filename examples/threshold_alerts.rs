@@ -5,7 +5,7 @@
 //! Run: `cargo run --release --example threshold_alerts`
 
 use msketch::datasets::dist;
-use msketch::prelude::{MacroBaseConfig, MacroBaseEngine, MomentsSketch, Sketch, SolverConfig};
+use msketch::prelude::{MacroBaseConfig, MacroBaseEngine, MomentsSketch, Sketch};
 use msketch::sketches::MSketchSummary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,7 +14,7 @@ fn main() {
     // 200 device models; two of them have a memory-usage anomaly.
     let mut rng = StdRng::seed_from_u64(7);
     let anomalous = [41usize, 137];
-    let wrap = |sketch| MSketchSummary::from_sketch(sketch, SolverConfig::default());
+    let wrap = MSketchSummary::from_sketch;
     let mut groups: Vec<(String, MSketchSummary)> = Vec::new();
     let mut all = MomentsSketch::new(10);
     for model in 0..200 {

@@ -132,13 +132,7 @@ fn sketch_cells_serialize_through_cube_lifecycle() {
     for (key, summary) in cube.cells() {
         let bytes = to_bytes(&summary.sketch);
         let back = from_bytes(&bytes).unwrap();
-        restored.insert(
-            key.clone(),
-            MSketchSummary {
-                sketch: back,
-                config: summary.config,
-            },
-        );
+        restored.insert(key.clone(), MSketchSummary::from_sketch(back));
     }
     let mut total = restored.values().next().unwrap().clone();
     let mut first = true;

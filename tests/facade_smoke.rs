@@ -5,7 +5,7 @@
 //! `&dyn Sketch`). If a re-export is dropped or a core signature drifts,
 //! this file stops compiling — by design.
 
-use msketch::core::serialize::{from_bytes, to_bytes, SketchRepr};
+use msketch::core::serialize::{from_bytes, to_bytes};
 use msketch::core::solve_robust;
 use msketch::prelude::{
     sketch_from_bytes, sketch_from_bytes_typed, DynCube, QuantileSummary, QueryEngine, Sketch,
@@ -50,16 +50,6 @@ fn facade_pipeline_end_to_end() {
     let robust = solve_robust(&restored, &SolverConfig::default()).expect("robust solve");
     let p99 = robust.quantile(0.99).expect("p99");
     assert!((p99 - 0.99).abs() < 0.02, "p99 {p99}");
-}
-
-/// The serde mirror type re-exported through the facade still converts
-/// in both directions.
-#[test]
-fn facade_serde_mirror_roundtrip() {
-    let sketch = MomentsSketch::from_data(6, &[0.5, 1.5, 2.5, 3.5]);
-    let repr = SketchRepr::from(&sketch);
-    let back = MomentsSketch::try_from(repr).expect("repr roundtrip");
-    assert_eq!(sketch, back);
 }
 
 /// The object-safe core is usable as a trait object: `&dyn Sketch` and

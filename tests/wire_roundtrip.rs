@@ -2,7 +2,10 @@
 //! backend must round-trip bit-exactly, and hostile bytes must come back
 //! as errors — never panics.
 
-use msketch::prelude::{sketch_from_bytes, Sketch, SketchError, SketchKind, SketchSpec};
+use msketch::core::serialize::solver_config_to_bytes;
+use msketch::prelude::{
+    sketch_from_bytes, Sketch, SketchError, SketchKind, SketchSpec, SolverConfig,
+};
 use proptest::prelude::*;
 
 fn dataset() -> impl Strategy<Value = Vec<f64>> {
@@ -190,6 +193,39 @@ fn inverted_extrema_rejected_at_decode() {
         "{:?}",
         result.err()
     );
+}
+
+/// A moments cell carries the default solver configuration's record and
+/// is refused with any other, so no stored byte picks a solve's settings
+/// (here a node count of 8, or a `max_iter` of 2^40 that would leave the
+/// Newton loop unbounded).
+#[test]
+fn non_default_solver_record_rejected_at_decode() {
+    let mut s = SketchSpec::moments(10).build();
+    s.accumulate_all(&(1..=1000).map(f64::from).collect::<Vec<_>>());
+    let bytes = s.to_bytes();
+    let record = solver_config_to_bytes(&SolverConfig::default());
+    let at = bytes
+        .windows(record.len())
+        .position(|w| w == record)
+        .unwrap();
+    // Field offsets in the record: `max_iter` at 24..32, `n_nodes` at 32..36.
+    let patched = |field: std::ops::Range<usize>, value: &[u8]| {
+        let mut b = bytes.clone();
+        b[at + field.start..at + field.end].copy_from_slice(value);
+        b
+    };
+    for hostile in [
+        patched(32..36, &8u32.to_le_bytes()),
+        patched(24..32, &(1u64 << 40).to_le_bytes()),
+    ] {
+        let result = sketch_from_bytes(&hostile);
+        assert!(
+            matches!(result, Err(SketchError::Corrupt(_))),
+            "{:?}",
+            result.err()
+        );
+    }
 }
 
 /// Regression: a NaN smuggled into a reservoir's sample array must fail
