@@ -586,6 +586,41 @@ impl ServerState {
         Ok(epoch)
     }
 
+    /// Count and warn-trace a failed refresh, which the next one
+    /// retries.
+    fn refresh_failed(&self, e: &EngineError) {
+        self.metrics.refresh_errors.inc();
+        self.obs.trace.event(
+            Level::Warn,
+            "server::refresh_error",
+            &[
+                ("detail", format!("{e}")),
+                (
+                    "refresh_errors_total",
+                    self.metrics.refresh_errors.get().to_string(),
+                ),
+            ],
+        );
+    }
+
+    /// Count `failures` timeline failures (a maintenance cycle, or
+    /// rows an ingest could not stamp) and warn-trace the first, `e`.
+    fn timeline_failed(&self, e: &TimelineError, failures: u64) {
+        self.metrics.timeline_errors.add(failures);
+        self.obs.trace.event(
+            Level::Warn,
+            "server::timeline_error",
+            &[
+                ("detail", format!("{e}")),
+                ("failures", failures.to_string()),
+                (
+                    "timeline_errors_total",
+                    self.metrics.timeline_errors.get().to_string(),
+                ),
+            ],
+        );
+    }
+
     /// Timeline maintenance: checkpoint open buckets, roll up closed
     /// windows, enforce retention. It runs on every refresher tick,
     /// idle or not, so windows seal and retention holds after ingest
@@ -597,18 +632,7 @@ impl ServerState {
         };
         let _span = msketch_obs::span("server::timeline_maintain");
         if let Err(e) = timeline.maintain(now_ms()) {
-            self.metrics.timeline_errors.inc();
-            self.obs.trace.event(
-                Level::Warn,
-                "server::timeline_error",
-                &[
-                    ("detail", format!("{e}")),
-                    (
-                        "maintenance_errors_total",
-                        self.metrics.timeline_errors.get().to_string(),
-                    ),
-                ],
-            );
+            self.timeline_failed(&e, 1);
         }
     }
 }
@@ -776,20 +800,7 @@ impl MsketchServer {
                             // e.g. a WAL append failure — is transient:
                             // count it, trace it, and keep refreshing.
                             Err(EngineError::ShutDown) | Err(EngineError::Disconnected) => return,
-                            Err(e) => {
-                                state.metrics.refresh_errors.inc();
-                                state.obs.trace.event(
-                                    Level::Warn,
-                                    "server::refresh_error",
-                                    &[
-                                        ("detail", format!("{e}")),
-                                        (
-                                            "refresh_errors_total",
-                                            state.metrics.refresh_errors.get().to_string(),
-                                        ),
-                                    ],
-                                );
-                            }
+                            Err(e) => state.refresh_failed(&e),
                         }
                     }
                 })?;
@@ -845,9 +856,10 @@ impl MsketchServer {
         self.state.refresh()
     }
 
-    /// Stop the refresher, drain and join the HTTP pool, and shut the
-    /// engine's shard workers down (joining their threads). Idempotent;
-    /// also runs on drop — dropping a server leaks nothing.
+    /// Stop the refresher, drain and join the HTTP pool, checkpoint the
+    /// timeline and the engine, and shut the engine's shard workers down
+    /// (joining their threads). Idempotent; also runs on drop —
+    /// dropping a server leaks nothing.
     pub fn shutdown(&mut self) {
         self.refresher_stop.store(true, Ordering::SeqCst);
         if let Some(refresher) = self.refresher.take() {
@@ -861,6 +873,14 @@ impl MsketchServer {
         // which the CI crash smoke bounds).
         if let Some(mut timeline) = self.state.lock_timeline() {
             let _ = timeline.checkpoint(now_ms());
+        }
+        // The same for the engine: with a WAL, every row `/ingest`
+        // acknowledged since the last refresh reaches the log, so a
+        // restart agrees with the timeline. A failure is counted and
+        // traced as the refresher's are.
+        match self.state.refresh_engine() {
+            Ok(_) | Err(EngineError::ShutDown) => {}
+            Err(e) => self.state.refresh_failed(&e),
         }
         let _ = self.state.lock_engine().shutdown();
     }
@@ -1043,11 +1063,15 @@ fn handle_ingest(state: &ServerState, req: &Request) -> Response {
     drop(write_span);
     // Mirror the batch into the timeline (values already validated
     // above). Rows whose bucket is already rolled up are dropped as
-    // late and reported, not errored.
-    let mut late_dropped = 0u64;
+    // late and reported, not errored. The engine already holds every
+    // row, so a row the timeline cannot stamp (its closed bucket's
+    // segment does not load) is counted and reported too: a 500 here
+    // would invite a retry that double-counts every all-time answer.
+    let (mut late_dropped, mut timeline_failed) = (0u64, 0u64);
     if let Some(mut timeline) = state.lock_timeline() {
         let mut timeline_span = msketch_obs::span("server::timeline_insert");
         let now = now_ms();
+        let mut first_error = None;
         let mut row: Vec<&str> = Vec::with_capacity(str_cols.len());
         for (i, &metric) in metric_values.iter().enumerate() {
             row.clear();
@@ -1058,8 +1082,15 @@ fn handle_ingest(state: &ServerState, req: &Request) -> Response {
             match timeline.insert(ts, &row, metric) {
                 Ok(true) => {}
                 Ok(false) => late_dropped += 1,
-                Err(e) => return error(500, &format!("timeline ingest failed: {e}")),
+                Err(e) => {
+                    timeline_failed += 1;
+                    first_error.get_or_insert(e);
+                }
             }
+        }
+        drop(timeline);
+        if let Some(e) = first_error {
+            state.timeline_failed(&e, timeline_failed);
         }
         timeline_span.field("late_dropped", late_dropped);
     }
@@ -1072,6 +1103,7 @@ fn handle_ingest(state: &ServerState, req: &Request) -> Response {
     ];
     if state.timeline.is_some() {
         fields.push(("late_dropped", Value::from(late_dropped)));
+        fields.push(("timeline_failed", Value::from(timeline_failed)));
     }
     ok(Value::object(fields))
 }

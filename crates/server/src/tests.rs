@@ -1008,6 +1008,74 @@ fn late_rows_drop_after_rollup_and_stats_report_the_timeline() {
 }
 
 #[test]
+fn a_row_the_timeline_cannot_stamp_is_reported_not_a_500() {
+    // 100 ms buckets: the first sealing level (60 buckets) is a 6 s
+    // window. A bucket that closed 100-200 ms ago is persisted by the
+    // refresh but not sealed, so a late row for it reloads its segment.
+    let dir = fresh_dir("unloadable-bucket");
+    let server = MsketchServer::start(
+        SketchSpec::moments(8),
+        &["app", "region"],
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 1,
+            refresh_interval: Duration::ZERO,
+            engine: EngineConfig::with_shards(2).batch_rows(8),
+            timeline_dir: Some(dir.clone()),
+            bucket_ms: 100,
+            fsync: FsyncPolicy::Never,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start timeline server");
+    while !(1_000..4_000).contains(&(now_ms() % 6_000)) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let closed = (now_ms() / 100 - 2) * 100;
+    let body = stamped_body(&[("fast", "eu", -1.0, closed)]);
+    let (status, doc) = call(&server, &request("POST", "/ingest", &[], &body));
+    assert_eq!(status, 200, "{doc}");
+    server.refresh().unwrap();
+
+    // Corrupt the bucket's segment, then post one late row into it and
+    // one row stamped now.
+    let segment = dir.join(format!("seg-L0-{closed}-{}.seg", closed + 100));
+    let mut bytes = std::fs::read(&segment).expect("the refresh wrote the bucket");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xff;
+    std::fs::write(&segment, bytes).unwrap();
+    let body = stamped_body(&[
+        ("fast", "eu", -2.0, closed + 50),
+        ("slow", "us", -3.0, now_ms()),
+    ]);
+    let (status, doc) = call(&server, &request("POST", "/ingest", &[], &body));
+
+    // The engine holds both rows, so the answer is 200 and says which
+    // row the timeline could not stamp; a retry would double-count.
+    assert_eq!(status, 200, "{doc}");
+    assert_eq!(doc.get("accepted").unwrap().as_u64(), Some(2));
+    assert_eq!(doc.get("late_dropped").unwrap().as_u64(), Some(0));
+    assert_eq!(doc.get("timeline_failed").unwrap().as_u64(), Some(1));
+    let (_, stats) = call(&server, &request("GET", "/stats", &[], ""));
+    let timeline = stats.get("timeline").unwrap();
+    assert_eq!(timeline.get("rows_ingested").unwrap().as_u64(), Some(2));
+    assert_eq!(
+        timeline.get("maintenance_errors").unwrap().as_u64(),
+        Some(1)
+    );
+    let events = server.obs().trace.recent_events(100);
+    assert!(
+        events.iter().any(|e| e.name == "server::timeline_error"),
+        "no warn event for the unstamped row"
+    );
+    server.refresh().unwrap();
+    let (_, doc) = call(&server, &request("GET", "/quantile", &[], ""));
+    assert_eq!(doc.get("count").unwrap().as_f64(), Some(3.0), "{doc}");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn an_idle_server_keeps_maintaining_its_timeline() {
     // 10 ms buckets: the first sealing level (60 buckets) is a 600 ms
     // window. Rows land early in one, the refresh after them runs

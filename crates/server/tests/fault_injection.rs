@@ -1,6 +1,7 @@
 //! Fault-injection over real sockets: admission-queue shedding,
 //! not-ready 503s, deadline-degraded quantiles, WAL crash recovery
-//! through a server restart, a stalled fsync and a stalled range read
+//! through a server restart, a graceful shutdown that logs what it
+//! acknowledged, a stalled fsync and a stalled range read
 //! that must not stall ingest, and refresher/shutdown races — the
 //! server-level half of the deterministic fault harness.
 //!
@@ -209,6 +210,39 @@ fn wal_recovery_restores_served_answers_bit_exactly() {
             .collect()
     };
     assert_eq!(bits(&before), bits(&after), "{body}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_graceful_shutdown_logs_rows_acknowledged_since_the_last_refresh() {
+    let _failpoints = failpoint::scope();
+    let dir = std::env::temp_dir().join("msketch-server-fault-graceful");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        refresh_interval: Duration::from_secs(3600),
+        wal_dir: Some(dir.clone()),
+        engine: EngineConfig::with_shards(2).batch_rows(128),
+        ..ServerConfig::default()
+    };
+
+    // Rows acknowledged, then a shutdown with no refresh in between:
+    // the shutdown's own checkpoint must log them.
+    let mut server = start(config());
+    let (status, body) =
+        client::post(server.local_addr(), "/ingest", &ingest_body(0..600)).unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+
+    let mut server = start(config());
+    let report = server.recovery_report().expect("recovery report");
+    assert_eq!(report.rows_recovered, 600);
+    let (status, body) = client::get(server.local_addr(), "/quantile?q=0.5").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let doc = serde_json::from_str(&body).unwrap();
+    assert_eq!(doc.get("count").and_then(|v| v.as_f64()), Some(600.0));
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,8 +2,9 @@
 //! shard count, batch split, and writer count, snapshots must answer
 //! quantile queries identically to sequential ingestion — bit-exactly
 //! for the moments backend, whose shard merges are pure power-sum
-//! additions — with or without a WAL attached, and across a crash and
-//! WAL recovery at another shard count. Plus the negative case:
+//! additions — with or without a WAL attached, while writers race
+//! refreshes, and across a crash and WAL recovery at another shard
+//! count. Plus the negative case:
 //! `merge_cube` refuses cubes with mismatched dimension schemas.
 
 use msketch::cube::Error as CubeError;
@@ -154,6 +155,70 @@ proptest! {
                 prop_assert_eq!(a.quantile(phi).to_bits(), b.quantile(phi).to_bits());
             }
         }
+    }
+
+    /// Writers race refreshes: 1–4 writer threads, each owning a
+    /// disjoint set of tuples, ingest while this thread alternates
+    /// `snapshot` and `checkpoint` on a WAL-attached engine. Every
+    /// snapshot taken meanwhile is whole — its row count is the sum of
+    /// its cells' counts — and none has fewer rows than the one before.
+    /// Once the writers are done the snapshot is bit-identical to
+    /// sequential ingest: each cell's rows come from one writer, which
+    /// applies them in stream order.
+    #[test]
+    fn writers_racing_refreshes_stay_whole_and_exact(
+        rows in rows(),
+        writers in 1usize..=4,
+        shards in 1usize..=4,
+        batch_rows in 1usize..16,
+    ) {
+        let dir = wal_dir();
+        let (mut engine, _) = DynShardedCube::recover(
+            SketchSpec::moments(8),
+            &["app", "region"],
+            EngineConfig::with_shards(shards).batch_rows(batch_rows),
+            &dir,
+            WalConfig::default(),
+        )
+        .unwrap();
+        let owner = move |a: usize, r: usize| (a * REGIONS.len() + r) % writers;
+        let handles: Vec<ShardWriter<SketchSpec>> =
+            (0..writers).map(|_| engine.writer()).collect();
+        let running = AtomicUsize::new(writers);
+        let mut seen = Vec::new();
+        std::thread::scope(|scope| {
+            for (w, mut writer) in handles.into_iter().enumerate() {
+                let (rows, running) = (&rows, &running);
+                scope.spawn(move || {
+                    for &(a, r, m) in rows.iter().filter(|&&(a, r, _)| owner(a, r) == w) {
+                        writer.insert(&[APPS[a], REGIONS[r]], m).unwrap();
+                    }
+                    writer.flush().unwrap();
+                    running.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            while running.load(Ordering::SeqCst) > 0 || seen.len() < 2 {
+                let snap = if seen.len() % 2 == 0 {
+                    engine.snapshot()
+                } else {
+                    engine.checkpoint()
+                };
+                let snap = snap.unwrap();
+                let cells: u64 = snap.cells().map(|(_, summary)| summary.count()).sum();
+                seen.push((snap.row_count(), cells));
+            }
+        });
+        for &(row_count, cell_rows) in &seen {
+            prop_assert_eq!(row_count, cell_rows);
+        }
+        for pair in seen.windows(2) {
+            prop_assert!(pair[0].0 <= pair[1].0, "rows went back: {:?}", pair);
+        }
+        let last = engine.checkpoint().unwrap();
+        prop_assert_eq!(last.row_count(), rows.len() as u64);
+        prop_assert_eq!(fingerprint(last.cube()), fingerprint(&sequential(&rows)));
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A WAL-attached engine that checkpoints at every refresh point
