@@ -8,8 +8,8 @@ use crate::estimators::{
     MomentSource, NaiveNewtonEstimator, OptEstimator, QuantileEstimator, SvdEstimator,
 };
 use crate::{
-    build_cells, fmt_duration, merge_all, merge_parallel, time_it, time_mean, AnySummary,
-    HarnessArgs, SummaryConfig as S, Table,
+    build_cells, comparators, filled, fmt_duration, merge_all, merge_parallel, param_text,
+    size_sweep, sweep, table2_hepmass, table2_milan, time_it, time_mean, HarnessArgs, Table,
 };
 use moments_sketch::bounds::{markov_bound, quantile_error_bound, rtt_bound};
 use moments_sketch::lowprec::LowPrecisionCodec;
@@ -20,8 +20,9 @@ use msketch_cube::sliding_windows_remerge;
 use msketch_datasets::gen::{discrete_uniform, gamma_dataset, gaussian, gaussian_with_outliers};
 use msketch_datasets::{describe, fixed_cells, Dataset, ProductionWorkload};
 use msketch_macrobase::{scan_windows, MacroBaseConfig, MacroBaseEngine};
+use msketch_sketches::SketchSpec as S;
 use msketch_sketches::{avg_quantile_error, exact::eval_phis, EwHist, GkSummary, MSketchSummary};
-use msketch_sketches::{Merge12, RandomW, ReservoirSample, Sketch, TDigest};
+use msketch_sketches::{Merge12, RandomW, ReservoirSample, Sketch, SketchKind, TDigest};
 use numerics::chebyshev;
 use std::iter::successors;
 use std::time::Duration;
@@ -132,19 +133,19 @@ fn eps_cell(eps: Option<f64>, digits: usize) -> String {
     eps.map_or_else(|| "fail".into(), |e| format!("{e:.digits$}"))
 }
 
-/// Merge `cfg` summaries of every chunk, then estimate p99 from the
+/// Merge `spec` summaries of every chunk, then estimate p99 from the
 /// result: the merge, estimate and total times of the paper's query cost
 /// model, formatted.
-fn merge_then_estimate(cfg: &S, chunks: &[&[f64]]) -> [String; 3] {
-    let cells = build_cells(cfg, chunks, CELL_SEED);
+fn merge_then_estimate(spec: &S, chunks: &[&[f64]]) -> [String; 3] {
+    let cells = build_cells(spec, chunks, CELL_SEED);
     let (merged, t_merge) = time_it(|| merge_all(&cells));
     let (q, t_est) = time_it(|| merged.quantile(0.99));
-    assert!(q.is_finite(), "{} answered {q}", cfg.label());
+    assert!(q.is_finite(), "{} answered {q}", spec.kind().label());
     [t_merge, t_est, t_merge + t_est].map(fmt_duration)
 }
 
 /// Mean time per pairwise merge when folding all of `cells`, in ns.
-fn merge_ns(cells: &[AnySummary], min_total: Duration) -> f64 {
+fn merge_ns(cells: &[Box<dyn Sketch>], min_total: Duration) -> f64 {
     let per = time_mean(min_total, || {
         std::hint::black_box(merge_all(cells));
     });
@@ -154,15 +155,20 @@ fn merge_ns(cells: &[AnySummary], min_total: Duration) -> f64 {
 /// Columns of a per-merge latency table ([`merge_latency_row`]).
 const MERGE_LATENCY_COLUMNS: [&str; 4] = ["sketch", "param", "size(b)", "ns/merge"];
 
-/// One row of [`MERGE_LATENCY_COLUMNS`] for `cfg` over `chunks`.
-fn merge_latency_row(cfg: &S, chunks: &[&[f64]]) -> Vec<String> {
-    let cells = build_cells(cfg, chunks, CELL_SEED);
+/// One row of [`MERGE_LATENCY_COLUMNS`] for `spec` over `chunks`.
+fn merge_latency_row(spec: &S, chunks: &[&[f64]]) -> Vec<String> {
+    let cells = build_cells(spec, chunks, CELL_SEED);
     let per_merge = merge_ns(&cells, Duration::from_millis(60));
-    row![cfg.label(), cfg.param_string(), merge_all(&cells).size_bytes(), format!("{per_merge:.1}")]
+    row![
+        spec.kind().label(),
+        param_text(spec),
+        merge_all(&cells).size_bytes(),
+        format!("{per_merge:.1}")
+    ]
 }
 
 /// Merge `cells` on `threads` workers: (merges per ms, elapsed).
-fn merge_rate(cells: &[AnySummary], threads: usize) -> (f64, Duration) {
+fn merge_rate(cells: &[Box<dyn Sketch>], threads: usize) -> (f64, Duration) {
     let (merged, t) = time_it(|| merge_parallel(cells, threads));
     let rows: u64 = cells.iter().map(|c| c.count()).sum();
     assert_eq!(merged.count(), rows, "a parallel merge lost rows");
@@ -242,16 +248,22 @@ fn table2(args: &HarnessArgs) -> Vec<Table> {
     let columns = ["sketch", "param", "size(b)", "eps_avg", "paper"];
     per_dataset(&[Dataset::Milan, Dataset::Hepmass], title, &columns, |d| {
         let data = d.generate(n, 21);
-        let smallest = |(label, paper): (&str, &str)| {
-            let hit = S::size_sweep(label).into_iter().find_map(|cfg| {
-                let s = cfg.filled(7, &data);
+        let smallest = |(kind, paper): (SketchKind, &str)| {
+            let hit = size_sweep(kind).into_iter().find_map(|spec| {
+                let s = filled(&spec, 7, &data);
                 let eps = summary_eps(&*s, &data, integral(&data)).filter(|&e| e <= 0.01)?;
-                Some(row![label, cfg.param_string(), s.size_bytes(), format!("{eps:.4}"), paper])
+                Some(row![
+                    kind.label(),
+                    param_text(&spec),
+                    s.size_bytes(),
+                    format!("{eps:.4}"),
+                    paper
+                ])
             });
-            hit.unwrap_or_else(|| row![label, "none<=1%", "-", "-", paper])
+            hit.unwrap_or_else(|| row![kind.label(), "none<=1%", "-", "-", paper])
         };
         let paper = if d == Dataset::Milan { PAPER_TABLE2[0] } else { PAPER_TABLE2[1] };
-        S::all_labels().into_iter().zip(paper).map(smallest).collect()
+        comparators().zip(paper).map(smallest).collect()
     })
 }
 
@@ -263,12 +275,12 @@ fn fig03(args: &HarnessArgs) -> Vec<Table> {
     per_dataset(&[Dataset::Milan, Dataset::Hepmass], ("Figure 3", &caption), &columns, |d| {
         let data = d.generate(n, 3);
         let chunks = fixed_cells(&data, 200);
-        let configs = if d == Dataset::Milan { S::table2_milan() } else { S::table2_hepmass() };
-        let row = |cfg: &S| {
-            let [merge, estimate, total] = merge_then_estimate(cfg, &chunks);
-            row![cfg.label(), cfg.param_string(), merge, estimate, total]
+        let specs = if d == Dataset::Milan { table2_milan() } else { table2_hepmass() };
+        let row = |spec: &S| {
+            let [merge, estimate, total] = merge_then_estimate(spec, &chunks);
+            row![spec.kind().label(), param_text(spec), merge, estimate, total]
         };
-        configs.iter().map(row).collect()
+        specs.iter().map(row).collect()
     })
 }
 
@@ -279,7 +291,7 @@ fn fig04(args: &HarnessArgs) -> Vec<Table> {
     per_dataset(&COST_DATASETS, title, &MERGE_LATENCY_COLUMNS, |d| {
         let data = d.generate(n, 11);
         let chunks = fixed_cells(&data, 200);
-        S::sweep().map(|cfg| merge_latency_row(&cfg, &chunks)).collect()
+        sweep().map(|spec| merge_latency_row(&spec, &chunks)).collect()
     })
 }
 
@@ -289,32 +301,32 @@ fn fig05(args: &HarnessArgs) -> Vec<Table> {
     let columns = ["sketch", "param", "size(b)", "t_est"];
     per_dataset(&COST_DATASETS, ("Figure 5", "estimation time vs size"), &columns, |d| {
         let data = d.generate(n, 13);
-        let row = |cfg: S| {
-            let s = cfg.filled(5, &data);
+        let row = |spec: S| {
+            let s = filled(&spec, 5, &data);
             let t = time_mean(Duration::from_millis(40), || {
                 std::hint::black_box(s.quantile(0.99));
             });
-            row![cfg.label(), cfg.param_string(), s.size_bytes(), fmt_duration(t)]
+            row![spec.kind().label(), param_text(&spec), s.size_bytes(), fmt_duration(t)]
         };
-        S::sweep().map(row).collect()
+        sweep().map(row).collect()
     })
 }
 
 /// Figure 6: total query time vs the number of merged cells.
 fn fig06(args: &HarnessArgs) -> Vec<Table> {
     let max_cells = args.scale(20_000, 1_000_000);
-    let configs = [S::MSketch(10), S::Merge12(32), S::RandomW(40)];
+    let specs = [S::moments(10), S::merge12(32), S::randomw(40)];
     let columns = ["sketch", "cells", "merge", "estimate", "total"];
     per_dataset(&COST_DATASETS, ("Figure 6", "query time vs n_merge"), &columns, |d| {
         let sizes = successors(Some(100), |n| Some(n * 10)).take_while(|&n| n <= max_cells);
         let rows = sizes.flat_map(|n_cells| {
             let data = d.generate(n_cells * 200, 17);
             let chunks = fixed_cells(&data, 200);
-            let row = |cfg: &S| {
-                let [merge, estimate, total] = merge_then_estimate(cfg, &chunks);
-                row![cfg.label(), n_cells, merge, estimate, total]
+            let row = |spec: &S| {
+                let [merge, estimate, total] = merge_then_estimate(spec, &chunks);
+                row![spec.kind().label(), n_cells, merge, estimate, total]
             };
-            configs.iter().map(row).collect::<Vec<_>>()
+            specs.iter().map(row).collect::<Vec<_>>()
         });
         rows.collect()
     })
@@ -325,26 +337,30 @@ fn fig07(args: &HarnessArgs) -> Vec<Table> {
     let columns = ["sketch", "param", "size(b)", "eps_avg"];
     per_dataset(&Dataset::all(), ("Figure 7", "eps_avg vs size"), &columns, |d| {
         let data = d.generate(args.scale(d.default_size().min(200_000), d.default_size()), 29);
-        let row = |cfg: S| {
-            let s = cfg.filled(23, &data);
+        let row = |spec: S| {
+            let s = filled(&spec, 23, &data);
             let eps = eps_cell(summary_eps(&*s, &data, integral(&data)), 5);
-            row![cfg.label(), cfg.param_string(), s.size_bytes(), eps]
+            row![spec.kind().label(), param_text(&spec), s.size_bytes(), eps]
         };
-        S::sweep().map(row).collect()
+        sweep().map(row).collect()
     })
 }
 
 /// Figure 8: accuracy vs cardinality of point masses spread over [-1, 1].
 fn fig08(args: &HarnessArgs) -> Vec<Table> {
     let n = args.scale(40_000, 200_000);
-    let configs = [S::MSketch(10), S::Merge12(32), S::Gk(50), S::RandomW(40)];
+    let specs = [S::moments(10), S::merge12(32), S::gk(1.0 / 50.0), S::randomw(40)];
     let cardinalities = successors(Some(2), |c| Some(c * 2)).take_while(|&c| c <= 2048);
     let rows = cardinalities.flat_map(|card| {
         let data = discrete_uniform(card, n);
-        let row = |cfg: &S| {
-            row![card, cfg.label(), eps_cell(summary_eps(&*cfg.filled(31, &data), &data, false), 4)]
+        let row = |spec: &S| {
+            row![
+                card,
+                spec.kind().label(),
+                eps_cell(summary_eps(&*filled(spec, 31, &data), &data, false), 4)
+            ]
         };
-        configs.iter().map(row).collect::<Vec<_>>()
+        specs.iter().map(row).collect::<Vec<_>>()
     });
     let title = "Figure 8: eps_avg vs cardinality (uniform point masses)";
     vec![Table::new(title, &["cardinality", "sketch", "eps_avg"], rows.collect())]
@@ -421,9 +437,9 @@ fn fig11(args: &HarnessArgs) -> Vec<Table> {
     let (total, t_sum) = time_it(|| sums.iter().sum::<f64>());
     assert!(total.is_finite());
     let mut rows = vec![row!["sum", fmt_duration(t_sum), "floor"]];
-    for cfg in [S::MSketch(10), S::SHist(10), S::SHist(100), S::SHist(1000)] {
-        let [.., total] = merge_then_estimate(&cfg, &chunks);
-        rows.push(row![format!("{}@{}", cfg.label(), cfg.param_string()), total, ""]);
+    for spec in [S::moments(10), S::shist(10), S::shist(100), S::shist(1000)] {
+        let [.., total] = merge_then_estimate(&spec, &chunks);
+        rows.push(row![format!("{}@{}", spec.kind().label(), param_text(&spec)), total, ""]);
     }
     let title = format!("Figure 11: Druid-style end-to-end p99 ({} cells)", chunks.len());
     vec![Table::new(title, &["aggregation", "query", "note"], rows)]
@@ -468,7 +484,7 @@ fn fig12(args: &HarnessArgs) -> Vec<Table> {
     }
     // Merge12a: the same search over Merge12 summaries, one quantile per
     // group.
-    let m_cells = build_cells(&S::Merge12(32), &cell_chunks, 0);
+    let m_cells = build_cells(&S::merge12(32), &cell_chunks, 0);
     let (groups, t_merge) =
         time_it(|| m_cells.chunks(cells_per_group).map(merge_all).collect::<Vec<_>>());
     let phi = MacroBaseConfig::default().subpopulation_phi();
@@ -552,7 +568,7 @@ fn fig14(args: &HarnessArgs) -> Vec<Table> {
     let panes = moments_cells(10, pane_data.iter().map(Vec::as_slice));
     let ((alerts, _), t_scan) =
         time_it(|| scan_windows(&panes, window, threshold, phi, CascadeConfig::default()));
-    let m_panes = build_cells(&S::Merge12(32), &pane_data, 0);
+    let m_panes = build_cells(&S::merge12(32), &pane_data, 0);
     let mut hits = 0usize;
     let (_, t_remerge) = time_it(|| {
         sliding_windows_remerge(&m_panes, window, |_, agg| {
@@ -663,15 +679,21 @@ fn fig18(args: &HarnessArgs) -> Vec<Table> {
 /// 1% outliers of growing magnitude.
 fn fig19(args: &HarnessArgs) -> Vec<Table> {
     let n = args.scale(200_000, 10_000_000);
-    let configs =
-        [S::EwHist(20), S::EwHist(100), S::MSketch(10), S::Merge12(32), S::Gk(50), S::RandomW(40)];
+    let specs = [
+        S::ewhist(20),
+        S::ewhist(100),
+        S::moments(10),
+        S::merge12(32),
+        S::gk(1.0 / 50.0),
+        S::randomw(40),
+    ];
     let rows = [10.0, 31.6, 100.0, 316.0, 1000.0].into_iter().flat_map(|mag| {
         let data = gaussian_with_outliers(n, 0.01, mag, 73);
-        let row = |cfg: &S| {
-            let eps = summary_eps(&*cfg.filled(3, &data), &data, false);
-            row![mag, format!("{}:{}", cfg.label(), cfg.param_string()), eps_cell(eps, 4)]
+        let row = |spec: &S| {
+            let eps = summary_eps(&*filled(spec, 3, &data), &data, false);
+            row![mag, format!("{}:{}", spec.kind().label(), param_text(spec)), eps_cell(eps, 4)]
         };
-        configs.iter().map(row).collect::<Vec<_>>()
+        specs.iter().map(row).collect::<Vec<_>>()
     });
     let title = "Figure 19: eps_avg vs outlier magnitude (1% outliers)";
     vec![Table::new(title, &["magnitude", "sketch", "eps_avg"], rows.collect())]
@@ -683,10 +705,11 @@ fn fig19(args: &HarnessArgs) -> Vec<Table> {
 fn fig20(args: &HarnessArgs) -> Vec<Table> {
     let n = args.scale(200_000, 2_000_000);
     // The Table 2 milan parameterizations; S-Hist is left out.
-    let configs: Vec<S> = S::table2_milan().into_iter().filter(|c| c.label() != "S-Hist").collect();
+    let specs: Vec<S> =
+        table2_milan().into_iter().filter(|s| s.kind() != SketchKind::SHist).collect();
     let table = |name: &str, data: &[f64], cell_size: usize| {
         let chunks = fixed_cells(data, cell_size);
-        let rows = configs.iter().map(|cfg| merge_latency_row(cfg, &chunks)).collect();
+        let rows = specs.iter().map(|spec| merge_latency_row(spec, &chunks)).collect();
         let title = format!("Figure 20 ({name}): per-merge latency, cells of {cell_size}");
         Table::new(title, &MERGE_LATENCY_COLUMNS, rows)
     };
@@ -721,16 +744,22 @@ fn fig22(args: &HarnessArgs) -> Vec<Table> {
     let (rows, mean_cell) = (args.scale(500_000, 165_000_000), args.scale(500, 2_380) as f64);
     let w = ProductionWorkload::generate(rows, mean_cell, 97);
     let flat = w.flatten();
-    let row = |cfg: &S| {
-        let cells = build_cells(cfg, &w.cells, 0xFACE);
+    let row = |spec: &S| {
+        let cells = build_cells(spec, &w.cells, 0xFACE);
         let per_merge = merge_ns(&cells, Duration::from_millis(80));
         let merged = merge_all(&cells);
         let eps = eps_cell(summary_eps(&*merged, &flat, integral(&flat)), 4);
-        row![cfg.label(), cfg.param_string(), merged.size_bytes(), format!("{per_merge:.1}"), eps]
+        row![
+            spec.kind().label(),
+            param_text(spec),
+            merged.size_bytes(),
+            format!("{per_merge:.1}"),
+            eps
+        ]
     };
     let title = format!("Figure 22: production workload, {} variable-size cells", w.cells.len());
     let columns = ["sketch", "param", "size(b)", "ns/merge", "eps_avg"];
-    vec![Table::new(title, &columns, S::table2_milan().iter().map(row).collect())]
+    vec![Table::new(title, &columns, table2_milan().iter().map(row).collect())]
 }
 
 /// The rank error a summary can *certify* (as opposed to its observed
@@ -742,7 +771,7 @@ fn fig22(args: &HarnessArgs) -> Vec<Table> {
 /// * Sampling — Hoeffding 95% bound `sqrt(ln(2/.05) / 2s)`;
 /// * T-Digest / EW-Hist — max centroid / bin mass fraction;
 /// * S-Hist certifies nothing (`NaN`), as in the paper.
-fn guaranteed_bound(s: &AnySummary, phis: &[f64]) -> f64 {
+fn guaranteed_bound(s: &dyn Sketch, phis: &[f64]) -> f64 {
     let any = s.as_any();
     if let Some(m) = any.downcast_ref::<MSketchSummary>() {
         let Ok(sol) = m.sketch.solve(&SolverConfig::default()) else {
@@ -782,12 +811,12 @@ fn fig23(args: &HarnessArgs) -> Vec<Table> {
     let caption = ("Figure 23", "guaranteed error bound vs size");
     per_dataset(&COST_DATASETS, caption, &["sketch", "param", "size(b)", "bound"], |d| {
         let data = d.generate(args.scale(200_000, d.default_size()), 101);
-        let row = |cfg: S| {
-            let s = cfg.filled(19, &data);
-            let bound = guaranteed_bound(&s, &phis);
-            row![cfg.label(), cfg.param_string(), s.size_bytes(), format!("{bound:.4}")]
+        let row = |spec: S| {
+            let s = filled(&spec, 19, &data);
+            let bound = guaranteed_bound(&*s, &phis);
+            row![spec.kind().label(), param_text(&spec), s.size_bytes(), format!("{bound:.4}")]
         };
-        S::sweep().filter(|c| c.label() != "S-Hist").map(row).collect()
+        sweep().filter(|s| s.kind() != SketchKind::SHist).map(row).collect()
     })
 }
 
@@ -800,12 +829,12 @@ fn fig24(args: &HarnessArgs) -> Vec<Table> {
     per_dataset(&[Dataset::Milan, Dataset::Hepmass], ("Figure 24", &caption), &columns, |d| {
         let data = d.generate(n_cells * 200, 103);
         let chunks = fixed_cells(&data, 200);
-        let configs = [S::MSketch(10), S::Merge12(32), S::RandomW(40), S::EwHist(100)];
-        let rows = configs.into_iter().flat_map(|cfg| {
-            let cells = build_cells(&cfg, &chunks, CELL_SEED);
+        let specs = [S::moments(10), S::merge12(32), S::randomw(40), S::ewhist(100)];
+        let rows = specs.iter().flat_map(|spec| {
+            let cells = build_cells(spec, &chunks, CELL_SEED);
             [1, 2, 4, 8, 16].map(|threads| {
                 let (rate, t) = merge_rate(&cells, threads);
-                row![cfg.label(), threads, format!("{rate:.0}"), fmt_duration(t)]
+                row![spec.kind().label(), threads, format!("{rate:.0}"), fmt_duration(t)]
             })
         });
         rows.collect()
@@ -819,13 +848,14 @@ fn fig25(args: &HarnessArgs) -> Vec<Table> {
     let caption = format!("weak scaling, {per_thread} merges/thread on {} cores", cores());
     let columns = ["sketch", "threads", "cells", "merges/ms"];
     per_dataset(&[Dataset::Milan, Dataset::Hepmass], ("Figure 25", &caption), &columns, |d| {
-        let rows = [S::MSketch(10), S::Merge12(32), S::RandomW(40)].into_iter().flat_map(|cfg| {
+        let specs = [S::moments(10), S::merge12(32), S::randomw(40)];
+        let rows = specs.iter().flat_map(|spec| {
             [1, 2, 4, 8].map(|threads| {
                 let n_cells = per_thread * threads;
                 let data = d.generate(n_cells * 50, 107);
                 let (rate, _) =
-                    merge_rate(&build_cells(&cfg, &fixed_cells(&data, 50), CELL_SEED), threads);
-                row![cfg.label(), threads, n_cells, format!("{rate:.0}")]
+                    merge_rate(&build_cells(spec, &fixed_cells(&data, 50), CELL_SEED), threads);
+                row![spec.kind().label(), threads, n_cells, format!("{rate:.0}")]
             })
         });
         rows.collect()

@@ -4,6 +4,12 @@
 //! binary renders them (`--fig <id>`, `--all`); `tests/claims.rs` asserts
 //! the deterministic claims on the same rows.
 //!
+//! A figure names each summary it runs by its [`SketchSpec`], the same
+//! configuration cubes and engines take: [`comparators`] lists the
+//! paper's eight families, [`table2_milan`] their Table 2
+//! parameterizations ([`SketchSpec::default_for`]), [`size_sweep`] each
+//! family's sizes, and [`param_text`] the "param" column.
+//!
 //! `--full` switches to paper-scale workloads; the default sizes are
 //! scaled down to finish interactively while preserving every qualitative
 //! comparison.
@@ -12,7 +18,7 @@
 //! the system's solver (Figure 10), with the numerical methods only they
 //! use: Romberg quadrature, L-BFGS, a simplex LP solver and an SVD.
 
-use msketch_sketches::{QuantileSummary, Sketch, SketchSpec};
+use msketch_sketches::{QuantileSummary, Sketch, SketchKind, SketchSpec};
 use std::time::{Duration, Instant};
 
 pub mod estimators;
@@ -22,144 +28,92 @@ mod lbfgs;
 mod simplex;
 mod svd;
 
-/// A summary configuration: the parameterizations of Table 2 plus size
-/// sweeps, with uniform construction and labeling.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SummaryConfig {
-    /// Moments sketch of order `k`.
-    MSketch(usize),
-    /// Low-discrepancy mergeable sketch with level size `k`.
-    Merge12(usize),
-    /// Random mergeable buffer sketch with buffer size `s`.
-    RandomW(usize),
-    /// Greenwald–Khanna with error `1/inv_eps`.
-    Gk(usize),
-    /// t-digest with compression `delta` (tenths, to stay `Copy + Eq`ish).
-    TDigest(usize),
-    /// Reservoir sample of the given capacity.
-    Sampling(usize),
-    /// Streaming histogram with the given centroid budget.
-    SHist(usize),
-    /// Equi-width histogram with the given bin budget.
-    EwHist(usize),
+/// The paper's eight comparators in legend order: every shipped kind but
+/// `Exact`, the ground truth they are scored against.
+pub fn comparators() -> impl Iterator<Item = SketchKind> {
+    SketchKind::ALL.into_iter().filter(|&kind| kind != SketchKind::Exact)
 }
 
-/// Type-erased summary so heterogeneous sketches run through one harness.
-pub type AnySummary = Box<dyn Sketch>;
+/// The Table 2 parameterizations for ε_avg ≤ 0.01 on `milan`-like data:
+/// each comparator's [`SketchSpec::default_for`].
+pub fn table2_milan() -> Vec<SketchSpec> {
+    comparators().map(SketchSpec::default_for).collect()
+}
 
-impl SummaryConfig {
-    /// Label matching the paper's legends.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SummaryConfig::MSketch(_) => "M-Sketch",
-            SummaryConfig::Merge12(_) => "Merge12",
-            SummaryConfig::RandomW(_) => "RandomW",
-            SummaryConfig::Gk(_) => "GK",
-            SummaryConfig::TDigest(_) => "T-Digest",
-            SummaryConfig::Sampling(_) => "Sampling",
-            SummaryConfig::SHist(_) => "S-Hist",
-            SummaryConfig::EwHist(_) => "EW-Hist",
+/// The Table 2 parameterizations for `hepmass`-like data.
+pub fn table2_hepmass() -> Vec<SketchSpec> {
+    vec![
+        SketchSpec::moments(3),
+        SketchSpec::merge12(32),
+        SketchSpec::randomw(40),
+        SketchSpec::gk(1.0 / 40.0),
+        SketchSpec::tdigest(1.5),
+        SketchSpec::sampling(1000),
+        SketchSpec::shist(100),
+        SketchSpec::ewhist(15),
+    ]
+}
+
+/// The size sweep of one family (Table 2, Figures 4, 5, 7 and 23),
+/// smallest first. `Exact` has no size knob: its sweep is one spec.
+pub fn size_sweep(kind: SketchKind) -> Vec<SketchSpec> {
+    match kind {
+        SketchKind::Moments => [2, 4, 6, 8, 10, 12, 14].map(SketchSpec::moments).to_vec(),
+        SketchKind::Merge12 => [8, 16, 32, 64, 128, 256].map(SketchSpec::merge12).to_vec(),
+        SketchKind::RandomW => [10, 20, 40, 80, 160, 320].map(SketchSpec::randomw).to_vec(),
+        SketchKind::Gk => {
+            [10, 20, 40, 80, 160].map(|inv: usize| SketchSpec::gk(1.0 / inv as f64)).to_vec()
         }
+        SketchKind::TDigest => [1.0, 2.0, 5.0, 10.0, 20.0].map(SketchSpec::tdigest).to_vec(),
+        SketchKind::Sampling => [16, 64, 256, 1024, 4096].map(SketchSpec::sampling).to_vec(),
+        SketchKind::SHist => [10, 30, 100, 300, 1000].map(SketchSpec::shist).to_vec(),
+        SketchKind::EwHist => [15, 30, 100, 300, 1000].map(SketchSpec::ewhist).to_vec(),
+        SketchKind::Exact => vec![SketchSpec::exact()],
     }
+}
 
-    /// Human-readable parameter (Table 2's "param" column).
-    pub fn param_string(&self) -> String {
-        match self {
-            SummaryConfig::MSketch(k) => format!("k={k}"),
-            SummaryConfig::Merge12(k) => format!("k={k}"),
-            SummaryConfig::RandomW(s) => format!("s={s}"),
-            SummaryConfig::Gk(inv) => format!("eps=1/{inv}"),
-            SummaryConfig::TDigest(d10) => format!("delta={:.1}", *d10 as f64 / 10.0),
-            SummaryConfig::Sampling(n) => format!("{n} samples"),
-            SummaryConfig::SHist(b) => format!("{b} bins"),
-            SummaryConfig::EwHist(b) => format!("{b} bins"),
-        }
-    }
+/// Every comparator's size sweep, in legend order.
+pub fn sweep() -> impl Iterator<Item = SketchSpec> {
+    comparators().flat_map(size_sweep)
+}
 
-    /// Build an empty summary (seed varies randomized sketches per cell).
-    pub fn build(&self, seed: u64) -> AnySummary {
-        let spec = match *self {
-            SummaryConfig::MSketch(k) => SketchSpec::moments(k),
-            SummaryConfig::Merge12(k) => SketchSpec::merge12(k),
-            SummaryConfig::RandomW(s) => SketchSpec::randomw(s),
-            SummaryConfig::Gk(inv) => SketchSpec::gk(1.0 / inv as f64),
-            SummaryConfig::TDigest(d10) => SketchSpec::tdigest(d10 as f64 / 10.0),
-            SummaryConfig::Sampling(n) => SketchSpec::sampling(n),
-            SummaryConfig::SHist(b) => SketchSpec::shist(b),
-            SummaryConfig::EwHist(b) => SketchSpec::ewhist(b),
-        };
-        spec.build_seeded(seed)
+/// The size knob as Table 2's "param" column writes it (`k=10`,
+/// `eps=1/60`, `delta=5.0`, `1000 samples`, …).
+pub fn param_text(spec: &SketchSpec) -> String {
+    let p = spec.param();
+    match spec.kind() {
+        SketchKind::Moments | SketchKind::Merge12 => format!("k={p}"),
+        SketchKind::RandomW => format!("s={p}"),
+        SketchKind::Gk => format!("eps=1/{}", (1.0 / p).round()),
+        SketchKind::TDigest => format!("delta={p:.1}"),
+        SketchKind::Sampling => format!("{p} samples"),
+        SketchKind::SHist | SketchKind::EwHist => format!("{p} bins"),
+        SketchKind::Exact => "-".into(),
     }
+}
 
-    /// Build a summary and accumulate `data` into it.
-    pub fn filled(&self, seed: u64, data: &[f64]) -> AnySummary {
-        let mut s = self.build(seed);
-        s.accumulate_all(data);
-        s
-    }
-
-    /// The Table 2 parameterizations for ε_avg ≤ 0.01 on `milan`-like
-    /// data.
-    pub fn table2_milan() -> Vec<SummaryConfig> {
-        vec![
-            SummaryConfig::MSketch(10),
-            SummaryConfig::Merge12(32),
-            SummaryConfig::RandomW(40),
-            SummaryConfig::Gk(60),
-            SummaryConfig::TDigest(50),
-            SummaryConfig::Sampling(1000),
-            SummaryConfig::SHist(100),
-            SummaryConfig::EwHist(100),
-        ]
-    }
-
-    /// The Table 2 parameterizations for `hepmass`-like data.
-    pub fn table2_hepmass() -> Vec<SummaryConfig> {
-        vec![
-            SummaryConfig::MSketch(3),
-            SummaryConfig::Merge12(32),
-            SummaryConfig::RandomW(40),
-            SummaryConfig::Gk(40),
-            SummaryConfig::TDigest(15),
-            SummaryConfig::Sampling(1000),
-            SummaryConfig::SHist(100),
-            SummaryConfig::EwHist(15),
-        ]
-    }
-
-    /// A size sweep for this summary family (Figures 4, 5, 7).
-    pub fn size_sweep(label: &str) -> Vec<SummaryConfig> {
-        match label {
-            "M-Sketch" => [2, 4, 6, 8, 10, 12, 14].map(SummaryConfig::MSketch).to_vec(),
-            "Merge12" => [8, 16, 32, 64, 128, 256].map(SummaryConfig::Merge12).to_vec(),
-            "RandomW" => [10, 20, 40, 80, 160, 320].map(SummaryConfig::RandomW).to_vec(),
-            "GK" => [10, 20, 40, 80, 160].map(SummaryConfig::Gk).to_vec(),
-            "T-Digest" => [10, 20, 50, 100, 200].map(SummaryConfig::TDigest).to_vec(),
-            "Sampling" => [16, 64, 256, 1024, 4096].map(SummaryConfig::Sampling).to_vec(),
-            "S-Hist" => [10, 30, 100, 300, 1000].map(SummaryConfig::SHist).to_vec(),
-            "EW-Hist" => [15, 30, 100, 300, 1000].map(SummaryConfig::EwHist).to_vec(),
-            _ => panic!("unknown summary label {label}"),
-        }
-    }
-
-    /// Every family's size sweep, in legend order.
-    pub fn sweep() -> impl Iterator<Item = SummaryConfig> {
-        Self::all_labels().into_iter().flat_map(Self::size_sweep)
-    }
-
-    /// All eight families (paper legend order).
-    pub fn all_labels() -> [&'static str; 8] {
-        ["M-Sketch", "Merge12", "RandomW", "GK", "T-Digest", "Sampling", "S-Hist", "EW-Hist"]
-    }
+/// A summary of `spec`, seeded `seed`, holding `data`.
+pub fn filled(spec: &SketchSpec, seed: u64, data: &[f64]) -> Box<dyn Sketch> {
+    let mut s = spec.build_seeded(seed);
+    s.accumulate_all(data);
+    s
 }
 
 /// Build one summary per cell, cell `i` seeded `seed ^ i`.
-pub fn build_cells(cfg: &SummaryConfig, cells: &[impl AsRef<[f64]>], seed: u64) -> Vec<AnySummary> {
-    cells.iter().enumerate().map(|(i, chunk)| cfg.filled(seed ^ i as u64, chunk.as_ref())).collect()
+pub fn build_cells(
+    spec: &SketchSpec,
+    cells: &[impl AsRef<[f64]>],
+    seed: u64,
+) -> Vec<Box<dyn Sketch>> {
+    cells
+        .iter()
+        .enumerate()
+        .map(|(i, chunk)| filled(spec, seed ^ i as u64, chunk.as_ref()))
+        .collect()
 }
 
 /// Merge a slice of summaries into the first one (cloned).
-pub fn merge_all(cells: &[AnySummary]) -> AnySummary {
+pub fn merge_all(cells: &[Box<dyn Sketch>]) -> Box<dyn Sketch> {
     let mut acc = cells[0].clone();
     for c in &cells[1..] {
         acc.merge_from(c);
@@ -167,16 +121,15 @@ pub fn merge_all(cells: &[AnySummary]) -> AnySummary {
     acc
 }
 
-/// Merge summaries with `threads` crossbeam workers (Appendix F).
-pub fn merge_parallel(cells: &[AnySummary], threads: usize) -> AnySummary {
+/// Merge summaries on `threads` scoped workers (Appendix F).
+pub fn merge_parallel(cells: &[Box<dyn Sketch>], threads: usize) -> Box<dyn Sketch> {
     let threads = threads.max(1).min(cells.len());
     let chunk = cells.len().div_ceil(threads);
-    let partials: Vec<AnySummary> = crossbeam::thread::scope(|scope| {
+    let partials: Vec<Box<dyn Sketch>> = std::thread::scope(|scope| {
         let handles: Vec<_> =
-            cells.chunks(chunk).map(|shard| scope.spawn(move |_| merge_all(shard))).collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .expect("merge worker panicked");
+            cells.chunks(chunk).map(|shard| scope.spawn(move || merge_all(shard))).collect();
+        handles.into_iter().map(|h| h.join().expect("merge worker panicked")).collect()
+    });
     merge_all(&partials)
 }
 
@@ -291,16 +244,12 @@ mod tests {
     #[test]
     fn any_summary_uniform_behavior() {
         let data: Vec<f64> = (1..=5000).map(f64::from).collect();
-        for label in SummaryConfig::all_labels() {
-            let cfg = &SummaryConfig::size_sweep(label)[2];
-            let s = cfg.filled(1, &data);
-            assert_eq!(s.count(), 5000, "{label}");
+        for kind in comparators() {
+            let spec = &size_sweep(kind)[2];
+            let s = filled(spec, 1, &data);
+            assert_eq!(s.count(), 5000, "{kind}");
             let q = s.quantile(0.5);
-            assert!(
-                (q - 2500.0).abs() < 600.0,
-                "{label} median {q} (param {})",
-                cfg.param_string()
-            );
+            assert!((q - 2500.0).abs() < 600.0, "{kind} median {q} (param {})", param_text(spec));
             assert!(s.size_bytes() > 0);
         }
     }
@@ -309,8 +258,7 @@ mod tests {
     fn merge_parallel_matches_sequential() {
         let data: Vec<f64> = (0..20_000).map(|i| (i % 997) as f64).collect();
         let chunks: Vec<&[f64]> = data.chunks(100).collect();
-        let cfg = SummaryConfig::MSketch(8);
-        let cells = build_cells(&cfg, &chunks, 0x5EED);
+        let cells = build_cells(&SketchSpec::moments(8), &chunks, 0x5EED);
         let seq = merge_all(&cells);
         let par = merge_parallel(&cells, 4);
         assert_eq!(seq.count(), par.count());
@@ -319,8 +267,8 @@ mod tests {
 
     #[test]
     fn heterogeneous_merge_panics() {
-        let a = SummaryConfig::MSketch(4).build(0);
-        let b = SummaryConfig::SHist(10).build(0);
+        let a = SketchSpec::moments(4).build_seeded(0);
+        let b = SketchSpec::shist(10).build_seeded(0);
         // The checked path reports the mismatch as an error...
         let mut a2 = a.clone();
         assert!(a2.merge_dyn(&*b).is_err());
@@ -343,11 +291,11 @@ mod tests {
     #[test]
     fn table2_configs_cover_all_families() {
         use std::collections::HashSet;
-        for configs in [SummaryConfig::table2_milan(), SummaryConfig::table2_hepmass()] {
-            let labels: HashSet<&str> = configs.iter().map(|c| c.label()).collect();
-            assert_eq!(labels.len(), 8);
-            for l in SummaryConfig::all_labels() {
-                assert!(labels.contains(l), "{l} missing");
+        for specs in [table2_milan(), table2_hepmass()] {
+            let kinds: HashSet<SketchKind> = specs.iter().map(|s| s.kind()).collect();
+            assert_eq!(kinds.len(), 8);
+            for kind in comparators() {
+                assert!(kinds.contains(&kind), "{kind} missing");
             }
         }
     }
@@ -355,13 +303,11 @@ mod tests {
     #[test]
     fn size_sweeps_grow_monotonically() {
         let data: Vec<f64> = (0..4000).map(|i| (i % 251) as f64).collect();
-        for label in SummaryConfig::all_labels() {
-            let sizes: Vec<usize> = SummaryConfig::size_sweep(label)
-                .iter()
-                .map(|cfg| cfg.filled(3, &data).size_bytes())
-                .collect();
+        for kind in comparators() {
+            let sizes: Vec<usize> =
+                size_sweep(kind).iter().map(|spec| filled(spec, 3, &data).size_bytes()).collect();
             for w in sizes.windows(2) {
-                assert!(w[1] >= w[0], "{label}: sweep not monotone: {sizes:?}");
+                assert!(w[1] >= w[0], "{kind}: sweep not monotone: {sizes:?}");
             }
         }
     }

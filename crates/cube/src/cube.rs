@@ -613,15 +613,15 @@ impl<F: SummaryFactory> DataCube<F> {
                 got: other.dim_names.clone(),
             });
         }
-        // Typed cubes can't disagree on backend (one concrete summary
-        // type), but boxed cells (`DynCube`) can: merging, say, t-digest
-        // cells into a moments cube would panic in `merge_from` or leave
-        // cells that contradict the cube's own spec. Reject cross-kind
-        // unions up front.
-        if self.factory.kind() != other.factory.kind() {
+        // Boxed cells (`DynCube`) can disagree on backend: merging, say,
+        // t-digest cells into a moments cube would panic in `merge_from`
+        // or leave cells that contradict the cube's own spec. Reject
+        // cross-kind unions up front.
+        let (expected, got) = (self.factory.kind(), other.factory.kind());
+        if expected != got {
             return Err(Error::BackendMismatch {
-                expected: self.factory.build().name(),
-                got: other.factory.build().name(),
+                expected: expected.label(),
+                got: got.label(),
             });
         }
         Ok(self
@@ -868,12 +868,10 @@ impl<F: SummaryFactory> DataCube<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msketch_sketches::traits::FnFactory;
-    use msketch_sketches::MSketchSummary;
+    use msketch_sketches::SketchSpec;
 
-    fn small_cube() -> DataCube<FnFactory<MSketchSummary, fn() -> MSketchSummary>> {
-        let factory: FnFactory<MSketchSummary, fn() -> MSketchSummary> =
-            FnFactory(|| MSketchSummary::new(8));
+    fn small_cube() -> DataCube<SketchSpec> {
+        let factory = SketchSpec::moments(8);
         let mut cube = DataCube::new(factory, &["country", "version"]);
         for i in 0..4000 {
             let country = if i % 2 == 0 { "US" } else { "CA" };
@@ -952,8 +950,7 @@ mod tests {
 
     #[test]
     fn insert_batch_matches_row_at_a_time_bit_exactly() {
-        let factory: FnFactory<MSketchSummary, fn() -> MSketchSummary> =
-            FnFactory(|| MSketchSummary::new(8));
+        let factory = SketchSpec::moments(8);
         let mut rows = DataCube::new(factory.clone(), &["country", "version"]);
         let mut batched = DataCube::new(factory, &["country", "version"]);
         let mut batch = ColumnarBatch::new(2);
@@ -980,8 +977,7 @@ mod tests {
 
     #[test]
     fn insert_columns_convenience() {
-        let factory: FnFactory<MSketchSummary, fn() -> MSketchSummary> =
-            FnFactory(|| MSketchSummary::new(8));
+        let factory = SketchSpec::moments(8);
         let mut cube = DataCube::new(factory, &["host"]);
         let columns =
             |columns: &[&[&str]], metrics: &[f64]| ColumnarBatch::from_columns(columns, metrics);
@@ -1000,8 +996,7 @@ mod tests {
 
     #[test]
     fn merge_cube_remaps_independent_dictionaries() {
-        let factory: FnFactory<MSketchSummary, fn() -> MSketchSummary> =
-            FnFactory(|| MSketchSummary::new(8));
+        let factory = SketchSpec::moments(8);
         // Two cubes over the same schema, values interned in different
         // orders — ids disagree between the dictionaries.
         let mut a = DataCube::new(factory.clone(), &["country", "version"]);
@@ -1048,8 +1043,7 @@ mod tests {
 
     #[test]
     fn merge_cube_rejects_mismatched_schemas() {
-        let factory: FnFactory<MSketchSummary, fn() -> MSketchSummary> =
-            FnFactory(|| MSketchSummary::new(8));
+        let factory = SketchSpec::moments(8);
         let mut a = DataCube::new(factory.clone(), &["country", "version"]);
         let b = DataCube::new(factory.clone(), &["country", "hw"]);
         assert!(matches!(
@@ -1066,7 +1060,6 @@ mod tests {
 
     #[test]
     fn merge_cube_rejects_mismatched_backends() {
-        use msketch_sketches::SketchSpec;
         // Boxed cells can disagree on backend at runtime; unioning them
         // must fail cleanly instead of panicking in merge_from (same key)
         // or planting foreign cells under the wrong spec (disjoint keys).
@@ -1085,7 +1078,6 @@ mod tests {
 
     #[test]
     fn replace_cells_overwrites_by_name_and_takes_the_row_count() {
-        use msketch_sketches::SketchSpec;
         let mut base = crate::DynCube::from_spec(SketchSpec::moments(8), &["app"]);
         for (app, x) in [("a", 1.0), ("b", 2.0), ("b", 3.0)] {
             base.insert(&[app], x).unwrap();
@@ -1114,7 +1106,6 @@ mod tests {
 
     #[test]
     fn cell_budget_folds_rare_values_into_other() {
-        use msketch_sketches::SketchSpec;
         let mut cube = crate::DynCube::from_spec(SketchSpec::moments(6), &["app", "host"]);
         // "checkout" dominates; hosts h0..h9 are rare singletons.
         for i in 0..1000 {
@@ -1146,7 +1137,6 @@ mod tests {
 
     #[test]
     fn cell_budget_is_deterministic_across_build_orders() {
-        use msketch_sketches::SketchSpec;
         // Same logical rows, interned in different orders → different
         // dictionary ids. The fold must pick the same victims by name.
         let rows: Vec<(String, String, f64)> = (0..500)
@@ -1206,7 +1196,6 @@ mod tests {
 
     #[test]
     fn cell_budget_zero_and_generous_budgets() {
-        use msketch_sketches::SketchSpec;
         let mut cube = crate::DynCube::from_spec(SketchSpec::moments(6), &["app"]);
         for app in ["a", "b", "c"] {
             cube.insert(&[app], 1.0).unwrap();
@@ -1249,10 +1238,7 @@ mod tests {
     #[test]
     fn summary_only_delta_keeps_the_order_allocation() {
         let mut shard = small_cube();
-        let mut cube = DataCube::new(
-            FnFactory(|| MSketchSummary::new(8)),
-            &["country", "version"],
-        );
+        let mut cube = DataCube::new(SketchSpec::moments(8), &["country", "version"]);
         cube.apply_delta(&shard.full_delta(), &FxHashMap::default())
             .unwrap();
         let before = cube.cells_sorted().len();
@@ -1275,10 +1261,7 @@ mod tests {
     #[test]
     fn order_after_a_delta_that_adds_cells_equals_a_fresh_build() {
         let mut shard = small_cube();
-        let mut cube = DataCube::new(
-            FnFactory(|| MSketchSummary::new(8)),
-            &["country", "version"],
-        );
+        let mut cube = DataCube::new(SketchSpec::moments(8), &["country", "version"]);
         cube.apply_delta(&shard.full_delta(), &FxHashMap::default())
             .unwrap();
         cube.cells_sorted();

@@ -376,14 +376,12 @@ impl<F: SummaryFactory> DataCube<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msketch_sketches::traits::FnFactory;
-    use msketch_sketches::{MSketchSummary, Sketch};
+    use msketch_sketches::{Sketch, SketchSpec};
 
-    type Cube = DataCube<FnFactory<MSketchSummary, fn() -> MSketchSummary>>;
+    type Cube = DataCube<SketchSpec>;
 
     fn empty() -> Cube {
-        let factory: FnFactory<MSketchSummary, fn() -> MSketchSummary> =
-            FnFactory(|| MSketchSummary::new(8));
+        let factory = SketchSpec::moments(8);
         DataCube::new(factory, &["country", "version"])
     }
 
@@ -453,7 +451,7 @@ mod tests {
 
         let mut merged = empty();
         merged.merge_cube(&base_cube).unwrap();
-        let base: FxHashMap<Vec<u32>, Arc<MSketchSummary>> = merged
+        let base: FxHashMap<Vec<u32>, Arc<Box<dyn Sketch>>> = merged
             .cells_shared()
             .map(|(k, s)| (k.clone(), Arc::clone(s)))
             .collect();

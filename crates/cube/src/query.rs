@@ -247,12 +247,10 @@ impl GroupThresholdQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msketch_sketches::traits::FnFactory;
-    use msketch_sketches::{MSketchSummary, SketchSpec};
+    use msketch_sketches::SketchSpec;
 
-    fn cube_with_hot_group() -> DataCube<FnFactory<MSketchSummary, fn() -> MSketchSummary>> {
-        let factory: FnFactory<MSketchSummary, fn() -> MSketchSummary> =
-            FnFactory(|| MSketchSummary::new(10));
+    fn cube_with_hot_group() -> DataCube<SketchSpec> {
+        let factory = SketchSpec::moments(10);
         let mut cube = DataCube::new(factory, &["app", "hw"]);
         for i in 0..9000u64 {
             let app = match i % 3 {

@@ -524,10 +524,8 @@ where
             replies.push(rx);
         }
         let mut merged = self.empty_cube();
-        let folded = &self.stats.snapshot_cells_folded;
         for rx in replies {
             let shard_cube = rx.recv().map_err(|_| EngineError::Disconnected)?;
-            folded.add(shard_cube.cell_count() as u64);
             merged.merge_cube(&shard_cube)?;
         }
         let epoch = self.next_epoch();
@@ -700,14 +698,7 @@ impl DynShardedCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msketch_sketches::traits::FnFactory;
-    use msketch_sketches::{MSketchSummary, QuantileSummary, Sketch, SketchKind};
-
-    type MomentsFactory = FnFactory<MSketchSummary, fn() -> MSketchSummary>;
-
-    fn moments_factory() -> MomentsFactory {
-        FnFactory(|| MSketchSummary::new(8))
-    }
+    use msketch_sketches::{QuantileSummary, Sketch, SketchKind};
 
     fn row(i: u64) -> ([&'static str; 2], f64) {
         let country = ["US", "CA", "MX", "BR", "JP"][(i % 5) as usize];
@@ -718,8 +709,8 @@ mod tests {
         )
     }
 
-    fn sequential_reference(n: u64) -> DataCube<MomentsFactory> {
-        let mut cube = DataCube::new(moments_factory(), &["country", "version"]);
+    fn sequential_reference(n: u64) -> DataCube<SketchSpec> {
+        let mut cube = DataCube::new(SketchSpec::moments(8), &["country", "version"]);
         for i in 0..n {
             let (dims, metric) = row(i);
             cube.insert(&dims, metric).unwrap();
@@ -729,7 +720,7 @@ mod tests {
 
     /// Every cell's serialized summary, keyed by its decoded names.
     fn cell_bytes_by_name(
-        cube: &DataCube<MomentsFactory>,
+        cube: &DataCube<SketchSpec>,
     ) -> std::collections::HashMap<Vec<String>, Vec<u8>> {
         cube.cells()
             .map(|(k, s)| {
@@ -753,7 +744,7 @@ mod tests {
     fn snapshot_is_bit_exact_vs_sequential_at_8_shards() {
         let reference = sequential_reference(50_000);
         let mut engine = ShardedCube::new(
-            moments_factory(),
+            SketchSpec::moments(8),
             &["country", "version"],
             EngineConfig::with_shards(8).batch_rows(1024),
         );
@@ -783,7 +774,7 @@ mod tests {
         // ingest with delta refreshes, then compare the persistent
         // merged cube against a from-scratch refold of the same shards.
         let mut engine = ShardedCube::new(
-            moments_factory(),
+            SketchSpec::moments(8),
             &["country", "version"],
             EngineConfig::with_shards(4).batch_rows(256),
         );
@@ -809,15 +800,13 @@ mod tests {
                 );
             }
         }
-        let stats = engine.stats();
-        assert!(stats.delta_cells_applied > 0);
-        assert!(stats.snapshot_cells_folded > 0);
+        assert!(engine.stats().delta_cells_applied > 0);
     }
 
     #[test]
     fn idle_delta_refreshes_apply_no_cells() {
         let mut engine = ShardedCube::new(
-            moments_factory(),
+            SketchSpec::moments(8),
             &["country", "version"],
             EngineConfig::with_shards(2).batch_rows(64),
         );
@@ -840,7 +829,7 @@ mod tests {
     fn refresh_cost_follows_touched_cells() {
         // The delta path's contract without a stopwatch: a refresh
         // applies the cells touched since the last one, however many
-        // are resident, and folds no cube whole.
+        // are resident.
         let mut engine = DynShardedCube::new(
             SketchSpec::moments(4),
             &["host"],
@@ -864,13 +853,12 @@ mod tests {
             touched.delta_cells_applied - resident.delta_cells_applied,
             64
         );
-        assert_eq!(touched.snapshot_cells_folded, 0);
     }
 
     #[test]
     fn snapshots_see_flushed_rows_and_writers_continue() {
         let mut engine = ShardedCube::new(
-            moments_factory(),
+            SketchSpec::moments(8),
             &["country", "version"],
             EngineConfig::with_shards(3).batch_rows(64),
         );
@@ -907,7 +895,7 @@ mod tests {
     #[test]
     fn concurrent_writers_land_all_rows() {
         let mut engine = ShardedCube::new(
-            moments_factory(),
+            SketchSpec::moments(8),
             &["country", "version"],
             EngineConfig::with_shards(4).batch_rows(128),
         );
@@ -986,7 +974,7 @@ mod tests {
     #[test]
     fn unflushed_rows_are_invisible_until_flush() {
         let mut engine = ShardedCube::new(
-            moments_factory(),
+            SketchSpec::moments(8),
             &["country", "version"],
             EngineConfig::with_shards(2).batch_rows(1_000_000),
         );
@@ -1009,7 +997,7 @@ mod tests {
     #[test]
     fn shutdown_joins_workers_and_later_calls_error() {
         let mut engine = ShardedCube::new(
-            moments_factory(),
+            SketchSpec::moments(8),
             &["country", "version"],
             EngineConfig::with_shards(3).batch_rows(8),
         );
@@ -1081,7 +1069,7 @@ mod tests {
     #[test]
     fn stats_start_clean() {
         let engine = ShardedCube::new(
-            moments_factory(),
+            SketchSpec::moments(8),
             &["country", "version"],
             EngineConfig::with_shards(2),
         );
@@ -1094,7 +1082,7 @@ mod tests {
         // The shutdown marker is a FIFO barrier: rows flushed before it
         // are never dropped. Observable via snapshot-before-shutdown.
         let mut engine = ShardedCube::new(
-            moments_factory(),
+            SketchSpec::moments(8),
             &["country", "version"],
             EngineConfig::with_shards(2).batch_rows(4),
         );
@@ -1110,7 +1098,7 @@ mod tests {
     #[test]
     fn writer_arity_is_checked() {
         let mut engine = ShardedCube::new(
-            moments_factory(),
+            SketchSpec::moments(8),
             &["country", "version"],
             EngineConfig::with_shards(1),
         );

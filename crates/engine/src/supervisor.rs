@@ -54,7 +54,6 @@ pub(crate) struct SharedStats {
     pub(crate) wal_segments: Gauge,
     pub(crate) wal_bytes: Gauge,
     pub(crate) wal_append_errors: Counter,
-    pub(crate) snapshot_cells_folded: Counter,
     pub(crate) delta_cells_applied: Counter,
     pub(crate) last_refresh_micros: Gauge,
     pub(crate) epoch: Gauge,
@@ -102,10 +101,6 @@ pub struct EngineStats {
     pub wal_bytes: u64,
     /// WAL appends that failed (durability degraded, memory intact).
     pub wal_append_errors: u64,
-    /// Cells folded whole on the engine thread by `snapshot_refold`,
-    /// the test-only reference refresh, this process lifetime — the
-    /// cost the delta path avoids. Zero in a serving engine.
-    pub snapshot_cells_folded: u64,
     /// Delta cells applied by incremental refreshes (`snapshot`,
     /// `checkpoint`) this process lifetime; tracks cells *touched*
     /// between epochs, not cube size.
@@ -129,7 +124,6 @@ impl SharedStats {
             wal_segments: self.wal_segments.get(),
             wal_bytes: self.wal_bytes.get(),
             wal_append_errors: self.wal_append_errors.get(),
-            snapshot_cells_folded: self.snapshot_cells_folded.get(),
             delta_cells_applied: self.delta_cells_applied.get(),
             last_refresh_micros: self.last_refresh_micros.get(),
             shut_down: self.shut_down.get() != 0,

@@ -116,8 +116,8 @@ use msketch_sketches::SketchSpec;
 use msketch_timeline::{StoreRecovery, Timeline, TimelineConfig, TimelineError, TimelineStats};
 use serde_json::Value;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tiny_http::{Request, Response};
@@ -637,6 +637,33 @@ impl ServerState {
     }
 }
 
+/// The refresher's stop flag: shutdown sets it and wakes the refresher
+/// out of its wait at once.
+#[derive(Default)]
+struct StopSignal {
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl StopSignal {
+    /// Set the flag and wake the waiting refresher.
+    fn stop(&self) {
+        *self.stopped.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.wake.notify_all();
+    }
+
+    /// Wait until `interval` has elapsed or [`StopSignal::stop`] was
+    /// called; true when stopped.
+    fn wait(&self, interval: Duration) -> bool {
+        let stopped = self.stopped.lock().unwrap_or_else(PoisonError::into_inner);
+        let waited = self
+            .wake
+            .wait_timeout_while(stopped, interval, |stopped| !*stopped);
+        let (stopped, _) = waited.unwrap_or_else(PoisonError::into_inner);
+        *stopped
+    }
+}
+
 /// The serving layer: a [`DynShardedCube`] plus an HTTP pool and a
 /// background snapshot refresher. See the crate docs for the endpoint
 /// table; construction is [`MsketchServer::start`].
@@ -647,7 +674,7 @@ pub struct MsketchServer {
     /// has torn the listener down.
     addr: std::net::SocketAddr,
     refresher: Option<JoinHandle<()>>,
-    refresher_stop: Arc<AtomicBool>,
+    refresher_stop: Arc<StopSignal>,
     /// What WAL replay recovered at startup (`None` without a WAL).
     recovery: Option<RecoveryReport>,
     /// What the timeline's segment scan recovered at startup (`None`
@@ -761,7 +788,7 @@ impl MsketchServer {
             move |req: &Request| route(&handler_state, req),
         )?;
         let addr = http.local_addr();
-        let refresher_stop = Arc::new(AtomicBool::new(false));
+        let refresher_stop = Arc::new(StopSignal::default());
         let refresher = if refresh_interval > Duration::ZERO {
             let state = Arc::clone(&state);
             let stop = Arc::clone(&refresher_stop);
@@ -771,16 +798,8 @@ impl MsketchServer {
             let handle = std::thread::Builder::new()
                 .name("msketch-refresher".to_string())
                 .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        // Sleep in slices so shutdown is prompt even at
-                        // long cadences.
-                        let deadline = Instant::now() + interval;
-                        while Instant::now() < deadline {
-                            if stop.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(20).min(interval));
-                        }
+                    // Shutdown wakes the wait at once, whatever the cadence.
+                    while !stop.wait(interval) {
                         // Skip the engine refresh when nothing arrived —
                         // unless the slot is still empty (deferred
                         // initial snapshot): then refreshing is how the
@@ -861,7 +880,7 @@ impl MsketchServer {
     /// (joining their threads). Idempotent; also runs on drop —
     /// dropping a server leaks nothing.
     pub fn shutdown(&mut self) {
-        self.refresher_stop.store(true, Ordering::SeqCst);
+        self.refresher_stop.stop();
         if let Some(refresher) = self.refresher.take() {
             let _ = refresher.join();
         }
@@ -1156,10 +1175,7 @@ fn timeline_stats_value(state: &ServerState) -> Value {
         ("rollups_written", Value::from(stats.rollups_written)),
         ("values_folded", Value::from(stats.values_folded)),
         ("retention_removed", Value::from(stats.retention_removed)),
-        (
-            "maintenance_errors",
-            Value::from(state.metrics.timeline_errors.get()),
-        ),
+        ("errors", Value::from(state.metrics.timeline_errors.get())),
         (
             "segment_cache",
             Value::object(vec![
@@ -1212,10 +1228,6 @@ fn handle_stats(state: &ServerState, _: &Request) -> Response {
         ("wal_segments", Value::from(engine.wal_segments)),
         ("wal_bytes", Value::from(engine.wal_bytes)),
         ("wal_append_errors", Value::from(engine.wal_append_errors)),
-        (
-            "snapshot_cells_folded",
-            Value::from(engine.snapshot_cells_folded),
-        ),
         (
             "delta_cells_applied",
             Value::from(engine.delta_cells_applied),

@@ -1001,10 +1001,7 @@ fn late_rows_drop_after_rollup_and_stats_report_the_timeline() {
     assert_eq!(timeline.get("late_dropped").unwrap().as_u64(), Some(1));
     assert!(timeline.get("segments").unwrap().as_u64().unwrap() >= 5);
     assert!(timeline.get("rollups_written").unwrap().as_u64().unwrap() >= 1);
-    assert_eq!(
-        timeline.get("maintenance_errors").unwrap().as_u64(),
-        Some(0)
-    );
+    assert_eq!(timeline.get("errors").unwrap().as_u64(), Some(0));
 }
 
 #[test]
@@ -1059,10 +1056,7 @@ fn a_row_the_timeline_cannot_stamp_is_reported_not_a_500() {
     let (_, stats) = call(&server, &request("GET", "/stats", &[], ""));
     let timeline = stats.get("timeline").unwrap();
     assert_eq!(timeline.get("rows_ingested").unwrap().as_u64(), Some(2));
-    assert_eq!(
-        timeline.get("maintenance_errors").unwrap().as_u64(),
-        Some(1)
-    );
+    assert_eq!(timeline.get("errors").unwrap().as_u64(), Some(1));
     let events = server.obs().trace.recent_events(100);
     assert!(
         events.iter().any(|e| e.name == "server::timeline_error"),

@@ -7,9 +7,9 @@
 //!
 //! * [`SketchKind`] — the registry of shipped backends, each with a
 //!   stable one-byte wire tag;
-//! * [`SketchSpec`] — a runtime-selectable, serializable sketch
-//!   configuration that builds boxed [`Sketch`] values (replacing ad-hoc
-//!   factory closures at public boundaries);
+//! * [`SketchSpec`] — the one way to name a sketch configuration:
+//!   runtime-selectable and serializable, it builds boxed [`Sketch`]
+//!   values for cubes, engines and the reproduction harness alike;
 //! * the **wire format** — every backend serializes through
 //!   [`Sketch::to_bytes`] and is restored by [`sketch_from_bytes`]
 //!   (dynamic, tag-dispatched) or [`from_bytes`] (typed).
@@ -488,7 +488,7 @@ pub(crate) use impl_sketch_object;
 
 /// A runtime-chosen sketch configuration: kind + size parameter + seed.
 ///
-/// `SketchSpec` replaces factory closures at public boundaries: it is
+/// `SketchSpec` is the only [`crate::traits::SummaryFactory`]: it is
 /// inspectable, serializable (cubes persist it alongside their cells), and
 /// buildable from a string or a [`SketchKind`] picked at runtime:
 ///

@@ -85,10 +85,6 @@ impl EwHist {
 impl Sketch for EwHist {
     impl_sketch_object!(EwHist);
 
-    fn name(&self) -> &'static str {
-        "EW-Hist"
-    }
-
     fn accumulate(&mut self, x: f64) {
         self.min = self.min.min(x);
         self.max = self.max.max(x);

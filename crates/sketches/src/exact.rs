@@ -52,10 +52,6 @@ impl ExactQuantiles {
 impl Sketch for ExactQuantiles {
     impl_sketch_object!(ExactQuantiles);
 
-    fn name(&self) -> &'static str {
-        "Exact"
-    }
-
     fn accumulate(&mut self, x: f64) {
         self.dirty.push(x);
     }

@@ -156,10 +156,6 @@ fn buffer_cap(epsilon: f64) -> usize {
 impl Sketch for GkSummary {
     impl_sketch_object!(GkSummary);
 
-    fn name(&self) -> &'static str {
-        "GK"
-    }
-
     fn accumulate(&mut self, x: f64) {
         self.n += 1;
         self.buffer.push(x);

@@ -112,10 +112,6 @@ impl Merge12 {
 impl Sketch for Merge12 {
     impl_sketch_object!(Merge12);
 
-    fn name(&self) -> &'static str {
-        "Merge12"
-    }
-
     fn accumulate(&mut self, x: f64) {
         self.min = self.min.min(x);
         self.max = self.max.max(x);

@@ -54,10 +54,6 @@ impl MSketchSummary {
 impl Sketch for MSketchSummary {
     impl_sketch_object!(MSketchSummary);
 
-    fn name(&self) -> &'static str {
-        "M-Sketch"
-    }
-
     fn accumulate(&mut self, x: f64) {
         self.sketch.accumulate(x);
     }

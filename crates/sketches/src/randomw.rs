@@ -117,10 +117,6 @@ impl RandomW {
 impl Sketch for RandomW {
     impl_sketch_object!(RandomW);
 
-    fn name(&self) -> &'static str {
-        "RandomW"
-    }
-
     fn accumulate(&mut self, x: f64) {
         self.n += 1;
         self.active.push(x);

@@ -38,10 +38,6 @@ impl ReservoirSample {
 impl Sketch for ReservoirSample {
     impl_sketch_object!(ReservoirSample);
 
-    fn name(&self) -> &'static str {
-        "Sampling"
-    }
-
     fn accumulate(&mut self, x: f64) {
         self.n += 1;
         if self.items.len() < self.capacity {

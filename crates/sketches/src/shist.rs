@@ -66,10 +66,6 @@ impl SHist {
 impl Sketch for SHist {
     impl_sketch_object!(SHist);
 
-    fn name(&self) -> &'static str {
-        "S-Hist"
-    }
-
     fn accumulate(&mut self, x: f64) {
         self.min = self.min.min(x);
         self.max = self.max.max(x);

@@ -99,10 +99,6 @@ impl TDigest {
 impl Sketch for TDigest {
     impl_sketch_object!(TDigest);
 
-    fn name(&self) -> &'static str {
-        "T-Digest"
-    }
-
     fn accumulate(&mut self, x: f64) {
         self.min = self.min.min(x);
         self.max = self.max.max(x);

@@ -25,11 +25,9 @@ use std::any::Any;
 /// downcast-checks the argument and reports [`SketchError::KindMismatch`]
 /// instead of panicking when the kinds differ.
 pub trait Sketch: Any + Send + Sync {
-    /// The registry tag identifying this summary's backend.
+    /// The registry tag identifying this summary's backend; its
+    /// [`SketchKind::label`] is the name in the paper's figure legends.
     fn kind(&self) -> SketchKind;
-
-    /// Display name matching the paper's figure legends.
-    fn name(&self) -> &'static str;
 
     /// Insert one value.
     fn accumulate(&mut self, x: f64);
@@ -95,9 +93,6 @@ impl Sketch for Box<dyn Sketch> {
     fn kind(&self) -> SketchKind {
         (**self).kind()
     }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
     fn accumulate(&mut self, x: f64) {
         (**self).accumulate(x);
     }
@@ -143,39 +138,15 @@ impl QuantileSummary for Box<dyn Sketch> {
 }
 
 /// Builds fresh summaries of one configuration: a data cube builds one
-/// per cell.
+/// per cell. [`crate::api::SketchSpec`] is the one implementation.
 pub trait SummaryFactory {
     /// The summary type built.
     type Summary: QuantileSummary;
     /// A fresh, empty summary.
     fn build(&self) -> Self::Summary;
-
-    /// The backend of the summaries built. The default asks a fresh
-    /// summary; a factory that knows its kind without building one
-    /// overrides it (`DataCube::merge_cube` checks this on every call).
-    fn kind(&self) -> SketchKind {
-        self.build().kind()
-    }
-}
-
-/// Blanket factory from a closure.
-///
-/// Prefer [`crate::api::SketchSpec`] at public boundaries — it is
-/// runtime-selectable and serializable; only tests build typed cubes
-/// with `FnFactory`.
-pub struct FnFactory<S, F: Fn() -> S>(pub F);
-
-impl<S: QuantileSummary, F: Fn() -> S> SummaryFactory for FnFactory<S, F> {
-    type Summary = S;
-    fn build(&self) -> S {
-        (self.0)()
-    }
-}
-
-impl<S, F: Fn() -> S + Clone> Clone for FnFactory<S, F> {
-    fn clone(&self) -> Self {
-        FnFactory(self.0.clone())
-    }
+    /// The backend of the summaries built, known without building one
+    /// (`DataCube::merge_cube` checks it on every call).
+    fn kind(&self) -> SketchKind;
 }
 
 #[cfg(test)]

@@ -5,20 +5,19 @@
 use msketch::cube::{DataCube, GroupThresholdQuery, QueryEngine};
 use msketch::datasets::dist;
 use msketch::prelude::{QuantileSummary, Sketch};
-use msketch::sketches::{traits::FnFactory, MSketchSummary};
+use msketch::sketches::{MSketchSummary, MomentsBacked, SketchSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-type MCube = DataCube<FnFactory<MSketchSummary, fn() -> MSketchSummary>>;
+type MCube = DataCube<SketchSpec>;
 
 /// Build a 3-dimensional cube plus the raw rows for ground truth.
 fn telemetry_cube(rows: usize) -> (MCube, Vec<(Vec<String>, f64)>) {
     let countries = ["US", "CA", "MX"];
     let versions = ["v1", "v2", "v3", "v4"];
     let devices = ["phone", "tablet"];
-    let factory: FnFactory<MSketchSummary, fn() -> MSketchSummary> =
-        FnFactory(|| MSketchSummary::new(10));
+    let factory = SketchSpec::moments(10);
     let mut cube = DataCube::new(factory, &["country", "version", "device"]);
     let mut raw = Vec::with_capacity(rows);
     let mut rng = StdRng::seed_from_u64(555);
@@ -130,7 +129,7 @@ fn sketch_cells_serialize_through_cube_lifecycle() {
     // Simulate persisting and reloading every cell, then re-aggregating.
     let mut restored: HashMap<Vec<u32>, MSketchSummary> = HashMap::new();
     for (key, summary) in cube.cells() {
-        let bytes = to_bytes(&summary.sketch);
+        let bytes = to_bytes(summary.as_moments().unwrap());
         let back = from_bytes(&bytes).unwrap();
         restored.insert(key.clone(), MSketchSummary::from_sketch(back));
     }

@@ -99,7 +99,6 @@ fn facade_runtime_kind_registry() {
         assert_eq!(spec.kind(), kind);
         let s = spec.build();
         assert_eq!(s.kind(), kind);
-        assert_eq!(s.name(), kind.label());
     }
 }
 

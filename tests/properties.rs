@@ -162,7 +162,7 @@ proptest! {
                 for phi in [0.01, 0.5, 0.99] {
                     let q = merged.quantile(phi);
                     prop_assert!(q >= lo - 1e-9 && q <= hi + 1e-9,
-                        "{} phi={phi} q={q} outside [{lo},{hi}]", merged.name());
+                        "{} phi={phi} q={q} outside [{lo},{hi}]", merged.kind());
                 }
             }};
         }
